@@ -2,9 +2,11 @@
 // (common/flat_hash.h) against the std::unordered_* containers they
 // replaced, plus the end-to-end rows the adoption moves: HNSW QueryBatch
 // (per-query visited set -> per-thread EpochVisitedSet) and the corpus
-// build fallback path (TokenCountMap internals). Emits BENCH_hash.json
-// from run_benches.sh; the >= 2x acceptance gate lives on the mixed
-// insert/lookup rows (EXPERIMENTS.md "Hash microbench").
+// build fallback path (TokenCountMap internals), and the artifact CRC-32
+// (the pre-dispatch byte-at-a-time loop as the live baseline vs the
+// dispatched kernel). Emits BENCH_hash.json from run_benches.sh; the >= 2x
+// acceptance gate lives on the mixed insert/lookup rows (EXPERIMENTS.md
+// "Hash microbench"), the CRC rows feed "Artifact checksum".
 
 #include <benchmark/benchmark.h>
 
@@ -14,6 +16,7 @@
 
 #include "bench/bench_common.h"
 #include "common/flat_hash.h"
+#include "common/io_util.h"
 #include "common/logging.h"
 #include "common/math_util.h"
 #include "common/rng.h"
@@ -293,6 +296,47 @@ void BM_CorpusBuildMapPath(benchmark::State& state) {
 }
 BENCHMARK(BM_CorpusBuildMapPath)->Arg(1)->Arg(4)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
+
+// ------------------------------ CRC-32 ------------------------------
+// Artifact checksum throughput at page (4 KB), L2-ish (1 MB) and
+// out-of-cache (64 MB, the size of a 100k x 64 serving arena + qarena)
+// payloads. "bytewise" is the one-table-lookup-per-byte loop every artifact
+// was checksummed with before the kernel joined the SIMD dispatch table;
+// "dispatched" is sisg::Crc32 (SISG_SIMD picks the level).
+
+uint32_t Crc32Bytewise(const void* data, size_t len, uint32_t crc) {
+  static const std::vector<uint32_t> table = [] {
+    std::vector<uint32_t> t(256);
+    for (uint32_t i = 0; i < 256; ++i) {
+      uint32_t c = i;
+      for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+      t[i] = c;
+    }
+    return t;
+  }();
+  const auto* p = static_cast<const uint8_t*>(data);
+  uint32_t c = crc ^ 0xFFFFFFFFu;
+  for (size_t i = 0; i < len; ++i) c = table[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
+  return c ^ 0xFFFFFFFFu;
+}
+
+void BM_Crc32(benchmark::State& state,
+              uint32_t (*crc32)(const void*, size_t, uint32_t)) {
+  const size_t len = static_cast<size_t>(state.range(0));
+  std::vector<uint8_t> buf(len);
+  Rng rng(29);
+  for (auto& b : buf) b = static_cast<uint8_t>(rng.UniformU64(256));
+  SISG_CHECK(crc32(buf.data(), len, 0) == Crc32Bytewise(buf.data(), len, 0));
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crc32(buf.data(), len, 0));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(len));
+}
+BENCHMARK_CAPTURE(BM_Crc32, bytewise, Crc32Bytewise)
+    ->Arg(4 << 10)->Arg(1 << 20)->Arg(64 << 20);
+BENCHMARK_CAPTURE(BM_Crc32, dispatched, Crc32)
+    ->Arg(4 << 10)->Arg(1 << 20)->Arg(64 << 20);
 
 }  // namespace
 }  // namespace sisg

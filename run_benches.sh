@@ -17,8 +17,10 @@
 # "Serving bench"), and BENCH_hash.json for the hot-path hash layer
 # (FlatHashMap/Set vs std::unordered_* on insert/lookup/mixed churn, the
 # three visited-set variants on beam walks, and the end-to-end HNSW
-# query-batch + corpus-build deltas; see EXPERIMENTS.md "Hash microbench").
-cd /root/repo
+# query-batch + corpus-build deltas; see EXPERIMENTS.md "Hash microbench";
+# its BM_Crc32 rows are the "Artifact checksum" table). Runs from the
+# directory this script lives in, the root of the checkout.
+cd "$(dirname "$0")" || exit 1
 if [ ! -d build/bench ] || [ ! -x build/bench/bench_micro_engine ]; then
   echo "error: bench binaries not found under build/bench." >&2
   echo "Build them first:  cmake -B build -S . && cmake --build build -j" >&2

@@ -10,26 +10,12 @@
 #include <cstddef>
 #include <cstring>
 
+#include "common/simd.h"
+
 namespace sisg {
 namespace {
 
 constexpr char kArtifactMagic[8] = {'S', 'I', 'S', 'G', 'A', 'R', 'T', '1'};
-
-/// CRC-32 lookup table (polynomial 0xEDB88320), built once.
-const uint32_t* Crc32Table() {
-  static const uint32_t* table = [] {
-    static uint32_t t[256];
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t c = i;
-      for (int k = 0; k < 8; ++k) {
-        c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
-      }
-      t[i] = c;
-    }
-    return t;
-  }();
-  return table;
-}
 
 std::string ErrnoMessage(const std::string& what, const std::string& path) {
   return what + " " + path + ": " + std::strerror(errno);
@@ -70,13 +56,7 @@ void FillKind(const std::string& kind, char out[8]) {
 }  // namespace
 
 uint32_t Crc32(const void* data, size_t len, uint32_t crc) {
-  const uint32_t* table = Crc32Table();
-  const auto* p = static_cast<const uint8_t*>(data);
-  uint32_t c = crc ^ 0xFFFFFFFFu;
-  for (size_t i = 0; i < len; ++i) {
-    c = table[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
-  }
-  return c ^ 0xFFFFFFFFu;
+  return GetSimdOps().crc32(data, len, crc);
 }
 
 StatusOr<AtomicFile> AtomicFile::Create(const std::string& path) {

@@ -11,7 +11,9 @@
 namespace sisg {
 
 /// CRC-32 (IEEE 802.3 polynomial, the zlib/PNG variant). `crc` chains calls:
-/// Crc32(b, nb, Crc32(a, na)) == Crc32(ab, na + nb).
+/// Crc32(b, nb, Crc32(a, na)) == Crc32(ab, na + nb). Runs the `crc32` kernel
+/// of GetSimdOps() (common/simd.h); every dispatch level returns the same
+/// value, so stored checksums do not depend on the machine that wrote them.
 uint32_t Crc32(const void* data, size_t len, uint32_t crc = 0);
 
 /// A file that becomes visible atomically: writes go to `<path>.tmp`, and

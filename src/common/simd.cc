@@ -23,7 +23,8 @@ float Int8DequantScore(const Int8Query& q, float row_scale, float row_min,
 
 bool CpuSupportsAvx2() {
 #if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__)
-  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+  return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma") &&
+         __builtin_cpu_supports("pclmul");
 #else
   return false;
 #endif
@@ -53,6 +54,7 @@ const SimdOps kScalarOps = {simd_scalar::Dot,
                             simd_scalar::DotBatchI8,
                             simd_scalar::TopKScanI8,
                             simd_scalar::AdcScan,
+                            simd_scalar::Crc32,
                             SimdLevel::kScalar};
 
 }  // namespace

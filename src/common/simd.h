@@ -12,11 +12,12 @@
 
 namespace sisg {
 
-/// Runtime-dispatched dense kernels for the SGNS hot path and the retrieval
-/// (serving) hot path. The engine's per-pair cost is dominated by Dot/Axpy
-/// over dim 64-256 rows, and a top-K query is dominated by one-query-vs-many
-/// candidate scans; these are provided both as portable scalar references
-/// and as AVX2+FMA versions, selected once at startup from CPUID
+/// Runtime-dispatched dense kernels for the SGNS hot path, the retrieval
+/// (serving) hot path and the artifact checksum. The engine's per-pair cost
+/// is dominated by Dot/Axpy over dim 64-256 rows, a top-K query by
+/// one-query-vs-many candidate scans, and an artifact load by the CRC-32
+/// over its payload; these are provided both as portable scalar references
+/// and as AVX2+FMA(+PCLMUL) versions, selected once at startup from CPUID
 /// (overridable via the SISG_SIMD env var: "scalar", "avx2" or "auto"). All
 /// kernels accept unaligned pointers; alignment (EmbeddingModel's and the
 /// indexes' 64-byte rows) is a performance property, not a correctness
@@ -105,6 +106,12 @@ struct SimdOps {
   void (*adc_scan)(const float* table, const uint8_t* codes, size_t m,
                    uint32_t n, const uint32_t* ids, uint32_t exclude,
                    TopKSelector* sel);
+  /// CRC-32 (IEEE, reflected 0xEDB88320) with the contract of sisg::Crc32
+  /// in common/io_util.h, chaining included. Every level returns the same
+  /// value for every input: it is the integrity check of every on-disk
+  /// artifact, so the dispatch level must never change a stored checksum.
+  /// Scalar is slicing-by-8; AVX2 folds 4x128-bit lanes with PCLMULQDQ.
+  uint32_t (*crc32)(const void* data, size_t len, uint32_t crc);
   SimdLevel level;
 };
 
@@ -117,7 +124,8 @@ const SimdOps& GetSimdOps();
 /// CPU capability bit to the level that would be dispatched.
 SimdLevel ResolveSimdLevel(const std::string& preference, bool cpu_has_avx2);
 
-/// True when the running CPU supports AVX2+FMA (false on non-x86 builds).
+/// True when the running CPU supports AVX2+FMA and PCLMULQDQ, everything the
+/// AVX2 table executes (false on non-x86 builds).
 bool CpuSupportsAvx2();
 
 namespace simd_scalar {
@@ -141,11 +149,12 @@ void TopKScanI8(const Int8Query& query, const uint8_t* rows, size_t stride,
                 TopKSelector* sel);
 void AdcScan(const float* table, const uint8_t* codes, size_t m, uint32_t n,
              const uint32_t* ids, uint32_t exclude, TopKSelector* sel);
+uint32_t Crc32(const void* data, size_t len, uint32_t crc);
 }  // namespace simd_scalar
 
 namespace simd_avx2 {
-/// Returns the AVX2+FMA dispatch table, or nullptr when this binary was
-/// built without AVX2 support (non-x86 target or compiler without -mavx2).
+/// Returns the AVX2+FMA+PCLMUL dispatch table, or nullptr when this binary
+/// was built without it (non-x86 target or compiler without the flags).
 const SimdOps* Ops();
 }  // namespace simd_avx2
 

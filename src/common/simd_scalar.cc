@@ -1,7 +1,35 @@
 #include "common/simd.h"
 
+#include <array>
+
 namespace sisg {
 namespace simd_scalar {
+namespace {
+
+/// Slicing-by-8 tables for the reflected CRC-32 polynomial 0xEDB88320:
+/// kCrcTables[0] is the classic byte-at-a-time table, and kCrcTables[k][b]
+/// is the CRC of byte b followed by k zero bytes, so one lookup per input
+/// byte of an 8-byte word advances the register by the whole word.
+using CrcTables = std::array<std::array<uint32_t, 256>, 8>;
+
+constexpr CrcTables MakeCrcTables() {
+  CrcTables t{};
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t c = i;
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+    t[0][i] = c;
+  }
+  for (size_t k = 1; k < 8; ++k) {
+    for (uint32_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+    }
+  }
+  return t;
+}
+
+constexpr CrcTables kCrcTables = MakeCrcTables();
+
+}  // namespace
 
 float Dot(const float* a, const float* b, size_t dim) {
   float acc = 0.0f;
@@ -98,6 +126,25 @@ void AdcScan(const float* table, const uint8_t* codes, size_t m, uint32_t n,
     for (size_t sub = 0; sub < m; ++sub) s += table[sub * 256 + row[sub]];
     if (s > sel->Threshold()) sel->Push(s, id);
   }
+}
+
+uint32_t Crc32(const void* data, size_t len, uint32_t crc) {
+  const auto& t = kCrcTables;
+  const auto* p = static_cast<const uint8_t*>(data);
+  uint32_t c = crc ^ 0xFFFFFFFFu;
+  for (; len >= 8; len -= 8, p += 8) {
+    // Byte-wise assembly keeps the word little-endian on any host; compilers
+    // fold it into one load on little-endian targets.
+    const uint32_t lo = c ^ (static_cast<uint32_t>(p[0]) |
+                             static_cast<uint32_t>(p[1]) << 8 |
+                             static_cast<uint32_t>(p[2]) << 16 |
+                             static_cast<uint32_t>(p[3]) << 24);
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+        t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][p[4]] ^ t[2][p[5]] ^
+        t[1][p[6]] ^ t[0][p[7]];
+  }
+  for (; len > 0; --len, ++p) c = t[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
+  return c ^ 0xFFFFFFFFu;
 }
 
 }  // namespace simd_scalar

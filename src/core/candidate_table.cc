@@ -3,6 +3,8 @@
 #include <cstdio>
 #include <numeric>
 
+#include "common/io_util.h"
+
 namespace sisg {
 
 Status CandidateTable::Build(const MatchingEngine& engine, uint32_t k,
@@ -27,8 +29,8 @@ const std::vector<ScoredId>& CandidateTable::Get(uint32_t item) const {
 }
 
 Status CandidateTable::SaveText(const std::string& path) const {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return Status::IOError("cannot open for write: " + path);
+  SISG_ASSIGN_OR_RETURN(AtomicFile file, AtomicFile::Create(path));
+  std::FILE* f = file.stream();
   bool ok = true;
   for (uint32_t item = 0; item < table_.size(); ++item) {
     if (table_[item].empty()) continue;
@@ -39,9 +41,8 @@ Status CandidateTable::SaveText(const std::string& path) const {
     }
     ok = ok && std::fputc('\n', f) != EOF;
   }
-  ok = std::fclose(f) == 0 && ok;
   if (!ok) return Status::IOError("write failed: " + path);
-  return Status::OK();
+  return file.Commit();
 }
 
 }  // namespace sisg

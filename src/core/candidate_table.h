@@ -30,7 +30,8 @@ class CandidateTable {
   /// Candidates for an item, best first; empty for untrained items.
   const std::vector<ScoredId>& Get(uint32_t item) const;
 
-  /// Tab-separated export: "item\tcand:score cand:score ...".
+  /// Tab-separated export: "item\tcand:score cand:score ...", published
+  /// atomically (AtomicFile), so a failed export leaves `path` untouched.
   Status SaveText(const std::string& path) const;
 
  private:

@@ -1,7 +1,9 @@
 #include "serve/client.h"
 
-#include <cstring>
+#include <sys/socket.h>
 #include <unistd.h>
+
+#include <cstring>
 #include <utility>
 
 #include "common/net_util.h"
@@ -39,6 +41,10 @@ void ServeClient::Close() {
     ::close(fd_);
     fd_ = -1;
   }
+}
+
+void ServeClient::Shutdown() {
+  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
 }
 
 Status ServeClient::SendQuery(uint64_t request_id, uint32_t item, uint32_t k) {

@@ -42,6 +42,10 @@ class ServeClient {
 
   bool connected() const { return fd_ >= 0; }
   void Close();
+  /// Shuts the connection down in both directions but keeps the descriptor:
+  /// a thread blocked in ReadResponse wakes with an error (closing the fd
+  /// would not wake it). Close() still releases the descriptor.
+  void Shutdown();
 
   /// One synchronous round trip. A transport/protocol failure is a non-OK
   /// Status; an application-level rejection (BUSY etc.) is OK with the

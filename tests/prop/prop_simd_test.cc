@@ -2,10 +2,13 @@
 // generated dims 1-256 and adversarial values (±0, subnormals, exact small
 // ints, ~1e15 magnitudes). The fp32/ADC kernels differ from scalar only in
 // summation order, so parity is a scaled tolerance; the int8 kernels
-// accumulate exactly and must match bit-for-bit. When the build machine has
-// AVX2, the dispatched side is the AVX2 table regardless of SISG_SIMD, so
-// the parity claim is about the widest kernels this binary carries.
+// accumulate exactly and must match bit-for-bit, and so must the CRC-32
+// kernels (against a bit-at-a-time oracle), since artifacts store its value.
+// When the build machine has AVX2, the dispatched side is the AVX2 table
+// regardless of SISG_SIMD, so the parity claim is about the widest kernels
+// this binary carries.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
@@ -14,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "common/io_util.h"
 #include "common/quant.h"
 #include "common/simd.h"
 #include "common/top_k.h"
@@ -476,6 +480,140 @@ TEST(PropSimd, AdcScanSoundAgainstGroundTruth) {
         }
         return "";
       });
+  EXPECT_TRUE(r.ok) << r.message;
+}
+
+/// Independent CRC-32 oracle: the textbook shift-and-xor loop, one bit per
+/// step, sharing no table or code with the kernels under test.
+uint32_t Crc32Bitwise(const uint8_t* p, size_t len) {
+  uint32_t c = 0xFFFFFFFFu;
+  for (size_t i = 0; i < len; ++i) {
+    c ^= p[i];
+    for (int b = 0; b < 8; ++b) c = (c >> 1) ^ (0xEDB88320u & (0u - (c & 1u)));
+  }
+  return ~c;
+}
+
+struct CrcCase {
+  std::vector<uint8_t> bytes;
+  std::vector<size_t> splits;  // ascending chain points in [0, bytes.size()]
+};
+
+/// Lengths weighted to the short inputs the scalar head/tail handles and to
+/// multiples of the 16- and 64-byte fold widths +-1, with a share of long
+/// buffers up to 70k that run many 64-byte fold steps.
+Gen<size_t> CrcLengthGen() {
+  const auto boundary = Gen<size_t>([](Rng& rng) {
+    const size_t width = rng.Bernoulli(0.5) ? 16 : 64;
+    const size_t blocks = static_cast<size_t>(rng.UniformInt(1, 40));
+    return width * blocks - 1 + rng.UniformU64(3);
+  });
+  return Frequency<size_t>({{4, InRange<size_t>(0, 130)},
+                            {3, boundary},
+                            {1, InRange<size_t>(0, 70000)}});
+}
+
+Gen<CrcCase> CrcCaseGen() {
+  return Gen<CrcCase>([](Rng& rng) {
+    CrcCase c;
+    const size_t len = CrcLengthGen()(rng);
+    // Adversarial byte mixes: random, all-zero (the CRC's own register
+    // image), all-ones, one set bit in zeros, and the bit-edge bytes.
+    const uint64_t mode = rng.UniformU64(5);
+    c.bytes.assign(len, mode == 2 ? 0xFF : 0x00);
+    if (mode == 0) {
+      for (auto& b : c.bytes) b = static_cast<uint8_t>(rng.UniformU64(256));
+    } else if (mode == 3 && len > 0) {
+      c.bytes[rng.UniformU64(len)] =
+          static_cast<uint8_t>(1u << rng.UniformU64(8));
+    } else if (mode == 4) {
+      static constexpr uint8_t kEdges[] = {0x00, 0x01, 0x7F, 0x80, 0xFF};
+      for (auto& b : c.bytes) b = kEdges[rng.UniformU64(5)];
+    }
+    const size_t n_splits = static_cast<size_t>(rng.UniformInt(0, 4));
+    for (size_t i = 0; i < n_splits; ++i) {
+      c.splits.push_back(static_cast<size_t>(rng.UniformU64(len + 1)));
+    }
+    std::sort(c.splits.begin(), c.splits.end());
+    return c;
+  });
+}
+
+std::string ShowCrcCase(const CrcCase& c) {
+  std::ostringstream os;
+  os << "{len=" << c.bytes.size() << ", splits=" << ShowValue(c.splits)
+     << ", bytes="
+     << ShowValue(std::vector<int>(c.bytes.begin(), c.bytes.end())) << "}";
+  return os.str();
+}
+
+/// Shrinks toward shorter buffers and fewer chain points; splits past the
+/// new end are clamped so every candidate stays well-formed.
+std::vector<CrcCase> ShrinkCrcCase(const CrcCase& c) {
+  std::vector<CrcCase> out;
+  if (!c.splits.empty()) out.push_back({c.bytes, {}});
+  const size_t n = c.bytes.size();
+  for (size_t keep : {n / 2, n - 1}) {
+    if (n == 0 || keep >= n) continue;
+    for (bool front : {true, false}) {
+      CrcCase d;
+      d.bytes.assign(front ? c.bytes.end() - keep : c.bytes.begin(),
+                     front ? c.bytes.end() : c.bytes.begin() + keep);
+      for (size_t s : c.splits) d.splits.push_back(std::min(s, keep));
+      out.push_back(std::move(d));
+    }
+  }
+  return out;
+}
+
+TEST(PropSimd, Crc32BitIdenticalToOracleAtEveryLevel) {
+  const uint8_t check[] = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};
+  ASSERT_EQ(Crc32Bitwise(check, sizeof(check)), 0xCBF43926u);
+  const SimdOps& ops = DispatchedOps();
+  const Result r = ForAllSeeded<CrcCase>(
+      "crc32_oracle_parity", 250, CrcCaseGen(),
+      [&](const CrcCase& c) -> std::string {
+        const size_t len = c.bytes.size();
+        const uint32_t want = Crc32Bitwise(c.bytes.data(), len);
+        if (const uint32_t got = Crc32(c.bytes.data(), len); got != want) {
+          return "Crc32 (active dispatch) " + std::to_string(got) +
+                 " != oracle " + std::to_string(want);
+        }
+        // Every start offset within a cache line: the fold loads are
+        // unaligned, and the 16-byte lanes straddle lines differently.
+        std::vector<uint8_t> buf(len + 64);
+        for (size_t off = 0; off < 64; ++off) {
+          if (len > 0) std::memcpy(buf.data() + off, c.bytes.data(), len);
+          const uint32_t scalar = simd_scalar::Crc32(buf.data() + off, len, 0);
+          const uint32_t dispatched = ops.crc32(buf.data() + off, len, 0);
+          if (scalar != want || dispatched != want) {
+            return "offset " + std::to_string(off) + ": scalar " +
+                   std::to_string(scalar) + ", dispatched " +
+                   std::to_string(dispatched) + " != oracle " +
+                   std::to_string(want);
+          }
+        }
+        // Chained at the split points, alternating the level per segment:
+        // the levels must hand each other the same running register.
+        for (int first = 0; first < 2; ++first) {
+          uint32_t crc = 0;
+          size_t begin = 0;
+          for (size_t i = 0; i <= c.splits.size(); ++i) {
+            const size_t end = i < c.splits.size() ? c.splits[i] : len;
+            const auto kernel =
+                (i + first) % 2 == 0 ? &simd_scalar::Crc32 : ops.crc32;
+            crc = kernel(c.bytes.data() + begin, end - begin, crc);
+            begin = end;
+          }
+          if (crc != want) {
+            return "chained (first level " +
+                   std::string(first == 0 ? "scalar" : "dispatched") + ") " +
+                   std::to_string(crc) + " != oracle " + std::to_string(want);
+          }
+        }
+        return "";
+      },
+      ShrinkCrcCase, ShowCrcCase);
   EXPECT_TRUE(r.ok) << r.message;
 }
 

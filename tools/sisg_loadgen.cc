@@ -153,18 +153,16 @@ void OpenLoopWorker(const std::string& host, uint16_t port, uint32_t items,
   FlatHashMap<uint64_t, uint64_t> inflight;  // id -> send ns
   std::atomic<bool> send_failed{false};
   std::atomic<bool> timed_out{false};
-  std::atomic<uint64_t> sent{0};
 
   std::thread reader([&] {
-    uint64_t got = 0;
     for (;;) {
       serve::QueryResponse resp;
       if (auto st = client->ReadResponse(&resp); !st.ok()) {
         // A timeout mid-frame desynchronizes the pipelined stream — the
         // whole connection is done, and its unanswered sends are counted
-        // as timeouts (not transport errors) below. EOF after the sender
-        // closed is the clean end; any other mid-run failure is an error,
-        // which the outer loop detects via counts.
+        // as timeouts (not transport errors) below. The sender's Shutdown
+        // after the grace period is the clean end; any other mid-run
+        // failure is an error, which the outer loop detects via counts.
         if (st.code() == StatusCode::kDeadlineExceeded) {
           s->timeouts++;
           timed_out.store(true);
@@ -185,12 +183,6 @@ void OpenLoopWorker(const std::string& host, uint16_t port, uint32_t items,
       }
       Tally(s, resp.status,
             static_cast<double>(MonotonicNanos() - t0) * 1e-6);
-      // Stop once every sent request is answered and the deadline passed.
-      ++got;
-      if (MonotonicNanos() >= deadline_ns &&
-          got >= sent.load(std::memory_order_acquire)) {
-        return;
-      }
     }
   });
 
@@ -217,6 +209,8 @@ void OpenLoopWorker(const std::string& host, uint16_t port, uint32_t items,
             std::chrono::microseconds(static_cast<int64_t>(ahead_us / 2)));
       }
     }
+    // The pacing wait can overshoot the deadline: nothing is sent after it.
+    if (MonotonicNanos() >= deadline_ns) break;
     const auto item = static_cast<uint32_t>(rng.UniformU64(items));
     const uint64_t id = next_id++;
     {
@@ -234,10 +228,9 @@ void OpenLoopWorker(const std::string& host, uint16_t port, uint32_t items,
       }
       break;
     }
-    sent.fetch_add(1, std::memory_order_release);
   }
-  // Give in-flight replies a bounded grace period, then drop the socket to
-  // unblock the reader. Generous because an overloaded single-core host
+  // Give in-flight replies a bounded grace period, then shut the socket down
+  // to unblock the reader. Generous because an overloaded single-core host
   // runs the server and every loadgen thread on the same core.
   const uint64_t grace_end = MonotonicNanos() + 6'000'000'000ull;
   while (MonotonicNanos() < grace_end &&
@@ -246,8 +239,9 @@ void OpenLoopWorker(const std::string& host, uint16_t port, uint32_t items,
     if (inflight.empty()) break;
     std::this_thread::yield();
   }
-  client->Close();
+  client->Shutdown();
   reader.join();
+  client->Close();
   if (send_failed.load()) s->errors++;
   std::lock_guard<std::mutex> lock(mu);
   // Unanswered sends: a timed-out connection abandons its tail as timeouts
