@@ -1,11 +1,14 @@
 // Micro-benchmarks (google-benchmark) of the ingestion pipeline: streamed
-// session parsing, serial vs multi-threaded corpus construction, packed vs
-// nested corpus traversal, and the end-to-end SGNS epoch on the packed
-// arena. Emits BENCH_corpus.json from run_benches.sh.
+// session parsing, serial vs multi-threaded corpus construction from memory
+// and from a sessions file, packed vs nested corpus traversal, and the
+// end-to-end SGNS epoch on the packed arena. Emits BENCH_corpus.json from
+// run_benches.sh.
 
 #include <benchmark/benchmark.h>
 
+#include <fstream>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "bench/bench_common.h"
@@ -109,19 +112,33 @@ void BM_CorpusBuild(benchmark::State& state) {
 BENCHMARK(BM_CorpusBuild)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
-/// Chunked text parse of a sessions file (the sisg_train ingest path).
+struct SessionsFile {
+  std::string path;
+  int64_t bytes;
+};
+
+/// Writes a sessions file holding the bench dataset `copies` times over.
+SessionsFile WriteSessionsFile(int copies) {
+  std::vector<Session> sessions;
+  for (int c = 0; c < copies; ++c) {
+    sessions.insert(sessions.end(), Dataset().train_sessions().begin(),
+                    Dataset().train_sessions().end());
+  }
+  const std::string p =
+      "/tmp/bench_corpus_sessions_x" + std::to_string(copies) + ".txt";
+  SISG_CHECK(WriteSessionsText(sessions, Dataset().users(), p).ok());
+  std::ifstream in(p, std::ios::binary | std::ios::ate);
+  return {p, static_cast<int64_t>(in.tellg())};
+}
+
+/// Chunked text parse of a sessions file (read + parse inline on the
+/// calling thread, as the distributed path and ReadSessionsText use it).
 void BM_SessionStreamRead(benchmark::State& state) {
   const auto& ds = Dataset();
-  static const std::string path = [] {
-    const std::string p = "/tmp/bench_corpus_sessions.txt";
-    SISG_CHECK(WriteSessionsText(Dataset().train_sessions(), Dataset().users(),
-                                 p)
-                   .ok());
-    return p;
-  }();
+  static const SessionsFile file = WriteSessionsFile(1);
   uint64_t sessions = 0;
   for (auto _ : state) {
-    auto stream = SessionStream::Open(ds.users(), path);
+    auto stream = SessionStream::Open(ds.users(), file.path);
     SISG_CHECK(stream.ok());
     std::vector<Session> chunk;
     sessions = 0;
@@ -133,8 +150,33 @@ void BM_SessionStreamRead(benchmark::State& state) {
     benchmark::DoNotOptimize(sessions);
   }
   state.SetItemsProcessed(state.iterations() * sessions);
+  state.SetBytesProcessed(state.iterations() * file.bytes);
 }
 BENCHMARK(BM_SessionStreamRead)->Unit(benchmark::kMillisecond);
+
+/// File -> corpus, the sisg_train ingest path: the calling thread reads raw
+/// blocks, the ingest workers parse, count and encode them. Arg = ingest
+/// threads; the corpus is byte-identical at every count. The dataset is
+/// written 8 times over so the file spans enough raw blocks to keep every
+/// worker busy.
+void BM_CorpusBuildFromFile(benchmark::State& state) {
+  const auto& ds = Dataset();
+  static const SessionsFile file = WriteSessionsFile(8);
+  const TokenSpace ts = TokenSpace::Create(&ds.catalog(), &ds.users());
+  const CorpusOptions opts =
+      BenchCorpusOptions(static_cast<uint32_t>(state.range(0)));
+  for (auto _ : state) {
+    auto stream = SessionStream::Open(ds.users(), file.path);
+    SISG_CHECK(stream.ok());
+    Corpus c;
+    SISG_CHECK(c.BuildFromSource(&*stream, ts, ds.catalog(), opts).ok());
+    benchmark::DoNotOptimize(c.num_tokens());
+  }
+  state.SetItemsProcessed(state.iterations() * 8 * ds.train_sessions().size());
+  state.SetBytesProcessed(state.iterations() * file.bytes);
+}
+BENCHMARK(BM_CorpusBuildFromFile)->Arg(1)->Arg(2)->Arg(4)
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 /// Full-corpus scan on the packed CSR arena: one sequential stream.
 void BM_PackedTraversal(benchmark::State& state) {

@@ -1,6 +1,7 @@
 #include "corpus/corpus.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -28,20 +29,41 @@ constexpr uint32_t kCacheVersion = 1;
 /// same bytes. A fixed size just keeps the work units uniform.)
 constexpr size_t kChunkSessions = 1024;
 
-/// One ingest work unit: a contiguous run of sessions. The flat fast path
-/// only ever stores per-session encoded lengths in `lens` (tokens stays
-/// empty — sequences are written straight into the arena); the fallback
-/// path materializes enriched tokens in `tokens` and rewrites them in place
-/// during encode.
+/// One ingest work unit: a contiguous run of sessions, either a slice of the
+/// caller's vector or a block read from a SessionSource and parsed on a
+/// worker. The flat fast path only ever stores per-session encoded lengths
+/// in `lens` (tokens stays empty — sequences are written straight into the
+/// arena); the fallback path materializes enriched tokens in `tokens` and
+/// rewrites them in place during encode.
 struct ChunkState {
-  std::vector<Session> owned;  // streaming path only
-  const Session* sessions = nullptr;
+  SessionBlock block;                 // streaming path only
+  const Session* sessions = nullptr;  // vector path only
   size_t num_sessions = 0;
   std::vector<uint32_t> tokens;
   std::vector<uint32_t> lens;
   uint64_t token_total = 0;  // flat path: encoded tokens in this chunk
   uint64_t seq_total = 0;    // flat path: surviving sequences in this chunk
   Status status;
+  std::atomic<bool> ingested{false};  // streaming: parsed and counted
+
+  /// fn(i, user_type, items) for each session in order, until fn returns
+  /// false.
+  template <typename Fn>
+  void ForEachSession(Fn&& fn) const {
+    if (sessions != nullptr) {
+      for (size_t i = 0; i < num_sessions; ++i) {
+        if (!fn(i, sessions[i].user_type,
+                std::span<const uint32_t>(sessions[i].items))) {
+          return;
+        }
+      }
+      return;
+    }
+    const SessionBatch& batch = block.sessions;
+    for (size_t i = 0; i < num_sessions; ++i) {
+      if (!fn(i, batch.user_types[i], batch.items_of(i))) return;
+    }
+  }
 };
 
 /// Per-worker click counters for the flat path: one add per item click and
@@ -75,13 +97,14 @@ class PhaseProf {
 
 /// Validates one session against the token space. The flat path fuses the
 /// same checks (byte-identical messages) into its counting loop.
-Status ValidateSession(const Session& s, const TokenSpace& ts) {
-  if (s.user_type >= ts.num_user_types()) {
+Status ValidateSession(uint32_t user_type, std::span<const uint32_t> items,
+                       const TokenSpace& ts) {
+  if (user_type >= ts.num_user_types()) {
     return Status::OutOfRange(
-        "corpus: user type " + std::to_string(s.user_type) +
+        "corpus: user type " + std::to_string(user_type) +
         " outside the universe of " + std::to_string(ts.num_user_types()));
   }
-  for (uint32_t item : s.items) {
+  for (uint32_t item : items) {
     if (item >= ts.num_items()) {
       return Status::OutOfRange("corpus: item " + std::to_string(item) +
                                 " outside the catalog of " +
@@ -175,51 +198,54 @@ Status Corpus::BuildImpl(const std::vector<Session>* sessions,
       local.user_types.resize(token_space.num_user_types(), 0);
     }
     const uint32_t num_items = token_space.num_items();
-    for (size_t i = 0; i < cs->num_sessions; ++i) {
-      const Session& s = cs->sessions[i];
-      if (s.user_type >= token_space.num_user_types()) {
+    cs->ForEachSession([&](size_t, uint32_t user_type,
+                           std::span<const uint32_t> items) {
+      if (user_type >= token_space.num_user_types()) {
         cs->status = Status::OutOfRange(
-            "corpus: user type " + std::to_string(s.user_type) +
+            "corpus: user type " + std::to_string(user_type) +
             " outside the universe of " +
             std::to_string(token_space.num_user_types()));
-        return;
+        return false;
       }
-      for (uint32_t item : s.items) {
+      for (uint32_t item : items) {
         if (item >= num_items) {
           cs->status = Status::OutOfRange(
               "corpus: item " + std::to_string(item) +
               " outside the catalog of " + std::to_string(num_items));
-          return;
+          return false;
         }
         ++local.items[item];
       }
-      if (has_ut) ++local.user_types[s.user_type];
-    }
+      if (has_ut) ++local.user_types[user_type];
+      return true;
+    });
   };
 
   // Fallback: enrich into materialized token runs and count each token into
-  // the worker's open-addressing map; raw sessions are dead weight after.
+  // the worker's open-addressing map; a streamed block's raw sessions are
+  // dead weight after, and encode releases them.
   auto enrich_chunk = [&](ChunkState* cs) {
     const int widx = ThreadPool::CurrentWorkerIndex();
     TokenCountMap& local = maps[widx < 0 ? 0 : static_cast<size_t>(widx)];
     size_t expect = 0;
-    for (size_t i = 0; i < cs->num_sessions; ++i) {
-      expect += cs->sessions[i].items.size() * block + 1;
-    }
+    cs->ForEachSession(
+        [&](size_t, uint32_t, std::span<const uint32_t> items) {
+          expect += items.size() * block + 1;
+          return true;
+        });
     cs->tokens.reserve(expect);
     cs->lens.reserve(cs->num_sessions);
     std::vector<uint32_t> buf;
-    for (size_t i = 0; i < cs->num_sessions; ++i) {
-      const Session& s = cs->sessions[i];
-      cs->status = ValidateSession(s, token_space);
-      if (!cs->status.ok()) return;
-      enricher.Enrich(s, &buf);
+    cs->ForEachSession([&](size_t, uint32_t user_type,
+                           std::span<const uint32_t> items) {
+      cs->status = ValidateSession(user_type, items, token_space);
+      if (!cs->status.ok()) return false;
+      enricher.Enrich(user_type, items, &buf);
       cs->tokens.insert(cs->tokens.end(), buf.begin(), buf.end());
       cs->lens.push_back(static_cast<uint32_t>(buf.size()));
       for (uint32_t tok : buf) local.Add(tok);
-    }
-    cs->owned.clear();
-    cs->owned.shrink_to_fit();
+      return true;
+    });
   };
 
   const std::function<void(ChunkState*)> process =
@@ -241,29 +267,54 @@ Status Corpus::BuildImpl(const std::vector<Session>* sessions,
       }
     }
   } else {
-    // Streaming: pull chunks on this thread, process them on the pool. The
-    // reader and the workers overlap, so ingest is bounded by the slower of
-    // parse and ingest work — not their sum.
-    std::vector<Session> chunk;
+    // Streaming: this thread only reads raw blocks; the workers parse and
+    // count them. Each block's bad lines are folded into the source's error
+    // budget in input order, a window of blocks behind the reader, so at
+    // most that many raw blocks are in flight and reading stops soon after
+    // a line that fails the stream.
+    auto ingest = [&process, source](ChunkState* cs) {
+      source->ParseBlock(&cs->block);
+      cs->num_sessions = cs->block.sessions.size();
+      process(cs);
+      cs->ingested.store(true, std::memory_order_release);
+      cs->ingested.notify_one();
+    };
+    const size_t window = pool ? 2 * num_threads : 0;
+    size_t folded = 0;
+    auto fold_next = [&]() {
+      ChunkState& cs = chunks[folded++];
+      cs.ingested.wait(false, std::memory_order_acquire);
+      size_t num_ok = 0;
+      return source->FoldBlock(cs.block, &num_ok);
+    };
     for (;;) {
-      ingest_status = source->NextChunk(&chunk);
-      if (!ingest_status.ok() || chunk.empty()) break;
       ChunkState& cs = chunks.emplace_back();
-      cs.owned = std::move(chunk);
-      cs.sessions = cs.owned.data();
-      cs.num_sessions = cs.owned.size();
-      chunk.clear();
-      if (pool) {
-        pool->Submit([&process, cs_ptr = &cs] { process(cs_ptr); });
-      } else {
-        process(&cs);
+      ingest_status = source->ReadBlock(&cs.block);
+      if (!ingest_status.ok() || cs.block.empty()) {
+        chunks.pop_back();
+        break;
       }
+      if (pool) {
+        pool->Submit([&ingest, cs_ptr = &cs] { ingest(cs_ptr); });
+      } else {
+        ingest(&cs);
+      }
+      if (chunks.size() - folded > window) {
+        ingest_status = fold_next();
+        if (!ingest_status.ok()) break;
+      }
+    }
+    if (pool) pool->Wait();  // the tasks call `ingest`, local to this block
+    while (ingest_status.ok() && folded < chunks.size()) {
+      ingest_status = fold_next();
     }
   }
   if (pool) pool->Wait();  // workers hold pointers into chunks/counters
   prof.Mark("count");
   SISG_RETURN_IF_ERROR(ingest_status);
-  if (chunks.empty()) return Status::InvalidArgument("corpus: no sessions");
+  size_t total_sessions = 0;
+  for (const ChunkState& cs : chunks) total_sessions += cs.num_sessions;
+  if (total_sessions == 0) return Status::InvalidArgument("corpus: no sessions");
   for (const ChunkState& cs : chunks) {
     // First failed chunk in input order wins, so the reported error does
     // not depend on worker scheduling.
@@ -345,16 +396,17 @@ Status Corpus::BuildImpl(const std::vector<Session>* sessions,
       cs->lens.resize(cs->num_sessions);
       cs->token_total = 0;
       cs->seq_total = 0;
-      for (size_t i = 0; i < cs->num_sessions; ++i) {
-        const Session& s = cs->sessions[i];
+      cs->ForEachSession([&](size_t i, uint32_t user_type,
+                             std::span<const uint32_t> items) {
         uint64_t n = 0;
-        for (uint32_t item : s.items) n += enc_off[item + 1] - enc_off[item];
-        if (has_ut && ut_enc[s.user_type] >= 0) ++n;
+        for (uint32_t item : items) n += enc_off[item + 1] - enc_off[item];
+        if (has_ut && ut_enc[user_type] >= 0) ++n;
         if (n < 2) n = 0;  // dropped: fewer than 2 surviving tokens
         cs->lens[i] = static_cast<uint32_t>(n);
         cs->token_total += n;
         cs->seq_total += n != 0;
-      }
+        return true;
+      });
     };
     if (pool) {
       for (ChunkState& cs : chunks) {
@@ -389,24 +441,25 @@ Status Corpus::BuildImpl(const std::vector<Session>* sessions,
       uint64_t* offsets = packed_.mutable_offsets();
       uint64_t off = tok_off[ci];
       uint64_t seq = seq_off[ci];
-      for (size_t i = 0; i < cs.num_sessions; ++i) {
+      cs.ForEachSession([&](size_t i, uint32_t user_type,
+                            std::span<const uint32_t> items) {
         const uint32_t n = cs.lens[i];
-        if (n == 0) continue;
+        if (n == 0) return true;
         offsets[seq++] = off;
         off += n;
-        for (uint32_t item : cs.sessions[i].items) {
+        for (uint32_t item : items) {
           const uint32_t len = enc_off[item + 1] - enc_off[item];
           std::memcpy(out, enc_tokens.data() + enc_off[item],
                       len * sizeof(uint32_t));
           out += len;
         }
         if (has_ut) {
-          const int32_t v = ut_enc[cs.sessions[i].user_type];
+          const int32_t v = ut_enc[user_type];
           if (v >= 0) *out++ = static_cast<uint32_t>(v);
         }
-      }
-      cs.owned.clear();
-      cs.owned.shrink_to_fit();
+        return true;
+      });
+      cs.block = SessionBlock();
     };
     if (pool) {
       pool->ParallelFor(chunks.size(), encode_chunk);
@@ -439,6 +492,7 @@ Status Corpus::BuildImpl(const std::vector<Session>* sessions,
     }
     cs->tokens.resize(w);
     cs->lens.resize(out_seq);
+    cs->block = SessionBlock();
   };
   if (pool) {
     for (ChunkState& cs : chunks) {

@@ -19,7 +19,8 @@ struct CorpusOptions {
   EnrichOptions enrich;
   uint32_t min_count = 1;
 
-  /// Ingest parallelism: sessions are split into fixed-size chunks,
+  /// Ingest parallelism: sessions are split into chunks (fixed-size runs of
+  /// a vector, or the raw blocks of a source, parsed on the workers),
   /// enriched + counted on this many workers (thread-local count maps,
   /// merged deterministically), then encoded into the packed arena in
   /// parallel. 0 = hardware concurrency, 1 = serial. The built corpus and
@@ -58,12 +59,14 @@ class Corpus {
   Status Build(const std::vector<Session>& sessions, const TokenSpace& token_space,
                const ItemCatalog& catalog, const CorpusOptions& options);
 
-  /// Streaming variant: pulls session chunks from `source` (e.g. a
-  /// SessionStream over a sessions file) and counts/enriches them as they
-  /// arrive, overlapping parse with ingest work. On the flat fast path the
-  /// enriched token sequences are never materialized at all — raw sessions
-  /// are held until they are encoded straight into the arena; the fallback
-  /// path releases each raw chunk as soon as it is enriched.
+  /// Streaming variant: the calling thread reads raw blocks from `source`
+  /// (e.g. a SessionStream over a sessions file) and the ingest workers
+  /// parse and count them; bad lines are folded into the source's error
+  /// budget in input order, so errors and IngestStats do not depend on the
+  /// thread count. On the flat fast path the enriched token sequences are
+  /// never materialized at all — parsed sessions are held until they are
+  /// encoded straight into the arena; the fallback path holds them until
+  /// its encode pass.
   Status BuildFromSource(SessionSource* source, const TokenSpace& token_space,
                          const ItemCatalog& catalog, const CorpusOptions& options);
 

@@ -12,11 +12,12 @@ SequenceEnricher::SequenceEnricher(const TokenSpace* token_space,
   SISG_CHECK(catalog != nullptr);
 }
 
-void SequenceEnricher::Enrich(const Session& session,
+void SequenceEnricher::Enrich(uint32_t user_type,
+                              std::span<const uint32_t> items,
                               std::vector<uint32_t>* out) const {
   out->clear();
-  out->reserve(session.items.size() * TokensPerItem() + 1);
-  for (uint32_t item : session.items) {
+  out->reserve(items.size() * TokensPerItem() + 1);
+  for (uint32_t item : items) {
     out->push_back(token_space_->ItemToken(item));
     if (options_.include_item_si) {
       const ItemMeta& m = catalog_->meta(item);
@@ -26,7 +27,7 @@ void SequenceEnricher::Enrich(const Session& session,
     }
   }
   if (options_.include_user_type) {
-    out->push_back(token_space_->UserTypeToken(session.user_type));
+    out->push_back(token_space_->UserTypeToken(user_type));
   }
 }
 

@@ -2,6 +2,7 @@
 #define SISG_CORPUS_ENRICHER_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "corpus/token_space.h"
@@ -33,7 +34,11 @@ class SequenceEnricher {
   }
 
   /// Appends the enriched form of `session` to `out` (out is cleared first).
-  void Enrich(const Session& session, std::vector<uint32_t>* out) const;
+  void Enrich(const Session& session, std::vector<uint32_t>* out) const {
+    Enrich(session.user_type, session.items, out);
+  }
+  void Enrich(uint32_t user_type, std::span<const uint32_t> items,
+              std::vector<uint32_t>* out) const;
 
   std::vector<uint32_t> Enrich(const Session& session) const {
     std::vector<uint32_t> out;

@@ -24,7 +24,26 @@ namespace sisg {
 /// threads at once).
 class PackedCorpus {
  public:
-  using TokenVector = std::vector<uint32_t, AlignedAllocator<uint32_t, 64>>;
+  /// The arena's allocator: 64-byte aligned, and resize() leaves new tokens
+  /// uninitialized, because the bulk fill writes every one of them.
+  template <typename T>
+  struct TokenAllocator : AlignedAllocator<T, 64> {
+    template <typename U>
+    struct rebind {
+      using other = TokenAllocator<U>;
+    };
+    TokenAllocator() = default;
+    template <typename U>
+    TokenAllocator(const TokenAllocator<U>&) {}
+
+    /// Value-less construction only; construction from a value falls back
+    /// to std::allocator_traits' placement new.
+    template <typename U>
+    void construct(U* p) noexcept {
+      ::new (static_cast<void*>(p)) U;
+    }
+  };
+  using TokenVector = std::vector<uint32_t, TokenAllocator<uint32_t>>;
 
   PackedCorpus() { offsets_.push_back(0); }
 
@@ -56,7 +75,8 @@ class PackedCorpus {
   /// Pre-sizes the arena for the bulk fill path: `num_seqs` sequences and
   /// `total_tokens` tokens. After this, writers fill disjoint ranges of
   /// mutable_offsets()/mutable_tokens() concurrently; offsets[0] is 0 and
-  /// offsets[num_seqs] must end up == total_tokens.
+  /// offsets[num_seqs] must end up == total_tokens. New tokens start
+  /// uninitialized: the writers must fill every one.
   void Resize(uint64_t num_seqs, uint64_t total_tokens) {
     offsets_.assign(num_seqs + 1, 0);
     offsets_[num_seqs] = total_tokens;

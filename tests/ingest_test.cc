@@ -4,10 +4,12 @@
 // harness), and — the core guarantee — thread-count-invariant corpus bytes.
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -39,6 +41,12 @@ void FlipByteAt(const std::string& path, long offset) {
   ASSERT_EQ(std::fseek(f, offset, SEEK_SET), 0);
   std::fputc(c ^ 0x40, f);
   std::fclose(f);
+}
+
+std::string ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in),
+          std::istreambuf_iterator<char>()};
 }
 
 long FileSize(const std::string& path) {
@@ -249,6 +257,86 @@ TEST_F(IngestFixture, StreamValidatesItemIdsAgainstCatalog) {
   EXPECT_EQ(st.code(), StatusCode::kCorruption);
   EXPECT_NE(st.message().find("outside the catalog"), std::string::npos);
   std::remove(path.c_str());
+}
+
+TEST_F(IngestFixture, StreamLineLongerThanABlock) {
+  // A session line longer than a raw block: the reader keeps reading until
+  // the line ends, and the lines after it keep their numbers.
+  const std::string ut = dataset_->users().TypeToken(4);
+  std::vector<Session> good(3);
+  for (Session& s : good) s.user_type = 4;
+  good[0].items = {1, 2};
+  good[2].items = {3, 4};
+  std::string giant = ut + "\t";
+  for (uint32_t i = 0; giant.size() <= 2 * SessionStream::kBlockBytes; ++i) {
+    good[1].items.push_back(i % 300);
+    giant += std::to_string(i % 300) + " ";
+  }
+  const std::string path = WriteLines(
+      "stream_giant.txt", {ut + "\t1 2", giant, "no-tab-here", ut + "\t3 4"});
+
+  CorpusOptions opts;
+  Corpus want;
+  ASSERT_TRUE(want.Build(good, token_space_, dataset_->catalog(), opts).ok());
+  for (const uint64_t max_errors : {0u, 1u}) {
+    SessionStreamOptions sopts;
+    sopts.max_errors = max_errors;
+    auto stream = SessionStream::Open(dataset_->users(), path, sopts);
+    ASSERT_TRUE(stream.ok());
+    std::vector<Session> all, chunk;
+    Status st;
+    while ((st = stream->NextChunk(&chunk)).ok() && !chunk.empty()) {
+      all.insert(all.end(), chunk.begin(), chunk.end());
+    }
+    for (const uint32_t threads : {1u, 4u}) {
+      auto s = SessionStream::Open(dataset_->users(), path, sopts);
+      ASSERT_TRUE(s.ok());
+      opts.num_threads = threads;
+      Corpus got;
+      const Status bs =
+          got.BuildFromSource(&*s, token_space_, dataset_->catalog(), opts);
+      if (max_errors == 0) {
+        EXPECT_EQ(st.message(), "sessions file: missing tab at line 3");
+        EXPECT_EQ(bs.message(), st.message()) << threads << " threads";
+        continue;
+      }
+      ASSERT_TRUE(st.ok()) << st.ToString();
+      ASSERT_EQ(all.size(), 3u);
+      EXPECT_EQ(all[1].items, good[1].items);
+      ASSERT_TRUE(bs.ok()) << threads << " threads: " << bs.ToString();
+      EXPECT_TRUE(got.packed() == want.packed()) << threads << " threads";
+      EXPECT_EQ(s->stats().lines_read, 4u);
+      EXPECT_EQ(s->stats().sessions, 3u);
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST_F(IngestFixture, StreamReadFailureIsIOError) {
+  // A directory opens like a file but fails the first read: a typed
+  // IOError naming the lines read so far, on both the chunked and the
+  // block-parallel path.
+  const std::string dir = FreshPath("stream_dir");
+  ASSERT_EQ(::mkdir(dir.c_str(), 0700), 0);
+  const std::string want = "read failed after line 0: " + dir;
+  auto stream = SessionStream::Open(dataset_->users(), dir);
+  ASSERT_TRUE(stream.ok());
+  std::vector<Session> chunk;
+  const Status st = stream->NextChunk(&chunk);
+  EXPECT_EQ(st.code(), StatusCode::kIOError);
+  EXPECT_EQ(st.message(), want);
+  for (const uint32_t threads : {1u, 4u}) {
+    auto s = SessionStream::Open(dataset_->users(), dir);
+    ASSERT_TRUE(s.ok());
+    CorpusOptions opts;
+    opts.num_threads = threads;
+    Corpus corpus;
+    const Status bs = corpus.BuildFromSource(&*s, token_space_,
+                                             dataset_->catalog(), opts);
+    EXPECT_EQ(bs.code(), StatusCode::kIOError) << threads << " threads";
+    EXPECT_EQ(bs.message(), want);
+  }
+  ::rmdir(dir.c_str());
 }
 
 TEST_F(IngestFixture, ReadSessionsTextSurfacesSkips) {
@@ -563,6 +651,63 @@ TEST_F(IngestFixture, StreamedBuildMatchesMaterializedBuild) {
                   .ok());
   EXPECT_TRUE(from_stream.packed() == from_vector.packed());
   EXPECT_EQ(from_stream.vocab().size(), from_vector.vocab().size());
+}
+
+// The file path end to end: a sessions file of several raw blocks, parsed on
+// the ingest workers, must save the same .corpus/.vocab bytes at every
+// thread count as Build on the same sessions held in memory.
+TEST_F(IngestFixture, StreamedFileBuildSavesSameBytesAsMaterializedBuild) {
+  // Tile the fixture's sessions (rotating user types) past three blocks.
+  std::vector<Session> sessions;
+  uint64_t text_bytes = 0;
+  for (uint32_t round = 0; text_bytes <= 3 * SessionStream::kBlockBytes;
+       ++round) {
+    for (const Session& s : dataset_->train_sessions()) {
+      Session t = s;
+      t.user_type = (s.user_type + round) % dataset_->users().num_types();
+      text_bytes += dataset_->users().TypeToken(t.user_type).size() + 1;
+      for (uint32_t item : t.items) {
+        text_bytes += std::to_string(item).size() + 1;
+      }
+      sessions.push_back(std::move(t));
+    }
+  }
+  const std::string path = FreshPath("stream_blocks.txt");
+  ASSERT_TRUE(WriteSessionsText(sessions, dataset_->users(), path).ok());
+  ASSERT_GT(FileSize(path), static_cast<long>(3 * SessionStream::kBlockBytes));
+
+  CorpusOptions opts;
+  opts.min_count = 2;
+  Corpus materialized;
+  ASSERT_TRUE(materialized
+                  .Build(sessions, token_space_, dataset_->catalog(), opts)
+                  .ok());
+  const std::string want = FreshPath("stream_blocks_want");
+  ASSERT_TRUE(materialized.Save(want).ok());
+
+  for (const uint32_t threads : {1u, 2u, 4u}) {
+    auto stream = SessionStream::Open(dataset_->users(), path);
+    ASSERT_TRUE(stream.ok());
+    opts.num_threads = threads;
+    Corpus streamed;
+    ASSERT_TRUE(streamed
+                    .BuildFromSource(&*stream, token_space_,
+                                     dataset_->catalog(), opts)
+                    .ok())
+        << threads << " threads";
+    EXPECT_EQ(stream->stats().sessions, sessions.size());
+    EXPECT_EQ(stream->stats().lines_read, sessions.size());
+    const std::string got = FreshPath("stream_blocks_got");
+    ASSERT_TRUE(streamed.Save(got).ok());
+    for (const char* ext : {".corpus", ".vocab"}) {
+      EXPECT_TRUE(ReadFileBytes(got + ext) == ReadFileBytes(want + ext))
+          << ext << " differs at " << threads << " threads";
+      std::remove((got + ext).c_str());
+    }
+  }
+  std::remove((want + ".corpus").c_str());
+  std::remove((want + ".vocab").c_str());
+  std::remove(path.c_str());
 }
 
 // --------------------------- corpus cache ---------------------------

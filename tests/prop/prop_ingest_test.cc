@@ -2,18 +2,25 @@
 // and generated sessions, the corpus build must be invariant to thread
 // count, counting path (flat fast path vs open-addressing fallback), and
 // chunked-streaming vs materialized input — byte-identical artifacts, not
-// just equal summaries. Plus the SessionStream error-tolerance contract on
-// generated malformed-line scripts, checked against a line-by-line model.
+// just equal summaries. Plus the SessionStream parser checked against the
+// line parser it replaced (kept here as an oracle) on generated files, and
+// the error-tolerance contract on generated malformed-line scripts, checked
+// against a line-by-line model through NextChunk and through the parallel
+// BuildFromSource on multi-MiB files whose bad lines straddle block cuts.
 
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/flat_hash.h"
+#include "common/logging.h"
+#include "common/string_util.h"
 #include "corpus/corpus.h"
 #include "datagen/dataset.h"
 #include "datagen/session_stream.h"
@@ -36,6 +43,17 @@ std::string ReadFileBytes(const std::string& path) {
   os << in.rdbuf();
   return os.str();
 }
+
+/// Holds skipped-line WARN reports back for the scope; generated files skip
+/// lines by the hundred.
+class QuietWarnings {
+ public:
+  QuietWarnings() : saved_(MinLogLevel()) { SetMinLogLevel(LogLevel::kError); }
+  ~QuietWarnings() { SetMinLogLevel(saved_); }
+
+ private:
+  LogLevel saved_;
+};
 
 /// A generated small world. Heap-held and shared so shrink candidates can
 /// copy the case cheaply.
@@ -291,6 +309,307 @@ TEST(PropIngest, FileStreamMatchesInMemorySessionsAcrossChunkSizes) {
   EXPECT_TRUE(r.ok) << r.message;
 }
 
+// ------------- differential: block parser vs the line parser it replaced -------------
+
+/// The getline / SplitWhitespace / strtoul session parser that
+/// SessionStream's block parser replaced, kept verbatim as the oracle (only
+/// the WARN log of skipped lines is left out).
+class OracleStream {
+ public:
+  OracleStream(const UserUniverse& users, const std::string& path,
+               const SessionStreamOptions& options)
+      : path_(path), in_(path), options_(options) {
+    for (uint32_t ut = 0; ut < users.num_types(); ++ut) {
+      type_index_[users.TypeToken(ut)] = ut;
+    }
+  }
+
+  const IngestStats& stats() const { return stats_; }
+
+  Status NextChunk(std::vector<Session>* out) {
+    out->clear();
+    if (eof_) return Status::OK();
+    std::string line;
+    Session s;
+    while (out->size() < options_.chunk_sessions) {
+      if (!std::getline(in_, line)) {
+        if (in_.bad()) {
+          return Status::IOError("read failed after line " +
+                                 std::to_string(stats_.lines_read) + ": " +
+                                 path_);
+        }
+        eof_ = true;
+        break;
+      }
+      ++stats_.lines_read;
+      if (line.empty()) continue;
+      const Status st = ParseLine(line, &s);
+      if (!st.ok()) {
+        if (stats_.lines_skipped < options_.max_errors) {
+          ++stats_.lines_skipped;
+          if (stats_.first_error.empty()) stats_.first_error = st.message();
+          continue;
+        }
+        return st;
+      }
+      out->push_back(std::move(s));
+    }
+    stats_.sessions += out->size();
+    return Status::OK();
+  }
+
+ private:
+  Status ParseLine(const std::string& line, Session* s) const {
+    const std::string lineno = std::to_string(stats_.lines_read);
+    const size_t tab = line.find('\t');
+    if (tab == std::string::npos) {
+      return Status::Corruption("sessions file: missing tab at line " +
+                                lineno);
+    }
+    const uint32_t* ut = type_index_.Find(line.substr(0, tab));
+    if (ut == nullptr) {
+      return Status::Corruption("sessions file: unknown user type '" +
+                                line.substr(0, tab) + "' at line " + lineno);
+    }
+    s->user_type = *ut;
+    s->items.clear();
+    for (const std::string& tok : SplitWhitespace(line.substr(tab + 1))) {
+      char* end = nullptr;
+      const unsigned long v = std::strtoul(tok.c_str(), &end, 10);
+      if (end == tok.c_str() || *end != '\0') {
+        return Status::Corruption("sessions file: bad item id '" + tok +
+                                  "' at line " + lineno);
+      }
+      if (options_.max_item_id > 0 && v >= options_.max_item_id) {
+        return Status::Corruption("sessions file: item id " + tok +
+                                  " outside the catalog (" +
+                                  std::to_string(options_.max_item_id) +
+                                  " items) at line " + lineno);
+      }
+      s->items.push_back(static_cast<uint32_t>(v));
+    }
+    if (s->items.empty()) {
+      return Status::Corruption("sessions file: empty session at line " +
+                                lineno);
+    }
+    return Status::OK();
+  }
+
+  std::string path_;
+  std::ifstream in_;
+  FlatHashMap<std::string, uint32_t> type_index_;
+  SessionStreamOptions options_;
+  IngestStats stats_;
+  bool eof_ = false;
+};
+
+struct DiffCase {
+  std::vector<std::string> lines;
+  bool final_newline = true;
+  SessionStreamOptions options;
+};
+
+/// An item token: mostly valid ids, sometimes every shape strtoul treats
+/// specially.
+std::string GenItemToken(Rng& rng, uint32_t num_items) {
+  switch (rng.UniformU64(40)) {
+    case 0: return "+7";
+    case 1: return "-3";                    // wraps to 2^64 - 3
+    case 2: return "99999999999999999999";  // 20 digits: saturates
+    case 3: return "4294967301";            // 10 digits: 5 after the cast
+    case 4: return "007";
+    case 5: return "x9";
+    case 6: return "12abc";
+    case 7: return std::string("5\0", 2);   // stray NUL: strtoul stops at it
+    case 8: return "\xa0";
+    case 9: return std::to_string(num_items + rng.UniformU64(3));
+    case 10: return "1234567890";           // 10 plain digits
+    case 11: return "123456789";            // 9 plain digits
+    default: return std::to_string(rng.UniformU64(num_items));
+  }
+}
+
+std::string GenSeparator(Rng& rng) {
+  static const char* const kSeps[] = {" ", " ", " ", "  ", "\t", "\v", " \f"};
+  return kSeps[rng.UniformU64(std::size(kSeps))];
+}
+
+std::string GenItems(Rng& rng, uint32_t num_items) {
+  std::string out;
+  if (rng.Bernoulli(0.1)) out += GenSeparator(rng);
+  const int n = static_cast<int>(rng.UniformInt(1, 6));
+  for (int i = 0; i < n; ++i) {
+    if (i > 0) out += GenSeparator(rng);
+    out += GenItemToken(rng, num_items);
+  }
+  if (rng.Bernoulli(0.1)) out += GenSeparator(rng);
+  return out;
+}
+
+std::string GenLine(Rng& rng, const World& w) {
+  const uint32_t num_items = w.catalog.num_items();
+  const std::string ut =
+      w.users.TypeToken(static_cast<uint32_t>(rng.UniformU64(w.users.num_types())));
+  switch (rng.UniformU64(20)) {
+    case 0: return "";
+    case 1: return "\r";                                  // CRLF blank line
+    case 2: return ut + " " + GenItems(rng, num_items);   // missing tab
+    case 3: return "not_a_usertype\t" + GenItems(rng, num_items);
+    case 4: return ut + "\t";                             // empty session
+    case 5: return ut + "\t \r";                          // empty, CRLF
+    case 6: return " " + ut + "\t" + GenItems(rng, num_items);
+    case 7: return ut + "\t" + GenItems(rng, num_items) + "\t" +
+                   GenItems(rng, num_items);
+    case 8:
+    case 9: return ut + "\t" + GenItems(rng, num_items) + "\r";  // CRLF
+    default: return ut + "\t" + GenItems(rng, num_items);
+  }
+}
+
+std::string ShowDiffCase(const DiffCase& c) {
+  std::ostringstream os;
+  os << "{chunk=" << c.options.chunk_sessions
+     << ", max_errors=" << c.options.max_errors
+     << ", max_item_id=" << c.options.max_item_id
+     << ", final_newline=" << c.final_newline << ", lines=[";
+  for (size_t i = 0; i < c.lines.size(); ++i) {
+    os << (i > 0 ? ", " : "") << ShowValue(c.lines[i]);
+  }
+  os << "]}";
+  return os.str();
+}
+
+std::string SameStatus(const Status& got, const Status& want,
+                       const std::string& what) {
+  if (got.code() == want.code() && got.message() == want.message()) return "";
+  return what + ": status " + got.ToString() + " != oracle " + want.ToString();
+}
+
+std::string SameStats(const IngestStats& got, const IngestStats& want,
+                      const std::string& what) {
+  if (got.lines_read == want.lines_read && got.sessions == want.sessions &&
+      got.lines_skipped == want.lines_skipped &&
+      got.first_error == want.first_error) {
+    return "";
+  }
+  std::ostringstream os;
+  os << what << ": stats {read " << got.lines_read << ", sessions "
+     << got.sessions << ", skipped " << got.lines_skipped << ", first '"
+     << got.first_error << "'} != oracle {read " << want.lines_read
+     << ", sessions " << want.sessions << ", skipped " << want.lines_skipped
+     << ", first '" << want.first_error << "'}";
+  return os.str();
+}
+
+TEST(PropIngest, BlockParserMatchesLineParserOracle) {
+  Rng setup(0x4f52u);
+  const auto world = MakeWorld(setup);
+  ASSERT_NE(world, nullptr);
+  const QuietWarnings quiet;
+
+  const Gen<DiffCase> gen([&world](Rng& rng) {
+    DiffCase c;
+    const int n = static_cast<int>(rng.UniformInt(1, 60));
+    for (int i = 0; i < n; ++i) c.lines.push_back(GenLine(rng, *world));
+    c.final_newline = rng.Bernoulli(0.7);
+    c.options.chunk_sessions = static_cast<size_t>(rng.UniformInt(1, 8));
+    c.options.max_errors =
+        rng.Bernoulli(0.2) ? 1000 : rng.UniformU64(8);
+    c.options.max_item_id =
+        rng.Bernoulli(0.5) ? world->catalog.num_items() : 0;
+    return c;
+  });
+  const Shrinker<DiffCase> shrink = [](const DiffCase& c) {
+    std::vector<DiffCase> out;
+    const auto vec_shrink = ShrinkVector<std::string>(NoShrink<std::string>(), 1);
+    for (auto& smaller : vec_shrink(c.lines)) {
+      DiffCase cand = c;
+      cand.lines = std::move(smaller);
+      out.push_back(std::move(cand));
+    }
+    return out;
+  };
+
+  const Result r = ForAllSeeded<DiffCase>(
+      "parser_vs_oracle", 200, gen,
+      [&world](const DiffCase& c) -> std::string {
+        const std::string path = FreshPath("prop_ingest_diff.txt");
+        {
+          std::ofstream out(path, std::ios::binary);
+          for (size_t i = 0; i < c.lines.size(); ++i) {
+            out << c.lines[i];
+            if (i + 1 < c.lines.size() || c.final_newline) out << "\n";
+          }
+        }
+        auto run = [&]() -> std::string {
+          // 1. NextChunk, call by call: same chunks, same status, same stats.
+          OracleStream oracle(world->users, path, c.options);
+          auto stream = SessionStream::Open(world->users, path, c.options);
+          if (!stream.ok()) return "open failed: " + stream.status().ToString();
+          std::vector<Session> sessions, want, got;
+          Status oracle_status;
+          for (int call = 0;; ++call) {
+            const Status ws = oracle.NextChunk(&want);
+            const Status gs = stream->NextChunk(&got);
+            const std::string what = "NextChunk call " + std::to_string(call);
+            std::string d = SameStatus(gs, ws, what);
+            if (!d.empty()) return d;
+            if (!ws.ok()) {
+              oracle_status = ws;
+              break;
+            }
+            if (got.size() != want.size()) {
+              return what + ": " + std::to_string(got.size()) +
+                     " sessions != oracle " + std::to_string(want.size());
+            }
+            for (size_t i = 0; i < want.size(); ++i) {
+              if (got[i].user_type != want[i].user_type ||
+                  got[i].items != want[i].items) {
+                return what + ": session " + std::to_string(i) + " differs";
+              }
+            }
+            if (want.empty()) break;
+            sessions.insert(sessions.end(), want.begin(), want.end());
+          }
+          std::string d = SameStats(stream->stats(), oracle.stats(), "NextChunk");
+          if (!d.empty()) return d;
+
+          // 2. The parallel build: the oracle's error, else what Build makes
+          // of the oracle's sessions; and the oracle's stats either way.
+          Corpus ref;
+          const Status ref_status =
+              oracle_status.ok()
+                  ? ref.Build(sessions, world->token_space, world->catalog, {})
+                  : oracle_status;
+          for (const uint32_t threads : {1u, 4u}) {
+            const std::string what =
+                "BuildFromSource threads=" + std::to_string(threads);
+            auto s = SessionStream::Open(world->users, path, c.options);
+            if (!s.ok()) return "open failed: " + s.status().ToString();
+            CorpusOptions opts;
+            opts.num_threads = threads;
+            Corpus built;
+            const Status st = built.BuildFromSource(&*s, world->token_space,
+                                                    world->catalog, opts);
+            d = SameStatus(st, ref_status, what);
+            if (!d.empty()) return d;
+            d = SameStats(s->stats(), oracle.stats(), what);
+            if (!d.empty()) return d;
+            if (st.ok()) {
+              d = CompareCorpora(ref, built, what);
+              if (!d.empty()) return d;
+            }
+          }
+          return "";
+        };
+        const std::string verdict = run();
+        std::remove(path.c_str());
+        return verdict;
+      },
+      shrink, ShowDiffCase);
+  EXPECT_TRUE(r.ok) << r.message;
+}
+
 // ------------- max_errors tolerance on generated malformed scripts -------------
 
 enum class LineKind : int { kGood = 0, kBad = 1, kEmpty = 2 };
@@ -299,43 +618,90 @@ struct ErrorScript {
   std::vector<LineKind> lines;
   uint64_t max_errors = 0;
   size_t chunk_sessions = 4;
+  /// When set, the script is cut into three runs, at `split1` and `split2`,
+  /// placed at the first block cut, the second block cut and the end of a
+  /// multi-MiB file of good filler lines; each run starts `slack` bytes
+  /// before its cut.
+  bool big = false;
+  size_t split1 = 0;
+  size_t split2 = 0;
+  uint32_t slack = 0;
+};
+
+/// A rendered script: the file's lines, the kind of each, and the sessions
+/// its good lines hold, in order.
+struct RenderedScript {
+  std::vector<std::string> lines;
+  std::vector<LineKind> kinds;
+  std::vector<Session> sessions;
 };
 
 /// Renders a script to concrete file lines. Bad lines rotate through every
 /// malformed shape ParseLine can reject; the bad item token is "x9"
 /// (unambiguous: strtoul accepts "+5"-style strings).
-std::vector<std::string> RenderScript(const ErrorScript& s,
-                                      const UserUniverse& users) {
-  std::vector<std::string> out;
+RenderedScript RenderScript(const ErrorScript& s, const UserUniverse& users) {
+  RenderedScript out;
   const std::string ut = users.TypeToken(0);
-  int bad = 0, good = 0;
-  for (const LineKind k : s.lines) {
+  int bad = 0;
+  size_t bytes = 0;
+  auto add = [&](LineKind k) {
+    std::string line;
     switch (k) {
-      case LineKind::kGood:
-        out.push_back(ut + "\t" + std::to_string(1 + good % 5) + " " +
-                      std::to_string(2 + good % 7));
-        ++good;
+      case LineKind::kGood: {
+        const uint32_t good = static_cast<uint32_t>(out.sessions.size());
+        Session session;
+        session.items = {1 + good % 5, 2 + good % 7};
+        line = ut + "\t" + std::to_string(session.items[0]) + " " +
+               std::to_string(session.items[1]);
+        out.sessions.push_back(std::move(session));
         break;
+      }
       case LineKind::kBad:
         switch (bad++ % 4) {
-          case 0: out.push_back("no-tab-here"); break;
-          case 1: out.push_back(ut + "\tx9 3"); break;
-          case 2: out.push_back("zzz_not_a_usertype\t1 2"); break;
-          default: out.push_back(ut + "\t"); break;  // empty session
+          case 0: line = "no-tab-here"; break;
+          case 1: line = ut + "\tx9 3"; break;
+          case 2: line = "zzz_not_a_usertype\t1 2"; break;
+          default: line = ut + "\t"; break;  // empty session
         }
         break;
       case LineKind::kEmpty:
-        out.push_back("");
         break;
     }
+    bytes += line.size() + 1;
+    out.lines.push_back(std::move(line));
+    out.kinds.push_back(k);
+  };
+  auto run = [&](size_t begin, size_t end) {
+    for (size_t i = begin; i < end; ++i) add(s.lines[i]);
+  };
+  auto fill_to = [&](size_t target) {
+    while (bytes < target) add(LineKind::kGood);
+  };
+  if (!s.big) {
+    run(0, s.lines.size());
+    return out;
   }
+  const size_t n = s.lines.size();
+  const size_t a = std::min(s.split1, n);
+  const size_t b = std::clamp(s.split2, a, n);
+  constexpr size_t kBlock = SessionStream::kBlockBytes;
+  fill_to(kBlock - s.slack);
+  run(0, a);
+  fill_to(2 * kBlock - s.slack);
+  run(a, b);
+  fill_to(2 * kBlock + kBlock / 8);
+  run(b, n);
   return out;
 }
 
 std::string ShowScript(const ErrorScript& s) {
   std::ostringstream os;
-  os << "{max_errors=" << s.max_errors << ", chunk=" << s.chunk_sessions
-     << ", lines=";
+  os << "{max_errors=" << s.max_errors << ", chunk=" << s.chunk_sessions;
+  if (s.big) {
+    os << ", big: splits=" << s.split1 << "/" << s.split2
+       << ", slack=" << s.slack;
+  }
+  os << ", lines=";
   for (const LineKind k : s.lines) os << "GBE"[static_cast<int>(k)];
   os << "}";
   return os.str();
@@ -377,11 +743,15 @@ Gen<ErrorScript> ScriptGen() {
     uint64_t bad_count = 0;
     for (const LineKind k : s.lines) bad_count += (k == LineKind::kBad);
     s.max_errors = rng.UniformU64(bad_count + 3);
+    s.big = rng.Bernoulli(0.5);
+    s.split1 = static_cast<size_t>(rng.UniformU64(s.lines.size() + 1));
+    s.split2 = static_cast<size_t>(rng.UniformU64(s.lines.size() + 1));
+    s.slack = static_cast<uint32_t>(rng.UniformU64(400));
     return s;
   });
 }
 
-/// Shrink a script by dropping lines (keeping max_errors/chunk fixed).
+/// Shrink a script by dropping lines (keeping the other fields fixed).
 Shrinker<ErrorScript> ShrinkScript() {
   return [](const ErrorScript& s) {
     std::vector<ErrorScript> out;
@@ -395,15 +765,19 @@ Shrinker<ErrorScript> ShrinkScript() {
   };
 }
 
+
 TEST(PropIngest, MaxErrorsToleranceMatchesLineModel) {
   // One tiny world for every case: the script is the generated input.
   Rng setup(0x5052u);
   const auto world = MakeWorld(setup);
   ASSERT_NE(world, nullptr);
+  const QuietWarnings quiet;
 
   const Result r = ForAllSeeded<ErrorScript>(
       "max_errors_model", 150, ScriptGen(),
       [&world](const ErrorScript& s) -> std::string {
+        const RenderedScript file = RenderScript(s, world->users);
+
         // Model: replay ParseLine semantics line by line. A bad line is
         // skipped while the budget lasts; the (max_errors+1)-th fails with
         // its 1-based line number. Blank lines are silently ignored.
@@ -411,8 +785,8 @@ TEST(PropIngest, MaxErrorsToleranceMatchesLineModel) {
         size_t model_sessions = 0;
         bool model_fails = false;
         size_t fail_line = 0;
-        for (size_t i = 0; i < s.lines.size() && !model_fails; ++i) {
-          switch (s.lines[i]) {
+        for (size_t i = 0; i < file.kinds.size() && !model_fails; ++i) {
+          switch (file.kinds[i]) {
             case LineKind::kEmpty:
               break;
             case LineKind::kGood:
@@ -428,62 +802,122 @@ TEST(PropIngest, MaxErrorsToleranceMatchesLineModel) {
               break;
           }
         }
+        // A failed read counts only the whole chunks handed out before it.
+        const uint64_t model_read_sessions =
+            model_fails ? model_sessions - model_sessions % s.chunk_sessions
+                        : model_sessions;
+        const uint64_t model_lines = model_fails ? fail_line : file.lines.size();
 
-        const auto lines = RenderScript(s, world->users);
         const std::string path = FreshPath("prop_ingest_err.txt");
         {
           std::ofstream out(path);
-          for (const auto& l : lines) out << l << "\n";
+          for (const auto& l : file.lines) out << l << "\n";
         }
         SessionStreamOptions opts;
         opts.chunk_sessions = s.chunk_sessions;
         opts.max_errors = s.max_errors;
-        auto stream = SessionStream::Open(world->users, path, opts);
-        if (!stream.ok()) {
-          std::remove(path.c_str());
-          return "open failed: " + stream.status().ToString();
-        }
-        std::string verdict;
-        std::vector<Session> chunk;
-        size_t got_sessions = 0;
-        for (;;) {
-          const Status st = stream->NextChunk(&chunk);
-          if (!st.ok()) {
-            if (!model_fails) {
-              verdict = "unexpected failure: " + st.ToString();
-            } else if (st.code() != StatusCode::kCorruption) {
-              verdict = "failure is not Corruption: " + st.ToString();
-            } else if (st.message().find("line " + std::to_string(fail_line)) ==
-                       std::string::npos) {
-              verdict = "error does not name line " +
-                        std::to_string(fail_line) + ": " + st.ToString();
-            }
-            break;
+
+        auto check_stats = [&](const IngestStats& st,
+                               const std::string& what) -> std::string {
+          if (st.lines_skipped != model_skipped) {
+            return what + ": skipped " + std::to_string(st.lines_skipped) +
+                   " != model " + std::to_string(model_skipped);
           }
-          if (chunk.empty()) {
+          if (st.lines_read != model_lines) {
+            return what + ": lines_read " + std::to_string(st.lines_read) +
+                   " != model " + std::to_string(model_lines);
+          }
+          if (st.sessions != model_read_sessions) {
+            return what + ": sessions " + std::to_string(st.sessions) +
+                   " != model " + std::to_string(model_read_sessions);
+          }
+          if ((model_skipped > 0) == st.first_error.empty()) {
+            return what + ": first_error '" + st.first_error +
+                   "' after " + std::to_string(model_skipped) + " skips";
+          }
+          return "";
+        };
+        auto check_failure = [&](const Status& st,
+                                 const std::string& what) -> std::string {
+          if (!model_fails) return what + ": unexpected failure: " + st.ToString();
+          if (st.code() != StatusCode::kCorruption) {
+            return what + ": failure is not Corruption: " + st.ToString();
+          }
+          const std::string suffix = " at line " + std::to_string(fail_line);
+          if (st.message().size() < suffix.size() ||
+              st.message().compare(st.message().size() - suffix.size(),
+                                   suffix.size(), suffix) != 0) {
+            return what + ": error does not name line " +
+                   std::to_string(fail_line) + ": " + st.ToString();
+          }
+          return "";
+        };
+
+        auto run = [&]() -> std::string {
+          // 1. Chunk-wise through NextChunk.
+          auto stream = SessionStream::Open(world->users, path, opts);
+          if (!stream.ok()) return "open failed: " + stream.status().ToString();
+          std::vector<Session> chunk;
+          size_t got_sessions = 0;
+          for (;;) {
+            const Status st = stream->NextChunk(&chunk);
+            if (!st.ok()) {
+              const std::string d = check_failure(st, "NextChunk");
+              if (!d.empty()) return d;
+              break;
+            }
+            if (chunk.empty()) {
+              if (model_fails) {
+                return "NextChunk: model expected a failure, stream ended clean";
+              }
+              break;
+            }
+            got_sessions += chunk.size();
+          }
+          if (!model_fails && got_sessions != model_sessions) {
+            return "NextChunk: sessions " + std::to_string(got_sessions) +
+                   " != model " + std::to_string(model_sessions);
+          }
+          std::string d = check_stats(stream->stats(), "NextChunk");
+          if (!d.empty()) return d;
+
+          // 2. Block-parallel through BuildFromSource, against Build on the
+          // good lines' sessions.
+          Corpus ref;
+          const bool expect_corpus = !model_fails && model_sessions > 0;
+          if (expect_corpus &&
+              !ref.Build(file.sessions, world->token_space, world->catalog, {})
+                   .ok()) {
+            return "reference build failed";
+          }
+          for (const uint32_t threads : {1u, 4u}) {
+            const std::string what =
+                "BuildFromSource threads=" + std::to_string(threads);
+            auto src = SessionStream::Open(world->users, path, opts);
+            if (!src.ok()) return "open failed: " + src.status().ToString();
+            CorpusOptions copts;
+            copts.num_threads = threads;
+            Corpus built;
+            const Status st = built.BuildFromSource(&*src, world->token_space,
+                                                    world->catalog, copts);
             if (model_fails) {
-              verdict = "model expected a failure, stream ended clean";
+              d = check_failure(st, what);
+            } else if (!expect_corpus) {
+              if (st.code() != StatusCode::kInvalidArgument) {
+                d = what + ": no sessions, yet " + st.ToString();
+              }
+            } else if (!st.ok()) {
+              d = what + ": unexpected failure: " + st.ToString();
+            } else {
+              d = CompareCorpora(ref, built, what);
             }
-            break;
+            if (!d.empty()) return d;
+            d = check_stats(src->stats(), what);
+            if (!d.empty()) return d;
           }
-          got_sessions += chunk.size();
-        }
-        if (verdict.empty() && !model_fails) {
-          if (got_sessions != model_sessions) {
-            verdict = "sessions " + std::to_string(got_sessions) +
-                      " != model " + std::to_string(model_sessions);
-          } else if (stream->stats().lines_skipped != model_skipped) {
-            verdict = "skipped " +
-                      std::to_string(stream->stats().lines_skipped) +
-                      " != model " + std::to_string(model_skipped);
-          } else if (stream->stats().lines_read != lines.size()) {
-            verdict = "lines_read " +
-                      std::to_string(stream->stats().lines_read) + " != " +
-                      std::to_string(lines.size());
-          } else if (model_skipped > 0 && stream->stats().first_error.empty()) {
-            verdict = "skips happened but first_error is empty";
-          }
-        }
+          return "";
+        };
+        const std::string verdict = run();
         std::remove(path.c_str());
         return verdict;
       },
