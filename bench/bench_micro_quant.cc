@@ -2,9 +2,12 @@
 // its fp32 baselines: the int8 top-K scan kernel vs the fp32 kernel, the
 // end-to-end engine query in both precisions, and IVF-PQ ADC vs fp32 IVF.
 // Each iteration is one query, so the JSON "real_time" is ns/query, and
-// every benchmark exports a bytes_per_query counter — the memory-traffic
+// those benchmarks export a bytes_per_query counter — the memory-traffic
 // axis the quantization tiers exist to shrink (see run_benches.sh, which
 // emits BENCH_quant.json, and EXPERIMENTS.md "Quantization microbench").
+// The batched rows (BM_ScanI8Tile/Loop: one batch of queries per iteration)
+// and the int8 candidate-table rows (one whole table per iteration) each
+// carry their baseline in the same binary.
 
 #include <benchmark/benchmark.h>
 
@@ -14,7 +17,9 @@
 #include "common/quant.h"
 #include "common/rng.h"
 #include "common/simd.h"
+#include "common/thread_pool.h"
 #include "common/top_k.h"
+#include "core/candidate_table.h"
 #include "core/ivf_index.h"
 #include "core/matching_engine.h"
 #include "core/pq.h"
@@ -88,6 +93,108 @@ void BM_ScanInt8(benchmark::State& state) {
   state.SetLabel(SimdLevelName(ops.level));
 }
 BENCHMARK(BM_ScanInt8)->Arg(64)->Arg(128);
+
+/// The batched int8 scan: B prepared queries against the whole code block
+/// (shortlist 81, the engine's depth at k = 20), either through one
+/// top_k_scan_i8_tile call or through a top_k_scan_i8 loop, the path the
+/// tile replaced. Time is per batch; the ns_per_query counter divides it by
+/// B so rows compare across batch sizes.
+void RunScanI8Batch(benchmark::State& state, bool tile) {
+  constexpr uint32_t kDim = 64;
+  constexpr uint32_t kShortlist = 81;
+  const auto batch = static_cast<size_t>(state.range(0));
+  const auto data = CorpusData(kNumItems, kDim, 41);
+  Int8Arena arena;
+  SISG_CHECK_OK(arena.BuildFromRows(data.data(), kNumItems, kDim, kDim));
+  const SimdOps& ops = GetSimdOps();
+  Rng rng(42);
+  std::vector<int8_t> qcodes(batch * kDim);
+  std::vector<Int8Query> iq(batch);
+  for (auto _ : state) {
+    std::vector<TopKSelector> sels;
+    sels.reserve(batch);
+    for (size_t j = 0; j < batch; ++j) {
+      const float* q =
+          data.data() + rng.UniformU64(kNumItems) * static_cast<size_t>(kDim);
+      iq[j] = QuantizeQueryInt8(q, kDim, qcodes.data() + j * kDim);
+      sels.emplace_back(kShortlist);
+    }
+    if (tile) {
+      ops.top_k_scan_i8_tile(iq.data(), batch, arena.codes(), arena.stride(),
+                             arena.scales(), arena.mins(), kNumItems, kDim,
+                             nullptr, UINT32_MAX, sels.data());
+    } else {
+      for (size_t j = 0; j < batch; ++j) {
+        ops.top_k_scan_i8(iq[j], arena.codes(), arena.stride(), arena.scales(),
+                          arena.mins(), kNumItems, kDim, nullptr, UINT32_MAX,
+                          &sels[j]);
+      }
+    }
+    for (TopKSelector& sel : sels) benchmark::DoNotOptimize(sel.Take());
+  }
+  state.SetItemsProcessed(state.iterations() * batch * kNumItems);
+  state.counters["ns_per_query"] = benchmark::Counter(
+      static_cast<double>(state.iterations() * batch),
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  state.SetLabel(SimdLevelName(ops.level));
+}
+
+void BM_ScanI8Loop(benchmark::State& state) { RunScanI8Batch(state, false); }
+BENCHMARK(BM_ScanI8Loop)->Arg(1)->Arg(2)->Arg(4)->Arg(16)->Arg(64);
+
+void BM_ScanI8Tile(benchmark::State& state) { RunScanI8Batch(state, true); }
+BENCHMARK(BM_ScanI8Tile)->Arg(1)->Arg(2)->Arg(4)->Arg(16)->Arg(64);
+
+/// The production candidate table at train_publish's shape: 12k items,
+/// d = 64, directional scores, int8 shortlist + fp32 rerank, k = 20.
+/// BM_CandidateTableInt8 builds it the shipped way (CandidateTable::Build:
+/// blocks of items through the tiled coalesced scan); the PerItem row is the
+/// live baseline in the same binary, one pool task per item calling Query()
+/// the way the table was built before. Both produce identical tables.
+constexpr uint32_t kTableItems = 12000;
+constexpr uint32_t kTableDim = 64;
+constexpr uint32_t kTableK = 20;
+
+MatchingEngine BuildTableEngine() {
+  MatchingEngine engine;
+  SISG_CHECK_OK(engine.Build(CorpusData(kTableItems, kTableDim, 47),
+                             CorpusData(kTableItems, kTableDim, 48),
+                             kTableItems, kTableDim,
+                             SimilarityMode::kDirectionalInOut));
+  SISG_CHECK_OK(engine.EnableInt8());
+  return engine;
+}
+
+void BM_CandidateTableInt8(benchmark::State& state) {
+  const auto threads = static_cast<uint32_t>(state.range(0));
+  const MatchingEngine engine = BuildTableEngine();
+  for (auto _ : state) {
+    CandidateTable table;
+    SISG_CHECK_OK(table.Build(engine, kTableK, threads));
+    benchmark::DoNotOptimize(table.Get(0).data());
+  }
+  state.SetItemsProcessed(state.iterations() * kTableItems);
+  state.SetLabel(SimdLevelName(GetSimdOps().level));
+}
+BENCHMARK(BM_CandidateTableInt8)
+    ->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+void BM_CandidateTableInt8PerItem(benchmark::State& state) {
+  const auto threads = static_cast<uint32_t>(state.range(0));
+  const MatchingEngine engine = BuildTableEngine();
+  for (auto _ : state) {
+    std::vector<std::vector<ScoredId>> table(kTableItems);
+    ThreadPool pool(threads);
+    pool.ParallelFor(kTableItems, [&](size_t i) {
+      table[i] = engine.Query(static_cast<uint32_t>(i), kTableK);
+    });
+    benchmark::DoNotOptimize(table[0].data());
+  }
+  state.SetItemsProcessed(state.iterations() * kTableItems);
+  state.SetLabel(SimdLevelName(GetSimdOps().level));
+}
+BENCHMARK(BM_CandidateTableInt8PerItem)
+    ->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 /// Runs `engine.Query` under enabled metrics and reports the measured
 /// serve.bytes_scanned per query (the production counter, so shortlist

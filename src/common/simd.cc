@@ -53,6 +53,7 @@ const SimdOps kScalarOps = {simd_scalar::Dot,
                             simd_scalar::DotI8,
                             simd_scalar::DotBatchI8,
                             simd_scalar::TopKScanI8,
+                            simd_scalar::TopKScanI8Tile,
                             simd_scalar::AdcScan,
                             simd_scalar::Crc32,
                             SimdLevel::kScalar};

@@ -53,6 +53,10 @@ struct Int8Query {
 float Int8DequantScore(const Int8Query& q, float row_scale, float row_min,
                        int32_t idot);
 
+/// Queries per register tile of top_k_scan_i8_tile. QueryBatchCoalesced
+/// sends whole tiles through it and scans the remainder per query.
+inline constexpr size_t kI8TileQueries = 4;
+
 /// Dispatch table of the hot kernels. `sgns_update_fused` is the fused SGNS
 /// gradient step: it computes the positive and all negative dot products,
 /// maps them through the sigmoid LUT, then updates every output row in place
@@ -97,6 +101,19 @@ struct SimdOps {
                         const float* row_mins, uint32_t n, size_t dim,
                         const uint32_t* ids, uint32_t exclude,
                         TopKSelector* sel);
+  /// Multi-query form of top_k_scan_i8: scores `num_queries` prepared
+  /// queries against the same run of rows, folding query j into sels[j].
+  /// Defined as, and bit-identical to, one top_k_scan_i8 per query. The
+  /// AVX2 version repacks each chunk of rows into per-thread
+  /// [8-row group][dim pair][row] i16 scratch and scores register tiles of
+  /// kI8TileQueries queries x 16 rows with madd_epi16, so a row is widened
+  /// once per call instead of once per query and no horizontal sums are
+  /// needed.
+  void (*top_k_scan_i8_tile)(const Int8Query* queries, size_t num_queries,
+                             const uint8_t* rows, size_t stride,
+                             const float* row_scales, const float* row_mins,
+                             uint32_t n, size_t dim, const uint32_t* ids,
+                             uint32_t exclude, TopKSelector* sels);
   /// Asymmetric-distance (ADC) scan over PQ codes: row i holds `m` subspace
   /// codes at rows + i * m, scored as sum_s table[s * 256 + code[s]] against
   /// a per-query lookup table (m x 256 floats), folded into `sel` like
@@ -147,6 +164,11 @@ void TopKScanI8(const Int8Query& query, const uint8_t* rows, size_t stride,
                 const float* row_scales, const float* row_mins, uint32_t n,
                 size_t dim, const uint32_t* ids, uint32_t exclude,
                 TopKSelector* sel);
+void TopKScanI8Tile(const Int8Query* queries, size_t num_queries,
+                    const uint8_t* rows, size_t stride,
+                    const float* row_scales, const float* row_mins,
+                    uint32_t n, size_t dim, const uint32_t* ids,
+                    uint32_t exclude, TopKSelector* sels);
 void AdcScan(const float* table, const uint8_t* codes, size_t m, uint32_t n,
              const uint32_t* ids, uint32_t exclude, TopKSelector* sel);
 uint32_t Crc32(const void* data, size_t len, uint32_t crc);

@@ -116,6 +116,18 @@ void TopKScanI8(const Int8Query& query, const uint8_t* rows, size_t stride,
   }
 }
 
+void TopKScanI8Tile(const Int8Query* queries, size_t num_queries,
+                    const uint8_t* rows, size_t stride,
+                    const float* row_scales, const float* row_mins,
+                    uint32_t n, size_t dim, const uint32_t* ids,
+                    uint32_t exclude, TopKSelector* sels) {
+  // The definition every level's tile must reproduce: one scan per query.
+  for (size_t j = 0; j < num_queries; ++j) {
+    TopKScanI8(queries[j], rows, stride, row_scales, row_mins, n, dim, ids,
+               exclude, &sels[j]);
+  }
+}
+
 void AdcScan(const float* table, const uint8_t* codes, size_t m, uint32_t n,
              const uint32_t* ids, uint32_t exclude, TopKSelector* sel) {
   for (uint32_t i = 0; i < n; ++i) {

@@ -14,8 +14,9 @@ Status CandidateTable::Build(const MatchingEngine& engine, uint32_t k,
     return Status::FailedPrecondition("candidate table: engine not built");
   }
   k_ = k;
-  // One batched multi-query call: every item against the engine's blocked
-  // scan path, fanned out over the engine's thread pool.
+  // One batched multi-query call: fixed blocks of items, each one coalesced
+  // pass over the candidate block, fanned out over a thread pool; every row
+  // equals engine.Query(item, k).
   std::vector<uint32_t> items(engine.num_items());
   std::iota(items.begin(), items.end(), 0u);
   table_ = engine.QueryBatch(items, k, num_threads);

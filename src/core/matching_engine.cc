@@ -11,6 +11,30 @@
 #include "obs/trace.h"
 
 namespace sisg {
+namespace {
+
+/// Candidate-scan byte counters. serve.bytes_scanned counts the bytes
+/// scored (block bytes once per query, plus fp32 rerank rows);
+/// serve.bytes_streamed counts the block bytes read (once per query on the
+/// per-query path, once per shard pass on the coalesced one), so their ratio
+/// is the coalescing factor.
+obs::Counter* ScanBytes() {
+  static obs::Counter* const c =
+      obs::MetricsRegistry::Global().counter("serve.bytes_scanned");
+  return c;
+}
+obs::Counter* StreamedBytes() {
+  static obs::Counter* const c =
+      obs::MetricsRegistry::Global().counter("serve.bytes_streamed");
+  return c;
+}
+obs::Counter* RerankRows() {
+  static obs::Counter* const c =
+      obs::MetricsRegistry::Global().counter("serve.rerank_rows");
+  return c;
+}
+
+}  // namespace
 
 void MatchingEngine::PublishDegraded() const {
   // Unconditional (not gated on MetricsEnabled): a degradation transition is
@@ -294,13 +318,10 @@ std::vector<ScoredId> MatchingEngine::ScanBlockImpl(const float* query,
       if (s > sel.Threshold()) sel.Push(s, id);
     }
     if (obs::MetricsEnabled()) {
-      static obs::Counter* const m_bytes =
-          obs::MetricsRegistry::Global().counter("serve.bytes_scanned");
-      static obs::Counter* const m_rerank =
-          obs::MetricsRegistry::Global().counter("serve.rerank_rows");
-      m_bytes->Add(static_cast<uint64_t>(n) * int8_arena_->stride() +
-                   reranked * dim_ * sizeof(float));
-      m_rerank->Add(reranked);
+      const uint64_t block = static_cast<uint64_t>(n) * int8_arena_->stride();
+      ScanBytes()->Add(block + reranked * dim_ * sizeof(float));
+      StreamedBytes()->Add(block);
+      RerankRows()->Add(reranked);
     }
     return sel.Take();
   }
@@ -309,9 +330,10 @@ std::vector<ScoredId> MatchingEngine::ScanBlockImpl(const float* query,
   ops.top_k_scan(query, cand_data_, block_stride_, n, dim_, cand_ids_.data(),
                  exclude, &sel);
   if (obs::MetricsEnabled()) {
-    static obs::Counter* const m_bytes =
-        obs::MetricsRegistry::Global().counter("serve.bytes_scanned");
-    m_bytes->Add(static_cast<uint64_t>(n) * block_stride_ * sizeof(float));
+    const uint64_t block =
+        static_cast<uint64_t>(n) * block_stride_ * sizeof(float);
+    ScanBytes()->Add(block);
+    StreamedBytes()->Add(block);
   }
   return sel.Take();
 }
@@ -416,14 +438,25 @@ std::vector<ScoredId> MatchingEngine::QueryVector(const float* query,
 std::vector<std::vector<ScoredId>> MatchingEngine::QueryBatch(
     const std::vector<uint32_t>& items, uint32_t k,
     uint32_t num_threads) const {
+  // Fixed blocks of items, each one serial coalesced pass: a block streams
+  // the candidate rows once, and a worker's scratch never exceeds one
+  // block's shortlists.
+  constexpr size_t kBlockItems = 256;
   std::vector<std::vector<ScoredId>> results(items.size());
-  if (num_threads <= 1 || items.size() <= 1) {
-    for (size_t i = 0; i < items.size(); ++i) results[i] = Query(items[i], k);
+  const std::vector<uint32_t> ks(std::min(items.size(), kBlockItems), k);
+  const size_t blocks = (items.size() + kBlockItems - 1) / kBlockItems;
+  const auto run_block = [&](size_t b) {
+    const size_t begin = b * kBlockItems;
+    const size_t len = std::min(kBlockItems, items.size() - begin);
+    auto part = QueryBatchCoalesced(items.data() + begin, ks.data(), len);
+    std::move(part.begin(), part.end(), results.begin() + begin);
+  };
+  if (num_threads <= 1 || blocks <= 1) {
+    for (size_t b = 0; b < blocks; ++b) run_block(b);
     return results;
   }
-  ThreadPool pool(num_threads);
-  pool.ParallelFor(items.size(),
-                   [&](size_t i) { results[i] = Query(items[i], k); });
+  ThreadPool pool(std::min<size_t>(num_threads, blocks));
+  pool.ParallelFor(blocks, run_block);
   return results;
 }
 
@@ -492,11 +525,21 @@ std::vector<std::vector<ScoredId>> MatchingEngine::QueryBatchCoalesced(
             std::min(rows, std::max(4 * a.k, 32u)) + 1;
         shortlists.emplace_back(shortlist_k);
       }
+      // Whole tiles of queries share one register-tiled pass per chunk;
+      // the remainder (and any batch under one tile) scans per query.
+      const size_t tiled = m / kI8TileQueries * kI8TileQueries;
       for (uint32_t c0 = 0; c0 < rows; c0 += chunk_rows) {
         const uint32_t cn = std::min(chunk_rows, rows - c0);
         const uint8_t* chunk =
             int8_arena_->codes() + static_cast<size_t>(c0) * row_bytes;
-        for (size_t j = 0; j < m; ++j) {
+        if (tiled > 0) {
+          ops.top_k_scan_i8_tile(iq.data(), tiled, chunk, row_bytes,
+                                 int8_arena_->scales() + c0,
+                                 int8_arena_->mins() + c0, cn, dim_,
+                                 row_ids.data() + c0, UINT32_MAX,
+                                 shortlists.data());
+        }
+        for (size_t j = tiled; j < m; ++j) {
           ops.top_k_scan_i8(iq[j], chunk, row_bytes,
                             int8_arena_->scales() + c0,
                             int8_arena_->mins() + c0, cn, dim_,
@@ -520,13 +563,10 @@ std::vector<std::vector<ScoredId>> MatchingEngine::QueryBatchCoalesced(
         results[a.slot] = sel.Take();
       }
       if (obs::MetricsEnabled()) {
-        static obs::Counter* const m_bytes =
-            obs::MetricsRegistry::Global().counter("serve.bytes_scanned");
-        static obs::Counter* const m_rerank =
-            obs::MetricsRegistry::Global().counter("serve.rerank_rows");
-        m_bytes->Add(static_cast<uint64_t>(rows) * row_bytes * m +
-                     reranked * dim_ * sizeof(float));
-        m_rerank->Add(reranked);
+        const uint64_t block = static_cast<uint64_t>(rows) * row_bytes;
+        ScanBytes()->Add(block * m + reranked * dim_ * sizeof(float));
+        StreamedBytes()->Add(block);
+        RerankRows()->Add(reranked);
       }
       return;
     }
@@ -544,10 +584,9 @@ std::vector<std::vector<ScoredId>> MatchingEngine::QueryBatchCoalesced(
     }
     for (size_t j = 0; j < m; ++j) results[act[begin + j].slot] = sels[j].Take();
     if (obs::MetricsEnabled()) {
-      static obs::Counter* const m_bytes =
-          obs::MetricsRegistry::Global().counter("serve.bytes_scanned");
-      m_bytes->Add(static_cast<uint64_t>(rows) * block_stride_ *
-                   sizeof(float) * m);
+      const uint64_t block = static_cast<uint64_t>(rows) * row_bytes;
+      ScanBytes()->Add(block * m);
+      StreamedBytes()->Add(block);
     }
   };
 

@@ -72,8 +72,10 @@ class MatchingEngine {
   /// via Eq. 6, or cold-user vectors). The vector must have dim() floats.
   std::vector<ScoredId> QueryVector(const float* query, uint32_t k) const;
 
-  /// Multi-query serving: Query() for each item in `items`, fanned out over
-  /// a ThreadPool when num_threads > 1. Results align with `items`.
+  /// Multi-query serving: the answers of Query() for each item in `items`,
+  /// bit for bit. Items go in fixed blocks through QueryBatchCoalesced, one
+  /// serial pass per block, the blocks fanned out over a ThreadPool when
+  /// num_threads > 1. Results align with `items`.
   std::vector<std::vector<ScoredId>> QueryBatch(
       const std::vector<uint32_t>& items, uint32_t k,
       uint32_t num_threads = 1) const;
@@ -178,8 +180,8 @@ class MatchingEngine {
   void IndexCandidates();
 
   /// Blocked scan of the compact candidate block for one prepared query.
-  /// Funnels every query path (Query/QueryVector/QueryBatch), so this is
-  /// where the per-query latency histogram is recorded.
+  /// Funnels the per-query paths (Query/QueryVector), so this is where the
+  /// per-query latency histogram is recorded.
   std::vector<ScoredId> ScanBlock(const float* query, uint32_t k,
                                   uint32_t exclude) const;
   std::vector<ScoredId> ScanBlockImpl(const float* query, uint32_t k,

@@ -1,8 +1,9 @@
 // Tests of the observability subsystem: lock-free counters/gauges under
 // ThreadPool contention, log-bucket histogram boundaries and percentile
-// merge, JSON exporter round-trip through the bundled parser, and the
-// core invariant that instrumentation never perturbs training (metrics on
-// vs off is bit-identical).
+// merge, JSON exporter round-trip through the bundled parser, the meaning
+// of the candidate-scan byte counters, and the core invariant that
+// instrumentation never perturbs training (metrics on vs off is
+// bit-identical).
 
 #include <gtest/gtest.h>
 
@@ -14,7 +15,10 @@
 #include <string>
 #include <vector>
 
+#include "common/rng.h"
+#include "common/simd.h"
 #include "common/thread_pool.h"
+#include "core/matching_engine.h"
 #include "corpus/corpus.h"
 #include "datagen/dataset.h"
 #include "obs/export.h"
@@ -310,6 +314,64 @@ TEST_F(MetricsTest, PrometheusTextShape) {
 // state and consumes no RNG. The ctest registration also runs this pinned
 // to SISG_SIMD=scalar (metrics_test_scalar) so the comparison is
 // dispatch-independent.
+// --------------------------- scan byte counters ---------------------------
+
+// serve.bytes_scanned counts bytes scored (the block once per query, plus
+// the fp32 rerank rows of the int8 path); serve.bytes_streamed counts the
+// block once per pass: per query on the per-query path, per shard on the
+// coalesced one.
+TEST_F(MetricsTest, ScanBytesCountScoredAndStreamedBlocks) {
+  obs::EnableMetrics(true);
+  auto& reg = obs::MetricsRegistry::Global();
+  obs::Counter* scanned = reg.counter("serve.bytes_scanned");
+  obs::Counter* streamed = reg.counter("serve.bytes_streamed");
+  obs::Counter* reranked = reg.counter("serve.rerank_rows");
+
+  const uint32_t n = 300, dim = 24;
+  Rng rng(7);
+  std::vector<float> in(static_cast<size_t>(n) * dim);
+  for (float& x : in) x = static_cast<float>(rng.Gaussian());
+  MatchingEngine engine;
+  ASSERT_TRUE(
+      engine.Build(in, {}, n, dim, SimilarityMode::kCosineInput).ok());
+  std::vector<uint32_t> items, ks;
+  for (uint32_t i = 0; i < 9; ++i) {
+    items.push_back(i * 7);
+    ks.push_back(5);
+  }
+
+  const uint64_t fp32_block = uint64_t{n} * AlignedRowStride(dim) * 4;
+  engine.QueryBatchCoalesced(items.data(), ks.data(), items.size());
+  EXPECT_EQ(streamed->Value(), fp32_block);
+  EXPECT_EQ(scanned->Value(), fp32_block * items.size());
+
+  reg.Reset();
+  ThreadPool pool(2);  // 9 queries over 2 workers: two shard passes
+  engine.QueryBatchCoalesced(items.data(), ks.data(), items.size(), &pool);
+  EXPECT_EQ(streamed->Value(), 2 * fp32_block);
+  EXPECT_EQ(scanned->Value(), fp32_block * items.size());
+
+  reg.Reset();
+  engine.Query(items[0], 5);
+  EXPECT_EQ(streamed->Value(), fp32_block);
+  EXPECT_EQ(scanned->Value(), fp32_block);
+
+  ASSERT_TRUE(engine.EnableInt8().ok());
+  const uint64_t int8_block = uint64_t{n} * AlignedByteStride(dim);
+  reg.Reset();
+  engine.QueryBatchCoalesced(items.data(), ks.data(), items.size());
+  EXPECT_EQ(streamed->Value(), int8_block);
+  EXPECT_GT(reranked->Value(), 0u);
+  EXPECT_EQ(scanned->Value(), int8_block * items.size() +
+                                  reranked->Value() * dim * sizeof(float));
+
+  reg.Reset();
+  engine.Query(items[0], 5);
+  EXPECT_EQ(streamed->Value(), int8_block);
+  EXPECT_EQ(scanned->Value(),
+            int8_block + reranked->Value() * dim * sizeof(float));
+}
+
 TEST_F(MetricsTest, TrainingBitIdenticalWithMetricsOnAndOff) {
   DatasetSpec spec;
   spec.catalog.num_items = 200;

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <set>
 #include <vector>
@@ -15,6 +16,7 @@
 #include "common/rng.h"
 #include "common/simd.h"
 #include "common/top_k.h"
+#include "core/candidate_table.h"
 #include "core/hnsw_index.h"
 #include "core/ivf_index.h"
 #include "core/matching_engine.h"
@@ -180,6 +182,38 @@ TEST(QueryBatchTest, EngineBatchMatchesSerialQueries) {
     for (size_t j = 0; j < direct.size(); ++j) {
       EXPECT_EQ(serial[i][j], direct[j]);
       EXPECT_EQ(parallel[i][j], direct[j]);
+    }
+  }
+}
+
+TEST(QueryBatchTest, Int8CandidateTableRowsEqualQueryAt1And4Threads) {
+  // A directional int8 engine spanning three item blocks, with untrained
+  // items, so the table crosses block edges and mixes full query tiles with
+  // per-query remainders. Every row must be Query()'s answer bit for bit.
+  Rng rng(105);
+  const uint32_t n = 700, dim = 40, k = 20;
+  const std::set<uint32_t> zeros = {3, 256, 511, 699};
+  auto in = RandomMatrix(rng, n, dim, zeros);
+  auto out = RandomMatrix(rng, n, dim, zeros);
+  MatchingEngine engine;
+  ASSERT_TRUE(
+      engine.Build(in, out, n, dim, SimilarityMode::kDirectionalInOut).ok());
+  ASSERT_TRUE(engine.EnableInt8().ok());
+  for (uint32_t threads : {1u, 4u}) {
+    CandidateTable table;
+    ASSERT_TRUE(table.Build(engine, k, threads).ok());
+    ASSERT_EQ(table.num_items(), n);
+    for (uint32_t item = 0; item < n; ++item) {
+      const auto want = engine.Query(item, k);
+      const auto& got = table.Get(item);
+      ASSERT_EQ(got.size(), want.size()) << "item " << item;
+      for (size_t i = 0; i < want.size(); ++i) {
+        ASSERT_EQ(got[i].id, want[i].id)
+            << "threads " << threads << " item " << item << " rank " << i;
+        ASSERT_EQ(std::bit_cast<uint32_t>(got[i].score),
+                  std::bit_cast<uint32_t>(want[i].score))
+            << "threads " << threads << " item " << item << " rank " << i;
+      }
     }
   }
 }
