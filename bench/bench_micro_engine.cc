@@ -1,6 +1,7 @@
 // Micro-benchmarks (google-benchmark) of the engine's hot kernels: the
 // dense math, alias sampling, the sigmoid LUT, pair generation and the full
-// SGNS step — the per-pair costs that the cluster cost model abstracts.
+// SGNS step — the per-pair costs that the cluster cost model abstracts —
+// plus one whole SGNS epoch at 1/2/4 threads.
 
 #include <benchmark/benchmark.h>
 
@@ -12,7 +13,10 @@
 #include "common/rng.h"
 #include "common/simd.h"
 #include "common/top_k.h"
+#include "corpus/corpus.h"
+#include "datagen/dataset.h"
 #include "sgns/sgns_kernel.h"
+#include "sgns/trainer.h"
 #include "sgns/window.h"
 
 namespace sisg {
@@ -177,6 +181,62 @@ void BM_TopKSelect(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n);
 }
 BENCHMARK(BM_TopKSelect)->Arg(20)->Arg(200);
+
+/// The daily-retrain corpus shape: 12k items, 50k sessions, enriched with
+/// item SI and user types (SISG-F-U-D). The enrichment makes it skewed: a
+/// few hundred SI and user-type tokens carry most of the tokens.
+const Corpus& SkewedCorpus() {
+  static const SyntheticDataset ds = [] {
+    DatasetSpec spec;
+    spec.catalog.num_items = 12000;
+    spec.num_train_sessions = 50000;
+    spec.num_test_sessions = 0;
+    auto d = SyntheticDataset::Generate(spec);
+    SISG_CHECK(d.ok());
+    return std::move(d).value();
+  }();
+  static const TokenSpace ts = TokenSpace::Create(&ds.catalog(), &ds.users());
+  static const Corpus corpus = [] {
+    Corpus c;
+    SISG_CHECK(
+        c.Build(ds.train_sessions(), ts, ds.catalog(), CorpusOptions{}).ok());
+    return c;
+  }();
+  return corpus;
+}
+
+/// One SGNS epoch at the daily retrain's settings, in pairs/s. With more
+/// than one thread each worker trains the hottest rows on private replicas;
+/// the 1-thread row has none by construction and is the live baseline.
+void BM_SgnsEpoch(benchmark::State& state) {
+  const Corpus& corpus = SkewedCorpus();
+  SgnsOptions opts;
+  opts.dim = 64;
+  opts.epochs = 1;
+  opts.negatives = 5;
+  opts.window.window *= 2;  // SisgPipeline's token window with SI
+  opts.window.directional = true;
+  opts.num_threads = static_cast<uint32_t>(state.range(0));
+  const SgnsTrainer trainer(opts);
+  uint64_t pairs = 0;
+  for (auto _ : state) {
+    EmbeddingModel model;
+    TrainStats stats;
+    SISG_CHECK(trainer.Train(corpus, &model, &stats).ok());
+    benchmark::DoNotOptimize(model.Input(0));
+    pairs += stats.pairs_trained;
+  }
+  state.counters["pairs/s"] = benchmark::Counter(
+      static_cast<double>(pairs), benchmark::Counter::kIsRate);
+  state.counters["replica_rows"] =
+      static_cast<double>(trainer.ReplicaRows(corpus.vocab()));
+}
+BENCHMARK(BM_SgnsEpoch)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 }  // namespace
 }  // namespace sisg

@@ -85,6 +85,22 @@ class Vocabulary {
   uint64_t total_count_ = 0;
 };
 
+/// Size K of the hot set: vocab ids are frequency-sorted, so the hottest
+/// tokens are the prefix [0, K) of ids whose relative corpus frequency
+/// reaches `threshold`, capped at `cap`. The one hot-set rule of the
+/// codebase: ATNS's replicated set Q (DistributedTrainer) and the local
+/// trainer's per-thread replica rows (SgnsTrainer) both use it.
+inline uint32_t HotPrefixSize(const Vocabulary& vocab, double threshold,
+                              uint32_t cap) {
+  const double total = static_cast<double>(vocab.total_count());
+  uint32_t k = 0;
+  while (k < vocab.size() && k < cap &&
+         static_cast<double>(vocab.Frequency(k)) / total >= threshold) {
+    ++k;
+  }
+  return k;
+}
+
 }  // namespace sisg
 
 #endif  // SISG_CORPUS_VOCABULARY_H_

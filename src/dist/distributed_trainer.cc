@@ -92,17 +92,11 @@ Status DistributedTrainer::Train(const Corpus& corpus,
     }
   }
 
-  // --- ATNS hot set Q: every token at or above the relative-frequency
-  // threshold (vocab ids are frequency-sorted, so Q is a prefix), capped.
-  uint32_t K = 0;
-  if (options_.use_atns) {
-    const double total = static_cast<double>(vocab.total_count());
-    while (K < V && K < options_.hot_set_size &&
-           static_cast<double>(vocab.Frequency(K)) / total >=
-               options_.hot_freq_threshold) {
-      ++K;
-    }
-  }
+  // --- ATNS hot set Q: the hot prefix of the frequency-sorted vocab.
+  const uint32_t K =
+      options_.use_atns ? HotPrefixSize(vocab, options_.hot_freq_threshold,
+                                        options_.hot_set_size)
+                        : 0;
   std::vector<int32_t> hot_index(V, -1);
   for (uint32_t v = 0; v < K; ++v) hot_index[v] = static_cast<int32_t>(v);
 

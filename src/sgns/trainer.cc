@@ -25,7 +25,99 @@ namespace {
 /// dropped (nullptr) exactly like the seed behavior.
 constexpr int kMaxNegativeResamples = 8;
 
+/// Tokens a worker processes between refreshes of its learning rate from
+/// the global token count; also the cadence of its replica syncs.
+constexpr uint64_t kRefreshTokens = 4096;
+
+/// Hot-row replicas: ATNS's hot-set rule (relative frequency >= 5e-5, the
+/// DistOptions default), capped so one thread's working and base copies of
+/// both matrices fit in this many bytes (K = 512 at d = 64).
+constexpr double kReplicaFreqThreshold = 5e-5;
+constexpr size_t kReplicaBytesPerThread = size_t{512} * 1024;
+
+/// One trainer thread's private copies of the K hottest input and output
+/// rows (vocab ids [0, K), the frequency-sorted prefix). Input()/Output()
+/// resolve an id to the thread's working copy when it is hot and to the
+/// shared row otherwise, so the hot rows' cache lines stop bouncing between
+/// cores. Sync() pushes each dirty row's change since the last sync into
+/// the shared row (shared += working - base) and reloads working = base =
+/// shared, which also pulls in the other threads' pushes. Shared rows are
+/// only read and written through ops.axpy, the kernel hogwild already uses
+/// on them. With K = 0 every id resolves to the shared row and Sync() has
+/// nothing to do.
+class HotRowReplica {
+ public:
+  HotRowReplica(EmbeddingModel* model, uint32_t k, const SimdOps& ops)
+      : model_(model),
+        ops_(ops),
+        k_(k),
+        dim_(model->dim()),
+        stride_(model->row_stride()),
+        rows_(4 * static_cast<size_t>(k) * stride_),
+        dirty_(2 * static_cast<size_t>(k), 0) {
+    dirty_list_.reserve(dirty_.size());
+    for (uint32_t r = 0; r < 2 * k_; ++r) Reload(r);
+  }
+
+  float* Input(uint32_t v) { return v < k_ ? Touch(v) : model_->Input(v); }
+  float* Output(uint32_t v) {
+    return v < k_ ? Touch(k_ + v) : model_->Output(v);
+  }
+
+  void Sync() {
+    for (const uint32_t r : dirty_list_) {
+      float* work = Working(r);
+      float* base = Base(r);
+      for (size_t i = 0; i < dim_; ++i) base[i] = work[i] - base[i];
+      ops_.axpy(1.0f, base, Shared(r), dim_);
+      Reload(r);
+      dirty_[r] = 0;
+    }
+    dirty_list_.clear();
+  }
+
+ private:
+  // Replica row r < K is input row r, r >= K is output row r - K.
+  float* Working(uint32_t r) { return rows_.data() + r * stride_; }
+  float* Base(uint32_t r) { return Working(2 * k_ + r); }
+  float* Shared(uint32_t r) {
+    return r < k_ ? model_->Input(r) : model_->Output(r - k_);
+  }
+
+  float* Touch(uint32_t r) {
+    if (!dirty_[r]) {
+      dirty_[r] = 1;
+      dirty_list_.push_back(r);
+    }
+    return Working(r);
+  }
+
+  void Reload(uint32_t r) {
+    float* work = Working(r);
+    Zero(work, dim_);
+    ops_.axpy(1.0f, Shared(r), work, dim_);
+    std::copy_n(work, dim_, Base(r));
+  }
+
+  EmbeddingModel* model_;
+  const SimdOps& ops_;
+  const uint32_t k_;
+  const size_t dim_;
+  const size_t stride_;
+  AlignedFloatVector rows_;  // 2K working rows, then 2K base rows
+  std::vector<uint8_t> dirty_;
+  std::vector<uint32_t> dirty_list_;
+};
+
 }  // namespace
+
+uint32_t SgnsTrainer::ReplicaRows(const Vocabulary& vocab) const {
+  if (options_.num_threads <= 1) return 0;
+  const size_t row_bytes = AlignedRowStride(options_.dim) * sizeof(float);
+  const size_t cap = kReplicaBytesPerThread / (4 * row_bytes);
+  return HotPrefixSize(vocab, kReplicaFreqThreshold,
+                       static_cast<uint32_t>(cap));
+}
 
 Status SgnsTrainer::Train(const Corpus& corpus, EmbeddingModel* model,
                           TrainStats* stats,
@@ -77,6 +169,7 @@ Status SgnsTrainer::Train(const Corpus& corpus, EmbeddingModel* model,
   subsampler.Build(vocab, options_.subsample);
   const SigmoidTable sigmoid;
   const SimdOps& ops = GetSimdOps();
+  const uint32_t replica_rows = ReplicaRows(vocab);
 
   const uint64_t planned_tokens =
       static_cast<uint64_t>(options_.epochs) * corpus.num_tokens();
@@ -161,6 +254,8 @@ Status SgnsTrainer::Train(const Corpus& corpus, EmbeddingModel* model,
   obs::Gauge* m_lr = nullptr;
   obs::Gauge* m_loss = nullptr;
   obs::Histogram* m_barrier = nullptr;
+  obs::Counter* m_syncs = nullptr;
+  obs::Histogram* m_sync_seconds = nullptr;
   if (metrics_on) {
     auto& reg = obs::MetricsRegistry::Global();
     m_pairs = reg.counter("train.pairs");
@@ -169,6 +264,9 @@ Status SgnsTrainer::Train(const Corpus& corpus, EmbeddingModel* model,
     m_lr = reg.gauge("train.lr");
     m_loss = reg.gauge("train.loss_ema");
     m_barrier = reg.histogram("train.barrier_wait_seconds");
+    m_syncs = reg.counter("train.replica_syncs");
+    m_sync_seconds = reg.histogram("train.replica_sync_seconds");
+    reg.gauge("train.replica_rows")->Set(replica_rows);
   }
 
   Timer timer;
@@ -183,6 +281,20 @@ Status SgnsTrainer::Train(const Corpus& corpus, EmbeddingModel* model,
     uint64_t kept_tokens = 0;
     uint64_t local_tokens = 0;
     float lr = lr_at(initial_tokens);
+    HotRowReplica rows(model, replica_rows, ops);
+
+    // Replica sync points: every LR refresh, before each checkpoint
+    // rendezvous (so the snapshot holds every delta) and on exit.
+    auto sync = [&]() {
+      if (replica_rows == 0) return;
+      const uint64_t sync_start = metrics_on ? MonotonicNanos() : 0;
+      rows.Sync();
+      if (metrics_on) {
+        m_syncs->Increment();
+        m_sync_seconds->Observe(
+            static_cast<double>(MonotonicNanos() - sync_start) * 1e-9);
+      }
+    };
 
     // Metering state: pairs already published to the registry, plus a
     // thread-local loss EMA sampled every 1024 pairs through ops.dot (a
@@ -220,6 +332,7 @@ Status SgnsTrainer::Train(const Corpus& corpus, EmbeddingModel* model,
     for (;;) {
       if (ckpt_active && barrier.pending()) {
         flush();
+        sync();
         rng_snapshot[tid] = rng.State();
         const uint64_t wait_start = metrics_on ? MonotonicNanos() : 0;
         if (barrier.Arrive() == CheckpointBarrier::Role::kLeader) {
@@ -240,13 +353,14 @@ Status SgnsTrainer::Train(const Corpus& corpus, EmbeddingModel* model,
       for (uint64_t slot = begin; slot < end; ++slot) {
         const std::span<const uint32_t> seq = packed.seq(slot % num_seqs);
         local_tokens += seq.size();
-        if (local_tokens >= 4096) {
+        if (local_tokens >= kRefreshTokens) {
           const uint64_t done =
               processed_tokens.fetch_add(local_tokens) + local_tokens;
           const uint64_t token_delta = local_tokens;
           local_tokens = 0;
           lr = lr_at(done);
           meter(pairs, token_delta);
+          sync();
         }
         SubsampleSequence(seq, subsampler, rng, &kept);
         kept_tokens += kept.size();
@@ -295,21 +409,22 @@ Status SgnsTrainer::Train(const Corpus& corpus, EmbeddingModel* model,
               neg_ids[k] = neg;
               neg_ptrs[k] = (neg == context || neg == target)
                                 ? nullptr
-                                : model->Output(neg);
+                                : rows.Output(neg);
             }
+            float* const in_row = rows.Input(target);
+            float* const ctx_row = rows.Output(context);
             Zero(grad_in.data(), dim);
-            ops.sgns_update_fused(model->Input(target), grad_in.data(),
-                                  model->Output(context), neg_ptrs.data(),
+            ops.sgns_update_fused(in_row, grad_in.data(), ctx_row,
+                                  neg_ptrs.data(),
                                   static_cast<int>(options_.negatives), lr, dim,
                                   sigmoid);
-            ops.axpy(1.0f, grad_in.data(), model->Input(target), dim);
+            ops.axpy(1.0f, grad_in.data(), in_row, dim);
             ++pairs;
             if (metrics_on && (pairs & 1023) == 0) {
               // Positive-pair loss probe: softplus(-dot) on the freshly
               // updated rows, via ops.dot so the benign hogwild read is
               // covered by the kernel TSan suppressions. No RNG consumed.
-              const double s = ops.dot(model->Input(target),
-                                       model->Output(context), dim);
+              const double s = ops.dot(in_row, ctx_row, dim);
               const double loss = s > 0.0 ? std::log1p(std::exp(-s))
                                           : -s + std::log1p(std::exp(s));
               if (loss_seeded) {
@@ -335,6 +450,7 @@ Status SgnsTrainer::Train(const Corpus& corpus, EmbeddingModel* model,
       }
     }
     flush();
+    sync();
     rng_snapshot[tid] = rng.State();
     if (ckpt_active) barrier.Leave();
   };

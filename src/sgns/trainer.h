@@ -49,7 +49,9 @@ struct TrainStats {
 
 /// Classic hogwild SGNS over an enriched corpus. Threads own disjoint
 /// sequence ranges and update the shared model without locks (Hogwild!),
-/// which is exact on one thread and a benign race on several.
+/// which is exact on one thread and a benign race on several. With several
+/// threads the hottest rows are trained on per-thread replicas instead
+/// (ReplicaRows), the shared-memory form of ATNS.
 class SgnsTrainer {
  public:
   explicit SgnsTrainer(const SgnsOptions& options) : options_(options) {}
@@ -71,6 +73,12 @@ class SgnsTrainer {
   Status Train(const Corpus& corpus, EmbeddingModel* model,
                TrainStats* stats = nullptr,
                const CheckpointConfig* checkpoint = nullptr) const;
+
+  /// Number K of hot rows (vocab ids [0, K)) each worker thread trains on
+  /// private input and output copies, pushing its deltas into the shared
+  /// rows every few thousand tokens, at every checkpoint and on exit. 0 on
+  /// one thread, where the trainer is plain sequential SGD.
+  uint32_t ReplicaRows(const Vocabulary& vocab) const;
 
  private:
   SgnsOptions options_;

@@ -423,5 +423,51 @@ TEST_F(MetricsTest, TrainingBitIdenticalWithMetricsOnAndOff) {
             1u);
 }
 
+// The hot-row replica metrics: rows, syncs and sync times are non-zero with
+// several threads, and one thread trains without replicas.
+TEST_F(MetricsTest, TrainingReportsReplicaSyncs) {
+  DatasetSpec spec;
+  spec.catalog.num_items = 200;
+  spec.catalog.num_leaf_categories = 6;
+  spec.catalog.num_shops = 20;
+  spec.catalog.num_brands = 16;
+  spec.users.num_user_types = 30;
+  spec.num_train_sessions = 600;
+  spec.num_test_sessions = 10;
+  auto ds = SyntheticDataset::Generate(spec);
+  ASSERT_TRUE(ds.ok());
+  const TokenSpace ts = TokenSpace::Create(&ds->catalog(), &ds->users());
+  Corpus corpus;
+  ASSERT_TRUE(
+      corpus.Build(ds->train_sessions(), ts, ds->catalog(), CorpusOptions{})
+          .ok());
+  SgnsOptions opts;
+  opts.dim = 16;
+  opts.epochs = 2;
+  opts.negatives = 5;
+
+  auto& reg = obs::MetricsRegistry::Global();
+  obs::EnableMetrics(true);
+  opts.num_threads = 4;
+  EmbeddingModel multi;
+  ASSERT_TRUE(SgnsTrainer(opts).Train(corpus, &multi).ok());
+  EXPECT_EQ(reg.gauge("train.replica_rows")->Value(),
+            SgnsTrainer(opts).ReplicaRows(corpus.vocab()));
+  EXPECT_GT(reg.gauge("train.replica_rows")->Value(), 0.0);
+  // At least the exit sync of every thread.
+  EXPECT_GE(reg.counter("train.replica_syncs")->Value(), 4u);
+  EXPECT_EQ(reg.histogram("train.replica_sync_seconds")->Count(),
+            reg.counter("train.replica_syncs")->Value());
+
+  reg.Reset();
+  opts.num_threads = 1;
+  EmbeddingModel single;
+  ASSERT_TRUE(SgnsTrainer(opts).Train(corpus, &single).ok());
+  obs::EnableMetrics(false);
+  EXPECT_EQ(reg.gauge("train.replica_rows")->Value(), 0.0);
+  EXPECT_EQ(reg.counter("train.replica_syncs")->Value(), 0u);
+  EXPECT_EQ(reg.histogram("train.replica_sync_seconds")->Count(), 0u);
+}
+
 }  // namespace
 }  // namespace sisg

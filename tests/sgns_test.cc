@@ -1,13 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
+#include <filesystem>
 #include <set>
 
 #include "common/math_util.h"
 #include "common/rng.h"
 #include "corpus/corpus.h"
 #include "datagen/dataset.h"
+#include "sgns/checkpoint.h"
 #include "sgns/embedding_model.h"
 #include "sgns/sgns_kernel.h"
 #include "sgns/trainer.h"
@@ -286,6 +291,8 @@ class TrainerFixture : public ::testing::Test {
                     .ok());
   }
 
+  void ExpectCoOccurringItemsCloserThanRandom(uint32_t num_threads);
+
   std::unique_ptr<SyntheticDataset> dataset_;
   TokenSpace token_space_;
   Corpus corpus_;
@@ -338,11 +345,13 @@ TEST_F(TrainerFixture, DeterministicSingleThread) {
 
 // Items co-occurring in sessions must end up closer than random pairs —
 // the basic semantic property everything else builds on.
-TEST_F(TrainerFixture, CoOccurringItemsCloserThanRandom) {
+void TrainerFixture::ExpectCoOccurringItemsCloserThanRandom(
+    uint32_t num_threads) {
   SgnsOptions opts;
   opts.dim = 32;
   opts.epochs = 8;
   opts.negatives = 5;
+  opts.num_threads = num_threads;
   EmbeddingModel m;
   ASSERT_TRUE(SgnsTrainer(opts).Train(corpus_, &m).ok());
   const Vocabulary& vocab = corpus_.vocab();
@@ -368,6 +377,100 @@ TEST_F(TrainerFixture, CoOccurringItemsCloserThanRandom) {
   ASSERT_GT(co_n, 50);
   ASSERT_GT(rand_n, 50);
   EXPECT_GT(co_sim / co_n, rand_sim / rand_n + 0.15);
+}
+
+TEST_F(TrainerFixture, CoOccurringItemsCloserThanRandom) {
+  ExpectCoOccurringItemsCloserThanRandom(1);
+}
+
+// The same property with four threads, where the hot rows are trained on
+// per-thread replicas and merged by delta pushes.
+TEST_F(TrainerFixture, CoOccurringItemsCloserThanRandomWithReplicas) {
+  SgnsOptions opts;
+  opts.dim = 32;
+  opts.num_threads = 4;
+  ASSERT_GT(SgnsTrainer(opts).ReplicaRows(corpus_.vocab()), 0u);
+  ExpectCoOccurringItemsCloserThanRandom(4);
+}
+
+TEST_F(TrainerFixture, ReplicaRowsFollowTheHotSetRule) {
+  const Vocabulary& vocab = corpus_.vocab();
+  SgnsOptions opts;
+  opts.num_threads = 1;
+  EXPECT_EQ(SgnsTrainer(opts).ReplicaRows(vocab), 0u);
+  // ATNS's frequency rule...
+  opts.num_threads = 4;
+  opts.dim = 64;
+  const uint32_t uncapped = HotPrefixSize(vocab, 5e-5, UINT32_MAX);
+  ASSERT_GT(uncapped, 32u);
+  EXPECT_EQ(SgnsTrainer(opts).ReplicaRows(vocab), std::min(uncapped, 512u));
+  // ...capped so the working and base copies of both matrices fit in
+  // 512 KiB per thread: 32 rows of 1024 floats.
+  opts.dim = 1024;
+  EXPECT_EQ(SgnsTrainer(opts).ReplicaRows(vocab), 32u);
+}
+
+// Between syncs the hot rows live on per-thread replicas, so the sync
+// before a checkpoint rendezvous must push every delta. A checkpoint taken
+// once all work is done must equal the returned model; a resume with no
+// work left must return the checkpoint's bytes; and every hot output row,
+// which starts at zero and is trained only on replicas, must be non-zero.
+TEST_F(TrainerFixture, FourThreadCheckpointHoldsEveryReplicaDelta) {
+  SgnsOptions opts;
+  opts.dim = 16;
+  opts.epochs = 2;
+  opts.negatives = 5;
+  opts.num_threads = 4;
+  const SgnsTrainer trainer(opts);
+  const uint32_t hot = trainer.ReplicaRows(corpus_.vocab());
+  ASSERT_GT(hot, 0u);
+
+  const std::string dir = ::testing::TempDir() + "/sgns_replica_ckpt";
+  std::filesystem::remove_all(dir);
+  Checkpointer::Options copts;
+  copts.dir = dir;
+  auto ck = Checkpointer::Create(copts);
+  ASSERT_TRUE(ck.ok());
+  CheckpointConfig cfg;
+  cfg.checkpointer = &*ck;
+  // One snapshot, requested by the chunk that ends the work queue.
+  cfg.interval_slots = uint64_t{opts.epochs} * corpus_.num_sequences();
+  EmbeddingModel trained;
+  TrainStats stats;
+  ASSERT_TRUE(trainer.Train(corpus_, &trained, &stats, &cfg).ok());
+  ASSERT_EQ(stats.checkpoints_saved, 1u);
+
+  EmbeddingModel snapshot;
+  TrainProgress progress;
+  ASSERT_TRUE(ck->LoadLatest(&snapshot, &progress).ok());
+  ASSERT_EQ(progress.next_work, cfg.interval_slots);
+  auto expect_same_bytes = [](const EmbeddingModel& a,
+                              const EmbeddingModel& b) {
+    ASSERT_EQ(a.rows(), b.rows());
+    const size_t bytes = a.dim() * sizeof(float);
+    for (uint32_t r = 0; r < a.rows(); ++r) {
+      ASSERT_EQ(std::memcmp(a.Input(r), b.Input(r), bytes), 0)
+          << "input row " << r;
+      ASSERT_EQ(std::memcmp(a.Output(r), b.Output(r), bytes), 0)
+          << "output row " << r;
+    }
+  };
+  expect_same_bytes(trained, snapshot);
+
+  EmbeddingModel resumed = snapshot;
+  CheckpointConfig resume_cfg;
+  resume_cfg.resume = &progress;
+  TrainStats resume_stats;
+  ASSERT_TRUE(
+      trainer.Train(corpus_, &resumed, &resume_stats, &resume_cfg).ok());
+  EXPECT_EQ(resume_stats.pairs_trained, progress.pairs_trained);
+  expect_same_bytes(resumed, snapshot);
+
+  for (uint32_t v = 0; v < hot; ++v) {
+    EXPECT_GT(L2Norm(snapshot.Output(v), snapshot.dim()), 0.0f)
+        << "hot output row " << v << " lost its replica deltas";
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST_F(TrainerFixture, MultiThreadedTrainingWorks) {
