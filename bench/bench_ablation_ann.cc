@@ -11,7 +11,7 @@
 #include "core/hnsw_index.h"
 #include "core/ivf_index.h"
 #include "core/pipeline.h"
-#include "eval/table_printer.h"
+#include "obs/table_printer.h"
 
 namespace sisg {
 namespace {
@@ -51,13 +51,14 @@ void Main() {
   }
   const double bf_qps = queries.size() / bf_timer.ElapsedSeconds();
 
+  const std::vector<float> cand = engine->DenseCandidateMatrix();
   IvfIndex ivf;
   IvfOptions ivf_opts;
   ivf_opts.kmeans.num_clusters =
       static_cast<uint32_t>(GetEnvInt64("SISG_IVF_CLUSTERS", 128));
   ivf_opts.nprobe = static_cast<uint32_t>(GetEnvInt64("SISG_IVF_NPROBE", 12));
   Timer ivf_build;
-  SISG_CHECK_OK(ivf.Build(engine->candidate_matrix().data(),
+  SISG_CHECK_OK(ivf.Build(cand.data(),
                           engine->num_items(), engine->dim(), ivf_opts));
   const double ivf_build_s = ivf_build.ElapsedSeconds();
 
@@ -66,7 +67,7 @@ void Main() {
   hnsw_opts.ef_search =
       static_cast<uint32_t>(GetEnvInt64("SISG_HNSW_EF", 96));
   Timer hnsw_build;
-  SISG_CHECK_OK(hnsw.Build(engine->candidate_matrix().data(),
+  SISG_CHECK_OK(hnsw.Build(cand.data(),
                            engine->num_items(), engine->dim(), hnsw_opts));
   const double hnsw_build_s = hnsw_build.ElapsedSeconds();
 

@@ -10,7 +10,7 @@
 #include "common/logging.h"
 #include "core/pipeline.h"
 #include "eval/ctr_simulator.h"
-#include "eval/table_printer.h"
+#include "obs/table_printer.h"
 
 namespace sisg {
 namespace {

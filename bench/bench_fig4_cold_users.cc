@@ -11,7 +11,7 @@
 #include "common/logging.h"
 #include "core/cold_start.h"
 #include "core/pipeline.h"
-#include "eval/table_printer.h"
+#include "obs/table_printer.h"
 
 namespace sisg {
 namespace {

@@ -11,8 +11,8 @@
 #include "bench/bench_common.h"
 #include "common/logging.h"
 #include "core/pipeline.h"
-#include "eval/table_printer.h"
 #include "eval/tsne.h"
+#include "obs/table_printer.h"
 
 namespace sisg {
 namespace {

@@ -13,7 +13,7 @@
 #include "core/cold_start.h"
 #include "core/pipeline.h"
 #include "eval/hitrate.h"
-#include "eval/table_printer.h"
+#include "obs/table_printer.h"
 
 namespace sisg {
 namespace {

@@ -19,10 +19,10 @@
 #include "corpus/corpus.h"
 #include "dist/cost_model.h"
 #include "dist/distributed_trainer.h"
-#include "eval/table_printer.h"
 #include "graph/category_graph.h"
 #include "graph/item_graph.h"
 #include "graph/partitioner.h"
+#include "obs/table_printer.h"
 
 namespace sisg {
 namespace {

@@ -76,28 +76,6 @@ void BM_BruteForceBlocked(benchmark::State& state) {
 }
 BENCHMARK(BM_BruteForceBlocked)->Arg(64)->Arg(128);
 
-/// The scan kernel alone (no selector), isolating the batched-dot speedup.
-void BM_DotBatch(benchmark::State& state) {
-  const uint32_t dim = static_cast<uint32_t>(state.range(0));
-  const uint32_t n = 4096;
-  const size_t stride = AlignedRowStride(dim);
-  const auto data = CorpusData(n, dim, 23);
-  AlignedFloatVector block(static_cast<size_t>(n) * stride, 0.0f);
-  for (uint32_t r = 0; r < n; ++r) {
-    std::copy_n(data.data() + static_cast<size_t>(r) * dim, dim,
-                block.data() + static_cast<size_t>(r) * stride);
-  }
-  std::vector<float> scores(n);
-  const SimdOps& ops = GetSimdOps();
-  for (auto _ : state) {
-    ops.dot_batch(data.data(), block.data(), stride, n, dim, scores.data());
-    benchmark::DoNotOptimize(scores.data());
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-  state.SetLabel(SimdLevelName(ops.level));
-}
-BENCHMARK(BM_DotBatch)->Arg(64)->Arg(128)->Arg(256);
-
 void BM_EngineQuery(benchmark::State& state) {
   const uint32_t dim = static_cast<uint32_t>(state.range(0));
   MatchingEngine engine;

@@ -10,7 +10,7 @@
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "datagen/feature_schema.h"
-#include "eval/table_printer.h"
+#include "obs/table_printer.h"
 
 namespace sisg {
 namespace {

@@ -15,7 +15,7 @@
 #include "core/pipeline.h"
 #include "eges/eges.h"
 #include "eval/hitrate.h"
-#include "eval/table_printer.h"
+#include "obs/table_printer.h"
 
 namespace sisg {
 namespace {

@@ -10,7 +10,7 @@
 #include "corpus/corpus.h"
 #include "datagen/dataset.h"
 #include "eval/hitrate.h"
-#include "eval/table_printer.h"
+#include "obs/table_printer.h"
 #include "sgns/trainer.h"
 #include "sgns/warm_start.h"
 

@@ -11,7 +11,7 @@
 #include "core/pipeline.h"
 #include "datagen/dataset.h"
 #include "eval/hitrate.h"
-#include "eval/table_printer.h"
+#include "obs/table_printer.h"
 
 using namespace sisg;
 

@@ -48,10 +48,8 @@ namespace {
 const SimdOps kScalarOps = {simd_scalar::Dot,
                             simd_scalar::Axpy,
                             simd_scalar::SgnsUpdateFused,
-                            simd_scalar::DotBatch,
                             simd_scalar::TopKScan,
                             simd_scalar::DotI8,
-                            simd_scalar::DotBatchI8,
                             simd_scalar::TopKScanI8,
                             simd_scalar::TopKScanI8Tile,
                             simd_scalar::AdcScan,

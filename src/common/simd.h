@@ -69,17 +69,13 @@ struct SimdOps {
   void (*sgns_update_fused)(const float* in, float* grad_in, float* out_pos,
                             float* const* out_negs, int num_negs, float lr,
                             size_t dim, const SigmoidTable& sigmoid);
-  /// Retrieval scan: scores[i] = query . rows[i] for a contiguous block of
+  /// Fused retrieval scan + top-K selection over one contiguous block of
   /// `n` candidate rows spaced `stride` floats apart (stride >= dim; the
-  /// padding tail is ignored). The AVX2 version tiles 4 rows per pass so the
-  /// query stays in registers and prefetches ahead of the stream.
-  void (*dot_batch)(const float* query, const float* rows, size_t stride,
-                    uint32_t n, size_t dim, float* scores);
-  /// Fused retrieval scan + top-K selection over one contiguous block:
-  /// computes the dot products chunk-wise and folds them straight into
-  /// `sel`, pruning against sel->Threshold() so heap traffic only happens
-  /// for improving candidates. `ids` maps block row -> external id (nullptr:
-  /// the row index is the id); rows whose id equals `exclude` are skipped.
+  /// padding tail is ignored): computes the dot products chunk-wise and
+  /// folds them straight into `sel`, pruning against sel->Threshold() so
+  /// heap traffic only happens for improving candidates. `ids` maps block
+  /// row -> external id (nullptr: the row index is the id); rows whose id
+  /// equals `exclude` are skipped.
   void (*top_k_scan)(const float* query, const float* rows, size_t stride,
                      uint32_t n, size_t dim, const uint32_t* ids,
                      uint32_t exclude, TopKSelector* sel);
@@ -87,15 +83,12 @@ struct SimdOps {
   /// sum of q[i] * row[i] in int32 (no saturation; dim <= 2^16 is far below
   /// the int32 overflow bound of 127 * 255 * dim).
   int32_t (*dot_i8)(const int8_t* q, const uint8_t* row, size_t dim);
-  /// Batched integer dots over a contiguous block of `n` u8 rows spaced
-  /// `stride` BYTES apart (stride >= dim; padding codes are zero and benign).
-  void (*dot_batch_i8)(const int8_t* q, const uint8_t* rows, size_t stride,
-                       uint32_t n, size_t dim, int32_t* idots);
-  /// Fused int8 scan + top-K selection: integer dots per row, dequantized
-  /// through Int8DequantScore with the per-row affine params
-  /// (row_scales[i], row_mins[i]), folded into `sel` exactly like
-  /// top_k_scan. Bit-identical across dispatch levels (integer accumulation
-  /// is exact; the float dequant is one shared expression).
+  /// Fused int8 scan + top-K selection over `n` u8 rows spaced `stride`
+  /// BYTES apart (stride >= dim; padding codes are zero and benign): integer
+  /// dots per row, dequantized through Int8DequantScore with the per-row
+  /// affine params (row_scales[i], row_mins[i]), folded into `sel` exactly
+  /// like top_k_scan. Bit-identical across dispatch levels (integer
+  /// accumulation is exact; the float dequant is one shared expression).
   void (*top_k_scan_i8)(const Int8Query& query, const uint8_t* rows,
                         size_t stride, const float* row_scales,
                         const float* row_mins, uint32_t n, size_t dim,
@@ -152,14 +145,10 @@ void Axpy(float alpha, const float* x, float* y, size_t dim);
 void SgnsUpdateFused(const float* in, float* grad_in, float* out_pos,
                      float* const* out_negs, int num_negs, float lr,
                      size_t dim, const SigmoidTable& sigmoid);
-void DotBatch(const float* query, const float* rows, size_t stride, uint32_t n,
-              size_t dim, float* scores);
 void TopKScan(const float* query, const float* rows, size_t stride, uint32_t n,
               size_t dim, const uint32_t* ids, uint32_t exclude,
               TopKSelector* sel);
 int32_t DotI8(const int8_t* q, const uint8_t* row, size_t dim);
-void DotBatchI8(const int8_t* q, const uint8_t* rows, size_t stride,
-                uint32_t n, size_t dim, int32_t* idots);
 void TopKScanI8(const Int8Query& query, const uint8_t* rows, size_t stride,
                 const float* row_scales, const float* row_mins, uint32_t n,
                 size_t dim, const uint32_t* ids, uint32_t exclude,

@@ -119,6 +119,8 @@ inline __m128 Hsum4x256(__m256 a0, __m256 a1, __m256 a2, __m256 a3) {
   return _mm_add_ps(_mm256_castps256_ps128(h), _mm256_extractf128_ps(h, 1));
 }
 
+/// scores[i] = query . rows[i] over `n` rows spaced `stride` floats apart:
+/// 4-row tiles keep the query in registers and prefetch ahead of the stream.
 void DotBatchAvx2(const float* query, const float* rows, size_t stride,
                   uint32_t n, size_t dim, float* scores) {
   uint32_t i = 0;
@@ -222,6 +224,8 @@ int32_t DotI8Avx2(const int8_t* q, const uint8_t* row, size_t dim) {
   return dot;
 }
 
+/// idots[i] = exact integer q . rows[i] over `n` u8 rows spaced `stride`
+/// bytes apart (padding codes are zero and benign).
 void DotBatchI8Avx2(const int8_t* q, const uint8_t* rows, size_t stride,
                     uint32_t n, size_t dim, int32_t* idots) {
   uint32_t i = 0;
@@ -624,10 +628,8 @@ uint32_t Crc32Avx2(const void* data, size_t len, uint32_t crc) {
 constexpr SimdOps kAvx2Ops = {DotAvx2,
                               AxpyAvx2,
                               SgnsUpdateFusedAvx2,
-                              DotBatchAvx2,
                               TopKScanAvx2,
                               DotI8Avx2,
-                              DotBatchI8Avx2,
                               TopKScanI8Avx2,
                               TopKScanI8TileAvx2,
                               AdcScanAvx2,

@@ -64,13 +64,6 @@ void SgnsUpdateFused(const float* in, float* grad_in, float* out_pos,
   }
 }
 
-void DotBatch(const float* query, const float* rows, size_t stride, uint32_t n,
-              size_t dim, float* scores) {
-  for (uint32_t i = 0; i < n; ++i) {
-    scores[i] = Dot(query, rows + static_cast<size_t>(i) * stride, dim);
-  }
-}
-
 void TopKScan(const float* query, const float* rows, size_t stride, uint32_t n,
               size_t dim, const uint32_t* ids, uint32_t exclude,
               TopKSelector* sel) {
@@ -90,13 +83,6 @@ int32_t DotI8(const int8_t* q, const uint8_t* row, size_t dim) {
     acc += static_cast<int32_t>(q[i]) * static_cast<int32_t>(row[i]);
   }
   return acc;
-}
-
-void DotBatchI8(const int8_t* q, const uint8_t* rows, size_t stride,
-                uint32_t n, size_t dim, int32_t* idots) {
-  for (uint32_t i = 0; i < n; ++i) {
-    idots[i] = DotI8(q, rows + static_cast<size_t>(i) * stride, dim);
-  }
 }
 
 void TopKScanI8(const Int8Query& query, const uint8_t* rows, size_t stride,

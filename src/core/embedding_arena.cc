@@ -31,6 +31,31 @@ uint64_t FloatBlockOffset(uint32_t num_items, uint32_t num_cand) {
 
 }  // namespace
 
+ServingArena ServingArena::FromRows(uint32_t num_items, uint32_t dim,
+                                    uint32_t mode,
+                                    std::vector<float> query_rows,
+                                    AlignedFloatVector cand_rows,
+                                    std::vector<uint32_t> cand_ids,
+                                    std::vector<uint8_t> has_item) {
+  ServingArena arena;
+  arena.own_query_ = std::move(query_rows);
+  arena.own_cand_ = std::move(cand_rows);
+  arena.own_ids_ = std::move(cand_ids);
+  arena.own_has_ = std::move(has_item);
+  View& v = arena.view_;
+  v.num_items = num_items;
+  v.dim = dim;
+  v.num_cand = static_cast<uint32_t>(arena.own_ids_.size());
+  v.mode = mode;
+  v.query_stride = dim;
+  v.cand_stride = AlignedRowStride(dim);
+  v.query_rows = arena.own_query_.data();
+  v.cand_rows = arena.own_cand_.data();
+  v.cand_ids = arena.own_ids_.data();
+  v.has_item = arena.own_has_.data();
+  return arena;
+}
+
 Status ServingArena::Save(const std::string& path, const View& v) {
   if (v.num_items == 0 || v.dim == 0 || v.query_rows == nullptr ||
       v.cand_ids == nullptr || v.has_item == nullptr ||
@@ -157,13 +182,14 @@ StatusOr<ServingArena> ServingArena::Load(const std::string& path,
     SISG_RETURN_IF_ERROR(r.Read(arena.own_has_.data(), num_items));
     std::vector<char> pad(data_off - MetaBytes(num_items, num_cand));
     SISG_RETURN_IF_ERROR(r.Read(pad.data(), pad.size()));
-    arena.own_floats_.assign(
-        (static_cast<size_t>(num_items) + num_cand) * stride, 0.0f);
-    SISG_RETURN_IF_ERROR(r.Read(arena.own_floats_.data(),
-                                arena.own_floats_.size() * sizeof(float)));
-    arena.view_.query_rows = arena.own_floats_.data();
-    arena.view_.cand_rows =
-        arena.own_floats_.data() + static_cast<size_t>(num_items) * stride;
+    arena.own_query_.assign(static_cast<size_t>(num_items) * stride, 0.0f);
+    arena.own_cand_.assign(static_cast<size_t>(num_cand) * stride, 0.0f);
+    SISG_RETURN_IF_ERROR(r.Read(arena.own_query_.data(),
+                                arena.own_query_.size() * sizeof(float)));
+    SISG_RETURN_IF_ERROR(r.Read(arena.own_cand_.data(),
+                                arena.own_cand_.size() * sizeof(float)));
+    arena.view_.query_rows = arena.own_query_.data();
+    arena.view_.cand_rows = arena.own_cand_.data();
   }
   arena.view_.num_items = num_items;
   arena.view_.dim = dim;

@@ -19,8 +19,10 @@ namespace sisg {
 /// O(items x dim) data) stay in the file mapping: serving a model larger
 /// than RAM becomes a page-cache eviction problem, not an allocation. Both
 /// blocks are stored padded to the 64-byte AlignedRowStride layout at
-/// 64-byte-aligned file offsets, so mmap'd rows have exactly the alignment
-/// heap rows have and the SIMD scans run unchanged — and bit-identically.
+/// 64-byte-aligned file offsets, so mmap'd candidate rows have exactly the
+/// alignment heap rows have and the SIMD scans run unchanged — and
+/// bit-identically. It is also the engine's one in-memory form: a
+/// model-built engine holds a FromRows arena.
 class ServingArena {
  public:
   /// Borrowed description of the serving state (what Save writes and what
@@ -41,6 +43,16 @@ class ServingArena {
 
   ServingArena() = default;
 
+  /// A heap arena like the one a heap Load returns, over `query_rows`
+  /// (num_items x dim, dense: query rows are only read one at a time as
+  /// query vectors, so the caller's matrix is adopted without a copy) and
+  /// `cand_rows` (one row per entry of `cand_ids`, at AlignedRowStride(dim)).
+  static ServingArena FromRows(uint32_t num_items, uint32_t dim, uint32_t mode,
+                               std::vector<float> query_rows,
+                               AlignedFloatVector cand_rows,
+                               std::vector<uint32_t> cand_ids,
+                               std::vector<uint8_t> has_item);
+
   static Status Save(const std::string& path, const View& v);
 
   /// Loads an arena saved by Save. Heap mode copies everything out of the
@@ -54,7 +66,8 @@ class ServingArena {
  private:
   View view_;
   // Heap backing (empty in mmap mode, where floats live in map_).
-  AlignedFloatVector own_floats_;
+  std::vector<float> own_query_;
+  AlignedFloatVector own_cand_;
   // Metadata is always materialized (4-5 bytes per item — negligible next
   // to the float blocks, and queried on every lookup).
   std::vector<uint32_t> own_ids_;

@@ -6,7 +6,6 @@
 
 #include "common/flat_hash.h"
 #include "common/math_util.h"
-#include "common/quant.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 #include "obs/metrics.h"
@@ -18,21 +17,8 @@ float HnswIndex::Score(const float* q, uint32_t node) const {
       q, vectors_.data() + static_cast<size_t>(node) * stride_, dim_);
 }
 
-float HnswIndex::ScoreNode(const float* q, const Int8Query* iq,
-                           uint32_t node) const {
-  if (iq != nullptr) {
-    const int32_t idot = GetSimdOps().dot_i8(
-        iq->codes, i8_codes_.data() + static_cast<size_t>(node) * i8_stride_,
-        dim_);
-    return Int8DequantScore(*iq, i8_params_[node],
-                            i8_params_[ids_.size() + node], idot);
-  }
-  return Score(q, node);
-}
-
 std::vector<ScoredId> HnswIndex::SearchLayer(const float* q, uint32_t entry,
                                              uint32_t ef, int layer,
-                                             const Int8Query* iq,
                                              uint64_t* visited_count) const {
   // Max-heap of candidates to expand, bounded set of best results.
   using Entry = std::pair<float, uint32_t>;
@@ -47,7 +33,7 @@ std::vector<ScoredId> HnswIndex::SearchLayer(const float* q, uint32_t entry,
   static thread_local EpochVisitedSet visited;
   visited.Reset(ids_.size());
 
-  const float entry_score = ScoreNode(q, iq, entry);
+  const float entry_score = Score(q, entry);
   candidates.push({entry_score, entry});
   best.push({entry_score, entry});
   visited.TestAndSet(entry);
@@ -63,15 +49,11 @@ std::vector<ScoredId> HnswIndex::SearchLayer(const float* q, uint32_t entry,
     for (size_t j = 0; j < nbrs.size(); ++j) {
       if (j + 1 < nbrs.size()) {
         const size_t next = static_cast<size_t>(nbrs[j + 1]);
-        PrefetchRow(iq != nullptr
-                        ? static_cast<const void*>(i8_codes_.data() +
-                                                   next * i8_stride_)
-                        : static_cast<const void*>(vectors_.data() +
-                                                   next * stride_));
+        PrefetchRow(vectors_.data() + next * stride_);
       }
       const uint32_t nbr = nbrs[j];
       if (!visited.TestAndSet(nbr)) continue;
-      const float s = ScoreNode(q, iq, nbr);
+      const float s = Score(q, nbr);
       if (best.size() < ef || s > best.top().first) {
         candidates.push({s, nbr});
         best.push({s, nbr});
@@ -181,42 +163,19 @@ Status HnswIndex::Build(const float* data, uint32_t rows, uint32_t dim,
     }
   }
   if (ids_.empty()) return Status::InvalidArgument("hnsw: all rows are zero");
-  if (options.int8_traversal) {
-    // Quantize the packed rows once the graph is final; construction used
-    // fp32 throughout, so the graph is identical with or without this.
-    const uint32_t n = static_cast<uint32_t>(ids_.size());
-    i8_stride_ = AlignedByteStride(dim_);
-    i8_codes_.assign(static_cast<size_t>(n) * i8_stride_, 0);
-    i8_params_.assign(static_cast<size_t>(n) * 2, 0.0f);
-    for (uint32_t node = 0; node < n; ++node) {
-      QuantizeRowInt8(vectors_.data() + static_cast<size_t>(node) * stride_,
-                      dim_,
-                      i8_codes_.data() + static_cast<size_t>(node) * i8_stride_,
-                      &i8_params_[node], &i8_params_[static_cast<size_t>(n) + node]);
-    }
-  }
   return Status::OK();
 }
 
 std::vector<ScoredId> HnswIndex::Query(const float* query, uint32_t k,
                                        uint32_t exclude) const {
   if (ids_.empty() || k == 0) return {};
-  const bool int8 = options_.int8_traversal && !i8_codes_.empty();
-  std::vector<int8_t> qcodes;
-  Int8Query iq_storage;
-  const Int8Query* iq = nullptr;
-  if (int8) {
-    qcodes.resize(dim_);
-    iq_storage = QuantizeQueryInt8(query, dim_, qcodes.data());
-    iq = &iq_storage;
-  }
   uint32_t entry = entry_point_;
   for (int l = max_level_; l > 0; --l) {
     bool improved = true;
     while (improved) {
       improved = false;
       for (uint32_t nbr : links_[static_cast<size_t>(l)][entry]) {
-        if (ScoreNode(query, iq, nbr) > ScoreNode(query, iq, entry)) {
+        if (Score(query, nbr) > Score(query, entry)) {
           entry = nbr;
           improved = true;
         }
@@ -225,20 +184,12 @@ std::vector<ScoredId> HnswIndex::Query(const float* query, uint32_t k,
   }
   const uint32_t ef = std::max(options_.ef_search, k + 1);
   uint64_t visited = 0;
-  auto found = SearchLayer(query, entry, ef, 0, iq,
-                           obs::MetricsEnabled() ? &visited : nullptr);
+  const auto found = SearchLayer(query, entry, ef, 0,
+                                 obs::MetricsEnabled() ? &visited : nullptr);
   if (visited > 0) {
     static obs::Counter* const m_visited =
         obs::MetricsRegistry::Global().counter("serve.hnsw_visited_nodes");
     m_visited->Add(visited);
-  }
-  if (int8) {
-    // Exact fp32 re-score of the ef survivors: the int8 error only steers
-    // the walk, it never reaches a returned score.
-    for (auto& cand : found) cand.score = Score(query, cand.id);
-    std::sort(found.begin(), found.end(), [](const ScoredId& a, const ScoredId& b) {
-      return a.score > b.score;
-    });
   }
   std::vector<ScoredId> out;
   out.reserve(k);

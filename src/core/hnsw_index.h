@@ -20,11 +20,6 @@ struct HnswOptions {
   uint32_t ef_construction = 100; // beam width while building
   uint32_t ef_search = 64;        // beam width while querying (>= k advised)
   uint64_t seed = 77;
-  /// Score graph traversal against int8-quantized rows (4x+ less memory
-  /// traffic on the random-access beam walk — the part of HNSW that misses
-  /// cache) and exactly re-score the ef_search survivors in fp32 before the
-  /// final top-k. Construction always uses fp32.
-  bool int8_traversal = false;
 };
 
 class HnswIndex {
@@ -56,23 +51,16 @@ class HnswIndex {
 
  private:
   float Score(const float* q, uint32_t node) const;
-  /// Traversal score: int8 dequantized dot when `iq` is non-null (quantized
-  /// query against the code arena), exact fp32 otherwise.
-  float ScoreNode(const float* q, const Int8Query* iq, uint32_t node) const;
   /// Beam search on one layer from `entry`; returns up to `ef` best nodes
-  /// (internal ids), best-first. When `iq` is non-null traversal scores are
-  /// int8 approximations. When `visited_count` is non-null it is
+  /// (internal ids), best-first. When `visited_count` is non-null it is
   /// incremented by the number of distinct nodes touched (metrics).
   std::vector<ScoredId> SearchLayer(const float* q, uint32_t entry, uint32_t ef,
-                                    int layer, const Int8Query* iq = nullptr,
+                                    int layer,
                                     uint64_t* visited_count = nullptr) const;
 
   HnswOptions options_;
   uint32_t dim_ = 0;
   size_t stride_ = 0;              // AlignedRowStride(dim_)
-  size_t i8_stride_ = 0;           // AlignedByteStride(dim_), int8 mode only
-  AlignedByteVector i8_codes_;     // packed int8 rows, internal order
-  std::vector<float> i8_params_;   // scales[0..n) then mins[0..n)
   double level_mult_ = 0.0;
   std::vector<uint32_t> ids_;      // internal id -> original row id
   AlignedFloatVector vectors_;     // packed padded copies, internal order

@@ -41,11 +41,13 @@ enum class SimilarityMode {
 /// matching-stage candidate generator. Rows for items absent from training
 /// should be zero; they are skipped as candidates.
 ///
-/// Serving path: Build() compacts the trained candidate rows into one
+/// One stored form: Build() compacts the trained candidate rows into one
 /// 64-byte-aligned padded-stride block (untrained rows dropped, ids kept in
-/// a side array), and every query is a single blocked TopKScan through the
-/// runtime-dispatched SIMD kernels — no per-candidate function calls, no
-/// branch on untrained rows in the hot loop.
+/// a side array) inside a heap ServingArena, the same form LoadArena()
+/// returns (heap or mmap). One scan core: every query API funnels into a
+/// chunk-tiled pass over that block through the runtime-dispatched SIMD
+/// kernels — no per-candidate function calls, no branch on untrained rows
+/// in the hot loop; Query() and QueryVector() are batches of one.
 class MatchingEngine {
  public:
   MatchingEngine() = default;
@@ -61,7 +63,7 @@ class MatchingEngine {
 
   /// Whether the item had a non-zero embedding (i.e. was trained).
   bool HasItem(uint32_t item) const {
-    return item < num_items_ && has_item_[item] != 0;
+    return item < num_items_ && arena_->view().has_item[item] != 0;
   }
 
   /// Top-k most similar items to `item`, excluding itself. Empty when the
@@ -84,13 +86,14 @@ class MatchingEngine {
   /// ONE chunk-tiled pass over the candidate block — each ~32KB chunk of
   /// candidate rows is scanned by every query while it is cache-hot, so the
   /// block is streamed from memory once per batch instead of once per query,
-  /// and dispatch/top-k setup amortize across the batch. Results are
-  /// bit-identical to calling Query(items[i], ks[i]) per item (same kernels,
-  /// same row order, same selector state evolution); this is what makes the
-  /// network batcher's answers indistinguishable from the one-shot CLI's.
-  /// With a `pool`, the batch is sharded into per-worker coalesced
-  /// sub-batches. ANN backends fall back to the per-query path (posting-list
-  /// walks share no linear scan).
+  /// and dispatch/top-k setup amortize across the batch. Query() is the same
+  /// pass at n = 1, and the kernels fold rows into each query's selector in
+  /// the same order at every batch size, so results are bit-identical to
+  /// calling Query(items[i], ks[i]) per item; this is what makes the network
+  /// batcher's answers indistinguishable from the one-shot CLI's. With a
+  /// `pool`, the batch is sharded into per-worker coalesced sub-batches. ANN
+  /// backends walk their index per query (posting-list walks share no
+  /// linear scan).
   std::vector<std::vector<ScoredId>> QueryBatchCoalesced(
       const uint32_t* items, const uint32_t* ks, size_t n,
       ThreadPool* pool = nullptr) const;
@@ -99,7 +102,7 @@ class MatchingEngine {
   float Score(uint32_t query_item, uint32_t candidate) const;
 
   /// --- ANN acceleration with graceful degradation. Each Enable* attempts
-  /// to install the index over candidate_matrix(); on failure the engine
+  /// to install the index over DenseCandidateMatrix(); on failure the engine
   /// LOGs the degradation, keeps serving through the brute-force block scan
   /// (queries never error), marks degraded() and returns the underlying
   /// failure so callers can surface it.
@@ -141,51 +144,39 @@ class MatchingEngine {
   /// loads answer queries bit-identically.
   Status SaveArena(const std::string& path) const;
   Status LoadArena(const std::string& path, bool use_mmap = false);
-  bool arena_backed() const { return arena_ != nullptr; }
 
-  /// The matrix candidates are scored against (normalized input rows in
-  /// cosine mode, normalized output rows in directional mode) — what an ANN
-  /// index (IvfIndex, HnswIndex) should be built over. num_items() x dim()
-  /// row-major.
-  const std::vector<float>& candidate_matrix() const {
-    return mode_ == SimilarityMode::kDirectionalInOut ? out_ : in_;
-  }
+  /// Dense num_items() x dim() copy of the candidate rows (normalized input
+  /// rows in cosine mode, normalized output rows in directional mode; zero
+  /// rows for items without one) — what an ANN index (IvfIndex, HnswIndex)
+  /// is built over. Allocates; the query path never calls it.
+  std::vector<float> DenseCandidateMatrix() const;
 
-  /// The query-side row for an item (valid while the engine lives). For an
-  /// arena-backed engine this points into the arena (possibly an mmap).
+  /// The query-side row for a known item (valid while the engine lives). It
+  /// points into the arena, possibly an mmap.
   const float* QueryRow(uint32_t item) const {
-    return query_data_ + static_cast<size_t>(item) * query_stride_;
+    const ServingArena::View& v = arena_->view();
+    return v.query_rows + static_cast<size_t>(item) * v.query_stride;
   }
 
  private:
-  /// The candidate-side row for an item, or nullptr when the item has no
-  /// candidate row (untrained, or absent from the compact block).
-  const float* CandidateRow(uint32_t item) const {
-    if (!in_.empty() || !out_.empty()) {
-      const std::vector<float>& m =
-          mode_ == SimilarityMode::kDirectionalInOut ? out_ : in_;
-      return m.data() + static_cast<size_t>(item) * dim_;
-    }
-    const uint32_t row = row_of_item_[item];
-    if (row == UINT32_MAX) return nullptr;
-    return cand_data_ + static_cast<size_t>(row) * block_stride_;
-  }
+  /// One query of a scan: the prepared query row, the item id it must not
+  /// return (UINT32_MAX: none), its k (> 0), and where its answer goes.
+  struct Active;
 
-  /// num_items() x dim() dense candidate matrix for ANN index builds:
-  /// the engine's own matrix when model-built, or a dense rematerialization
-  /// of the compact block when arena-backed (scratch holds it then).
-  const float* DenseCandidateMatrix(std::vector<float>* scratch) const;
+  /// Answers act[0, n): records serve.queries and one serve.query_seconds
+  /// observation for the call, then shards the span over `pool` (when
+  /// given) into ScanSpan passes. Every query API funnels through here.
+  void Scan(const Active* act, size_t n, ThreadPool* pool) const;
+  /// The scan core: an ANN walk per query when an index is installed,
+  /// otherwise one chunk-tiled pass over the candidate block (int8 shortlist
+  /// plus exact fp32 rerank, or the fp32 scan).
+  void ScanSpan(const Active* act, size_t n) const;
 
-  /// (Re)derives the serving pointers and the item -> block-row map.
-  void IndexCandidates();
-
-  /// Blocked scan of the compact candidate block for one prepared query.
-  /// Funnels the per-query paths (Query/QueryVector), so this is where the
-  /// per-query latency histogram is recorded.
-  std::vector<ScoredId> ScanBlock(const float* query, uint32_t k,
-                                  uint32_t exclude) const;
-  std::vector<ScoredId> ScanBlockImpl(const float* query, uint32_t k,
-                                      uint32_t exclude) const;
+  /// Takes ownership of the serving state and resets everything derived
+  /// from the previous one (item -> row map, int8 codes, ANN indexes).
+  void InstallArena(std::unique_ptr<ServingArena> arena);
+  /// Switches the scan to `codes` (one row per candidate-block row).
+  void InstallInt8(std::unique_ptr<Int8Arena> codes);
 
   /// Publishes degraded_ to the serve.degraded gauge (cold path; runs on
   /// every ANN enable/degrade transition).
@@ -194,27 +185,18 @@ class MatchingEngine {
   uint32_t num_items_ = 0;
   uint32_t dim_ = 0;
   SimilarityMode mode_ = SimilarityMode::kCosineInput;
-  std::vector<float> in_;   // normalized rows in cosine mode (empty when
-  std::vector<float> out_;  // arena-backed)
-  std::vector<uint8_t> has_item_;
 
-  // Compact serving block: only trained candidate rows, 64-byte-aligned
-  // padded stride, plus the row -> item-id map the scan kernel consumes.
-  // cand_data_/query_data_ point either into the heap storage below or into
-  // an arena (possibly mmap'd) — the scan kernels cannot tell the
-  // difference, which is what makes heap and mmap serving bit-identical.
-  size_t block_stride_ = 0;
-  AlignedFloatVector cand_block_;
-  std::vector<uint32_t> cand_ids_;
-  std::vector<uint32_t> row_of_item_;  // item -> block row (UINT32_MAX: none)
-  const float* query_data_ = nullptr;
-  size_t query_stride_ = 0;
-  const float* cand_data_ = nullptr;
+  // The serving state, heap-owned after Build or a heap load, file-mapped
+  // after an mmap load. The scan kernels cannot tell the difference, which
+  // is what makes every form answer bit-identically.
   std::unique_ptr<ServingArena> arena_;
+  std::vector<uint32_t> row_of_item_;  // item -> block row (UINT32_MAX: none)
 
-  // Int8 brute-force scan state.
+  // Int8 brute-force scan state. The chunked shortlist scan takes global
+  // block rows as ids, so the identity map is built once per install.
   QuantMode quant_mode_ = QuantMode::kFp32;
   std::unique_ptr<Int8Arena> int8_arena_;
+  std::vector<uint32_t> int8_row_ids_;
 
   // Optional ANN acceleration; brute force remains the fallback whenever
   // these are absent (never built, failed to build, failed to load).

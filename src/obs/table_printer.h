@@ -10,8 +10,7 @@ namespace sisg {
 /// Fixed-width ASCII table used by the experiment harnesses to print
 /// paper-style tables (Table II, Table III, ...) and by the metrics
 /// exporter for the end-of-run summary. Lives in obs/ so both eval and the
-/// observability layer can use it without a dependency cycle; the old
-/// eval/table_printer.h include path still works.
+/// observability layer can use it without a dependency cycle.
 class TablePrinter {
  public:
   explicit TablePrinter(std::vector<std::string> headers);

@@ -247,21 +247,25 @@ void RunChaosWorker(const std::string& host, uint16_t port,
   }
 }
 
-Status PublishSynthArena(const std::string& dir, const std::string& token,
-                         uint32_t items, uint32_t dim, uint64_t seed,
-                         bool with_int8) {
+StatusOr<MatchingEngine> BuildSynthEngine(uint32_t items, uint32_t dim,
+                                          uint64_t seed) {
   if (items == 0 || dim == 0) {
-    return Status::InvalidArgument("synth arena: items and dim must be > 0");
+    return Status::InvalidArgument("synth engine: items and dim must be > 0");
   }
-  // Same deterministic construction as sisg_serve --synth_items: seed ->
-  // engine -> answers, so a test can rebuild the exact offline engine for
-  // any version it saw answering.
   Rng rng(seed);
   std::vector<float> in(static_cast<size_t>(items) * dim);
   for (float& v : in) v = static_cast<float>(rng.Gaussian());
   MatchingEngine engine;
   SISG_RETURN_IF_ERROR(engine.Build(std::move(in), {}, items, dim,
                                     SimilarityMode::kCosineInput));
+  return engine;
+}
+
+Status PublishSynthArena(const std::string& dir, const std::string& token,
+                         uint32_t items, uint32_t dim, uint64_t seed,
+                         bool with_int8) {
+  SISG_ASSIGN_OR_RETURN(MatchingEngine engine,
+                        BuildSynthEngine(items, dim, seed));
   // Artifacts first...
   SISG_RETURN_IF_ERROR(engine.SaveArena(dir + "/" + token + ".arena"));
   if (with_int8) {

@@ -6,6 +6,7 @@
 #include <string>
 
 #include "common/status.h"
+#include "core/matching_engine.h"
 
 namespace sisg::serve {
 
@@ -65,10 +66,17 @@ void RunChaosWorker(const std::string& host, uint16_t port,
                     uint64_t deadline_ns, uint64_t worker_id,
                     ChaosStats* stats);
 
+/// The deterministic synthetic engine: `items` x `dim` Gaussian rows drawn
+/// from `seed`, served in cosine mode. Same seed -> same engine -> same
+/// answers, so sisg_serve --synth_items, reload storms and tests can all
+/// rebuild the exact offline engine for any version they saw answering.
+StatusOr<MatchingEngine> BuildSynthEngine(uint32_t items, uint32_t dim,
+                                          uint64_t seed);
+
 /// Publishes a deterministic synthetic serving arena into `dir` as version
-/// `token`: builds the same seeded Gaussian engine sisg_serve --synth_items
-/// would, saves `<dir>/<token>.arena` (and `<token>.qarena` when
-/// `with_int8`), then atomically replaces `<dir>/LATEST` with the token —
+/// `token`: builds BuildSynthEngine(items, dim, seed), saves
+/// `<dir>/<token>.arena` (and `<token>.qarena` when `with_int8`), then
+/// atomically replaces `<dir>/LATEST` with the token —
 /// artifacts first, pointer last, the Checkpointer publication order. This
 /// is what reload storms in tests and sisg_chaos use as a model publisher.
 Status PublishSynthArena(const std::string& dir, const std::string& token,

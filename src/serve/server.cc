@@ -98,25 +98,10 @@ struct ServeServer::IoThread {
 ServeServer::ServeServer(ModelRegistry* registry, const ServerOptions& options)
     : registry_(registry), options_(options) {}
 
-ServeServer::ServeServer(const MatchingEngine* engine,
-                         const ServerOptions& options)
-    : registry_(nullptr),
-      owned_registry_(std::make_unique<ModelRegistry>()),
-      legacy_engine_(engine),
-      options_(options) {
-  registry_ = owned_registry_.get();
-}
-
 ServeServer::~ServeServer() { Shutdown(); }
 
 Status ServeServer::Start() {
   if (started_.load()) return Status::FailedPrecondition("server: already started");
-  if (legacy_engine_ != nullptr && registry_->version() == 0) {
-    if (legacy_engine_->num_items() == 0) {
-      return Status::FailedPrecondition("server: engine not built");
-    }
-    registry_->PublishBorrowed(legacy_engine_, "startup");
-  }
   {
     const SnapshotPtr snap = registry_ ? registry_->Acquire() : nullptr;
     if (snap == nullptr || snap->engine().num_items() == 0) {

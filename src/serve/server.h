@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "core/matching_engine.h"
 #include "serve/batcher.h"
 #include "serve/model_registry.h"
 #include "serve/wire.h"
@@ -68,9 +67,6 @@ class ServeServer {
   /// Serves versions published to `registry` (not owned; must outlive the
   /// server). At least one snapshot must be published before Start().
   ServeServer(ModelRegistry* registry, const ServerOptions& options);
-  /// Legacy single-model form: wraps `engine` (caller-owned, must outlive
-  /// the server) in an internal registry and publishes it at Start().
-  ServeServer(const MatchingEngine* engine, const ServerOptions& options);
   ~ServeServer();
 
   ServeServer(const ServeServer&) = delete;
@@ -112,10 +108,7 @@ class ServeServer {
   /// Evicts idle / frame-stalled connections; owning I/O thread only.
   void SweepIdle(IoThread* io, uint64_t now_ns);
 
-  ModelRegistry* registry_;
-  /// Backs the legacy single-engine constructor.
-  std::unique_ptr<ModelRegistry> owned_registry_;
-  const MatchingEngine* legacy_engine_ = nullptr;
+  ModelRegistry* const registry_;
   const ServerOptions options_;
   std::unique_ptr<QueryBatcher> batcher_;
   std::vector<std::unique_ptr<IoThread>> io_threads_;

@@ -374,8 +374,8 @@ TEST(IvfIndexTest, ServesSisgMatchingEngine) {
   opts.kmeans.num_clusters = 16;
   opts.nprobe = 6;
   ASSERT_TRUE(index
-                  .Build(engine->candidate_matrix().data(), engine->num_items(),
-                         engine->dim(), opts)
+                  .Build(engine->DenseCandidateMatrix().data(),
+                         engine->num_items(), engine->dim(), opts)
                   .ok());
   // ANN top-10 overlaps brute-force top-10 substantially.
   double recall = 0.0;

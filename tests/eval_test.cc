@@ -8,8 +8,8 @@
 #include "eval/ctr_simulator.h"
 #include "eval/hitrate.h"
 #include "eval/pca.h"
-#include "eval/table_printer.h"
 #include "eval/tsne.h"
+#include "obs/table_printer.h"
 
 namespace sisg {
 namespace {

@@ -5,7 +5,6 @@
 
 #include "datagen/dataset.h"
 #include "graph/category_graph.h"
-#include "graph/graph_stats.h"
 #include "graph/item_graph.h"
 #include "graph/partitioner.h"
 #include "graph/random_walker.h"
@@ -251,68 +250,6 @@ TEST_F(GraphFixture, HbgpHandlesWorkersEqualCategories) {
   ASSERT_TRUE(assignment.ok());
   std::set<uint32_t> used(assignment->begin(), assignment->end());
   EXPECT_EQ(used.size(), category_graph_.num_categories());
-}
-
-// --------------------------- graph stats ---------------------------
-
-TEST_F(GraphFixture, GraphStatsConsistent) {
-  const GraphStats s = ComputeGraphStats(graph_);
-  EXPECT_EQ(s.num_nodes, graph_.num_nodes());
-  EXPECT_EQ(s.num_edges, graph_.num_edges());
-  EXPECT_GE(s.mean_out_degree, 1.0);
-  EXPECT_GE(s.max_out_degree, static_cast<uint32_t>(s.mean_out_degree));
-  EXPECT_GE(s.reciprocity, 0.0);
-  EXPECT_LE(s.reciprocity, 1.0);
-  // Directed co-click world: most transitions are one-way.
-  EXPECT_LT(s.reciprocity, 0.6);
-  EXPECT_GE(s.num_weak_components, 1u);
-  EXPECT_LE(s.largest_component, s.num_nodes - s.num_isolated);
-}
-
-TEST_F(GraphFixture, WeakComponentsRespectEdges) {
-  const auto comp = WeakComponents(graph_);
-  ASSERT_EQ(comp.size(), graph_.num_nodes());
-  for (uint32_t u = 0; u < graph_.num_nodes(); ++u) {
-    for (uint32_t v : graph_.OutNeighbors(u)) {
-      EXPECT_EQ(comp[u], comp[v]) << u << "->" << v;
-    }
-  }
-}
-
-TEST(GraphStatsTest, HandCraftedGraph) {
-  // Sessions: 0->1->2 and 3->4; item 5 isolated.
-  Session a, b;
-  a.items = {0, 1, 2};
-  b.items = {3, 4};
-  ItemGraph g;
-  ASSERT_TRUE(g.Build({a, b}, 6).ok());
-  const GraphStats s = ComputeGraphStats(g);
-  EXPECT_EQ(s.num_nodes, 6u);
-  EXPECT_EQ(s.num_edges, 3u);
-  EXPECT_EQ(s.num_isolated, 1u);  // item 5
-  EXPECT_EQ(s.num_weak_components, 2u);
-  EXPECT_EQ(s.largest_component, 3u);
-  EXPECT_DOUBLE_EQ(s.reciprocity, 0.0);
-
-  // With a reverse edge, reciprocity rises.
-  Session c;
-  c.items = {1, 0};
-  ItemGraph g2;
-  ASSERT_TRUE(g2.Build({a, b, c}, 6).ok());
-  EXPECT_GT(ComputeGraphStats(g2).reciprocity, 0.4);
-}
-
-TEST(GraphStatsTest, DegreeHistogram) {
-  Session a;
-  a.items = {0, 1, 0, 2, 0, 3};  // node 0 has out-degree 3
-  ItemGraph g;
-  ASSERT_TRUE(g.Build({a}, 4).ok());
-  const auto hist = OutDegreeHistogram(g, 8);
-  ASSERT_EQ(hist.size(), 9u);
-  EXPECT_EQ(hist[3], 1u);  // node 0
-  uint64_t total = 0;
-  for (uint64_t h : hist) total += h;
-  EXPECT_EQ(total, 4u);
 }
 
 // --------------------------- random walker ---------------------------

@@ -372,6 +372,50 @@ TEST_F(MetricsTest, ScanBytesCountScoredAndStreamedBlocks) {
             int8_block + reranked->Value() * dim * sizeof(float));
 }
 
+// serve.query_seconds holds one observation per engine scan call — a
+// Query, a QueryVector, or one whole QueryBatchCoalesced batch, pooled or
+// not — while serve.queries counts the queries answered.
+TEST_F(MetricsTest, QuerySecondsObservesOncePerScanCall) {
+  obs::EnableMetrics(true);
+  auto& reg = obs::MetricsRegistry::Global();
+  obs::Counter* queries = reg.counter("serve.queries");
+  obs::Histogram* latency = reg.histogram("serve.query_seconds");
+
+  const uint32_t n = 200, dim = 16;
+  Rng rng(11);
+  std::vector<float> in(static_cast<size_t>(n) * dim);
+  for (float& x : in) x = static_cast<float>(rng.Gaussian());
+  MatchingEngine engine;
+  ASSERT_TRUE(
+      engine.Build(in, {}, n, dim, SimilarityMode::kCosineInput).ok());
+
+  constexpr uint32_t kCalls = 6;
+  for (uint32_t i = 0; i < kCalls; ++i) engine.Query(i * 3, 5);
+  EXPECT_EQ(latency->Count(), kCalls);
+  EXPECT_EQ(queries->Value(), kCalls);
+
+  std::vector<uint32_t> items, ks;
+  for (uint32_t i = 0; i < 9; ++i) {
+    items.push_back(i * 7);
+    ks.push_back(5);
+  }
+  reg.Reset();
+  engine.QueryBatchCoalesced(items.data(), ks.data(), items.size());
+  EXPECT_EQ(latency->Count(), 1u);
+  EXPECT_EQ(queries->Value(), items.size());
+
+  reg.Reset();
+  ThreadPool pool(2);
+  engine.QueryBatchCoalesced(items.data(), ks.data(), items.size(), &pool);
+  EXPECT_EQ(latency->Count(), 1u);
+  EXPECT_EQ(queries->Value(), items.size());
+
+  reg.Reset();
+  engine.QueryVector(in.data(), 5);
+  EXPECT_EQ(latency->Count(), 1u);
+  EXPECT_EQ(queries->Value(), 1u);
+}
+
 TEST_F(MetricsTest, TrainingBitIdenticalWithMetricsOnAndOff) {
   DatasetSpec spec;
   spec.catalog.num_items = 200;

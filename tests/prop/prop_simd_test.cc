@@ -207,32 +207,6 @@ double RowTolerance(const BlockCase& c, uint32_t r) {
   return 1e-4 * mag + 1e-6;
 }
 
-TEST(PropSimd, DotBatchParityScalarVsDispatched) {
-  const SimdOps& ops = DispatchedOps();
-  const Result r = ForAllSeeded<BlockCase>(
-      "dot_batch_parity", 150, BlockGen(/*adversarial=*/true),
-      [&](const BlockCase& c) -> std::string {
-        const size_t stride = AlignedRowStride(c.dim);
-        std::vector<float> ref(c.n), got(c.n);
-        simd_scalar::DotBatch(c.query.data(), c.rows.data(), stride, c.n,
-                              c.dim, ref.data());
-        ops.dot_batch(c.query.data(), c.rows.data(), stride, c.n, c.dim,
-                      got.data());
-        for (uint32_t i = 0; i < c.n; ++i) {
-          const double tol = RowTolerance(c, i);
-          if (std::fabs(static_cast<double>(ref[i]) - got[i]) > tol) {
-            std::ostringstream os;
-            os << "row " << i << ": scalar=" << ref[i]
-               << " dispatched=" << got[i] << " tol=" << tol;
-            return os.str();
-          }
-        }
-        return "";
-      },
-      nullptr, ShowBlock);
-  EXPECT_TRUE(r.ok) << r.message;
-}
-
 /// Soundness + completeness of a top-K result against double ground truth:
 /// right count, no excluded id, unique ids, every kept score correct for its
 /// id, and no skipped candidate beating the kept set by more than tolerance.
@@ -296,62 +270,6 @@ TEST(PropSimd, TopKScanSoundAgainstGroundTruth) {
         return CheckTopK(c, sel.Take());
       },
       nullptr, ShowBlock);
-  EXPECT_TRUE(r.ok) << r.message;
-}
-
-struct I8Case {
-  size_t dim = 1;
-  uint32_t n = 1;
-  std::vector<int8_t> q;
-  std::vector<uint8_t> rows;  // n * AlignedByteStride(dim), padding zeroed
-};
-
-Gen<I8Case> I8Gen() {
-  return Gen<I8Case>([](Rng& rng) {
-    I8Case c;
-    c.dim = DimGen()(rng);
-    c.n = static_cast<uint32_t>(rng.UniformInt(1, 16));
-    for (size_t i = 0; i < c.dim; ++i) {
-      c.q.push_back(static_cast<int8_t>(rng.UniformInt(-127, 127)));
-    }
-    const size_t stride = AlignedByteStride(c.dim);
-    c.rows.assign(static_cast<size_t>(c.n) * stride, 0);
-    for (uint32_t r = 0; r < c.n; ++r) {
-      for (size_t i = 0; i < c.dim; ++i) {
-        c.rows[r * stride + i] = static_cast<uint8_t>(rng.UniformU64(256));
-      }
-    }
-    return c;
-  });
-}
-
-TEST(PropSimd, IntegerDotKernelsExactAcrossDispatch) {
-  const SimdOps& ops = DispatchedOps();
-  const Result r = ForAllSeeded<I8Case>(
-      "dot_i8_exact", 200, I8Gen(),
-      [&](const I8Case& c) -> std::string {
-        const size_t stride = AlignedByteStride(c.dim);
-        std::vector<int32_t> ref(c.n), got(c.n);
-        simd_scalar::DotBatchI8(c.q.data(), c.rows.data(), stride, c.n, c.dim,
-                                ref.data());
-        ops.dot_batch_i8(c.q.data(), c.rows.data(), stride, c.n, c.dim,
-                         got.data());
-        for (uint32_t i = 0; i < c.n; ++i) {
-          // Integer accumulation is exact: any difference is a kernel bug.
-          if (ref[i] != got[i]) {
-            return "dot_batch_i8 row " + std::to_string(i) + ": scalar " +
-                   std::to_string(ref[i]) + " != dispatched " +
-                   std::to_string(got[i]);
-          }
-          const int32_t one =
-              ops.dot_i8(c.q.data(), c.rows.data() + i * stride, c.dim);
-          if (one != ref[i]) {
-            return "dot_i8 row " + std::to_string(i) + ": " +
-                   std::to_string(one) + " != " + std::to_string(ref[i]);
-          }
-        }
-        return "";
-      });
   EXPECT_TRUE(r.ok) << r.message;
 }
 

@@ -7,9 +7,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "common/quant.h"
@@ -44,7 +46,7 @@ std::vector<ScoredId> BruteForceRef(const MatchingEngine& engine,
                                     const float* query, uint32_t k,
                                     uint32_t exclude) {
   TopKSelector sel(k);
-  const std::vector<float>& cand = engine.candidate_matrix();
+  const std::vector<float> cand = engine.DenseCandidateMatrix();
   const uint32_t dim = engine.dim();
   for (uint32_t c = 0; c < engine.num_items(); ++c) {
     if (c == exclude || !engine.HasItem(c)) continue;
@@ -71,7 +73,7 @@ void ExpectResultsMatch(const MatchingEngine& engine,
     }
     return;
   }
-  const std::vector<float>& cand = engine.candidate_matrix();
+  const std::vector<float> cand = engine.DenseCandidateMatrix();
   const uint32_t dim = engine.dim();
   constexpr float kTol = 2e-5f;
   for (size_t i = 0; i < ref.size(); ++i) {
@@ -83,6 +85,56 @@ void ExpectResultsMatch(const MatchingEngine& engine,
     for (uint32_t d = 0; d < dim; ++d) acc += query[d] * row[d];
     EXPECT_NEAR(blocked[i].score, acc, kTol) << what << " id " << blocked[i].id;
   }
+}
+
+/// Same ids in the same order with the same score bits.
+void ExpectBitIdentical(const std::vector<ScoredId>& got,
+                        const std::vector<ScoredId>& want,
+                        const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].id, want[i].id) << what << " rank " << i;
+    EXPECT_EQ(std::bit_cast<uint32_t>(got[i].score),
+              std::bit_cast<uint32_t>(want[i].score))
+        << what << " rank " << i;
+  }
+}
+
+/// The pre-change int8 Query, pinned: one top_k_scan_i8 call over the whole
+/// code block (ids = block rows) for a 4x-deep shortlist, then an exact fp32
+/// rerank of the shortlist with the dispatched dot. The engine's chunked
+/// scan core must match it bit for bit.
+std::vector<ScoredId> Int8SingleCallRef(const MatchingEngine& engine,
+                                        uint32_t item, uint32_t k) {
+  const uint32_t dim = engine.dim();
+  const size_t stride = AlignedRowStride(dim);
+  const std::vector<float> dense = engine.DenseCandidateMatrix();
+  std::vector<uint32_t> ids;
+  AlignedFloatVector block;
+  for (uint32_t c = 0; c < engine.num_items(); ++c) {
+    if (!engine.HasItem(c)) continue;
+    ids.push_back(c);
+    block.resize(ids.size() * stride, 0.0f);
+    std::copy_n(dense.data() + static_cast<size_t>(c) * dim, dim,
+                block.data() + (ids.size() - 1) * stride);
+  }
+  const uint32_t rows = static_cast<uint32_t>(ids.size());
+  Int8Arena codes;
+  EXPECT_TRUE(codes.BuildFromRows(block.data(), rows, dim, stride).ok());
+  const SimdOps& ops = GetSimdOps();
+  const float* q = engine.QueryRow(item);
+  std::vector<int8_t> qcodes(dim);
+  const Int8Query iq = QuantizeQueryInt8(q, dim, qcodes.data());
+  TopKSelector shortlist(std::min(rows, std::max(4 * k, 32u)) + 1);
+  ops.top_k_scan_i8(iq, codes.codes(), codes.stride(), codes.scales(),
+                    codes.mins(), rows, dim, nullptr, UINT32_MAX, &shortlist);
+  TopKSelector sel(k);
+  for (const ScoredId& cand : shortlist.Take()) {
+    if (ids[cand.id] == item) continue;
+    const float s = ops.dot(q, block.data() + cand.id * stride, dim);
+    if (s > sel.Threshold()) sel.Push(s, ids[cand.id]);
+  }
+  return sel.Take();
 }
 
 // --------------------------- blocked engine scan ---------------------------
@@ -189,7 +241,8 @@ TEST(QueryBatchTest, EngineBatchMatchesSerialQueries) {
 TEST(QueryBatchTest, Int8CandidateTableRowsEqualQueryAt1And4Threads) {
   // A directional int8 engine spanning three item blocks, with untrained
   // items, so the table crosses block edges and mixes full query tiles with
-  // per-query remainders. Every row must be Query()'s answer bit for bit.
+  // per-query remainders. Every row must be Query()'s answer bit for bit,
+  // and Query() the answer of the single-call scan it replaced.
   Rng rng(105);
   const uint32_t n = 700, dim = 40, k = 20;
   const std::set<uint32_t> zeros = {3, 256, 511, 699};
@@ -199,6 +252,12 @@ TEST(QueryBatchTest, Int8CandidateTableRowsEqualQueryAt1And4Threads) {
   ASSERT_TRUE(
       engine.Build(in, out, n, dim, SimilarityMode::kDirectionalInOut).ok());
   ASSERT_TRUE(engine.EnableInt8().ok());
+  for (uint32_t item = 0; item < n; item += 3) {
+    if (!engine.HasItem(item)) continue;
+    ExpectBitIdentical(engine.Query(item, k),
+                       Int8SingleCallRef(engine, item, k),
+                       "single-call reference, item " + std::to_string(item));
+  }
   for (uint32_t threads : {1u, 4u}) {
     CandidateTable table;
     ASSERT_TRUE(table.Build(engine, k, threads).ok());
@@ -468,16 +527,11 @@ TEST(Int8KernelParity, DispatchedKernelsMatchScalarBitExact) {
   Rng rng(203);
   for (uint32_t dim : kParityDims) {
     Int8Fixture f(rng, 70, dim);
-    std::vector<int32_t> idots_ref(f.n), idots_got(f.n);
-    simd_scalar::DotBatchI8(f.iq.codes, f.rows.data(), f.stride, f.n, dim,
-                            idots_ref.data());
-    ops.dot_batch_i8(f.iq.codes, f.rows.data(), f.stride, f.n, dim,
-                     idots_got.data());
     for (uint32_t r = 0; r < f.n; ++r) {
-      EXPECT_EQ(ops.dot_i8(f.iq.codes, f.rows.data() + r * f.stride, dim),
-                idots_ref[r])
+      const uint8_t* row = f.rows.data() + r * f.stride;
+      EXPECT_EQ(ops.dot_i8(f.iq.codes, row, dim),
+                simd_scalar::DotI8(f.iq.codes, row, dim))
           << "dim=" << dim << " row=" << r;
-      EXPECT_EQ(idots_got[r], idots_ref[r]) << "dim=" << dim << " row=" << r;
     }
     TopKSelector ref_sel(10), got_sel(10);
     simd_scalar::TopKScanI8(f.iq, f.rows.data(), f.stride, f.scales.data(),
@@ -542,6 +596,7 @@ TEST(QuantRecallPin, Int8ScanRecall10Within1PercentOfFp32) {
   for (uint32_t q = 0; q < queries; ++q) fp32[q] = engine.Query(q, k);
   ASSERT_TRUE(engine.EnableInt8().ok());
   ASSERT_EQ(engine.quant_mode(), QuantMode::kInt8);
+  const std::vector<float> cand = engine.DenseCandidateMatrix();
   double recall = 0.0;
   for (uint32_t q = 0; q < queries; ++q) {
     const auto got = engine.Query(q, k);
@@ -555,8 +610,7 @@ TEST(QuantRecallPin, Int8ScanRecall10Within1PercentOfFp32) {
     for (const auto& b : got) {
       float acc = 0.0f;
       const float* qrow = engine.QueryRow(q);
-      const float* crow =
-          engine.candidate_matrix().data() + static_cast<size_t>(b.id) * dim;
+      const float* crow = cand.data() + static_cast<size_t>(b.id) * dim;
       for (uint32_t d = 0; d < dim; ++d) acc += qrow[d] * crow[d];
       EXPECT_NEAR(b.score, acc, 2e-5f);
     }
@@ -605,36 +659,59 @@ TEST(ArenaServing, HeapAndMmapLoadsMatchOriginalBitExact) {
   const std::set<uint32_t> zeros = {4, 99};
   auto in = RandomMatrix(rng, n, dim, zeros);
   auto out = RandomMatrix(rng, n, dim, zeros);
+  std::vector<float> qvec(dim);
+  for (auto& x : qvec) x = rng.UniformFloat() * 2.0f - 1.0f;
+  const std::string path = ::testing::TempDir() + "/retrieval.arena";
+  const std::string qpath = ::testing::TempDir() + "/retrieval.qarena";
   for (SimilarityMode mode :
        {SimilarityMode::kCosineInput, SimilarityMode::kDirectionalInOut}) {
-    MatchingEngine original;
-    ASSERT_TRUE(original.Build(in, out, n, dim, mode).ok());
-    const std::string path = ::testing::TempDir() + "/retrieval.arena";
-    ASSERT_TRUE(original.SaveArena(path).ok());
-
-    MatchingEngine heap, mapped;
-    ASSERT_TRUE(heap.LoadArena(path, /*use_mmap=*/false).ok());
-    ASSERT_TRUE(mapped.LoadArena(path, /*use_mmap=*/true).ok());
-    EXPECT_TRUE(heap.arena_backed());
-    EXPECT_TRUE(mapped.arena_backed());
-    ASSERT_EQ(heap.num_items(), n);
-    ASSERT_EQ(mapped.dim(), dim);
-    EXPECT_EQ(mapped.mode(), mode);
-
-    for (uint32_t item = 0; item < n; item += 7) {
-      const auto want = original.Query(item, k);
-      const auto got_heap = heap.Query(item, k);
-      const auto got_map = mapped.Query(item, k);
-      ASSERT_EQ(got_heap.size(), want.size()) << "item " << item;
-      ASSERT_EQ(got_map.size(), want.size()) << "item " << item;
-      for (size_t i = 0; i < want.size(); ++i) {
-        EXPECT_EQ(got_heap[i], want[i]) << "item " << item << " rank " << i;
-        EXPECT_EQ(got_map[i], want[i]) << "item " << item << " rank " << i;
+    for (bool int8 : {false, true}) {
+      const std::string what =
+          std::string(int8 ? "int8" : "fp32") + " mode " +
+          std::to_string(static_cast<int>(mode));
+      MatchingEngine original;
+      ASSERT_TRUE(original.Build(in, out, n, dim, mode).ok());
+      ASSERT_TRUE(original.SaveArena(path).ok());
+      MatchingEngine heap, mapped;
+      ASSERT_TRUE(heap.LoadArena(path, /*use_mmap=*/false).ok());
+      ASSERT_TRUE(mapped.LoadArena(path, /*use_mmap=*/true).ok());
+      if (int8) {
+        ASSERT_TRUE(original.EnableInt8().ok());
+        ASSERT_TRUE(original.SaveInt8(qpath).ok());
+        ASSERT_TRUE(heap.EnableInt8FromFile(qpath, /*use_mmap=*/false).ok());
+        ASSERT_TRUE(mapped.EnableInt8FromFile(qpath, /*use_mmap=*/true).ok());
       }
+      ASSERT_EQ(heap.num_items(), n);
+      ASSERT_EQ(mapped.dim(), dim);
+      EXPECT_EQ(mapped.mode(), mode);
+
+      for (uint32_t item = 0; item < n; item += 7) {
+        const auto want = original.Query(item, k);
+        const std::string at = what + " item " + std::to_string(item);
+        ExpectBitIdentical(heap.Query(item, k), want, "heap " + at);
+        ExpectBitIdentical(mapped.Query(item, k), want, "mmap " + at);
+      }
+      ExpectBitIdentical(mapped.QueryVector(qvec.data(), k),
+                         original.QueryVector(qvec.data(), k),
+                         "QueryVector " + what);
+      // Query is a coalesced batch of one: batches of 1, 2 and 5 (a whole
+      // int8 query tile plus a remainder) answer every item like Query.
+      for (size_t b : {1u, 2u, 5u}) {
+        std::vector<uint32_t> items, ks(b, k);
+        for (size_t i = 0; i < b; ++i) items.push_back(1 + 11 * i);
+        for (const MatchingEngine* e : {&original, &mapped}) {
+          const auto got = e->QueryBatchCoalesced(items.data(), ks.data(), b);
+          for (size_t i = 0; i < b; ++i) {
+            ExpectBitIdentical(got[i], e->Query(items[i], k),
+                               what + " batch " + std::to_string(b) +
+                                   " item " + std::to_string(items[i]));
+          }
+        }
+      }
+      // Untrained rows stay unknown through the arena round trip.
+      EXPECT_FALSE(heap.HasItem(4));
+      EXPECT_TRUE(mapped.Query(99, k).empty());
     }
-    // Untrained rows stay unknown through the arena round trip.
-    EXPECT_FALSE(heap.HasItem(4));
-    EXPECT_TRUE(mapped.Query(99, k).empty());
   }
 }
 
@@ -671,41 +748,6 @@ TEST(ArenaServing, Int8ArtifactServesIdenticallyHeapAndMmap) {
       EXPECT_EQ(got_map[i], want[i]) << "item " << item << " rank " << i;
     }
   }
-}
-
-TEST(HnswInt8Traversal, RecallCloseToFp32AndScoresExact) {
-  Rng rng(209);
-  const uint32_t n = 800, dim = 32, k = 10, queries = 40;
-  std::vector<float> data(static_cast<size_t>(n) * dim);
-  for (auto& x : data) x = rng.UniformFloat() - 0.5f;
-  HnswOptions fp32_opts;
-  HnswOptions i8_opts;
-  i8_opts.int8_traversal = true;
-  HnswIndex fp32_index, i8_index;
-  ASSERT_TRUE(fp32_index.Build(data.data(), n, dim, fp32_opts).ok());
-  ASSERT_TRUE(i8_index.Build(data.data(), n, dim, i8_opts).ok());
-  double delta = 0.0;
-  for (uint32_t q = 0; q < queries; ++q) {
-    const float* qv = data.data() + static_cast<size_t>(q) * dim;
-    const auto want = fp32_index.Query(qv, k, q);
-    const auto got = i8_index.Query(qv, k, q);
-    int common = 0;
-    for (const auto& a : want) {
-      for (const auto& b : got) common += a.id == b.id;
-    }
-    delta += 1.0 - static_cast<double>(common) / k;
-    // The ef survivors are re-scored exactly, so every returned score is a
-    // true fp32 inner product.
-    for (const auto& b : got) {
-      const float* row = data.data() + static_cast<size_t>(b.id) * dim;
-      float acc = 0.0f;
-      for (uint32_t d = 0; d < dim; ++d) acc += qv[d] * row[d];
-      EXPECT_NEAR(b.score, acc, 2e-5f) << "q=" << q << " id=" << b.id;
-    }
-  }
-  delta /= queries;
-  EXPECT_LE(delta, 0.05)
-      << "int8 beam traversal lost too much recall vs fp32 traversal";
 }
 
 }  // namespace

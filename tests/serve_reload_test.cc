@@ -40,19 +40,6 @@
 namespace sisg {
 namespace {
 
-/// Same construction PublishSynthArena uses: seed -> Gaussian rows ->
-/// cosine engine. The offline reference for any published version.
-MatchingEngine BuildSynthEngine(uint32_t items, uint32_t dim, uint64_t seed) {
-  Rng rng(seed);
-  std::vector<float> in(static_cast<size_t>(items) * dim);
-  for (float& v : in) v = static_cast<float>(rng.Gaussian());
-  MatchingEngine engine;
-  EXPECT_TRUE(
-      engine.Build(std::move(in), {}, items, dim, SimilarityMode::kCosineInput)
-          .ok());
-  return engine;
-}
-
 bool BitIdentical(const std::vector<ScoredId>& a,
                   const std::vector<ScoredId>& b) {
   if (a.size() != b.size()) return false;
@@ -89,7 +76,7 @@ TEST(ModelRegistryTest, VersionsAreMonotoneAndOldSnapshotsStayAlive) {
   EXPECT_EQ(registry.Acquire(), nullptr);
   EXPECT_EQ(registry.version(), 0u);
 
-  MatchingEngine borrowed = BuildSynthEngine(50, 8, 1);
+  MatchingEngine borrowed = serve::BuildSynthEngine(50, 8, 1).value();
   EXPECT_EQ(registry.PublishBorrowed(&borrowed, "startup"), 1u);
   const serve::SnapshotPtr v1 = registry.Acquire();
   ASSERT_NE(v1, nullptr);
@@ -97,7 +84,8 @@ TEST(ModelRegistryTest, VersionsAreMonotoneAndOldSnapshotsStayAlive) {
   EXPECT_EQ(v1->source(), "startup");
   const auto v1_answer = v1->engine().Query(3, 5);
 
-  auto owned = std::make_unique<MatchingEngine>(BuildSynthEngine(60, 8, 2));
+  auto owned = std::make_unique<MatchingEngine>(
+      serve::BuildSynthEngine(60, 8, 2).value());
   EXPECT_EQ(registry.PublishOwned(std::move(owned), "reload"), 2u);
   EXPECT_EQ(registry.version(), 2u);
   const serve::SnapshotPtr v2 = registry.Acquire();
@@ -113,7 +101,7 @@ TEST(ModelRegistryTest, VersionsAreMonotoneAndOldSnapshotsStayAlive) {
 // --- Validation gate. ---
 
 TEST(ValidateServingEngineTest, AcceptsHealthyRejectsEmpty) {
-  const MatchingEngine good = BuildSynthEngine(100, 8, 3);
+  const MatchingEngine good = serve::BuildSynthEngine(100, 8, 3).value();
   EXPECT_TRUE(serve::ValidateServingEngine(good, 8, 10).ok());
 
   const MatchingEngine empty;
@@ -171,7 +159,7 @@ TEST_F(ReloaderFixture, PicksUpArenaVersionsInOrder) {
 
   // Served answers are bit-identical to the offline engine built from the
   // same seed — the arena roundtrip loses nothing.
-  const MatchingEngine offline_a = BuildSynthEngine(80, 8, 11);
+  const MatchingEngine offline_a = serve::BuildSynthEngine(80, 8, 11).value();
   const serve::SnapshotPtr v1 = registry_.Acquire();
   EXPECT_TRUE(
       BitIdentical(v1->engine().Query(7, 10), offline_a.Query(7, 10)));
@@ -183,7 +171,7 @@ TEST_F(ReloaderFixture, PicksUpArenaVersionsInOrder) {
   ASSERT_TRUE(serve::PublishSynthArena(dir_, "b", 90, 8, 12, false).ok());
   ASSERT_TRUE(reloader.PollOnce().ok());
   EXPECT_EQ(registry_.version(), 2u);
-  const MatchingEngine offline_b = BuildSynthEngine(90, 8, 12);
+  const MatchingEngine offline_b = serve::BuildSynthEngine(90, 8, 12).value();
   const serve::SnapshotPtr v2 = registry_.Acquire();
   EXPECT_EQ(v2->engine().num_items(), 90u);
   EXPECT_TRUE(
@@ -325,7 +313,8 @@ TEST(HotSwapUnderLoadTest, TenSwapsEightConnectionsZeroErrorsBitIdentical) {
   offline.reserve(kVersions + 1);
   offline.emplace_back();  // index 0 unused
   for (uint64_t v = 1; v <= kVersions; ++v) {
-    offline.push_back(BuildSynthEngine(kItems, kDim, kSeedBase + v));
+    offline.push_back(
+        serve::BuildSynthEngine(kItems, kDim, kSeedBase + v).value());
   }
 
   serve::ModelRegistry registry;
@@ -429,13 +418,15 @@ TEST(HotSwapUnderLoadTest, TenSwapsEightConnectionsZeroErrorsBitIdentical) {
 
 TEST(ServeDeadlineTest, ExpiredQueuedRequestsAreShedTyped) {
   obs::EnableMetrics(true);
-  MatchingEngine engine = BuildSynthEngine(100, 8, 61);
+  MatchingEngine engine = serve::BuildSynthEngine(100, 8, 61).value();
+  serve::ModelRegistry registry;
+  registry.PublishBorrowed(&engine, "startup");
   serve::ServerOptions opts;
   opts.io_threads = 1;
   opts.batch.max_batch = 64;
   opts.batch.max_wait_us = 150000;  // hold the first batch open 150ms...
   opts.batch.deadline_us = 1000;    // ...far past the 1ms request deadline
-  serve::ServeServer server(&engine, opts);
+  serve::ServeServer server(&registry, opts);
   ASSERT_TRUE(server.Start().ok());
   const auto before = obs::MetricsRegistry::Global().Snapshot();
 
@@ -469,11 +460,13 @@ TEST(ServeDeadlineTest, ExpiredQueuedRequestsAreShedTyped) {
 
 TEST(ServeIdleTest, SilentAndStalledConnectionsAreEvicted) {
   obs::EnableMetrics(true);
-  MatchingEngine engine = BuildSynthEngine(50, 8, 71);
+  MatchingEngine engine = serve::BuildSynthEngine(50, 8, 71).value();
+  serve::ModelRegistry registry;
+  registry.PublishBorrowed(&engine, "startup");
   serve::ServerOptions opts;
   opts.io_threads = 1;
   opts.idle_timeout_ms = 100;
-  serve::ServeServer server(&engine, opts);
+  serve::ServeServer server(&registry, opts);
   ASSERT_TRUE(server.Start().ok());
   const auto before = obs::MetricsRegistry::Global().Snapshot();
 
@@ -521,10 +514,16 @@ TEST(ServeIdleTest, SilentAndStalledConnectionsAreEvicted) {
 // --- HEALTH frame. ---
 
 TEST(ServeHealthTest, ReportsReadyVersionAndShape) {
-  MatchingEngine engine = BuildSynthEngine(123, 16, 81);
+  MatchingEngine engine = serve::BuildSynthEngine(123, 16, 81).value();
+  serve::ModelRegistry registry;
   serve::ServerOptions opts;
   opts.io_threads = 1;
-  serve::ServeServer server(&engine, opts);
+  serve::ServeServer server(&registry, opts);
+  // Nothing published yet: the server refuses to start rather than advertise
+  // readiness it cannot back with a model.
+  const Status empty = server.Start();
+  EXPECT_EQ(empty.code(), StatusCode::kFailedPrecondition) << empty.ToString();
+  registry.PublishBorrowed(&engine, "startup");
   ASSERT_TRUE(server.Start().ok());
 
   auto client = serve::ServeClient::Connect("127.0.0.1", server.port());
@@ -542,13 +541,15 @@ TEST(ServeHealthTest, ReportsReadyVersionAndShape) {
 // --- Client-side timeout: typed, and the slow server is survivable. ---
 
 TEST(ServeClientTimeoutTest, IoTimeoutIsTypedDeadlineExceeded) {
-  MatchingEngine engine = BuildSynthEngine(80, 8, 91);
+  MatchingEngine engine = serve::BuildSynthEngine(80, 8, 91).value();
+  serve::ModelRegistry registry;
+  registry.PublishBorrowed(&engine, "startup");
   serve::ServerOptions opts;
   opts.io_threads = 1;
   opts.batch.max_batch = 64;
   opts.batch.max_wait_us = 2000000;  // hold replies 2s: longer than the
                                      // client is willing to wait
-  serve::ServeServer server(&engine, opts);
+  serve::ServeServer server(&registry, opts);
   ASSERT_TRUE(server.Start().ok());
 
   serve::ClientOptions copt;
@@ -567,11 +568,13 @@ TEST(ServeClientTimeoutTest, IoTimeoutIsTypedDeadlineExceeded) {
 // --- Chaos worker: attacks never take the server down. ---
 
 TEST(ServeChaosTest, SeededAttackSweepLeavesServerHealthy) {
-  MatchingEngine engine = BuildSynthEngine(150, 8, 101);
+  MatchingEngine engine = serve::BuildSynthEngine(150, 8, 101).value();
+  serve::ModelRegistry registry;
+  registry.PublishBorrowed(&engine, "startup");
   serve::ServerOptions opts;
   opts.io_threads = 1;
   opts.idle_timeout_ms = 100;  // slow-loris attacks get evicted, not parked
-  serve::ServeServer server(&engine, opts);
+  serve::ServeServer server(&registry, opts);
   ASSERT_TRUE(server.Start().ok());
 
   auto plan = serve::ChaosPlan::Parse("all,seed=424242");

@@ -16,12 +16,12 @@
 #include <thread>
 #include <vector>
 
-#include "common/rng.h"
 #include "common/thread_pool.h"
 #include "core/matching_engine.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "serve/batcher.h"
+#include "serve/chaos.h"
 #include "serve/client.h"
 #include "serve/model_registry.h"
 #include "serve/server.h"
@@ -29,18 +29,6 @@
 
 namespace sisg {
 namespace {
-
-MatchingEngine BuildRandomEngine(uint32_t items, uint32_t dim,
-                                 uint64_t seed = 99) {
-  Rng rng(seed);
-  std::vector<float> in(static_cast<size_t>(items) * dim);
-  for (float& v : in) v = static_cast<float>(rng.Gaussian());
-  MatchingEngine engine;
-  EXPECT_TRUE(
-      engine.Build(std::move(in), {}, items, dim, SimilarityMode::kCosineInput)
-          .ok());
-  return engine;
-}
 
 void ExpectBitIdentical(const std::vector<ScoredId>& a,
                         const std::vector<ScoredId>& b,
@@ -70,7 +58,7 @@ double GaugeVal(const obs::MetricsSnapshot& s, const std::string& name) {
 // --- Tentpole: coalesced batch scan == per-query scan, bit for bit. ---
 
 TEST(CoalescedScanTest, Fp32BitIdenticalToPerQuery) {
-  MatchingEngine engine = BuildRandomEngine(500, 24);
+  MatchingEngine engine = serve::BuildSynthEngine(500, 24, 99).value();
   std::vector<uint32_t> items, ks;
   for (uint32_t i = 0; i < 500; i += 3) {
     items.push_back(i);
@@ -86,7 +74,7 @@ TEST(CoalescedScanTest, Fp32BitIdenticalToPerQuery) {
 }
 
 TEST(CoalescedScanTest, Fp32BitIdenticalWithPoolSharding) {
-  MatchingEngine engine = BuildRandomEngine(300, 16);
+  MatchingEngine engine = serve::BuildSynthEngine(300, 16, 99).value();
   std::vector<uint32_t> items, ks;
   for (uint32_t i = 0; i < 300; i += 2) {
     items.push_back(i);
@@ -102,7 +90,7 @@ TEST(CoalescedScanTest, Fp32BitIdenticalWithPoolSharding) {
 }
 
 TEST(CoalescedScanTest, Int8BitIdenticalToPerQuery) {
-  MatchingEngine engine = BuildRandomEngine(400, 32);
+  MatchingEngine engine = serve::BuildSynthEngine(400, 32, 99).value();
   ASSERT_TRUE(engine.EnableInt8().ok());
   ASSERT_EQ(engine.quant_mode(), QuantMode::kInt8);
   std::vector<uint32_t> items, ks;
@@ -119,7 +107,7 @@ TEST(CoalescedScanTest, Int8BitIdenticalToPerQuery) {
 }
 
 TEST(CoalescedScanTest, HandlesUnknownItemsAndZeroK) {
-  MatchingEngine engine = BuildRandomEngine(100, 8);
+  MatchingEngine engine = serve::BuildSynthEngine(100, 8, 99).value();
   const std::vector<uint32_t> items = {5, 100000, 7, 9};
   const std::vector<uint32_t> ks = {10, 10, 0, 3};
   const auto batched =
@@ -157,7 +145,7 @@ struct CallbackSink {
 
 TEST(QueryBatcherTest, CoalescesQueuedRequestsIntoOneBatch) {
   obs::EnableMetrics(true);
-  MatchingEngine engine = BuildRandomEngine(200, 16);
+  MatchingEngine engine = serve::BuildSynthEngine(200, 16, 99).value();
   serve::BatchOptions opts;
   opts.max_batch = 16;
   opts.max_wait_us = 0;  // flush whatever is queued, immediately
@@ -193,7 +181,7 @@ TEST(QueryBatcherTest, CoalescesQueuedRequestsIntoOneBatch) {
 
 TEST(QueryBatcherTest, FullQueueRepliesBusyNeverBuffersUnboundedly) {
   obs::EnableMetrics(true);
-  MatchingEngine engine = BuildRandomEngine(100, 8);
+  MatchingEngine engine = serve::BuildSynthEngine(100, 8, 99).value();
   serve::BatchOptions opts;
   opts.queue_capacity = 4;
   serve::ModelRegistry registry;
@@ -242,7 +230,7 @@ TEST(QueryBatcherTest, MaxBatchZeroIsClampedAndStillDispatches) {
   // max_batch = 0 reaches the batcher through the unvalidated --max_batch
   // flag; it must behave as batch-of-1, not busy-spin taking zero items
   // (which also made Drain join a thread that never exits).
-  MatchingEngine engine = BuildRandomEngine(100, 8);
+  MatchingEngine engine = serve::BuildSynthEngine(100, 8, 99).value();
   serve::BatchOptions opts;
   opts.max_batch = 0;
   opts.max_wait_us = 0;
@@ -272,7 +260,8 @@ class LoopbackFixture : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     prefix_ = new std::string(::testing::TempDir() + "serve_e2e");
-    MatchingEngine engine = BuildRandomEngine(300, 24, /*seed=*/7);
+    MatchingEngine engine =
+        serve::BuildSynthEngine(300, 24, /*seed=*/7).value();
     ASSERT_TRUE(engine.SaveArena(*prefix_ + ".arena").ok());
     ASSERT_TRUE(engine.EnableInt8().ok());
     ASSERT_TRUE(engine.SaveInt8(*prefix_ + ".qarena").ok());
@@ -300,10 +289,12 @@ class LoopbackFixture : public ::testing::Test {
   static void RunMode(bool int8, bool mmap, const std::string& what) {
     MatchingEngine offline = LoadEngine(int8, mmap);
     MatchingEngine served = LoadEngine(int8, mmap);
+    serve::ModelRegistry registry;
+    registry.PublishBorrowed(&served, "startup");
     serve::ServerOptions opts;
     opts.io_threads = 1;
     opts.batch.max_wait_us = 100;
-    serve::ServeServer server(&served, opts);
+    serve::ServeServer server(&registry, opts);
     ASSERT_TRUE(server.Start().ok());
 
     auto client = serve::ServeClient::Connect("127.0.0.1", server.port());
@@ -344,10 +335,12 @@ TEST(ServeServerTest, HugeKIsClampedToWirePayloadBound) {
   static_assert(24 + uint64_t{serve::kMaxResultsPerResponse} * 8 <=
                     serve::kMaxPayloadBytes,
                 "response at the clamp bound must fit the payload limit");
-  MatchingEngine engine = BuildRandomEngine(150, 8);
+  MatchingEngine engine = serve::BuildSynthEngine(150, 8, 99).value();
+  serve::ModelRegistry registry;
+  registry.PublishBorrowed(&engine, "startup");
   serve::ServerOptions opts;
   opts.io_threads = 1;
-  serve::ServeServer server(&engine, opts);
+  serve::ServeServer server(&registry, opts);
   ASSERT_TRUE(server.Start().ok());
   auto client = serve::ServeClient::Connect("127.0.0.1", server.port());
   ASSERT_TRUE(client.ok());
@@ -364,13 +357,15 @@ TEST(ServeServerTest, HugeKIsClampedToWirePayloadBound) {
 
 TEST(ServeServerTest, OverloadRepliesBusyStaysUpAndRecovers) {
   obs::EnableMetrics(true);
-  MatchingEngine engine = BuildRandomEngine(200, 16);
+  MatchingEngine engine = serve::BuildSynthEngine(200, 16, 99).value();
+  serve::ModelRegistry registry;
+  registry.PublishBorrowed(&engine, "startup");
   serve::ServerOptions opts;
   opts.io_threads = 1;
   opts.batch.max_batch = 64;
   opts.batch.max_wait_us = 150000;  // hold the first batch open 150ms
   opts.batch.queue_capacity = 8;
-  serve::ServeServer server(&engine, opts);
+  serve::ServeServer server(&registry, opts);
   ASSERT_TRUE(server.Start().ok());
 
   const auto before = obs::MetricsRegistry::Global().Snapshot();
@@ -431,12 +426,14 @@ TEST(ServeServerTest, OverloadRepliesBusyStaysUpAndRecovers) {
 // --- Graceful drain: accepted requests are answered, then EOF. ---
 
 TEST(ServeServerTest, ShutdownDrainsQueuedRequestsBeforeClosing) {
-  MatchingEngine engine = BuildRandomEngine(100, 8);
+  MatchingEngine engine = serve::BuildSynthEngine(100, 8, 99).value();
+  serve::ModelRegistry registry;
+  registry.PublishBorrowed(&engine, "startup");
   serve::ServerOptions opts;
   opts.io_threads = 1;
   opts.batch.max_batch = 64;
   opts.batch.max_wait_us = 500000;  // queued work sits until the drain
-  serve::ServeServer server(&engine, opts);
+  serve::ServeServer server(&registry, opts);
   ASSERT_TRUE(server.Start().ok());
 
   auto client = serve::ServeClient::Connect("127.0.0.1", server.port());

@@ -41,7 +41,6 @@ TEST(SimdDispatchTest, ActiveOpsAreRunnable) {
   ASSERT_NE(ops.dot, nullptr);
   ASSERT_NE(ops.axpy, nullptr);
   ASSERT_NE(ops.sgns_update_fused, nullptr);
-  ASSERT_NE(ops.dot_batch, nullptr);
   ASSERT_NE(ops.top_k_scan, nullptr);
   const float a[4] = {1.0f, 2.0f, 3.0f, 4.0f};
   const float b[4] = {1.0f, 1.0f, 1.0f, 1.0f};
@@ -143,33 +142,6 @@ TEST(SimdParityTest, FusedHandlesManyNegativesAcrossChunks) {
 }
 
 // --------------------------- retrieval kernels ---------------------------
-
-TEST(SimdParityTest, DotBatchMatchesScalar) {
-  const SimdOps& ops = GetSimdOps();
-  Rng rng(15);
-  // Block sizes straddling the 4-row tile; strided (padded) and tight rows.
-  for (size_t dim : kDims) {
-    for (uint32_t n : {1u, 3u, 4u, 5u, 17u}) {
-      const size_t stride = AlignedRowStride(dim);
-      AlignedFloatVector rows(n * stride, 0.0f);
-      for (uint32_t r = 0; r < n; ++r) {
-        for (size_t d = 0; d < dim; ++d) {
-          rows[r * stride + d] = rng.UniformFloat() * 2.0f - 1.0f;
-        }
-      }
-      const auto q = RandomVec(rng, dim, 1.0f);
-      std::vector<float> ref(n), got(n);
-      simd_scalar::DotBatch(q.data(), rows.data(), stride, n, dim, ref.data());
-      ops.dot_batch(q.data(), rows.data(), stride, n, dim, got.data());
-      for (uint32_t r = 0; r < n; ++r) {
-        EXPECT_NEAR(got[r], ref[r], 1e-4f) << "dim=" << dim << " row=" << r;
-        // The strided batch must agree with the plain per-row dot.
-        EXPECT_NEAR(got[r], simd_scalar::Dot(q.data(), rows.data() + r * stride, dim),
-                    1e-4f);
-      }
-    }
-  }
-}
 
 TEST(SimdParityTest, TopKScanMatchesScalarSelector) {
   const SimdOps& ops = GetSimdOps();

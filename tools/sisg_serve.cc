@@ -31,9 +31,9 @@
 #include <utility>
 
 #include "common/flags.h"
-#include "common/rng.h"
 #include "core/matching_engine.h"
 #include "core/pipeline.h"
+#include "serve/chaos.h"
 #include "serve/model_registry.h"
 #include "serve/reloader.h"
 #include "serve/server.h"
@@ -62,17 +62,6 @@ void ApplyQuant(MatchingEngine& engine, const std::string& quant,
                 << "\n";
     }
   }
-}
-
-/// Deterministic random corpus for benchmarks and smoke tests: no training
-/// run needed, same seed -> same engine -> same answers.
-Status BuildSynthEngine(MatchingEngine* engine, uint32_t items, uint32_t dim,
-                        uint64_t seed) {
-  Rng rng(seed);
-  std::vector<float> in(static_cast<size_t>(items) * dim);
-  for (float& v : in) v = static_cast<float>(rng.Gaussian());
-  return engine->Build(std::move(in), {}, items, dim,
-                       SimilarityMode::kCosineInput);
 }
 
 }  // namespace
@@ -182,13 +171,13 @@ int main(int argc, char** argv) {
   } else {
     const auto items = static_cast<uint32_t>(flags.GetInt64("synth_items", 0));
     const auto dim = static_cast<uint32_t>(flags.GetInt64("synth_dim", 128));
-    if (auto st = BuildSynthEngine(
-            &engine, items, dim,
-            static_cast<uint64_t>(flags.GetInt64("synth_seed", 42)));
-        !st.ok()) {
-      std::cerr << "synth build failed: " << st.ToString() << "\n";
+    auto synth = serve::BuildSynthEngine(
+        items, dim, static_cast<uint64_t>(flags.GetInt64("synth_seed", 42)));
+    if (!synth.ok()) {
+      std::cerr << "synth build failed: " << synth.status().ToString() << "\n";
       return 1;
     }
+    engine = std::move(*synth);
     ApplyQuant(engine, quant, /*arena_prefix=*/"", use_mmap);
   }
 
