@@ -7,7 +7,9 @@
 // emits BENCH_quant.json, and EXPERIMENTS.md "Quantization microbench").
 // The batched rows (BM_ScanI8Tile/Loop: one batch of queries per iteration)
 // and the int8 candidate-table rows (one whole table per iteration) each
-// carry their baseline in the same binary.
+// carry their baseline in the same binary. The int8 scan rows also come in
+// an Avx2 form that runs the AVX2 table whatever the host dispatches, the
+// live baseline of the AVX-512 VNNI kernels on hosts that have them.
 
 #include <benchmark/benchmark.h>
 
@@ -67,15 +69,25 @@ void BM_ScanFp32(benchmark::State& state) {
 }
 BENCHMARK(BM_ScanFp32)->Arg(64)->Arg(128);
 
+/// The AVX2 table for the Avx2 baseline rows; nullptr (the row is skipped)
+/// on a binary or host without it.
+const SimdOps* Avx2Ops() {
+  return CpuSupportsAvx2() ? simd_avx2::Ops() : nullptr;
+}
+
 /// The int8 scan kernel: per-query symmetric quantization plus one
 /// top_k_scan_i8 over the 1-byte code block — 4x fewer bytes streamed than
 /// the fp32 scan at the same dim.
-void BM_ScanInt8(benchmark::State& state) {
+void RunScanInt8(benchmark::State& state, const SimdOps* table) {
+  if (table == nullptr) {
+    state.SkipWithError("dispatch level not available on this host");
+    return;
+  }
   const uint32_t dim = static_cast<uint32_t>(state.range(0));
   const auto data = CorpusData(kNumItems, dim, 41);
   Int8Arena arena;
   SISG_CHECK_OK(arena.BuildFromRows(data.data(), kNumItems, dim, dim));
-  const SimdOps& ops = GetSimdOps();
+  const SimdOps& ops = *table;
   Rng rng(42);
   std::vector<int8_t> qcodes(dim);
   for (auto _ : state) {
@@ -92,21 +104,34 @@ void BM_ScanInt8(benchmark::State& state) {
       static_cast<double>(static_cast<uint64_t>(kNumItems) * arena.stride());
   state.SetLabel(SimdLevelName(ops.level));
 }
+
+void BM_ScanInt8(benchmark::State& state) {
+  RunScanInt8(state, &GetSimdOps());
+}
 BENCHMARK(BM_ScanInt8)->Arg(64)->Arg(128);
+
+void BM_ScanInt8Avx2(benchmark::State& state) {
+  RunScanInt8(state, Avx2Ops());
+}
+BENCHMARK(BM_ScanInt8Avx2)->Arg(64)->Arg(128);
 
 /// The batched int8 scan: B prepared queries against the whole code block
 /// (shortlist 81, the engine's depth at k = 20), either through one
 /// top_k_scan_i8_tile call or through a top_k_scan_i8 loop, the path the
 /// tile replaced. Time is per batch; the ns_per_query counter divides it by
 /// B so rows compare across batch sizes.
-void RunScanI8Batch(benchmark::State& state, bool tile) {
+void RunScanI8Batch(benchmark::State& state, bool tile, const SimdOps* table) {
+  if (table == nullptr) {
+    state.SkipWithError("dispatch level not available on this host");
+    return;
+  }
   constexpr uint32_t kDim = 64;
   constexpr uint32_t kShortlist = 81;
   const auto batch = static_cast<size_t>(state.range(0));
   const auto data = CorpusData(kNumItems, kDim, 41);
   Int8Arena arena;
   SISG_CHECK_OK(arena.BuildFromRows(data.data(), kNumItems, kDim, kDim));
-  const SimdOps& ops = GetSimdOps();
+  const SimdOps& ops = *table;
   Rng rng(42);
   std::vector<int8_t> qcodes(batch * kDim);
   std::vector<Int8Query> iq(batch);
@@ -139,11 +164,25 @@ void RunScanI8Batch(benchmark::State& state, bool tile) {
   state.SetLabel(SimdLevelName(ops.level));
 }
 
-void BM_ScanI8Loop(benchmark::State& state) { RunScanI8Batch(state, false); }
+void BM_ScanI8Loop(benchmark::State& state) {
+  RunScanI8Batch(state, false, &GetSimdOps());
+}
 BENCHMARK(BM_ScanI8Loop)->Arg(1)->Arg(2)->Arg(4)->Arg(16)->Arg(64);
 
-void BM_ScanI8Tile(benchmark::State& state) { RunScanI8Batch(state, true); }
+void BM_ScanI8LoopAvx2(benchmark::State& state) {
+  RunScanI8Batch(state, false, Avx2Ops());
+}
+BENCHMARK(BM_ScanI8LoopAvx2)->Arg(1)->Arg(2)->Arg(4)->Arg(16)->Arg(64);
+
+void BM_ScanI8Tile(benchmark::State& state) {
+  RunScanI8Batch(state, true, &GetSimdOps());
+}
 BENCHMARK(BM_ScanI8Tile)->Arg(1)->Arg(2)->Arg(4)->Arg(16)->Arg(64);
+
+void BM_ScanI8TileAvx2(benchmark::State& state) {
+  RunScanI8Batch(state, true, Avx2Ops());
+}
+BENCHMARK(BM_ScanI8TileAvx2)->Arg(1)->Arg(2)->Arg(4)->Arg(16)->Arg(64);
 
 /// The production candidate table at train_publish's shape: 12k items,
 /// d = 64, directional scores, int8 shortlist + fp32 rerank, k = 20.

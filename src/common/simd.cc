@@ -11,6 +11,8 @@ const char* SimdLevelName(SimdLevel level) {
       return "scalar";
     case SimdLevel::kAvx2:
       return "avx2";
+    case SimdLevel::kAvx512Vnni:
+      return "avx512vnni";
   }
   return "unknown";
 }
@@ -30,17 +32,37 @@ bool CpuSupportsAvx2() {
 #endif
 }
 
-SimdLevel ResolveSimdLevel(const std::string& preference, bool cpu_has_avx2) {
-  if (preference == "scalar") return SimdLevel::kScalar;
-  const bool avx2_built = simd_avx2::Ops() != nullptr;
-  if (preference == "avx2") {
-    // Explicit request: honor it only when actually runnable; a binary
-    // without the AVX2 TU or a CPU without the feature falls back rather
-    // than crashing on an illegal instruction.
-    return (avx2_built && cpu_has_avx2) ? SimdLevel::kAvx2 : SimdLevel::kScalar;
+SimdLevel CpuSimdLevel() {
+  if (!CpuSupportsAvx2()) return SimdLevel::kScalar;
+#if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__)
+  // libgcc's feature bits for AVX-512 also require the OS to save the ZMM
+  // state (XCR0), so a kernel without AVX-512 support reads as AVX2 here.
+  if (__builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512bw") &&
+      __builtin_cpu_supports("avx512vl") &&
+      __builtin_cpu_supports("avx512vnni")) {
+    return SimdLevel::kAvx512Vnni;
   }
-  // "auto" (and anything unrecognized): best available.
-  return (avx2_built && cpu_has_avx2) ? SimdLevel::kAvx2 : SimdLevel::kScalar;
+#endif
+  return SimdLevel::kAvx2;
+}
+
+SimdLevel ResolveSimdLevel(const std::string& preference, SimdLevel cpu_level) {
+  if (preference == "scalar") return SimdLevel::kScalar;
+  // A level dispatches only when this binary carries its table and the CPU
+  // can run it; anything else would die on an illegal instruction.
+  const auto runnable = [cpu_level](SimdLevel level) {
+    const bool built = level == SimdLevel::kAvx512Vnni
+                           ? simd_avx512::Ops() != nullptr
+                           : simd_avx2::Ops() != nullptr;
+    return built && static_cast<int>(cpu_level) >= static_cast<int>(level);
+  };
+  if (preference == "avx2") {
+    return runnable(SimdLevel::kAvx2) ? SimdLevel::kAvx2 : SimdLevel::kScalar;
+  }
+  // "avx512vnni", "auto" and anything unrecognized: best runnable level.
+  if (runnable(SimdLevel::kAvx512Vnni)) return SimdLevel::kAvx512Vnni;
+  if (runnable(SimdLevel::kAvx2)) return SimdLevel::kAvx2;
+  return SimdLevel::kScalar;
 }
 
 namespace {
@@ -49,7 +71,6 @@ const SimdOps kScalarOps = {simd_scalar::Dot,
                             simd_scalar::Axpy,
                             simd_scalar::SgnsUpdateFused,
                             simd_scalar::TopKScan,
-                            simd_scalar::DotI8,
                             simd_scalar::TopKScanI8,
                             simd_scalar::TopKScanI8Tile,
                             simd_scalar::AdcScan,
@@ -61,9 +82,10 @@ const SimdOps kScalarOps = {simd_scalar::Dot,
 const SimdOps& GetSimdOps() {
   static const SimdOps* const ops = [] {
     const std::string pref = GetEnvString("SISG_SIMD", "auto");
-    const SimdLevel level = ResolveSimdLevel(pref, CpuSupportsAvx2());
-    const SimdOps* chosen =
-        level == SimdLevel::kAvx2 ? simd_avx2::Ops() : &kScalarOps;
+    const SimdLevel level = ResolveSimdLevel(pref, CpuSimdLevel());
+    const SimdOps* chosen = level == SimdLevel::kAvx512Vnni ? simd_avx512::Ops()
+                            : level == SimdLevel::kAvx2     ? simd_avx2::Ops()
+                                                            : &kScalarOps;
     SISG_LOG(Info) << "simd: dispatching " << SimdLevelName(chosen->level)
                    << " kernels (SISG_SIMD=" << pref << ")";
     return chosen;

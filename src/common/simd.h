@@ -16,16 +16,27 @@ namespace sisg {
 /// (serving) hot path and the artifact checksum. The engine's per-pair cost
 /// is dominated by Dot/Axpy over dim 64-256 rows, a top-K query by
 /// one-query-vs-many candidate scans, and an artifact load by the CRC-32
-/// over its payload; these are provided both as portable scalar references
-/// and as AVX2+FMA(+PCLMUL) versions, selected once at startup from CPUID
-/// (overridable via the SISG_SIMD env var: "scalar", "avx2" or "auto"). All
-/// kernels accept unaligned pointers; alignment (EmbeddingModel's and the
-/// indexes' 64-byte rows) is a performance property, not a correctness
-/// requirement.
+/// over its payload; these are provided as portable scalar references and
+/// as AVX2+FMA(+PCLMUL) versions, selected once at startup from CPUID
+/// (overridable via the SISG_SIMD env var: "scalar", "avx2", "avx512vnni"
+/// or "auto"). All kernels accept unaligned pointers; alignment
+/// (EmbeddingModel's and the indexes' 64-byte rows) is a performance
+/// property, not a correctness requirement.
+///
+/// A third level, kAvx512Vnni, serves the int8 scans only. Its table is a
+/// copy of the AVX2 table with top_k_scan_i8 and top_k_scan_i8_tile
+/// replaced by vpdpbusd kernels (u8 row codes x s8 query codes, summed into
+/// i32), so every fp32 kernel and the CRC run the very same AVX2 code and
+/// cannot change a bit. The int8 answers stay bit-identical across all
+/// three levels: the integer dots are exact at every level, every level
+/// dequantizes with Int8DequantScore's multiply/add order, and the VNNI
+/// kernels copy the query codes into a zero-padded buffer so the row
+/// padding their whole-chunk loads read always multiplies by zero.
 
 enum class SimdLevel : int {
   kScalar = 0,
   kAvx2 = 1,
+  kAvx512Vnni = 2,
 };
 
 const char* SimdLevelName(SimdLevel level);
@@ -79,16 +90,15 @@ struct SimdOps {
   void (*top_k_scan)(const float* query, const float* rows, size_t stride,
                      uint32_t n, size_t dim, const uint32_t* ids,
                      uint32_t exclude, TopKSelector* sel);
-  /// Exact integer dot product of an int8 query against one u8-coded row:
-  /// sum of q[i] * row[i] in int32 (no saturation; dim <= 2^16 is far below
-  /// the int32 overflow bound of 127 * 255 * dim).
-  int32_t (*dot_i8)(const int8_t* q, const uint8_t* row, size_t dim);
   /// Fused int8 scan + top-K selection over `n` u8 rows spaced `stride`
-  /// BYTES apart (stride >= dim; padding codes are zero and benign): integer
-  /// dots per row, dequantized through Int8DequantScore with the per-row
-  /// affine params (row_scales[i], row_mins[i]), folded into `sel` exactly
-  /// like top_k_scan. Bit-identical across dispatch levels (integer
-  /// accumulation is exact; the float dequant is one shared expression).
+  /// BYTES apart (stride >= dim). All `stride` bytes of every row must be
+  /// readable; the padding past `dim` may hold anything and never changes a
+  /// score. Exact integer dots per row (no saturation: 127 * 255 * dim stays
+  /// far below the int32 bound for dim <= 2^16), dequantized through
+  /// Int8DequantScore with the per-row affine params (row_scales[i],
+  /// row_mins[i]), folded into `sel` exactly like top_k_scan.
+  /// Bit-identical across dispatch levels (integer accumulation is exact;
+  /// the float dequant is one shared expression).
   void (*top_k_scan_i8)(const Int8Query& query, const uint8_t* rows,
                         size_t stride, const float* row_scales,
                         const float* row_mins, uint32_t n, size_t dim,
@@ -99,9 +109,11 @@ struct SimdOps {
   /// Defined as, and bit-identical to, one top_k_scan_i8 per query. The
   /// AVX2 version repacks each chunk of rows into per-thread
   /// [8-row group][dim pair][row] i16 scratch and scores register tiles of
-  /// kI8TileQueries queries x 16 rows with madd_epi16, so a row is widened
-  /// once per call instead of once per query and no horizontal sums are
-  /// needed.
+  /// kI8TileQueries queries x 16 rows with madd_epi16; the AVX-512 VNNI
+  /// version repacks raw u8 as [16-row group][dword][row] and scores
+  /// kI8TileQueries queries x 32 rows with vpdpbusd. Either way a row is
+  /// repacked once per call instead of once per query and no horizontal
+  /// sums are needed.
   void (*top_k_scan_i8_tile)(const Int8Query* queries, size_t num_queries,
                              const uint8_t* rows, size_t stride,
                              const float* row_scales, const float* row_mins,
@@ -130,13 +142,21 @@ struct SimdOps {
 /// this reference out of its inner loop.
 const SimdOps& GetSimdOps();
 
-/// Pure resolution logic, exposed for tests: maps a preference string and a
-/// CPU capability bit to the level that would be dispatched.
-SimdLevel ResolveSimdLevel(const std::string& preference, bool cpu_has_avx2);
+/// Pure resolution logic, exposed for tests: maps a preference string and
+/// the widest level the CPU can run (CpuSimdLevel) to the level that would
+/// be dispatched. "scalar" and "avx2" are honored when runnable, "avx2"
+/// falling back to scalar; "avx512vnni", "auto" and anything unrecognized
+/// take the widest level that is both built into this binary and runnable.
+SimdLevel ResolveSimdLevel(const std::string& preference, SimdLevel cpu_level);
 
 /// True when the running CPU supports AVX2+FMA and PCLMULQDQ, everything the
 /// AVX2 table executes (false on non-x86 builds).
 bool CpuSupportsAvx2();
+
+/// The widest level the running CPU can execute: kAvx512Vnni when
+/// CpuSupportsAvx2() holds and the CPU (and OS, for the ZMM state) also
+/// supports AVX-512 F, BW, VL and VNNI; kScalar on non-x86 builds.
+SimdLevel CpuSimdLevel();
 
 namespace simd_scalar {
 /// Portable reference implementations (always compiled).
@@ -148,6 +168,7 @@ void SgnsUpdateFused(const float* in, float* grad_in, float* out_pos,
 void TopKScan(const float* query, const float* rows, size_t stride, uint32_t n,
               size_t dim, const uint32_t* ids, uint32_t exclude,
               TopKSelector* sel);
+/// Exact integer dot product of an int8 query against one u8-coded row.
 int32_t DotI8(const int8_t* q, const uint8_t* row, size_t dim);
 void TopKScanI8(const Int8Query& query, const uint8_t* rows, size_t stride,
                 const float* row_scales, const float* row_mins, uint32_t n,
@@ -168,6 +189,12 @@ namespace simd_avx2 {
 /// was built without it (non-x86 target or compiler without the flags).
 const SimdOps* Ops();
 }  // namespace simd_avx2
+
+namespace simd_avx512 {
+/// Returns the AVX-512 VNNI dispatch table (the AVX2 table with the two
+/// int8 scans replaced), or nullptr when this binary was built without it.
+const SimdOps* Ops();
+}  // namespace simd_avx512
 
 /// Software-prefetch hint for an upcoming embedding row (read-only, all
 /// cache levels). Compiles to nothing on toolchains without the builtin, so

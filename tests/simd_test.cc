@@ -24,16 +24,52 @@ std::vector<float> RandomVec(Rng& rng, size_t dim, float scale = 0.1f) {
 // --------------------------- dispatch ---------------------------
 
 TEST(SimdDispatchTest, ResolveRespectsPreferenceAndCpu) {
-  EXPECT_EQ(ResolveSimdLevel("scalar", true), SimdLevel::kScalar);
-  EXPECT_EQ(ResolveSimdLevel("scalar", false), SimdLevel::kScalar);
-  EXPECT_EQ(ResolveSimdLevel("auto", false), SimdLevel::kScalar);
-  EXPECT_EQ(ResolveSimdLevel("avx2", false), SimdLevel::kScalar);
-  if (simd_avx2::Ops() != nullptr) {
-    EXPECT_EQ(ResolveSimdLevel("auto", true), SimdLevel::kAvx2);
-    EXPECT_EQ(ResolveSimdLevel("avx2", true), SimdLevel::kAvx2);
-  } else {
-    EXPECT_EQ(ResolveSimdLevel("auto", true), SimdLevel::kScalar);
+  const SimdLevel kScalar = SimdLevel::kScalar;
+  const SimdLevel kAvx2 = SimdLevel::kAvx2;
+  const SimdLevel kVnni = SimdLevel::kAvx512Vnni;
+  for (SimdLevel cpu : {kScalar, kAvx2, kVnni}) {
+    EXPECT_EQ(ResolveSimdLevel("scalar", cpu), kScalar);
   }
+  // A CPU without AVX2 runs scalar whatever is asked for.
+  for (const char* pref : {"auto", "avx2", "avx512vnni", "bogus"}) {
+    EXPECT_EQ(ResolveSimdLevel(pref, kScalar), kScalar) << pref;
+  }
+  const bool avx2_built = simd_avx2::Ops() != nullptr;
+  const bool vnni_built = simd_avx512::Ops() != nullptr;
+  const SimdLevel best_avx2 = avx2_built ? kAvx2 : kScalar;
+  const SimdLevel best_vnni = vnni_built ? kVnni : best_avx2;
+  // A CPU with AVX2 but no AVX-512 VNNI: an explicit avx512vnni request
+  // falls back to the best runnable level, never to an illegal instruction.
+  EXPECT_EQ(ResolveSimdLevel("auto", kAvx2), best_avx2);
+  EXPECT_EQ(ResolveSimdLevel("avx2", kAvx2), best_avx2);
+  EXPECT_EQ(ResolveSimdLevel("avx512vnni", kAvx2), best_avx2);
+  // A VNNI CPU: auto and avx512vnni take the widest built level, and avx2
+  // still pins the AVX2 table.
+  EXPECT_EQ(ResolveSimdLevel("auto", kVnni), best_vnni);
+  EXPECT_EQ(ResolveSimdLevel("avx512vnni", kVnni), best_vnni);
+  EXPECT_EQ(ResolveSimdLevel("bogus", kVnni), best_vnni);
+  EXPECT_EQ(ResolveSimdLevel("avx2", kVnni), best_avx2);
+}
+
+TEST(SimdDispatchTest, LevelNamesAndTables) {
+  EXPECT_STREQ(SimdLevelName(SimdLevel::kScalar), "scalar");
+  EXPECT_STREQ(SimdLevelName(SimdLevel::kAvx2), "avx2");
+  EXPECT_STREQ(SimdLevelName(SimdLevel::kAvx512Vnni), "avx512vnni");
+  EXPECT_EQ(CpuSimdLevel() != SimdLevel::kScalar, CpuSupportsAvx2());
+  const SimdOps* avx2 = simd_avx2::Ops();
+  const SimdOps* vnni = simd_avx512::Ops();
+  if (vnni == nullptr) return;
+  ASSERT_NE(avx2, nullptr);
+  EXPECT_EQ(vnni->level, SimdLevel::kAvx512Vnni);
+  // Only the two int8 scans differ, so fp32 results cannot move.
+  EXPECT_EQ(vnni->dot, avx2->dot);
+  EXPECT_EQ(vnni->axpy, avx2->axpy);
+  EXPECT_EQ(vnni->sgns_update_fused, avx2->sgns_update_fused);
+  EXPECT_EQ(vnni->top_k_scan, avx2->top_k_scan);
+  EXPECT_EQ(vnni->adc_scan, avx2->adc_scan);
+  EXPECT_EQ(vnni->crc32, avx2->crc32);
+  EXPECT_NE(vnni->top_k_scan_i8, avx2->top_k_scan_i8);
+  EXPECT_NE(vnni->top_k_scan_i8_tile, avx2->top_k_scan_i8_tile);
 }
 
 TEST(SimdDispatchTest, ActiveOpsAreRunnable) {
