@@ -1,9 +1,8 @@
 // Micro-benchmarks (google-benchmark) of the hot-path flat hash layer
 // (common/flat_hash.h) against the std::unordered_* containers they
-// replaced, plus the end-to-end rows the adoption moves: HNSW QueryBatch
-// (per-query visited set -> per-thread EpochVisitedSet) and the corpus
-// build fallback path (TokenCountMap internals), and the artifact CRC-32
-// (the pre-dispatch byte-at-a-time loop as the live baseline vs the
+// replaced, plus the end-to-end row the adoption moves, HNSW QueryBatch
+// (per-query visited set -> per-thread EpochVisitedSet), and the artifact
+// CRC-32 (the pre-dispatch byte-at-a-time loop as the live baseline vs the
 // dispatched kernel). Emits BENCH_hash.json from run_benches.sh; the >= 2x
 // acceptance gate lives on the mixed insert/lookup rows (EXPERIMENTS.md
 // "Hash microbench"), the CRC rows feed "Artifact checksum".
@@ -14,14 +13,12 @@
 #include <unordered_set>
 #include <vector>
 
-#include "bench/bench_common.h"
 #include "common/flat_hash.h"
 #include "common/io_util.h"
 #include "common/logging.h"
 #include "common/math_util.h"
 #include "common/rng.h"
 #include "core/hnsw_index.h"
-#include "corpus/corpus.h"
 
 namespace sisg {
 namespace {
@@ -238,9 +235,7 @@ BENCHMARK(BM_BeamVisitedEpoch);
 // --------------------------- end to end ---------------------------
 // The adopted paths themselves. BM_HnswQueryBatch is the serving-path row
 // (the visited-set swap feeds serve.hnsw_visited_nodes); compare against
-// the pre-adoption number recorded in EXPERIMENTS.md. BM_CorpusBuildMapPath
-// forces flat_count_threshold = 0 so ingestion counts through TokenCountMap
-// (now flat_hash internals) instead of the dense-array fast path.
+// the pre-adoption number recorded in EXPERIMENTS.md.
 
 void BM_HnswQueryBatch(benchmark::State& state) {
   constexpr uint32_t kItems = 60000, kDim = 64, kQueries = 512;
@@ -272,30 +267,6 @@ void BM_HnswQueryBatch(benchmark::State& state) {
 }
 BENCHMARK(BM_HnswQueryBatch)->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond)
     ->UseRealTime();
-
-void BM_CorpusBuildMapPath(benchmark::State& state) {
-  static const SyntheticDataset& ds = []() -> const SyntheticDataset& {
-    static const SyntheticDataset d = [] {
-      auto r = SyntheticDataset::Generate(bench::DefaultSpec("SynHash"));
-      SISG_CHECK(r.ok());
-      return std::move(r).value();
-    }();
-    return d;
-  }();
-  static const TokenSpace ts = TokenSpace::Create(&ds.catalog(), &ds.users());
-  CorpusOptions opts;
-  opts.min_count = 2;
-  opts.num_threads = static_cast<uint32_t>(state.range(0));
-  opts.flat_count_threshold = 0;  // force the TokenCountMap fallback path
-  for (auto _ : state) {
-    Corpus c;
-    SISG_CHECK(c.Build(ds.train_sessions(), ts, ds.catalog(), opts).ok());
-    benchmark::DoNotOptimize(c.num_tokens());
-  }
-  state.SetItemsProcessed(state.iterations() * ds.train_sessions().size());
-}
-BENCHMARK(BM_CorpusBuildMapPath)->Arg(1)->Arg(4)
-    ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 // ------------------------------ CRC-32 ------------------------------
 // Artifact checksum throughput at page (4 KB), L2-ish (1 MB) and

@@ -119,6 +119,15 @@ void AtomicFile::Abandon() {
   std::remove(tmp_path_.c_str());
 }
 
+Status WriteFileAtomic(const std::string& path, std::string_view bytes) {
+  SISG_ASSIGN_OR_RETURN(AtomicFile file, AtomicFile::Create(path));
+  if (std::fwrite(bytes.data(), 1, bytes.size(), file.stream()) !=
+      bytes.size()) {
+    return Status::IOError(ErrnoMessage("short write", file.path()));
+  }
+  return file.Commit();
+}
+
 StatusOr<ArtifactWriter> ArtifactWriter::Open(const std::string& path,
                                               const std::string& kind,
                                               uint32_t version) {

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <string_view>
 #include <type_traits>
 
 #include "common/status.h"
@@ -52,6 +53,10 @@ class AtomicFile {
   std::string tmp_path_;
   std::FILE* file_ = nullptr;
 };
+
+/// Publishes `bytes` as the whole content of `path` through an AtomicFile:
+/// readers see the old file or the complete new one, never a torn write.
+Status WriteFileAtomic(const std::string& path, std::string_view bytes);
 
 /// On-disk artifact header shared by every binary artifact in the repo
 /// (embedding models, vocabularies, checkpoints, ANN indexes):

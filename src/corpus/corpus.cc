@@ -2,19 +2,14 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <deque>
-#include <functional>
 #include <optional>
 #include <span>
 #include <thread>
 
 #include "common/io_util.h"
 #include "common/thread_pool.h"
-#include "common/timer.h"
-#include "corpus/count_map.h"
 
 namespace sisg {
 namespace {
@@ -31,18 +26,16 @@ constexpr size_t kChunkSessions = 1024;
 
 /// One ingest work unit: a contiguous run of sessions, either a slice of the
 /// caller's vector or a block read from a SessionSource and parsed on a
-/// worker. The flat fast path only ever stores per-session encoded lengths
-/// in `lens` (tokens stays empty — sequences are written straight into the
-/// arena); the fallback path materializes enriched tokens in `tokens` and
-/// rewrites them in place during encode.
+/// worker. Enriched tokens are never materialized: `lens` holds each
+/// session's encoded length and sequences are written straight into the
+/// arena.
 struct ChunkState {
   SessionBlock block;                 // streaming path only
   const Session* sessions = nullptr;  // vector path only
   size_t num_sessions = 0;
-  std::vector<uint32_t> tokens;
   std::vector<uint32_t> lens;
-  uint64_t token_total = 0;  // flat path: encoded tokens in this chunk
-  uint64_t seq_total = 0;    // flat path: surviving sequences in this chunk
+  uint64_t token_total = 0;  // encoded tokens in this chunk
+  uint64_t seq_total = 0;    // surviving sequences in this chunk
   Status status;
   std::atomic<bool> ingested{false};  // streaming: parsed and counted
 
@@ -66,53 +59,14 @@ struct ChunkState {
   }
 };
 
-/// Per-worker click counters for the flat path: one add per item click and
-/// one per session, instead of one per enriched token. Token counts are
-/// recovered afterwards by expanding item clicks through the per-item token
-/// block (every click of item i contributes exactly its block of tokens).
+/// Per-worker click counters: one add per item click and one per session,
+/// instead of one per enriched token. Token counts are recovered afterwards
+/// by expanding item clicks through the per-item token block (every click
+/// of item i contributes exactly its block of tokens).
 struct ClickCounts {
   std::vector<uint64_t> items;
   std::vector<uint64_t> user_types;
 };
-
-/// Phase-timing probe for perf work: SISG_CORPUS_PROF=1 prints per-phase
-/// wall times to stderr.
-class PhaseProf {
- public:
-  PhaseProf()
-      : on_(std::getenv("SISG_CORPUS_PROF") != nullptr),
-        t_ns_(MonotonicNanos()) {}
-  void Mark(const char* what) {
-    if (!on_) return;
-    const uint64_t now = MonotonicNanos();
-    std::fprintf(stderr, "  [corpus] %-10s %.3f ms\n", what,
-                 static_cast<double>(now - t_ns_) * 1e-6);
-    t_ns_ = now;
-  }
-
- private:
-  bool on_;
-  uint64_t t_ns_;  // MonotonicNanos — the shared clock every timer uses
-};
-
-/// Validates one session against the token space. The flat path fuses the
-/// same checks (byte-identical messages) into its counting loop.
-Status ValidateSession(uint32_t user_type, std::span<const uint32_t> items,
-                       const TokenSpace& ts) {
-  if (user_type >= ts.num_user_types()) {
-    return Status::OutOfRange(
-        "corpus: user type " + std::to_string(user_type) +
-        " outside the universe of " + std::to_string(ts.num_user_types()));
-  }
-  for (uint32_t item : items) {
-    if (item >= ts.num_items()) {
-      return Status::OutOfRange("corpus: item " + std::to_string(item) +
-                                " outside the catalog of " +
-                                std::to_string(ts.num_items()));
-    }
-  }
-  return Status::OK();
-}
 
 }  // namespace
 
@@ -139,7 +93,6 @@ Status Corpus::BuildImpl(const std::vector<Session>* sessions,
   options_ = options;
   vocab_ = Vocabulary();
   packed_.Clear();
-  PhaseProf prof;
 
   size_t num_threads = options.num_threads;
   if (num_threads == 0) {
@@ -148,56 +101,23 @@ Status Corpus::BuildImpl(const std::vector<Session>* sessions,
   std::optional<ThreadPool> pool;
   if (num_threads > 1) pool.emplace(num_threads);
 
-  const bool flat = token_space.num_tokens() <= options.flat_count_threshold;
   const SequenceEnricher enricher(&token_space, &catalog, options.enrich);
   const uint32_t block = enricher.TokensPerItem();
   const bool has_ut = options.enrich.include_user_type;
+  const uint32_t num_items = token_space.num_items();
 
-  // Flat path: the enriched form of a click is a pure function of the item,
-  // so the catalog/feature lookups are paid once per *item* here instead of
-  // once per click during ingest. Block layout matches
-  // SequenceEnricher::Enrich exactly: item token, then the SI tokens in
-  // AllItemFeatureKinds order (the streamed-vs-materialized and
-  // flat-vs-map parity tests pin this equivalence).
-  std::vector<uint32_t> item_blocks;
-  if (flat) {
-    item_blocks.resize(static_cast<size_t>(token_space.num_items()) * block);
-    uint32_t* out = item_blocks.data();
-    for (uint32_t item = 0; item < token_space.num_items(); ++item) {
-      *out++ = token_space.ItemToken(item);
-      if (options.enrich.include_item_si) {
-        const ItemMeta& m = catalog.meta(item);
-        for (ItemFeatureKind kind : AllItemFeatureKinds()) {
-          *out++ = token_space.SiToken(kind, m.Feature(kind));
-        }
-      }
-    }
-  }
-  prof.Mark("table");
-
-  // Phase 1: count. Chunks are processed independently; each worker counts
-  // into its own slot (no locks, no sharing). The main thread (index -1)
-  // uses slot 0, which is safe because it only runs chunks itself when
-  // there is no pool.
-  std::vector<ClickCounts> clicks(flat ? std::max<size_t>(num_threads, 1) : 0);
-  std::vector<TokenCountMap> maps(flat ? 0 : std::max<size_t>(num_threads, 1));
-  if (!flat) {
-    const size_t hint =
-        options.vocab_size_hint != 0
-            ? options.vocab_size_hint
-            : static_cast<size_t>(token_space.num_tokens()) / 4 + 1024;
-    for (TokenCountMap& m : maps) m.Reserve(hint);
-  }
-
-  // Flat: tally item clicks and user types; sessions are kept for encode.
+  // Phase 1: count. Chunks are processed independently; each worker tallies
+  // item clicks and user types into its own slot (no locks, no sharing).
+  // The main thread (index -1) uses slot 0, which is safe because it only
+  // runs chunks itself when there is no pool. Sessions are kept for encode.
+  std::vector<ClickCounts> clicks(num_threads);
   auto count_chunk = [&](ChunkState* cs) {
     const int widx = ThreadPool::CurrentWorkerIndex();
     ClickCounts& local = clicks[widx < 0 ? 0 : static_cast<size_t>(widx)];
     if (local.items.empty()) {
-      local.items.resize(token_space.num_items(), 0);
+      local.items.resize(num_items, 0);
       local.user_types.resize(token_space.num_user_types(), 0);
     }
-    const uint32_t num_items = token_space.num_items();
     cs->ForEachSession([&](size_t, uint32_t user_type,
                            std::span<const uint32_t> items) {
       if (user_type >= token_space.num_user_types()) {
@@ -221,37 +141,6 @@ Status Corpus::BuildImpl(const std::vector<Session>* sessions,
     });
   };
 
-  // Fallback: enrich into materialized token runs and count each token into
-  // the worker's open-addressing map; a streamed block's raw sessions are
-  // dead weight after, and encode releases them.
-  auto enrich_chunk = [&](ChunkState* cs) {
-    const int widx = ThreadPool::CurrentWorkerIndex();
-    TokenCountMap& local = maps[widx < 0 ? 0 : static_cast<size_t>(widx)];
-    size_t expect = 0;
-    cs->ForEachSession(
-        [&](size_t, uint32_t, std::span<const uint32_t> items) {
-          expect += items.size() * block + 1;
-          return true;
-        });
-    cs->tokens.reserve(expect);
-    cs->lens.reserve(cs->num_sessions);
-    std::vector<uint32_t> buf;
-    cs->ForEachSession([&](size_t, uint32_t user_type,
-                           std::span<const uint32_t> items) {
-      cs->status = ValidateSession(user_type, items, token_space);
-      if (!cs->status.ok()) return false;
-      enricher.Enrich(user_type, items, &buf);
-      cs->tokens.insert(cs->tokens.end(), buf.begin(), buf.end());
-      cs->lens.push_back(static_cast<uint32_t>(buf.size()));
-      for (uint32_t tok : buf) local.Add(tok);
-      return true;
-    });
-  };
-
-  const std::function<void(ChunkState*)> process =
-      flat ? std::function<void(ChunkState*)>(count_chunk)
-           : std::function<void(ChunkState*)>(enrich_chunk);
-
   std::deque<ChunkState> chunks;  // deque: stable addresses across growth
   Status ingest_status;
   if (sessions != nullptr) {
@@ -261,9 +150,9 @@ Status Corpus::BuildImpl(const std::vector<Session>* sessions,
       cs.sessions = sessions->data() + start;
       cs.num_sessions = std::min(kChunkSessions, sessions->size() - start);
       if (pool) {
-        pool->Submit([&process, cs_ptr = &cs] { process(cs_ptr); });
+        pool->Submit([&count_chunk, cs_ptr = &cs] { count_chunk(cs_ptr); });
       } else {
-        process(&cs);
+        count_chunk(&cs);
       }
     }
   } else {
@@ -272,10 +161,10 @@ Status Corpus::BuildImpl(const std::vector<Session>* sessions,
     // budget in input order, a window of blocks behind the reader, so at
     // most that many raw blocks are in flight and reading stops soon after
     // a line that fails the stream.
-    auto ingest = [&process, source](ChunkState* cs) {
+    auto ingest = [&count_chunk, source](ChunkState* cs) {
       source->ParseBlock(&cs->block);
       cs->num_sessions = cs->block.sessions.size();
-      process(cs);
+      count_chunk(cs);
       cs->ingested.store(true, std::memory_order_release);
       cs->ingested.notify_one();
     };
@@ -310,7 +199,6 @@ Status Corpus::BuildImpl(const std::vector<Session>* sessions,
     }
   }
   if (pool) pool->Wait();  // workers hold pointers into chunks/counters
-  prof.Mark("count");
   SISG_RETURN_IF_ERROR(ingest_status);
   size_t total_sessions = 0;
   for (const ChunkState& cs : chunks) total_sessions += cs.num_sessions;
@@ -324,29 +212,56 @@ Status Corpus::BuildImpl(const std::vector<Session>* sessions,
   // Phase 2: deterministic merge + vocabulary. Addition is commutative, so
   // the merge order across worker counters cannot affect any count; vocab
   // id assignment sorts by (count desc, token asc) — a total order.
-  if (flat) {
-    ClickCounts& merged = clicks[0];
-    if (merged.items.empty()) {
-      merged.items.resize(token_space.num_items(), 0);
-      merged.user_types.resize(token_space.num_user_types(), 0);
+  ClickCounts merged = std::move(clicks[0]);
+  if (merged.items.empty()) {
+    merged.items.resize(num_items, 0);
+    merged.user_types.resize(token_space.num_user_types(), 0);
+  }
+  for (size_t w = 1; w < clicks.size(); ++w) {
+    if (clicks[w].items.empty()) continue;
+    for (size_t i = 0; i < merged.items.size(); ++i) {
+      merged.items[i] += clicks[w].items[i];
     }
-    for (size_t w = 1; w < clicks.size(); ++w) {
-      if (clicks[w].items.empty()) continue;
-      for (size_t i = 0; i < merged.items.size(); ++i) {
-        merged.items[i] += clicks[w].items[i];
-      }
-      for (size_t u = 0; u < merged.user_types.size(); ++u) {
-        merged.user_types[u] += clicks[w].user_types[u];
-      }
+    for (size_t u = 0; u < merged.user_types.size(); ++u) {
+      merged.user_types[u] += clicks[w].user_types[u];
     }
-    // Expand clicks to token counts through the per-item blocks: a click of
-    // item i contributes exactly one occurrence of each token in block i.
+    clicks[w] = ClickCounts();
+  }
+
+  // The enriched form of a click is a pure function of the item, so the
+  // catalog/feature lookups are paid once per clicked item, not once per
+  // click. Item i's block is blocks[enc_off[i], enc_off[i + 1]): its item
+  // token, then its SI tokens in AllItemFeatureKinds order, exactly as
+  // SequenceEnricher::Enrich emits them (prop_ingest_test's Enrich-based
+  // reference pins this); items nobody clicked get an empty block.
+  std::vector<uint32_t> enc_off(static_cast<size_t>(num_items) + 1, 0);
+  std::vector<uint32_t> blocks;
+  {
+    size_t clicked = 0;
+    for (uint64_t c : merged.items) clicked += c != 0;
+    blocks.reserve(clicked * block);
+    for (uint32_t item = 0; item < num_items; ++item) {
+      if (merged.items[item] != 0) {
+        blocks.push_back(token_space.ItemToken(item));
+        if (options.enrich.include_item_si) {
+          const ItemMeta& m = catalog.meta(item);
+          for (ItemFeatureKind kind : AllItemFeatureKinds()) {
+            blocks.push_back(token_space.SiToken(kind, m.Feature(kind)));
+          }
+        }
+      }
+      enc_off[item + 1] = static_cast<uint32_t>(blocks.size());
+    }
+  }
+  {
+    // Expand clicks to token counts through the blocks: a click of item i
+    // contributes exactly one occurrence of each token in block i.
     std::vector<uint64_t> token_counts(token_space.num_tokens(), 0);
-    for (size_t item = 0; item < merged.items.size(); ++item) {
+    for (uint32_t item = 0; item < num_items; ++item) {
       const uint64_t c = merged.items[item];
-      if (c == 0) continue;
-      const uint32_t* b = item_blocks.data() + item * block;
-      for (uint32_t k = 0; k < block; ++k) token_counts[b[k]] += c;
+      for (uint32_t k = enc_off[item]; k < enc_off[item + 1]; ++k) {
+        token_counts[blocks[k]] += c;
+      }
     }
     if (has_ut) {
       for (size_t ut = 0; ut < merged.user_types.size(); ++ut) {
@@ -354,190 +269,105 @@ Status Corpus::BuildImpl(const std::vector<Session>* sessions,
             merged.user_types[ut];
       }
     }
-    clicks.clear();
+    merged = ClickCounts();
     SISG_RETURN_IF_ERROR(vocab_.BuildFromCounts(token_counts,
                                                 options.min_count, token_space));
-  } else {
-    TokenCountMap merged = std::move(maps[0]);
-    for (size_t i = 1; i < maps.size(); ++i) merged.MergeFrom(maps[i]);
-    maps.clear();
-    SISG_RETURN_IF_ERROR(vocab_.BuildFromCounts(
-        merged, token_space.num_tokens(), options.min_count, token_space));
   }
-  prof.Mark("vocab");
 
-  if (flat) {
-    // Phase 3 (flat): re-encode the per-item blocks into vocab-id space
-    // once (dropping sub-min_count tokens), size every chunk exactly, then
-    // write each sequence straight into its final arena slot. No
-    // intermediate token buffers, no stitch copy.
-    const uint32_t num_items = token_space.num_items();
-    std::vector<uint32_t> enc_off(static_cast<size_t>(num_items) + 1, 0);
-    std::vector<uint32_t> enc_tokens;
-    enc_tokens.reserve(item_blocks.size());
+  // Phase 3: re-encode the blocks into vocab-id space in place, dropping
+  // sub-min_count tokens. Each token yields at most one id, so the write
+  // cursor never passes the read cursor and no second table is needed.
+  {
+    size_t r = 0, w = 0;
     for (uint32_t item = 0; item < num_items; ++item) {
-      const uint32_t* b = item_blocks.data() + size_t{item} * block;
-      for (uint32_t k = 0; k < block; ++k) {
-        const int32_t v = vocab_.ToVocab(b[k]);
-        if (v >= 0) enc_tokens.push_back(static_cast<uint32_t>(v));
+      for (const size_t end = enc_off[item + 1]; r < end; ++r) {
+        const int32_t v = vocab_.ToVocab(blocks[r]);
+        if (v >= 0) blocks[w++] = static_cast<uint32_t>(v);
       }
-      enc_off[item + 1] = static_cast<uint32_t>(enc_tokens.size());
+      enc_off[item + 1] = static_cast<uint32_t>(w);
     }
-    std::vector<int32_t> ut_enc;
-    if (has_ut) {
-      ut_enc.resize(token_space.num_user_types());
-      for (uint32_t ut = 0; ut < ut_enc.size(); ++ut) {
-        ut_enc[ut] = vocab_.ToVocab(token_space.UserTypeToken(ut));
-      }
+  }
+  std::vector<int32_t> ut_enc;
+  if (has_ut) {
+    ut_enc.resize(token_space.num_user_types());
+    for (uint32_t ut = 0; ut < ut_enc.size(); ++ut) {
+      ut_enc[ut] = vocab_.ToVocab(token_space.UserTypeToken(ut));
     }
-
-    // 3a: exact per-session encoded lengths (0 = dropped), chunk totals.
-    auto size_chunk = [&](ChunkState* cs) {
-      cs->lens.resize(cs->num_sessions);
-      cs->token_total = 0;
-      cs->seq_total = 0;
-      cs->ForEachSession([&](size_t i, uint32_t user_type,
-                             std::span<const uint32_t> items) {
-        uint64_t n = 0;
-        for (uint32_t item : items) n += enc_off[item + 1] - enc_off[item];
-        if (has_ut && ut_enc[user_type] >= 0) ++n;
-        if (n < 2) n = 0;  // dropped: fewer than 2 surviving tokens
-        cs->lens[i] = static_cast<uint32_t>(n);
-        cs->token_total += n;
-        cs->seq_total += n != 0;
-        return true;
-      });
-    };
-    if (pool) {
-      for (ChunkState& cs : chunks) {
-        pool->Submit([&size_chunk, cs_ptr = &cs] { size_chunk(cs_ptr); });
-      }
-      pool->Wait();
-    } else {
-      for (ChunkState& cs : chunks) size_chunk(&cs);
-    }
-
-    // 3b: prefix sums fix every chunk's destination range up front.
-    std::vector<uint64_t> tok_off(chunks.size()), seq_off(chunks.size());
-    uint64_t total_tokens = 0, total_seqs = 0;
-    for (size_t i = 0; i < chunks.size(); ++i) {
-      tok_off[i] = total_tokens;
-      seq_off[i] = total_seqs;
-      total_tokens += chunks[i].token_total;
-      total_seqs += chunks[i].seq_total;
-    }
-    if (total_seqs == 0) {
-      return Status::InvalidArgument(
-          "corpus: all sequences empty after filtering");
-    }
-    packed_.Resize(total_seqs, total_tokens);
-    prof.Mark("size");
-
-    // 3c: the writes target disjoint ranges, so chunks encode concurrently;
-    // output order == input order, independent of threads.
-    auto encode_chunk = [&, this](size_t ci) {
-      ChunkState& cs = chunks[ci];
-      uint32_t* out = packed_.mutable_tokens() + tok_off[ci];
-      uint64_t* offsets = packed_.mutable_offsets();
-      uint64_t off = tok_off[ci];
-      uint64_t seq = seq_off[ci];
-      cs.ForEachSession([&](size_t i, uint32_t user_type,
-                            std::span<const uint32_t> items) {
-        const uint32_t n = cs.lens[i];
-        if (n == 0) return true;
-        offsets[seq++] = off;
-        off += n;
-        for (uint32_t item : items) {
-          const uint32_t len = enc_off[item + 1] - enc_off[item];
-          std::memcpy(out, enc_tokens.data() + enc_off[item],
-                      len * sizeof(uint32_t));
-          out += len;
-        }
-        if (has_ut) {
-          const int32_t v = ut_enc[user_type];
-          if (v >= 0) *out++ = static_cast<uint32_t>(v);
-        }
-        return true;
-      });
-      cs.block = SessionBlock();
-    };
-    if (pool) {
-      pool->ParallelFor(chunks.size(), encode_chunk);
-    } else {
-      for (size_t i = 0; i < chunks.size(); ++i) encode_chunk(i);
-    }
-    prof.Mark("encode");
-    return Status::OK();
   }
 
-  // Phase 3 (fallback): encode each chunk in place (vocab ids are never
-  // longer than the enriched tokens they replace, so the write cursor can
-  // never pass the read cursor). Sequences with < 2 surviving tokens are
-  // dropped.
-  auto encode_chunk = [this](ChunkState* cs) {
-    size_t r = 0, w = 0, out_seq = 0;
-    for (size_t i = 0; i < cs->lens.size(); ++i) {
-      const size_t len = cs->lens[i];
-      const size_t seq_start = w;
-      for (size_t j = 0; j < len; ++j) {
-        const int32_t v = vocab_.ToVocab(cs->tokens[r + j]);
-        if (v >= 0) cs->tokens[w++] = static_cast<uint32_t>(v);
-      }
-      r += len;
-      if (w - seq_start >= 2) {
-        cs->lens[out_seq++] = static_cast<uint32_t>(w - seq_start);
-      } else {
-        w = seq_start;
-      }
-    }
-    cs->tokens.resize(w);
-    cs->lens.resize(out_seq);
-    cs->block = SessionBlock();
+  // 3a: exact per-session encoded lengths (0 = dropped), chunk totals.
+  auto size_chunk = [&](ChunkState* cs) {
+    cs->lens.resize(cs->num_sessions);
+    cs->token_total = 0;
+    cs->seq_total = 0;
+    cs->ForEachSession([&](size_t i, uint32_t user_type,
+                           std::span<const uint32_t> items) {
+      uint64_t n = 0;
+      for (uint32_t item : items) n += enc_off[item + 1] - enc_off[item];
+      if (has_ut && ut_enc[user_type] >= 0) ++n;
+      if (n < 2) n = 0;  // dropped: fewer than 2 surviving tokens
+      cs->lens[i] = static_cast<uint32_t>(n);
+      cs->token_total += n;
+      cs->seq_total += n != 0;
+      return true;
+    });
   };
   if (pool) {
     for (ChunkState& cs : chunks) {
-      pool->Submit([&encode_chunk, cs_ptr = &cs] { encode_chunk(cs_ptr); });
+      pool->Submit([&size_chunk, cs_ptr = &cs] { size_chunk(cs_ptr); });
     }
     pool->Wait();
   } else {
-    for (ChunkState& cs : chunks) encode_chunk(&cs);
+    for (ChunkState& cs : chunks) size_chunk(&cs);
   }
-  prof.Mark("encode");
 
-  // Phase 4 (fallback): stitch into the packed arena. Prefix sums fix every
-  // chunk's destination range up front; the copies write disjoint ranges
-  // and can run concurrently. Output order == input order, independent of
-  // threads.
+  // 3b: prefix sums fix every chunk's destination range up front.
   std::vector<uint64_t> tok_off(chunks.size()), seq_off(chunks.size());
   uint64_t total_tokens = 0, total_seqs = 0;
   for (size_t i = 0; i < chunks.size(); ++i) {
     tok_off[i] = total_tokens;
     seq_off[i] = total_seqs;
-    total_tokens += chunks[i].tokens.size();
-    total_seqs += chunks[i].lens.size();
+    total_tokens += chunks[i].token_total;
+    total_seqs += chunks[i].seq_total;
   }
   if (total_seqs == 0) {
     return Status::InvalidArgument("corpus: all sequences empty after filtering");
   }
   packed_.Resize(total_seqs, total_tokens);
-  auto stitch_chunk = [this, &chunks, &tok_off, &seq_off](size_t ci) {
-    const ChunkState& cs = chunks[ci];
-    std::copy(cs.tokens.begin(), cs.tokens.end(),
-              packed_.mutable_tokens() + tok_off[ci]);
+
+  // 3c: the writes target disjoint ranges, so chunks encode concurrently;
+  // output order == input order, independent of threads.
+  auto encode_chunk = [&, this](size_t ci) {
+    ChunkState& cs = chunks[ci];
+    uint32_t* out = packed_.mutable_tokens() + tok_off[ci];
     uint64_t* offsets = packed_.mutable_offsets();
     uint64_t off = tok_off[ci];
-    uint64_t s = seq_off[ci];
-    for (uint32_t len : cs.lens) {
-      offsets[s++] = off;
-      off += len;
-    }
+    uint64_t seq = seq_off[ci];
+    cs.ForEachSession([&](size_t i, uint32_t user_type,
+                          std::span<const uint32_t> items) {
+      const uint32_t n = cs.lens[i];
+      if (n == 0) return true;
+      offsets[seq++] = off;
+      off += n;
+      for (uint32_t item : items) {
+        const uint32_t len = enc_off[item + 1] - enc_off[item];
+        std::memcpy(out, blocks.data() + enc_off[item],
+                    len * sizeof(uint32_t));
+        out += len;
+      }
+      if (has_ut) {
+        const int32_t v = ut_enc[user_type];
+        if (v >= 0) *out++ = static_cast<uint32_t>(v);
+      }
+      return true;
+    });
+    cs.block = SessionBlock();
   };
   if (pool) {
-    pool->ParallelFor(chunks.size(), stitch_chunk);
+    pool->ParallelFor(chunks.size(), encode_chunk);
   } else {
-    for (size_t i = 0; i < chunks.size(); ++i) stitch_chunk(i);
+    for (size_t i = 0; i < chunks.size(); ++i) encode_chunk(i);
   }
-  prof.Mark("stitch");
   return Status::OK();
 }
 

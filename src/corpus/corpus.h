@@ -20,31 +20,17 @@ struct CorpusOptions {
   uint32_t min_count = 1;
 
   /// Ingest parallelism: sessions are split into chunks (fixed-size runs of
-  /// a vector, or the raw blocks of a source, parsed on the workers),
-  /// enriched + counted on this many workers (thread-local count maps,
-  /// merged deterministically), then encoded into the packed arena in
-  /// parallel. 0 = hardware concurrency, 1 = serial. The built corpus and
-  /// vocabulary are byte-identical for every thread count: chunk boundaries
-  /// are thread-independent, counting is commutative, id assignment is a
-  /// total order, and sequences are emitted in input order.
+  /// a vector, or the raw blocks of a source, parsed on the workers) and
+  /// counted on this many workers, then encoded into the packed arena in
+  /// parallel. Enrichment is a pure function of the item, so a per-item
+  /// token block is built once, workers count item *clicks* into flat
+  /// per-worker arrays (one add per click, not one per enriched token), and
+  /// sequences are written straight into the arena through that block table
+  /// re-encoded to vocab ids. 0 = hardware concurrency, 1 = serial. The
+  /// built corpus and vocabulary are byte-identical for every thread count:
+  /// chunk boundaries are thread-independent, counting is commutative, id
+  /// assignment is a total order, and sequences are emitted in input order.
   uint32_t num_threads = 1;
-
-  /// Expected number of distinct enriched tokens; pre-sizes the per-worker
-  /// counting maps so the hot Add() path never rehashes. 0 = heuristic.
-  /// Only used by the open-addressing fallback path (see below).
-  size_t vocab_size_hint = 0;
-
-  /// Token spaces up to this size use the flat fast path: enrichment is a
-  /// pure function of the item, so per-item token blocks are precomputed
-  /// once, workers count item *clicks* into flat per-worker arrays (one add
-  /// per click instead of one per enriched token), and sequences are encoded
-  /// straight into the packed arena through a per-item block table of vocab
-  /// ids. Larger token spaces fall back to per-worker open-addressing count
-  /// maps over materialized enriched tokens, which bound memory by distinct
-  /// tokens instead of the universe. Both paths are byte-identical; tests
-  /// set 0 to force the fallback. Default 4M tokens (~32 MB of counters per
-  /// worker).
-  uint32_t flat_count_threshold = 1u << 22;
 };
 
 /// The training corpus: enriched sessions re-encoded in vocab-id space
@@ -63,10 +49,9 @@ class Corpus {
   /// (e.g. a SessionStream over a sessions file) and the ingest workers
   /// parse and count them; bad lines are folded into the source's error
   /// budget in input order, so errors and IngestStats do not depend on the
-  /// thread count. On the flat fast path the enriched token sequences are
-  /// never materialized at all — parsed sessions are held until they are
-  /// encoded straight into the arena; the fallback path holds them until
-  /// its encode pass.
+  /// thread count. The enriched token sequences are never materialized:
+  /// parsed sessions are held until they are encoded straight into the
+  /// arena.
   Status BuildFromSource(SessionSource* source, const TokenSpace& token_space,
                          const ItemCatalog& catalog, const CorpusOptions& options);
 

@@ -9,57 +9,17 @@
 
 namespace sisg {
 
-Status Vocabulary::Build(
-    const std::vector<std::vector<uint32_t>>& token_sequences,
-    uint32_t num_global_tokens, uint32_t min_count,
-    const TokenSpace& token_space, size_t distinct_size_hint) {
-  TokenCountMap counts;
-  counts.Reserve(distinct_size_hint);
-  for (const auto& seq : token_sequences) {
-    for (uint32_t tok : seq) {
-      if (tok >= num_global_tokens) {
-        return Status::OutOfRange("vocabulary: token id " + std::to_string(tok) +
-                                  " outside the token space");
-      }
-      counts.Add(tok);
-    }
-  }
-  return BuildFromCounts(counts, num_global_tokens, min_count, token_space);
-}
-
-Status Vocabulary::BuildFromCounts(const TokenCountMap& counts,
-                                   uint32_t num_global_tokens,
-                                   uint32_t min_count,
-                                   const TokenSpace& token_space) {
-  if (min_count == 0) {
-    return Status::InvalidArgument("vocabulary: min_count must be >= 1");
-  }
-  std::vector<std::pair<uint32_t, uint64_t>> kept;
-  kept.reserve(counts.size());
-  Status bad = Status::OK();
-  counts.ForEach([&](uint32_t tok, uint64_t c) {
-    if (tok >= num_global_tokens && bad.ok()) {
-      bad = Status::OutOfRange("vocabulary: token id " + std::to_string(tok) +
-                               " outside the token space");
-    }
-    if (c >= min_count) kept.emplace_back(tok, c);
-  });
-  SISG_RETURN_IF_ERROR(bad);
-  // Map iteration order is unspecified; AssignIds relies on token-ascending
-  // input for its tie-break, so restore that order first.
-  std::sort(kept.begin(), kept.end(),
-            [](const std::pair<uint32_t, uint64_t>& a,
-               const std::pair<uint32_t, uint64_t>& b) {
-              return a.first < b.first;
-            });
-  return AssignIds(std::move(kept), num_global_tokens, token_space);
-}
-
 Status Vocabulary::BuildFromCounts(std::span<const uint64_t> counts,
                                    uint32_t min_count,
                                    const TokenSpace& token_space) {
   if (min_count == 0) {
     return Status::InvalidArgument("vocabulary: min_count must be >= 1");
+  }
+  if (counts.size() != token_space.num_tokens()) {
+    return Status::OutOfRange("vocabulary: counts for " +
+                              std::to_string(counts.size()) +
+                              " tokens, token space has " +
+                              std::to_string(token_space.num_tokens()));
   }
   const uint32_t num_global_tokens = static_cast<uint32_t>(counts.size());
   std::vector<std::pair<uint32_t, uint64_t>> kept;
@@ -79,8 +39,7 @@ Status Vocabulary::AssignIds(std::vector<std::pair<uint32_t, uint64_t>> kept,
   // Descending frequency; ties by token id. A total order over the entries,
   // so id assignment is insertion-order- and thread-count-independent.
   //
-  // Both BuildFromCounts overloads produce `kept` in ascending token order,
-  // so a *stable* ascending sort on (max_count - count) realizes exactly
+  // BuildFromCounts produces `kept` in ascending token order, so a *stable* ascending sort on (max_count - count) realizes exactly
   // that order: counts descend, and ties keep their token-ascending input
   // position. Stable LSD radix is ~5x cheaper here than comparison sorting
   // (the dictionary sort sits on the serial critical path of every ingest).

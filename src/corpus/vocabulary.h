@@ -7,7 +7,6 @@
 
 #include "common/alias_table.h"
 #include "common/status.h"
-#include "corpus/count_map.h"
 #include "corpus/token_space.h"
 
 namespace sisg {
@@ -19,25 +18,11 @@ class Vocabulary {
  public:
   Vocabulary() = default;
 
-  /// Counts tokens over enriched sequences. `num_global_tokens` is
-  /// TokenSpace::num_tokens(). `distinct_size_hint` (optional) pre-sizes the
-  /// counting hash map for the expected number of distinct tokens.
-  Status Build(const std::vector<std::vector<uint32_t>>& token_sequences,
-               uint32_t num_global_tokens, uint32_t min_count,
-               const TokenSpace& token_space, size_t distinct_size_hint = 0);
-
-  /// Builds from already-merged counts (the parallel ingest path: per-shard
-  /// open-addressing maps merged into one). Vocab id assignment is a total
-  /// order — count descending, token id ascending — so the result is
-  /// identical for any map iteration order and any ingest thread count.
-  Status BuildFromCounts(const TokenCountMap& counts,
-                         uint32_t num_global_tokens, uint32_t min_count,
-                         const TokenSpace& token_space);
-
   /// Builds from a flat per-token count array (counts[t] = occurrences of
-  /// global token t, size = TokenSpace::num_tokens()) — the dense-token-space
-  /// ingest fast path. Id assignment is the same total order as the map
-  /// overload, so both produce identical dictionaries.
+  /// global token t; any other size is OutOfRange). Vocab id assignment
+  /// is a total order — count descending, token id ascending — so the
+  /// result does not depend on how the counts were gathered (e.g. the
+  /// ingest thread count).
   Status BuildFromCounts(std::span<const uint64_t> counts, uint32_t min_count,
                          const TokenSpace& token_space);
 
@@ -71,9 +56,9 @@ class Vocabulary {
   static StatusOr<Vocabulary> Load(const std::string& path);
 
  private:
-  /// Shared tail of the BuildFromCounts overloads: sorts (count desc, token
-  /// asc) and assigns dense ids. Precondition: `kept` is in ascending token
-  /// order — the stable count sort turns that into the tie-break.
+  /// Tail of BuildFromCounts: sorts (count desc, token asc) and assigns
+  /// dense ids. Precondition: `kept` is in ascending token order — the
+  /// stable count sort turns that into the tie-break.
   Status AssignIds(std::vector<std::pair<uint32_t, uint64_t>> kept,
                    uint32_t num_global_tokens, const TokenSpace& token_space);
 

@@ -277,13 +277,12 @@ Status DistributedTrainer::Train(const Corpus& corpus,
 
   const uint64_t planned_tokens =
       static_cast<uint64_t>(so.epochs) * corpus.num_tokens();
-  // Auto sync cadence: frequent enough that hot replicas stay aligned (they
-  // receive disjoint gradient streams between averaging rounds), infrequent
-  // enough that sync traffic stays negligible.
-  const uint64_t sync_interval =
-      options_.sync_interval_pairs > 0
-          ? options_.sync_interval_pairs
-          : std::max<uint64_t>(8192, planned_tokens / 8);
+  // Pairs between replica-averaging rounds, scaled to the run so replicas
+  // are averaged O(10) times regardless of corpus size: frequent enough that
+  // hot replicas stay aligned (they receive disjoint gradient streams
+  // between averaging rounds), infrequent enough that sync traffic stays
+  // negligible.
+  const uint64_t sync_interval = std::max<uint64_t>(8192, planned_tokens / 8);
   uint64_t processed_tokens = resume != nullptr ? resume->processed_tokens : 0;
   uint64_t pair_counter = resume != nullptr ? resume->pairs_trained : 0;
   uint64_t kept_tokens = resume != nullptr ? resume->tokens_kept : 0;

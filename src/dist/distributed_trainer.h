@@ -31,9 +31,6 @@ struct DistOptions {
   bool use_atns = true;
   double hot_freq_threshold = 5e-5;
   uint32_t hot_set_size = 8192;  // upper bound on |Q|
-  /// Pairs between replica-averaging rounds; 0 = auto (scaled to the run so
-  /// replicas are averaged O(10) times regardless of corpus size).
-  uint64_t sync_interval_pairs = 0;
 
   /// Route pairs and count communication without touching any vectors.
   /// Used by the scalability benches, where only the measured counters

@@ -109,26 +109,14 @@ std::string ToJson(const MetricsSnapshot& snap) {
 }
 
 Status WriteJsonFile(const MetricsSnapshot& snap, const std::string& path) {
-  const std::string body = ToJson(snap);
-  SISG_ASSIGN_OR_RETURN(AtomicFile file, AtomicFile::Create(path));
-  if (std::fwrite(body.data(), 1, body.size(), file.stream()) != body.size()) {
-    file.Abandon();
-    return Status::IOError("metrics json: short write to " + path);
-  }
-  return file.Commit();
+  return WriteFileAtomic(path, ToJson(snap));
 }
 
 Status WriteMetricsFile(const MetricsSnapshot& snap, const std::string& path) {
   const bool prom =
       path.size() >= 5 && path.compare(path.size() - 5, 5, ".prom") == 0;
   if (!prom) return WriteJsonFile(snap, path);
-  const std::string body = ToPrometheusText(snap);
-  SISG_ASSIGN_OR_RETURN(AtomicFile file, AtomicFile::Create(path));
-  if (std::fwrite(body.data(), 1, body.size(), file.stream()) != body.size()) {
-    file.Abandon();
-    return Status::IOError("metrics prom: short write to " + path);
-  }
-  return file.Commit();
+  return WriteFileAtomic(path, ToPrometheusText(snap));
 }
 
 std::string ToPrometheusText(const MetricsSnapshot& snap) {

@@ -274,14 +274,7 @@ Status PublishSynthArena(const std::string& dir, const std::string& token,
   }
   // ...pointer last, atomically: a reloader polling mid-publish sees either
   // the old complete version or the new complete version, never a torn one.
-  SISG_ASSIGN_OR_RETURN(AtomicFile latest,
-                        AtomicFile::Create(dir + "/LATEST"));
-  const std::string text = token + "\n";
-  if (std::fwrite(text.data(), 1, text.size(), latest.stream()) !=
-      text.size()) {
-    return Status::IOError("synth arena: cannot write LATEST");
-  }
-  return latest.Commit();
+  return WriteFileAtomic(dir + "/LATEST", token + "\n");
 }
 
 }  // namespace sisg::serve

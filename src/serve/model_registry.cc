@@ -16,7 +16,10 @@ void PublishVersionGauge(uint64_t version) {
 
 }  // namespace
 
-uint64_t ModelRegistry::Publish(std::shared_ptr<ServingSnapshot> snap) {
+uint64_t ModelRegistry::PublishOwned(
+    std::unique_ptr<const MatchingEngine> engine, std::string source) {
+  std::shared_ptr<ServingSnapshot> snap(
+      new ServingSnapshot(std::move(engine), std::move(source)));
   snap->version_ = next_version_.fetch_add(1, std::memory_order_relaxed);
   const uint64_t version = snap->version_;
   LOG_INFO << "model_registry: publishing v" << version << " ("
@@ -33,18 +36,6 @@ uint64_t ModelRegistry::Publish(std::shared_ptr<ServingSnapshot> snap) {
   retired.reset();
   PublishVersionGauge(version);
   return version;
-}
-
-uint64_t ModelRegistry::PublishOwned(
-    std::unique_ptr<const MatchingEngine> engine, std::string source) {
-  return Publish(std::shared_ptr<ServingSnapshot>(new ServingSnapshot(
-      std::move(engine), nullptr, std::move(source))));
-}
-
-uint64_t ModelRegistry::PublishBorrowed(const MatchingEngine* engine,
-                                        std::string source) {
-  return Publish(std::shared_ptr<ServingSnapshot>(
-      new ServingSnapshot(nullptr, engine, std::move(source))));
 }
 
 }  // namespace sisg::serve

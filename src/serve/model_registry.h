@@ -16,11 +16,9 @@ namespace sisg::serve {
 /// (embedding block + id map + any int8/IVF/HNSW state it carries) plus the
 /// version/source bookkeeping the serving layer reports. A snapshot is
 /// frozen at publish time — nothing mutates it afterwards, which is what
-/// makes handing `const` references to concurrent batch scans safe.
-///
-/// Snapshots either own their engine (the reloader path: each reload builds
-/// a fresh engine) or borrow one that outlives the registry (the legacy
-/// single-model path where a tool builds the engine on the stack).
+/// makes handing `const` references to concurrent batch scans safe. The
+/// snapshot owns its engine, so the engine lives exactly as long as the
+/// last holder of the snapshot.
 class ServingSnapshot {
  public:
   const MatchingEngine& engine() const { return *engine_; }
@@ -31,14 +29,11 @@ class ServingSnapshot {
 
  private:
   friend class ModelRegistry;
-  ServingSnapshot(std::unique_ptr<const MatchingEngine> owned,
-                  const MatchingEngine* borrowed, std::string source)
-      : owned_(std::move(owned)),
-        engine_(owned_ ? owned_.get() : borrowed),
-        source_(std::move(source)) {}
+  ServingSnapshot(std::unique_ptr<const MatchingEngine> engine,
+                  std::string source)
+      : engine_(std::move(engine)), source_(std::move(source)) {}
 
-  std::unique_ptr<const MatchingEngine> owned_;
-  const MatchingEngine* engine_;
+  std::unique_ptr<const MatchingEngine> engine_;
   uint64_t version_ = 0;
   std::string source_;
 };
@@ -79,11 +74,6 @@ class ModelRegistry {
   uint64_t PublishOwned(std::unique_ptr<const MatchingEngine> engine,
                         std::string source);
 
-  /// Publishes an engine owned by the caller, which must outlive every
-  /// snapshot that references it (i.e. the registry and all in-flight
-  /// batches). Legacy single-model tools and tests use this.
-  uint64_t PublishBorrowed(const MatchingEngine* engine, std::string source);
-
   /// Version of the live snapshot (0 = nothing published yet).
   uint64_t version() const {
     const SnapshotPtr snap = Acquire();
@@ -91,8 +81,6 @@ class ModelRegistry {
   }
 
  private:
-  uint64_t Publish(std::shared_ptr<ServingSnapshot> snap);
-
   mutable std::mutex mu_;
   SnapshotPtr current_;
   std::atomic<uint64_t> next_version_{1};

@@ -12,7 +12,6 @@
 #include "common/logging.h"
 #include "common/timer.h"
 #include "obs/metrics.h"
-#include "sgns/embedding_model.h"
 
 namespace sisg::serve {
 
@@ -33,20 +32,17 @@ struct ReloadMetrics {
   }
 };
 
-bool FileExists(const std::string& path) {
-  return ::access(path.c_str(), F_OK) == 0;
-}
+/// Canary queries run against every candidate engine, and their depth.
+constexpr uint32_t kCanaryQueries = 8;
+constexpr uint32_t kCanaryK = 10;
 
 }  // namespace
 
-Status ValidateServingEngine(const MatchingEngine& engine, uint32_t canaries,
-                             uint32_t k) {
+Status ValidateServingEngine(const MatchingEngine& engine) {
   if (engine.num_items() == 0 || engine.dim() == 0) {
     return Status::FailedPrecondition(
         "serving validation: engine has no items");
   }
-  if (canaries == 0) return Status::OK();
-  if (k == 0) k = 1;
 
   // Probe evenly spaced starting points, advancing each to the next trained
   // item (bounded walk — a sparse id space must not turn validation into a
@@ -54,9 +50,9 @@ Status ValidateServingEngine(const MatchingEngine& engine, uint32_t canaries,
   constexpr uint32_t kMaxProbeWalk = 1024;
   const uint32_t n = engine.num_items();
   uint32_t ran = 0;
-  for (uint32_t c = 0; c < canaries; ++c) {
+  for (uint32_t c = 0; c < kCanaryQueries; ++c) {
     const uint32_t start =
-        static_cast<uint32_t>((static_cast<uint64_t>(c) * n) / canaries);
+        static_cast<uint32_t>((static_cast<uint64_t>(c) * n) / kCanaryQueries);
     uint32_t item = start;
     uint32_t walked = 0;
     while (walked < kMaxProbeWalk && walked < n && !engine.HasItem(item)) {
@@ -64,7 +60,7 @@ Status ValidateServingEngine(const MatchingEngine& engine, uint32_t canaries,
       ++walked;
     }
     if (!engine.HasItem(item)) continue;  // dead id range; try next canary
-    const std::vector<ScoredId> top = engine.Query(item, k);
+    const std::vector<ScoredId> top = engine.Query(item, kCanaryK);
     if (top.empty()) {
       return Status::FailedPrecondition(
           "serving validation: canary item " + std::to_string(item) +
@@ -172,48 +168,22 @@ Status ModelReloader::PollOnce() {
 }
 
 Status ModelReloader::TryLoadToken(const std::string& token) {
-  const std::string ckpt_path =
-      options_.watch_dir + "/ckpt-" + token + ".emb";
   const std::string arena_path = options_.watch_dir + "/" + token + ".arena";
-
-  auto engine = std::make_unique<MatchingEngine>();
-  std::string source;
-  if (FileExists(ckpt_path)) {
-    // Checkpointer layout: LATEST holds the sequence number of the newest
-    // complete ckpt-<seq>.emb. Rebuild a cosine engine over its input rows
-    // (padded stride on disk side is the model's concern; Build wants dense
-    // rows).
-    auto model = EmbeddingModel::Load(ckpt_path);
-    if (!model.ok()) return model.status();
-    const uint32_t rows = model->rows();
-    const uint32_t dim = model->dim();
-    std::vector<float> in(static_cast<size_t>(rows) * dim);
-    for (uint32_t r = 0; r < rows; ++r) {
-      const float* src = model->Input(r);
-      std::copy(src, src + dim, in.begin() + static_cast<size_t>(r) * dim);
-    }
-    SISG_RETURN_IF_ERROR(engine->Build(std::move(in), {}, rows, dim,
-                                       SimilarityMode::kCosineInput));
-    source = ckpt_path;
-  } else if (FileExists(arena_path)) {
-    SISG_RETURN_IF_ERROR(engine->LoadArena(arena_path, options_.use_mmap));
-    if (options_.want_int8) {
-      // Unlike startup (degrade to fp32 and keep going), a reload must be
-      // all-or-nothing: the old snapshot serves int8, so a candidate that
-      // cannot is a failed deploy, not a degraded one.
-      SISG_RETURN_IF_ERROR(engine->EnableInt8FromFile(
-          options_.watch_dir + "/" + token + ".qarena", options_.use_mmap));
-    }
-    source = arena_path;
-  } else {
-    return Status::NotFound("reloader: LATEST names '" + token +
-                            "' but neither " + ckpt_path + " nor " +
-                            arena_path + " exists");
+  if (::access(arena_path.c_str(), F_OK) != 0) {
+    return Status::NotFound("reloader: LATEST names '" + token + "' but " +
+                            arena_path + " does not exist");
   }
-
-  SISG_RETURN_IF_ERROR(
-      ValidateServingEngine(*engine, options_.canary_queries, options_.canary_k));
-  registry_->PublishOwned(std::move(engine), source);
+  auto engine = std::make_unique<MatchingEngine>();
+  SISG_RETURN_IF_ERROR(engine->LoadArena(arena_path, options_.use_mmap));
+  if (options_.want_int8) {
+    // Unlike startup (degrade to fp32 and keep going), a reload must be
+    // all-or-nothing: the old snapshot serves int8, so a candidate that
+    // cannot is a failed deploy, not a degraded one.
+    SISG_RETURN_IF_ERROR(engine->EnableInt8FromFile(
+        options_.watch_dir + "/" + token + ".qarena", options_.use_mmap));
+  }
+  SISG_RETURN_IF_ERROR(ValidateServingEngine(*engine));
+  registry_->PublishOwned(std::move(engine), arena_path);
   return Status::OK();
 }
 

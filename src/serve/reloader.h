@@ -16,9 +16,10 @@ namespace sisg::serve {
 
 struct ReloaderOptions {
   /// Directory holding the published artifacts and the LATEST pointer.
-  /// LATEST names a token <tok>; the reloader resolves it, newest idiom
-  /// first, to either a Checkpointer checkpoint (`ckpt-<tok>.emb`) or a
-  /// frozen serving arena (`<tok>.arena`, optional `<tok>.qarena`).
+  /// LATEST names a token <tok>; the reloader serves the frozen serving
+  /// arena `<tok>.arena` (plus `<tok>.qarena` when serving int8). Trainer
+  /// checkpoints (`ckpt-<seq>.emb`) are not servable: their rows are vocab
+  /// ids, not item ids, and carry no similarity mode.
   std::string watch_dir;
   /// LATEST poll cadence for the background thread.
   uint32_t poll_interval_ms = 1000;
@@ -29,18 +30,14 @@ struct ReloaderOptions {
   /// (rollback), NOT a degradation: silently swapping an int8 model for an
   /// fp32 one mid-flight would change scores under load.
   bool want_int8 = false;
-  /// Canary queries run against a candidate snapshot before publish.
-  uint32_t canary_queries = 8;
-  uint32_t canary_k = 10;
 };
 
 /// Invariant checks a candidate engine must pass before it may serve:
-/// non-zero trained item count, and for `canaries` evenly spaced trained
-/// items a top-`k` query that is non-empty with finite scores and in-range
-/// ids. This is the publish gate for hot reloads and the startup gate for
-/// sisg_serve's --port_file handshake.
-Status ValidateServingEngine(const MatchingEngine& engine, uint32_t canaries,
-                             uint32_t k);
+/// non-zero trained item count, and for 8 evenly spaced trained items a
+/// top-10 canary query that is non-empty with finite scores, in-range ids
+/// and not the query item itself. This is the publish gate for hot reloads
+/// and the startup gate for sisg_serve's --port_file handshake.
+Status ValidateServingEngine(const MatchingEngine& engine);
 
 /// Background hot-swap watcher: polls `watch_dir`/LATEST and, when it names
 /// a version not yet attempted, loads the artifacts into a FRESH engine off

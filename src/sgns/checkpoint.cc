@@ -132,13 +132,8 @@ Status Checkpointer::Save(const EmbeddingModel& model,
   SISG_RETURN_IF_ERROR(model.Save(EmbPath(options_.dir, seq)));
   SISG_RETURN_IF_ERROR(WriteProgress(StatePath(options_.dir, seq), progress));
   // Only now is the checkpoint complete: advance the LATEST pointer.
-  SISG_ASSIGN_OR_RETURN(AtomicFile latest,
-                        AtomicFile::Create(LatestPath(options_.dir)));
-  const std::string text = std::to_string(seq) + "\n";
-  if (std::fwrite(text.data(), 1, text.size(), latest.stream()) != text.size()) {
-    return Status::IOError("checkpointer: cannot write LATEST");
-  }
-  SISG_RETURN_IF_ERROR(latest.Commit());
+  SISG_RETURN_IF_ERROR(
+      WriteFileAtomic(LatestPath(options_.dir), std::to_string(seq) + "\n"));
   ++next_seq_;
   ++saves_;
   // Prune checkpoints that fell out of the retention window.

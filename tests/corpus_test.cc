@@ -129,10 +129,22 @@ TEST_F(CorpusFixture, EnricherDeterministicAndReusesBuffer) {
 
 // --------------------------- vocabulary ---------------------------
 
+/// Per-token counts of `seqs` over a space of `num_tokens` tokens.
+std::vector<uint64_t> CountTokens(
+    const std::vector<std::vector<uint32_t>>& seqs, uint32_t num_tokens) {
+  std::vector<uint64_t> counts(num_tokens, 0);
+  for (const auto& seq : seqs) {
+    for (uint32_t tok : seq) ++counts.at(tok);
+  }
+  return counts;
+}
+
 TEST_F(CorpusFixture, VocabularyCountsAndOrder) {
   std::vector<std::vector<uint32_t>> seqs = {{1, 2, 2, 3, 3, 3}, {3, 2, 3}};
   Vocabulary v;
-  ASSERT_TRUE(v.Build(seqs, token_space_.num_tokens(), 1, token_space_).ok());
+  ASSERT_TRUE(v.BuildFromCounts(CountTokens(seqs, token_space_.num_tokens()), 1,
+                                token_space_)
+                  .ok());
   EXPECT_EQ(v.size(), 3u);
   // Sorted by descending frequency: 3 (x5), 2 (x3), 1 (x1).
   EXPECT_EQ(v.ToToken(0), 3u);
@@ -145,22 +157,24 @@ TEST_F(CorpusFixture, VocabularyCountsAndOrder) {
 }
 
 TEST_F(CorpusFixture, VocabularyMinCount) {
-  std::vector<std::vector<uint32_t>> seqs = {{1, 1, 1, 2, 2, 3}};
+  const std::vector<uint64_t> counts =
+      CountTokens({{1, 1, 1, 2, 2, 3}}, token_space_.num_tokens());
   Vocabulary v;
-  ASSERT_TRUE(v.Build(seqs, token_space_.num_tokens(), 2, token_space_).ok());
+  ASSERT_TRUE(v.BuildFromCounts(counts, 2, token_space_).ok());
   EXPECT_EQ(v.size(), 2u);
   EXPECT_EQ(v.ToVocab(3), -1);
   // min_count that kills everything is an error.
   Vocabulary v2;
-  EXPECT_FALSE(v2.Build(seqs, token_space_.num_tokens(), 100, token_space_).ok());
+  EXPECT_FALSE(v2.BuildFromCounts(counts, 100, token_space_).ok());
   // min_count 0 rejected.
-  EXPECT_FALSE(v2.Build(seqs, token_space_.num_tokens(), 0, token_space_).ok());
+  EXPECT_FALSE(v2.BuildFromCounts(counts, 0, token_space_).ok());
 }
 
 TEST_F(CorpusFixture, VocabularyRejectsOutOfRangeToken) {
-  std::vector<std::vector<uint32_t>> seqs = {{token_space_.num_tokens() + 5}};
+  const uint32_t n = token_space_.num_tokens();
+  const std::vector<uint64_t> counts = CountTokens({{n + 5}}, n + 6);
   Vocabulary v;
-  EXPECT_EQ(v.Build(seqs, token_space_.num_tokens(), 1, token_space_).code(),
+  EXPECT_EQ(v.BuildFromCounts(counts, 1, token_space_).code(),
             StatusCode::kOutOfRange);
 }
 
@@ -169,7 +183,9 @@ TEST_F(CorpusFixture, NoiseDistributionFollowsPower) {
   for (int i = 0; i < 160; ++i) seqs.push_back({1});
   for (int i = 0; i < 10; ++i) seqs.push_back({2});
   Vocabulary v;
-  ASSERT_TRUE(v.Build(seqs, token_space_.num_tokens(), 1, token_space_).ok());
+  ASSERT_TRUE(v.BuildFromCounts(CountTokens(seqs, token_space_.num_tokens()), 1,
+                                token_space_)
+                  .ok());
   auto noise = v.BuildNoise(0.75);
   ASSERT_TRUE(noise.ok());
   // freq ratio 16 -> prob ratio 16^0.75 = 8.

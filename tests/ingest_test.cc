@@ -1,7 +1,7 @@
 // Ingestion pipeline suite: streaming session reader (chunking, error
-// tolerance, line numbers), the open-addressing count map, count-based
-// vocabulary construction, the packed corpus arena (round trip + corruption
-// harness), and — the core guarantee — thread-count-invariant corpus bytes.
+// tolerance, line numbers), count-based vocabulary construction, the packed
+// corpus arena (round trip + corruption harness), and — the core guarantee
+// — thread-count-invariant corpus bytes.
 
 #include <gtest/gtest.h>
 #include <sys/stat.h>
@@ -16,7 +16,6 @@
 #include "common/io_util.h"
 #include "core/pipeline.h"
 #include "corpus/corpus.h"
-#include "corpus/count_map.h"
 #include "corpus/packed_corpus.h"
 #include "corpus/vocabulary.h"
 #include "datagen/dataset.h"
@@ -359,71 +358,19 @@ TEST_F(IngestFixture, ReadSessionsTextSurfacesSkips) {
   std::remove(path.c_str());
 }
 
-// --------------------------- count map ---------------------------
-
-TEST(CountMapTest, AddCountMergeGrow) {
-  TokenCountMap a;
-  for (uint32_t t = 0; t < 1000; ++t) a.Add(t, t + 1);
-  for (uint32_t t = 0; t < 1000; ++t) a.Add(t);
-  EXPECT_EQ(a.size(), 1000u);
-  EXPECT_EQ(a.Count(999), 1001u);
-  EXPECT_EQ(a.Count(12345), 0u);
-
-  TokenCountMap b;
-  b.Reserve(2000);
-  b.Add(5, 100);
-  b.Add(5000, 7);
-  b.MergeFrom(a);
-  EXPECT_EQ(b.size(), 1001u);
-  EXPECT_EQ(b.Count(5), 107u);  // 100 + (5+1) + 1 from the merge
-  EXPECT_EQ(b.Count(5000), 7u);
-
-  uint64_t total = 0;
-  b.ForEach([&](uint32_t, uint64_t c) { total += c; });
-  uint64_t expect = 100 + 7;
-  for (uint32_t t = 0; t < 1000; ++t) expect += t + 2;
-  EXPECT_EQ(total, expect);
-}
-
 // --------------------------- vocabulary from counts ---------------------------
-
-TEST_F(IngestFixture, BuildFromCountsMatchesSequenceBuild) {
-  std::vector<std::vector<uint32_t>> seqs = {{1, 2, 2, 3, 3, 3}, {3, 2, 3, 7}};
-  Vocabulary from_seqs;
-  ASSERT_TRUE(
-      from_seqs.Build(seqs, token_space_.num_tokens(), 1, token_space_).ok());
-
-  TokenCountMap counts;
-  for (const auto& s : seqs) {
-    for (uint32_t t : s) counts.Add(t);
-  }
-  Vocabulary from_counts;
-  ASSERT_TRUE(from_counts
-                  .BuildFromCounts(counts, token_space_.num_tokens(), 1,
-                                   token_space_)
-                  .ok());
-  ASSERT_EQ(from_counts.size(), from_seqs.size());
-  for (uint32_t v = 0; v < from_seqs.size(); ++v) {
-    EXPECT_EQ(from_counts.ToToken(v), from_seqs.ToToken(v));
-    EXPECT_EQ(from_counts.Frequency(v), from_seqs.Frequency(v));
-    EXPECT_EQ(from_counts.ClassOf(v), from_seqs.ClassOf(v));
-  }
-  EXPECT_EQ(from_counts.total_count(), from_seqs.total_count());
-}
 
 // Pins the id-assignment total order: count descending, token id ascending
 // on ties. Any change here silently reshuffles every trained embedding row,
 // so this must never drift.
 TEST_F(IngestFixture, VocabIdAssignmentIsPinned) {
-  TokenCountMap counts;
-  counts.Add(50, 3);  // tied with 9 — lower token id wins
-  counts.Add(9, 3);
-  counts.Add(4, 10);
-  counts.Add(200, 1);
+  std::vector<uint64_t> counts(token_space_.num_tokens(), 0);
+  counts[50] = 3;  // tied with 9 — lower token id wins
+  counts[9] = 3;
+  counts[4] = 10;
+  counts[200] = 1;
   Vocabulary v;
-  ASSERT_TRUE(
-      v.BuildFromCounts(counts, token_space_.num_tokens(), 1, token_space_)
-          .ok());
+  ASSERT_TRUE(v.BuildFromCounts(counts, 1, token_space_).ok());
   ASSERT_EQ(v.size(), 4u);
   EXPECT_EQ(v.ToToken(0), 4u);    // count 10
   EXPECT_EQ(v.ToToken(1), 9u);    // count 3, tie -> smaller token first
@@ -431,16 +378,6 @@ TEST_F(IngestFixture, VocabIdAssignmentIsPinned) {
   EXPECT_EQ(v.ToToken(3), 200u);  // count 1
   EXPECT_EQ(v.ToVocab(9), 1);
   EXPECT_EQ(v.ToVocab(50), 2);
-}
-
-TEST_F(IngestFixture, BuildFromCountsRejectsOutOfRange) {
-  TokenCountMap counts;
-  counts.Add(token_space_.num_tokens() + 3, 5);
-  Vocabulary v;
-  EXPECT_EQ(
-      v.BuildFromCounts(counts, token_space_.num_tokens(), 1, token_space_)
-          .code(),
-      StatusCode::kOutOfRange);
 }
 
 // --------------------------- enricher edge cases ---------------------------
@@ -597,36 +534,6 @@ TEST_F(IngestFixture, CorpusBytesAreThreadCountInvariant) {
     for (uint32_t v = 0; v < serial.vocab().size(); ++v) {
       ASSERT_EQ(parallel.vocab().ToToken(v), serial.vocab().ToToken(v));
       ASSERT_EQ(parallel.vocab().Frequency(v), serial.vocab().Frequency(v));
-    }
-  }
-}
-
-// The flat fast path (per-item block table + click counters) and the
-// open-addressing fallback (materialized enriched tokens + count maps) must
-// produce byte-identical corpora: forcing flat_count_threshold = 0 routes
-// the same build through the fallback.
-TEST_F(IngestFixture, FlatAndMapCountingPathsAreByteIdentical) {
-  for (const uint32_t threads : {1u, 4u}) {
-    CorpusOptions opts;
-    opts.min_count = 2;
-    opts.num_threads = threads;
-    Corpus flat;
-    ASSERT_TRUE(flat.Build(dataset_->train_sessions(), token_space_,
-                           dataset_->catalog(), opts)
-                    .ok());
-
-    opts.flat_count_threshold = 0;  // force the open-addressing fallback
-    Corpus mapped;
-    ASSERT_TRUE(mapped
-                    .Build(dataset_->train_sessions(), token_space_,
-                           dataset_->catalog(), opts)
-                    .ok());
-
-    ASSERT_TRUE(flat.packed() == mapped.packed()) << threads << " threads";
-    ASSERT_EQ(flat.vocab().size(), mapped.vocab().size());
-    for (uint32_t v = 0; v < flat.vocab().size(); ++v) {
-      ASSERT_EQ(flat.vocab().ToToken(v), mapped.vocab().ToToken(v));
-      ASSERT_EQ(flat.vocab().Frequency(v), mapped.vocab().Frequency(v));
     }
   }
 }

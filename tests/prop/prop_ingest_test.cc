@@ -1,8 +1,8 @@
 // Ingestion property suite: on generated worlds (catalog + user universe)
-// and generated sessions, the corpus build must be invariant to thread
-// count, counting path (flat fast path vs open-addressing fallback), and
-// chunked-streaming vs materialized input — byte-identical artifacts, not
-// just equal summaries. Plus the SessionStream parser checked against the
+// and generated sessions, the corpus build must equal a naive reference
+// (enrich every session, count every token, encode, drop short sequences)
+// at every thread count and for chunked-streaming input — byte-identical
+// artifacts, not just equal summaries. Plus the SessionStream parser checked against the
 // line parser it replaced (kept here as an oracle) on generated files, and
 // the error-tolerance contract on generated malformed-line scripts, checked
 // against a line-by-line model through NextChunk and through the parallel
@@ -148,61 +148,92 @@ Shrinker<IngestCase> ShrinkIngest() {
   };
 }
 
-std::string CompareCorpora(const Corpus& ref, const Corpus& got,
+std::string CompareCorpora(const PackedCorpus& ref_packed,
+                           const Vocabulary& ref_vocab, const Corpus& got,
                            const std::string& what) {
-  if (!(got.packed() == ref.packed())) {
-    return what + ": packed corpus differs from the serial flat-path build";
+  if (!(got.packed() == ref_packed)) {
+    return what + ": packed corpus differs from the reference";
   }
-  if (got.vocab().size() != ref.vocab().size()) {
+  if (got.vocab().size() != ref_vocab.size()) {
     return what + ": vocab size " + std::to_string(got.vocab().size()) +
-           " != " + std::to_string(ref.vocab().size());
+           " != " + std::to_string(ref_vocab.size());
   }
-  for (uint32_t v = 0; v < ref.vocab().size(); ++v) {
-    if (got.vocab().ToToken(v) != ref.vocab().ToToken(v) ||
-        got.vocab().Frequency(v) != ref.vocab().Frequency(v)) {
+  for (uint32_t v = 0; v < ref_vocab.size(); ++v) {
+    if (got.vocab().ToToken(v) != ref_vocab.ToToken(v) ||
+        got.vocab().Frequency(v) != ref_vocab.Frequency(v)) {
       return what + ": vocab entry " + std::to_string(v) + " differs";
     }
   }
   return "";
 }
 
-TEST(PropIngest, BuildInvariantToThreadsCountingPathAndStreaming) {
+std::string CompareCorpora(const Corpus& ref, const Corpus& got,
+                           const std::string& what) {
+  return CompareCorpora(ref.packed(), ref.vocab(), got, what);
+}
+
+/// The naive reference for Corpus::Build: every session enriched through
+/// SequenceEnricher::Enrich, every token counted into a flat array, the
+/// dictionary built from those counts, each sequence encoded in vocab ids
+/// and kept only with at least 2 surviving tokens.
+struct NaiveCorpus {
+  StatusCode code = StatusCode::kOk;
+  Vocabulary vocab;
+  PackedCorpus packed;
+};
+
+NaiveCorpus NaiveBuild(const IngestCase& c) {
+  NaiveCorpus ref;
+  const TokenSpace& ts = c.world->token_space;
+  const SequenceEnricher enricher(&ts, &c.world->catalog, c.options.enrich);
+  std::vector<std::vector<uint32_t>> enriched;
+  std::vector<uint64_t> counts(ts.num_tokens(), 0);
+  for (const Session& s : c.sessions) {
+    enriched.push_back(enricher.Enrich(s));
+    for (uint32_t tok : enriched.back()) ++counts[tok];
+  }
+  ref.code = ref.vocab.BuildFromCounts(counts, c.options.min_count, ts).code();
+  if (ref.code != StatusCode::kOk) return ref;
+  std::vector<uint32_t> encoded;
+  for (const std::vector<uint32_t>& seq : enriched) {
+    encoded.clear();
+    for (uint32_t tok : seq) {
+      const int32_t v = ref.vocab.ToVocab(tok);
+      if (v >= 0) encoded.push_back(static_cast<uint32_t>(v));
+    }
+    if (encoded.size() >= 2) ref.packed.AppendSequence(encoded);
+  }
+  // Corpus::Build refuses to produce an empty corpus.
+  if (ref.packed.empty()) ref.code = StatusCode::kInvalidArgument;
+  return ref;
+}
+
+TEST(PropIngest, BuildMatchesNaiveReferenceAtAnyThreadCountAndStreamed) {
   const Result r = ForAllSeeded<IngestCase>(
-      "build_invariance", 100, IngestGen(/*allow_empty_sessions=*/true),
+      "build_vs_reference", 100, IngestGen(/*allow_empty_sessions=*/true),
       [](const IngestCase& c) -> std::string {
         if (!c.world) return "generated catalog/universe failed to build";
-        Corpus ref;
-        const Status ref_st = ref.Build(c.sessions, c.world->token_space,
-                                        c.world->catalog, c.options);
+        const NaiveCorpus want = NaiveBuild(c);
 
-        struct Variant {
-          const char* name;
-          uint32_t threads;
-          uint32_t flat_threshold;
-        };
-        const Variant variants[] = {
-            {"threads=2 flat", 2, 1u << 22},
-            {"threads=4 flat", 4, 1u << 22},
-            {"threads=1 map", 1, 0},
-            {"threads=3 map", 3, 0},
-        };
-        for (const Variant& v : variants) {
+        Corpus serial;
+        for (const uint32_t threads : {1u, 3u}) {
+          const std::string what = "threads=" + std::to_string(threads);
           CorpusOptions opts = c.options;
-          opts.num_threads = v.threads;
-          opts.flat_count_threshold = v.flat_threshold;
+          opts.num_threads = threads;
           Corpus got;
           const Status st = got.Build(c.sessions, c.world->token_space,
                                       c.world->catalog, opts);
-          // Failure (e.g. every sequence dropped) must be path-independent.
-          if (st.code() != ref_st.code()) {
-            return std::string(v.name) + ": status " + st.ToString() +
-                   " != reference " + ref_st.ToString();
+          if (st.code() != want.code) {
+            return what + ": status " + st.ToString() + " != reference code " +
+                   std::to_string(static_cast<int>(want.code));
           }
-          if (!ref_st.ok()) continue;
-          const std::string diff = CompareCorpora(ref, got, v.name);
+          if (!st.ok()) continue;
+          const std::string diff =
+              CompareCorpora(want.packed, want.vocab, got, what);
           if (!diff.empty()) return diff;
+          if (threads == 1) serial = std::move(got);
         }
-        if (!ref_st.ok()) return "";
+        if (want.code != StatusCode::kOk) return "";
 
         // Streamed build with a chunk size that straddles session counts.
         VectorSessionSource source(&c.sessions, 7);
@@ -212,7 +243,8 @@ TEST(PropIngest, BuildInvariantToThreadsCountingPathAndStreaming) {
         const Status st = streamed.BuildFromSource(
             &source, c.world->token_space, c.world->catalog, sopts);
         if (!st.ok()) return "streamed build failed: " + st.ToString();
-        const std::string sdiff = CompareCorpora(ref, streamed, "streamed");
+        const std::string sdiff =
+            CompareCorpora(want.packed, want.vocab, streamed, "streamed");
         if (!sdiff.empty()) return sdiff;
 
         // Full byte-identity of the published artifacts, not just equality
@@ -228,7 +260,7 @@ TEST(PropIngest, BuildInvariantToThreadsCountingPathAndStreaming) {
                  .ok()) {
           return "parallel rebuild failed";
         }
-        if (!ref.Save(p_ref).ok() || !parallel.Save(p_par).ok()) {
+        if (!serial.Save(p_ref).ok() || !parallel.Save(p_par).ok()) {
           return "corpus save failed";
         }
         std::string verdict;

@@ -76,8 +76,10 @@ TEST(ModelRegistryTest, VersionsAreMonotoneAndOldSnapshotsStayAlive) {
   EXPECT_EQ(registry.Acquire(), nullptr);
   EXPECT_EQ(registry.version(), 0u);
 
-  MatchingEngine borrowed = serve::BuildSynthEngine(50, 8, 1).value();
-  EXPECT_EQ(registry.PublishBorrowed(&borrowed, "startup"), 1u);
+  EXPECT_EQ(registry.PublishOwned(std::make_unique<MatchingEngine>(
+                                      serve::BuildSynthEngine(50, 8, 1).value()),
+                                  "startup"),
+            1u);
   const serve::SnapshotPtr v1 = registry.Acquire();
   ASSERT_NE(v1, nullptr);
   EXPECT_EQ(v1->version(), 1u);
@@ -102,10 +104,10 @@ TEST(ModelRegistryTest, VersionsAreMonotoneAndOldSnapshotsStayAlive) {
 
 TEST(ValidateServingEngineTest, AcceptsHealthyRejectsEmpty) {
   const MatchingEngine good = serve::BuildSynthEngine(100, 8, 3).value();
-  EXPECT_TRUE(serve::ValidateServingEngine(good, 8, 10).ok());
+  EXPECT_TRUE(serve::ValidateServingEngine(good).ok());
 
   const MatchingEngine empty;
-  const Status st = serve::ValidateServingEngine(empty, 8, 10);
+  const Status st = serve::ValidateServingEngine(empty);
   EXPECT_FALSE(st.ok());
   EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition);
 }
@@ -263,35 +265,25 @@ TEST_F(ReloaderFixture, MissingInt8ArtifactRollsBackWhenInt8Required) {
   EXPECT_EQ(registry_.version(), 1u);
 }
 
-TEST_F(ReloaderFixture, PicksUpCheckpointerStream) {
-  // The PR-3 trainer publication path: Checkpointer writes ckpt-<seq>.emb
-  // and advances LATEST; the reloader turns that into a cosine engine over
-  // the input rows.
+TEST_F(ReloaderFixture, CheckpointOnlyTokenIsNotServed) {
+  // A trainer checkpoint is not a serving artifact: its rows are vocab ids
+  // (frequency-sorted, SI and user-type tokens included), not item ids. A
+  // LATEST written by the Checkpointer, with only ckpt-<seq>.emb behind it,
+  // is a missing deploy and the live model keeps serving.
+  ASSERT_TRUE(serve::PublishSynthArena(dir_, "a", 60, 8, 51, false).ok());
+  serve::ModelReloader reloader(&registry_, ropts_);
+  ASSERT_TRUE(reloader.PollOnce().ok());
+  ASSERT_EQ(registry_.version(), 1u);
+
   auto ckpt = Checkpointer::Create({dir_, /*keep=*/2});
   ASSERT_TRUE(ckpt.ok()) << ckpt.status().ToString();
   EmbeddingModel model;
   ASSERT_TRUE(model.Init(70, 16, /*seed=*/55).ok());
   ASSERT_TRUE(ckpt->Save(model, TrainProgress{}).ok());
 
-  serve::ModelReloader reloader(&registry_, ropts_);
-  ASSERT_TRUE(reloader.PollOnce().ok());
-  ASSERT_EQ(registry_.version(), 1u);
-  const serve::SnapshotPtr snap = registry_.Acquire();
-  EXPECT_EQ(snap->engine().num_items(), 70u);
-  EXPECT_EQ(snap->engine().dim(), 16u);
-
-  // Offline reference: same dense rows, same Build.
-  std::vector<float> in(static_cast<size_t>(70) * 16);
-  for (uint32_t r = 0; r < 70; ++r) {
-    std::copy(model.Input(r), model.Input(r) + 16,
-              in.begin() + static_cast<size_t>(r) * 16);
-  }
-  MatchingEngine offline;
-  ASSERT_TRUE(
-      offline.Build(std::move(in), {}, 70, 16, SimilarityMode::kCosineInput)
-          .ok());
-  EXPECT_TRUE(
-      BitIdentical(snap->engine().Query(9, 10), offline.Query(9, 10)));
+  EXPECT_EQ(reloader.PollOnce().code(), StatusCode::kNotFound);
+  EXPECT_EQ(reloader.failed_reloads(), 1u);
+  EXPECT_EQ(registry_.version(), 1u);
 }
 
 // --- The acceptance bar: reload storm under concurrent load. ---
@@ -418,9 +410,10 @@ TEST(HotSwapUnderLoadTest, TenSwapsEightConnectionsZeroErrorsBitIdentical) {
 
 TEST(ServeDeadlineTest, ExpiredQueuedRequestsAreShedTyped) {
   obs::EnableMetrics(true);
-  MatchingEngine engine = serve::BuildSynthEngine(100, 8, 61).value();
   serve::ModelRegistry registry;
-  registry.PublishBorrowed(&engine, "startup");
+  registry.PublishOwned(std::make_unique<MatchingEngine>(
+                            serve::BuildSynthEngine(100, 8, 61).value()),
+                        "startup");
   serve::ServerOptions opts;
   opts.io_threads = 1;
   opts.batch.max_batch = 64;
@@ -460,9 +453,10 @@ TEST(ServeDeadlineTest, ExpiredQueuedRequestsAreShedTyped) {
 
 TEST(ServeIdleTest, SilentAndStalledConnectionsAreEvicted) {
   obs::EnableMetrics(true);
-  MatchingEngine engine = serve::BuildSynthEngine(50, 8, 71).value();
   serve::ModelRegistry registry;
-  registry.PublishBorrowed(&engine, "startup");
+  registry.PublishOwned(std::make_unique<MatchingEngine>(
+                            serve::BuildSynthEngine(50, 8, 71).value()),
+                        "startup");
   serve::ServerOptions opts;
   opts.io_threads = 1;
   opts.idle_timeout_ms = 100;
@@ -514,7 +508,6 @@ TEST(ServeIdleTest, SilentAndStalledConnectionsAreEvicted) {
 // --- HEALTH frame. ---
 
 TEST(ServeHealthTest, ReportsReadyVersionAndShape) {
-  MatchingEngine engine = serve::BuildSynthEngine(123, 16, 81).value();
   serve::ModelRegistry registry;
   serve::ServerOptions opts;
   opts.io_threads = 1;
@@ -523,7 +516,9 @@ TEST(ServeHealthTest, ReportsReadyVersionAndShape) {
   // readiness it cannot back with a model.
   const Status empty = server.Start();
   EXPECT_EQ(empty.code(), StatusCode::kFailedPrecondition) << empty.ToString();
-  registry.PublishBorrowed(&engine, "startup");
+  registry.PublishOwned(std::make_unique<MatchingEngine>(
+                            serve::BuildSynthEngine(123, 16, 81).value()),
+                        "startup");
   ASSERT_TRUE(server.Start().ok());
 
   auto client = serve::ServeClient::Connect("127.0.0.1", server.port());
@@ -541,9 +536,10 @@ TEST(ServeHealthTest, ReportsReadyVersionAndShape) {
 // --- Client-side timeout: typed, and the slow server is survivable. ---
 
 TEST(ServeClientTimeoutTest, IoTimeoutIsTypedDeadlineExceeded) {
-  MatchingEngine engine = serve::BuildSynthEngine(80, 8, 91).value();
   serve::ModelRegistry registry;
-  registry.PublishBorrowed(&engine, "startup");
+  registry.PublishOwned(std::make_unique<MatchingEngine>(
+                            serve::BuildSynthEngine(80, 8, 91).value()),
+                        "startup");
   serve::ServerOptions opts;
   opts.io_threads = 1;
   opts.batch.max_batch = 64;
@@ -568,9 +564,10 @@ TEST(ServeClientTimeoutTest, IoTimeoutIsTypedDeadlineExceeded) {
 // --- Chaos worker: attacks never take the server down. ---
 
 TEST(ServeChaosTest, SeededAttackSweepLeavesServerHealthy) {
-  MatchingEngine engine = serve::BuildSynthEngine(150, 8, 101).value();
   serve::ModelRegistry registry;
-  registry.PublishBorrowed(&engine, "startup");
+  registry.PublishOwned(std::make_unique<MatchingEngine>(
+                            serve::BuildSynthEngine(150, 8, 101).value()),
+                        "startup");
   serve::ServerOptions opts;
   opts.io_threads = 1;
   opts.idle_timeout_ms = 100;  // slow-loris attacks get evicted, not parked

@@ -145,12 +145,15 @@ struct CallbackSink {
 
 TEST(QueryBatcherTest, CoalescesQueuedRequestsIntoOneBatch) {
   obs::EnableMetrics(true);
-  MatchingEngine engine = serve::BuildSynthEngine(200, 16, 99).value();
   serve::BatchOptions opts;
   opts.max_batch = 16;
   opts.max_wait_us = 0;  // flush whatever is queued, immediately
   serve::ModelRegistry registry;
-  registry.PublishBorrowed(&engine, "test");
+  registry.PublishOwned(std::make_unique<MatchingEngine>(
+                            serve::BuildSynthEngine(200, 16, 99).value()),
+                        "test");
+  const serve::SnapshotPtr snap = registry.Acquire();
+  const MatchingEngine& engine = snap->engine();
   serve::QueryBatcher batcher(&registry, opts);
 
   const auto before = obs::MetricsRegistry::Global().Snapshot();
@@ -181,11 +184,14 @@ TEST(QueryBatcherTest, CoalescesQueuedRequestsIntoOneBatch) {
 
 TEST(QueryBatcherTest, FullQueueRepliesBusyNeverBuffersUnboundedly) {
   obs::EnableMetrics(true);
-  MatchingEngine engine = serve::BuildSynthEngine(100, 8, 99).value();
   serve::BatchOptions opts;
   opts.queue_capacity = 4;
   serve::ModelRegistry registry;
-  registry.PublishBorrowed(&engine, "test");
+  registry.PublishOwned(std::make_unique<MatchingEngine>(
+                            serve::BuildSynthEngine(100, 8, 99).value()),
+                        "test");
+  const serve::SnapshotPtr snap = registry.Acquire();
+  const MatchingEngine& engine = snap->engine();
   serve::QueryBatcher batcher(&registry, opts);  // never started: queue holds
 
   const auto before = obs::MetricsRegistry::Global().Snapshot();
@@ -230,12 +236,15 @@ TEST(QueryBatcherTest, MaxBatchZeroIsClampedAndStillDispatches) {
   // max_batch = 0 reaches the batcher through the unvalidated --max_batch
   // flag; it must behave as batch-of-1, not busy-spin taking zero items
   // (which also made Drain join a thread that never exits).
-  MatchingEngine engine = serve::BuildSynthEngine(100, 8, 99).value();
   serve::BatchOptions opts;
   opts.max_batch = 0;
   opts.max_wait_us = 0;
   serve::ModelRegistry registry;
-  registry.PublishBorrowed(&engine, "test");
+  registry.PublishOwned(std::make_unique<MatchingEngine>(
+                            serve::BuildSynthEngine(100, 8, 99).value()),
+                        "test");
+  const serve::SnapshotPtr snap = registry.Acquire();
+  const MatchingEngine& engine = snap->engine();
   serve::QueryBatcher batcher(&registry, opts);
   EXPECT_EQ(batcher.options().max_batch, 1u);
   batcher.Start();
@@ -288,9 +297,9 @@ class LoopbackFixture : public ::testing::Test {
   /// the offline engine's answer on the same artifacts.
   static void RunMode(bool int8, bool mmap, const std::string& what) {
     MatchingEngine offline = LoadEngine(int8, mmap);
-    MatchingEngine served = LoadEngine(int8, mmap);
     serve::ModelRegistry registry;
-    registry.PublishBorrowed(&served, "startup");
+    registry.PublishOwned(
+        std::make_unique<MatchingEngine>(LoadEngine(int8, mmap)), "startup");
     serve::ServerOptions opts;
     opts.io_threads = 1;
     opts.batch.max_wait_us = 100;
@@ -335,9 +344,12 @@ TEST(ServeServerTest, HugeKIsClampedToWirePayloadBound) {
   static_assert(24 + uint64_t{serve::kMaxResultsPerResponse} * 8 <=
                     serve::kMaxPayloadBytes,
                 "response at the clamp bound must fit the payload limit");
-  MatchingEngine engine = serve::BuildSynthEngine(150, 8, 99).value();
   serve::ModelRegistry registry;
-  registry.PublishBorrowed(&engine, "startup");
+  registry.PublishOwned(std::make_unique<MatchingEngine>(
+                            serve::BuildSynthEngine(150, 8, 99).value()),
+                        "startup");
+  const serve::SnapshotPtr snap = registry.Acquire();
+  const MatchingEngine& engine = snap->engine();
   serve::ServerOptions opts;
   opts.io_threads = 1;
   serve::ServeServer server(&registry, opts);
@@ -357,9 +369,10 @@ TEST(ServeServerTest, HugeKIsClampedToWirePayloadBound) {
 
 TEST(ServeServerTest, OverloadRepliesBusyStaysUpAndRecovers) {
   obs::EnableMetrics(true);
-  MatchingEngine engine = serve::BuildSynthEngine(200, 16, 99).value();
   serve::ModelRegistry registry;
-  registry.PublishBorrowed(&engine, "startup");
+  registry.PublishOwned(std::make_unique<MatchingEngine>(
+                            serve::BuildSynthEngine(200, 16, 99).value()),
+                        "startup");
   serve::ServerOptions opts;
   opts.io_threads = 1;
   opts.batch.max_batch = 64;
@@ -426,9 +439,12 @@ TEST(ServeServerTest, OverloadRepliesBusyStaysUpAndRecovers) {
 // --- Graceful drain: accepted requests are answered, then EOF. ---
 
 TEST(ServeServerTest, ShutdownDrainsQueuedRequestsBeforeClosing) {
-  MatchingEngine engine = serve::BuildSynthEngine(100, 8, 99).value();
   serve::ModelRegistry registry;
-  registry.PublishBorrowed(&engine, "startup");
+  registry.PublishOwned(std::make_unique<MatchingEngine>(
+                            serve::BuildSynthEngine(100, 8, 99).value()),
+                        "startup");
+  const serve::SnapshotPtr snap = registry.Acquire();
+  const MatchingEngine& engine = snap->engine();
   serve::ServerOptions opts;
   opts.io_threads = 1;
   opts.batch.max_batch = 64;

@@ -232,8 +232,6 @@ TEST(WindowTest, ZeroWindowNoPairs) {
 
 TEST(WindowTest, SubsampleKeepsOrderAndDropsByProbability) {
   // Frequency-1.0 token with threshold tiny -> dropped most of the time.
-  std::vector<std::vector<uint32_t>> seqs;
-  for (int i = 0; i < 100; ++i) seqs.push_back({0, 1});
   // Build a vocab where token 0 is hot, token 1 rare.
   DatasetSpec spec;
   spec.catalog.num_items = 100;
@@ -246,8 +244,11 @@ TEST(WindowTest, SubsampleKeepsOrderAndDropsByProbability) {
   auto ds = SyntheticDataset::Generate(spec);
   ASSERT_TRUE(ds.ok());
   TokenSpace ts = TokenSpace::Create(&ds->catalog(), &ds->users());
+  // 100 sessions of {0, 1}.
+  std::vector<uint64_t> counts(ts.num_tokens(), 0);
+  counts[0] = counts[1] = 100;
   Vocabulary vocab;
-  ASSERT_TRUE(vocab.Build(seqs, ts.num_tokens(), 1, ts).ok());
+  ASSERT_TRUE(vocab.BuildFromCounts(counts, 1, ts).ok());
 
   SubsampleConfig config;
   config.item_threshold = 1e-6;

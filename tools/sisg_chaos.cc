@@ -40,22 +40,11 @@ namespace {
 /// to fail validation, keep the old snapshot, and bump reload_failed.
 Status PublishCorruptArena(const std::string& dir, const std::string& token,
                            uint64_t seed) {
-  const std::string path = dir + "/" + token + ".arena";
-  FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) return Status::IOError("cannot write " + path);
   Rng rng(seed);
-  uint8_t junk[512];
-  for (auto& b : junk) b = static_cast<uint8_t>(rng.Next());
-  const bool wrote = std::fwrite(junk, 1, sizeof(junk), f) == sizeof(junk);
-  std::fclose(f);
-  if (!wrote) return Status::IOError("short write " + path);
-  SISG_ASSIGN_OR_RETURN(AtomicFile latest, AtomicFile::Create(dir + "/LATEST"));
-  const std::string text = token + "\n";
-  if (std::fwrite(text.data(), 1, text.size(), latest.stream()) !=
-      text.size()) {
-    return Status::IOError("cannot write LATEST");
-  }
-  return latest.Commit();
+  std::string junk(512, '\0');
+  for (char& b : junk) b = static_cast<char>(rng.Next());
+  SISG_RETURN_IF_ERROR(WriteFileAtomic(dir + "/" + token + ".arena", junk));
+  return WriteFileAtomic(dir + "/LATEST", token + "\n");
 }
 
 }  // namespace
@@ -232,26 +221,30 @@ int main(int argc, char** argv) {
 
   if (flags.Has("json_out")) {
     const std::string path = flags.GetString("json_out", "");
-    FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-      std::cerr << "cannot write --json_out " << path << "\n";
+    auto out = AtomicFile::Create(path);
+    Status st = out.status();
+    if (st.ok()) {
+      const int wrote = std::fprintf(
+          out->stream(),
+          "{\"attacks\": %llu, \"probes_ok\": %llu, \"probes_failed\": %llu, "
+          "\"published_ok\": %llu, \"published_corrupt\": %llu, "
+          "\"model_version_start\": %llu, \"model_version_end\": %llu, "
+          "\"survived\": %s}\n",
+          static_cast<unsigned long long>(stats.attacks.load()),
+          static_cast<unsigned long long>(stats.probes_ok.load()),
+          static_cast<unsigned long long>(stats.probes_failed.load()),
+          static_cast<unsigned long long>(published_ok),
+          static_cast<unsigned long long>(published_corrupt),
+          static_cast<unsigned long long>(initial.model_version),
+          static_cast<unsigned long long>(final_health.model_version),
+          failed ? "false" : "true");
+      st = wrote < 0 ? Status::IOError("cannot write " + path)
+                     : out->Commit();
+    }
+    if (!st.ok()) {
+      std::cerr << "cannot write --json_out: " << st.ToString() << "\n";
       return 1;
     }
-    std::fprintf(
-        f,
-        "{\"attacks\": %llu, \"probes_ok\": %llu, \"probes_failed\": %llu, "
-        "\"published_ok\": %llu, \"published_corrupt\": %llu, "
-        "\"model_version_start\": %llu, \"model_version_end\": %llu, "
-        "\"survived\": %s}\n",
-        static_cast<unsigned long long>(stats.attacks.load()),
-        static_cast<unsigned long long>(stats.probes_ok.load()),
-        static_cast<unsigned long long>(stats.probes_failed.load()),
-        static_cast<unsigned long long>(published_ok),
-        static_cast<unsigned long long>(published_corrupt),
-        static_cast<unsigned long long>(initial.model_version),
-        static_cast<unsigned long long>(final_health.model_version),
-        failed ? "false" : "true");
-    std::fclose(f);
   }
   return failed ? 1 : 0;
 }

@@ -34,6 +34,7 @@
 
 #include "common/flags.h"
 #include "common/flat_hash.h"
+#include "common/io_util.h"
 #include "common/rng.h"
 #include "common/timer.h"
 #include "serve/chaos.h"
@@ -431,33 +432,37 @@ int main(int argc, char** argv) {
 
   if (flags.Has("json_out")) {
     const std::string path = flags.GetString("json_out", "");
-    FILE* f = std::fopen(path.c_str(), "w");
-    if (f == nullptr) {
-      std::cerr << "cannot write --json_out " << path << "\n";
+    auto out = AtomicFile::Create(path);
+    Status st = out.status();
+    if (st.ok()) {
+      const int wrote = std::fprintf(
+          out->stream(),
+          "{\"name\": \"%s\", \"mode\": \"%s\", \"connections\": %u, "
+          "\"duration_s\": %.3f, \"completed\": %llu, \"busy\": %llu, "
+          "\"bad\": %llu, \"deadline\": %llu, \"timeouts\": %llu, "
+          "\"retries\": %llu, \"errors\": %llu, \"qps\": %.1f, "
+          "\"p50_ms\": %.4f, \"p90_ms\": %.4f, \"p99_ms\": %.4f, "
+          "\"max_ms\": %.4f, \"chaos_attacks\": %llu, "
+          "\"chaos_probes_ok\": %llu, \"chaos_probes_failed\": %llu}\n",
+          name.c_str(), mode.c_str(), conns, elapsed,
+          static_cast<unsigned long long>(total.completed),
+          static_cast<unsigned long long>(total.busy),
+          static_cast<unsigned long long>(total.bad),
+          static_cast<unsigned long long>(total.deadline),
+          static_cast<unsigned long long>(total.timeouts),
+          static_cast<unsigned long long>(total.retries),
+          static_cast<unsigned long long>(total.errors), actual_qps, p50, p90,
+          p99, pmax,
+          static_cast<unsigned long long>(chaos_stats.attacks.load()),
+          static_cast<unsigned long long>(chaos_stats.probes_ok.load()),
+          static_cast<unsigned long long>(chaos_stats.probes_failed.load()));
+      st = wrote < 0 ? Status::IOError("cannot write " + path)
+                     : out->Commit();
+    }
+    if (!st.ok()) {
+      std::cerr << "cannot write --json_out: " << st.ToString() << "\n";
       return 1;
     }
-    std::fprintf(
-        f,
-        "{\"name\": \"%s\", \"mode\": \"%s\", \"connections\": %u, "
-        "\"duration_s\": %.3f, \"completed\": %llu, \"busy\": %llu, "
-        "\"bad\": %llu, \"deadline\": %llu, \"timeouts\": %llu, "
-        "\"retries\": %llu, \"errors\": %llu, \"qps\": %.1f, "
-        "\"p50_ms\": %.4f, \"p90_ms\": %.4f, \"p99_ms\": %.4f, "
-        "\"max_ms\": %.4f, \"chaos_attacks\": %llu, "
-        "\"chaos_probes_ok\": %llu, \"chaos_probes_failed\": %llu}\n",
-        name.c_str(), mode.c_str(), conns, elapsed,
-        static_cast<unsigned long long>(total.completed),
-        static_cast<unsigned long long>(total.busy),
-        static_cast<unsigned long long>(total.bad),
-        static_cast<unsigned long long>(total.deadline),
-        static_cast<unsigned long long>(total.timeouts),
-        static_cast<unsigned long long>(total.retries),
-        static_cast<unsigned long long>(total.errors), actual_qps, p50, p90,
-        p99, pmax,
-        static_cast<unsigned long long>(chaos_stats.attacks.load()),
-        static_cast<unsigned long long>(chaos_stats.probes_ok.load()),
-        static_cast<unsigned long long>(chaos_stats.probes_failed.load()));
-    std::fclose(f);
   }
   return (total.errors > 0 || total.completed == 0 || chaos_failed) ? 1 : 0;
 }

@@ -28,6 +28,7 @@
 
 #include <cstdio>
 #include <iostream>
+#include <memory>
 #include <utility>
 
 #include "common/flags.h"
@@ -211,16 +212,15 @@ int main(int argc, char** argv) {
       static_cast<uint32_t>(flags.GetInt64("reload_interval_ms", 1000));
   ropts.use_mmap = use_mmap;
   ropts.want_int8 = quant == "int8";
-  if (auto st = serve::ValidateServingEngine(engine, ropts.canary_queries,
-                                             ropts.canary_k);
-      !st.ok()) {
+  if (auto st = serve::ValidateServingEngine(engine); !st.ok()) {
     std::cerr << "initial snapshot failed validation: " << st.ToString()
               << "\n";
     return 1;
   }
 
   serve::ModelRegistry registry;
-  registry.PublishBorrowed(&engine, "startup");
+  registry.PublishOwned(std::make_unique<MatchingEngine>(std::move(engine)),
+                        "startup");
   serve::ServeServer server(&registry, opts);
   if (auto st = server.Start(); !st.ok()) {
     std::cerr << "server start failed: " << st.ToString() << "\n";
@@ -234,9 +234,14 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  std::cout << "serving " << engine.num_items() << " items (dim "
-            << engine.dim() << ", quant " << quant << ") on " << opts.host
-            << ":" << server.port() << "\n";
+  {
+    // Scoped: a held snapshot would keep the startup model alive after the
+    // first reload retires it.
+    const serve::SnapshotPtr startup = registry.Acquire();
+    std::cout << "serving " << startup->engine().num_items() << " items (dim "
+              << startup->engine().dim() << ", quant " << quant << ") on "
+              << opts.host << ":" << server.port() << "\n";
+  }
   std::cout.flush();
   // Written only now: listener accepting, initial snapshot validated.
   if (flags.Has("port_file")) {
