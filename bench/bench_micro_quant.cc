@@ -277,8 +277,9 @@ void BM_EngineQueryInt8(benchmark::State& state) {
 BENCHMARK(BM_EngineQueryInt8)->Arg(128);
 
 /// IVF baseline vs IVF-PQ ADC: same index geometry, same probed lists; the
-/// PQ path streams m-byte codes plus the per-query table instead of fp32
-/// rows, then exactly re-scores the shortlist.
+/// PQ path streams m-byte codes instead of fp32 rows, then exactly
+/// re-scores the shortlist. bytes_per_query counts candidate bytes scored
+/// (codes or rows, plus rerank rows), not the per-query ADC table.
 void RunIvfQueries(benchmark::State& state, const IvfIndex& index,
                    const std::vector<float>& data, uint32_t dim) {
   const bool was_enabled = obs::MetricsEnabled();

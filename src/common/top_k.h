@@ -120,6 +120,13 @@ class TopKSelector {
   std::vector<Entry> heap_;
 };
 
+/// Depth of an approximate shortlist (int8 scan, PQ ADC) that an exact fp32
+/// rerank cuts to k: four times k, at least 32, capped at the `rows`
+/// candidates, plus one slot for a query item excluded only at rerank.
+inline uint32_t ShortlistDepth(uint32_t k, uint32_t rows) {
+  return std::min(rows, std::max(4 * k, 32u)) + 1;
+}
+
 }  // namespace sisg
 
 #endif  // SISG_COMMON_TOP_K_H_

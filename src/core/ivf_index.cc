@@ -3,18 +3,10 @@
 #include <algorithm>
 #include <cstring>
 
-#include "common/io_util.h"
 #include "common/math_util.h"
-#include "common/thread_pool.h"
 #include "obs/metrics.h"
 
 namespace sisg {
-namespace {
-
-constexpr char kIvfKind[] = "IVFINDEX";
-constexpr uint32_t kIvfVersion = 1;
-
-}  // namespace
 
 Status IvfIndex::Build(const float* data, uint32_t rows, uint32_t dim,
                        const IvfOptions& options) {
@@ -25,7 +17,6 @@ Status IvfIndex::Build(const float* data, uint32_t rows, uint32_t dim,
     return Status::InvalidArgument("ivf: nprobe must be > 0");
   }
   SISG_RETURN_IF_ERROR(quantizer_.Fit(data, rows, dim, options.kmeans));
-  options_ = options;
   dim_ = dim;
   stride_ = AlignedRowStride(dim);
   num_indexed_ = 0;
@@ -67,35 +58,22 @@ Status IvfIndex::Build(const float* data, uint32_t rows, uint32_t dim,
   return Status::OK();
 }
 
-Status IvfIndex::EnablePq(const PqOptions& options, uint32_t rerank) {
+Status IvfIndex::EnablePq(const PqOptions& options) {
   if (num_indexed_ == 0) {
     return Status::FailedPrecondition("ivf: index not built");
   }
-  PqCodebook book;
+  auto book = std::make_unique<PqCodebook>();
   SISG_RETURN_IF_ERROR(
-      book.Train(list_data_.data(), num_indexed_, dim_, stride_, options));
-  return EnablePq(std::move(book), rerank);
-}
-
-Status IvfIndex::EnablePq(PqCodebook book, uint32_t rerank) {
-  if (num_indexed_ == 0) {
-    return Status::FailedPrecondition("ivf: index not built");
-  }
-  if (!book.trained() || book.dim() != dim_) {
-    return Status::FailedPrecondition(
-        "ivf: pq codebook dim " + std::to_string(book.dim()) +
-        " != index dim " + std::to_string(dim_));
-  }
-  const uint32_t m = book.m();
+      book->Train(list_data_.data(), num_indexed_, dim_, stride_, options));
+  const uint32_t m = book->m();
   pq_codes_.assign(static_cast<size_t>(num_indexed_) * m, 0);
   for (uint32_t row = 0; row < num_indexed_; ++row) {
-    book.Encode(list_data_.data() + static_cast<size_t>(row) * stride_,
-                pq_codes_.data() + static_cast<size_t>(row) * m);
+    book->Encode(list_data_.data() + static_cast<size_t>(row) * stride_,
+                 pq_codes_.data() + static_cast<size_t>(row) * m);
   }
   row_ids_.resize(num_indexed_);
   for (uint32_t row = 0; row < num_indexed_; ++row) row_ids_[row] = row;
-  pq_ = std::make_unique<PqCodebook>(std::move(book));
-  pq_rerank_ = rerank;
+  pq_ = std::move(book);
   return Status::OK();
 }
 
@@ -115,15 +93,9 @@ std::vector<ScoredId> IvfIndex::Query(const float* query, uint32_t k,
     // the rerank needs row addresses; the exclude is applied at rerank,
     // where external ids are known, so the shortlist is one deeper.
     const uint32_t m = pq_->m();
-    const uint32_t want = pq_rerank_ > 0
-                              ? pq_rerank_
-                              : std::max(4 * k, 32u);
-    const uint32_t shortlist_k =
-        std::min(num_indexed_, want) + 1;  // +1 absorbs the excluded row
     std::vector<float> table(static_cast<size_t>(m) * 256);
     pq_->BuildAdcTable(query, table.data());
-    bytes += table.size() * sizeof(float);  // table build reads/writes
-    TopKSelector shortlist(shortlist_k);
+    TopKSelector shortlist(ShortlistDepth(k, num_indexed_));
     for (uint32_t c : quantizer_.AssignTopN(query, nprobe_)) {
       const uint32_t begin = list_begin_[c];
       const uint32_t len = list_begin_[c + 1] - begin;
@@ -150,7 +122,7 @@ std::vector<ScoredId> IvfIndex::Query(const float* query, uint32_t k,
     result = sel.Take();
     if (obs::MetricsEnabled()) {
       static obs::Counter* const m_rerank =
-          obs::MetricsRegistry::Global().counter("serve.pq_rerank_rows");
+          obs::MetricsRegistry::Global().counter("serve.rerank_rows");
       m_rerank->Add(reranked);
     }
   } else {
@@ -176,152 +148,17 @@ std::vector<ScoredId> IvfIndex::Query(const float* query, uint32_t k,
         obs::MetricsRegistry::Global().counter("serve.ivf_rows_scanned");
     static obs::Counter* const m_bytes =
         obs::MetricsRegistry::Global().counter("serve.bytes_scanned");
+    static obs::Counter* const m_streamed =
+        obs::MetricsRegistry::Global().counter("serve.bytes_streamed");
     m_probed->Add(probed);
     m_scanned->Add(scanned);
+    // Bytes scored: list rows (m-byte codes or fp32 rows) plus fp32 rerank
+    // rows. A posting-list walk shares nothing across queries, so each of
+    // them is also streamed (scanned/streamed ratio 1).
     m_bytes->Add(bytes);
+    m_streamed->Add(bytes);
   }
   return result;
-}
-
-Status IvfIndex::QueryChecked(const float* query, uint32_t query_dim,
-                              uint32_t k, uint32_t exclude,
-                              std::vector<ScoredId>* out) const {
-  if (out == nullptr) return Status::InvalidArgument("ivf: null output");
-  if (num_indexed_ == 0) return Status::FailedPrecondition("ivf: index not built");
-  if (query == nullptr) return Status::InvalidArgument("ivf: null query");
-  if (k == 0) return Status::InvalidArgument("ivf: k must be > 0");
-  if (query_dim != dim_) {
-    return Status::InvalidArgument("ivf: query dim " + std::to_string(query_dim) +
-                                   " != index dim " + std::to_string(dim_));
-  }
-  *out = Query(query, k, exclude);
-  return Status::OK();
-}
-
-Status IvfIndex::QueryBatch(const float* queries, uint32_t num_queries,
-                            uint32_t query_dim, uint32_t k,
-                            uint32_t num_threads,
-                            std::vector<std::vector<ScoredId>>* out,
-                            const uint32_t* excludes) const {
-  if (out == nullptr) return Status::InvalidArgument("ivf: null output");
-  if (num_indexed_ == 0) return Status::FailedPrecondition("ivf: index not built");
-  if (queries == nullptr || num_queries == 0) {
-    return Status::InvalidArgument("ivf: empty query batch");
-  }
-  if (k == 0) return Status::InvalidArgument("ivf: k must be > 0");
-  if (query_dim != dim_) {
-    return Status::InvalidArgument("ivf: query dim " + std::to_string(query_dim) +
-                                   " != index dim " + std::to_string(dim_));
-  }
-  out->assign(num_queries, {});
-  auto run_one = [&](size_t i) {
-    (*out)[i] = Query(queries + i * query_dim, k,
-                      excludes != nullptr ? excludes[i] : UINT32_MAX);
-  };
-  if (num_threads <= 1 || num_queries == 1) {
-    for (uint32_t i = 0; i < num_queries; ++i) run_one(i);
-    return Status::OK();
-  }
-  ThreadPool pool(num_threads);
-  pool.ParallelFor(num_queries, run_one);
-  return Status::OK();
-}
-
-Status IvfIndex::Save(const std::string& path) const {
-  if (num_indexed_ == 0) {
-    return Status::FailedPrecondition("ivf: cannot save an unbuilt index");
-  }
-  SISG_ASSIGN_OR_RETURN(ArtifactWriter w,
-                        ArtifactWriter::Open(path, kIvfKind, kIvfVersion));
-  const uint32_t num_clusters = quantizer_.num_clusters();
-  SISG_RETURN_IF_ERROR(w.WriteScalar(dim_));
-  SISG_RETURN_IF_ERROR(w.WriteScalar(num_indexed_));
-  SISG_RETURN_IF_ERROR(w.WriteScalar(options_.nprobe));
-  SISG_RETURN_IF_ERROR(w.WriteScalar(nprobe_));
-  SISG_RETURN_IF_ERROR(w.WriteScalar(options_.kmeans.num_clusters));
-  SISG_RETURN_IF_ERROR(w.WriteScalar(options_.kmeans.iterations));
-  SISG_RETURN_IF_ERROR(w.WriteScalar(options_.kmeans.seed));
-  SISG_RETURN_IF_ERROR(w.WriteScalar(num_clusters));
-  SISG_RETURN_IF_ERROR(w.Write(quantizer_.centroids().data(),
-                               quantizer_.centroids().size() * sizeof(float)));
-  SISG_RETURN_IF_ERROR(w.Write(list_begin_.data(),
-                               list_begin_.size() * sizeof(uint32_t)));
-  SISG_RETURN_IF_ERROR(
-      w.Write(flat_ids_.data(), flat_ids_.size() * sizeof(uint32_t)));
-  // Rows are stored dense (dim floats each); the aligned stride padding is
-  // rebuilt at load, so the artifact stays portable across SIMD widths.
-  for (uint32_t r = 0; r < num_indexed_; ++r) {
-    SISG_RETURN_IF_ERROR(
-        w.Write(list_data_.data() + static_cast<size_t>(r) * stride_,
-                dim_ * sizeof(float)));
-  }
-  return w.Commit();
-}
-
-StatusOr<IvfIndex> IvfIndex::Load(const std::string& path) {
-  SISG_ASSIGN_OR_RETURN(ArtifactReader r, ArtifactReader::Open(path, kIvfKind));
-  if (r.version() != kIvfVersion) {
-    return Status::InvalidArgument("ivf: unsupported artifact version " +
-                                   std::to_string(r.version()) + " in " + path);
-  }
-  IvfIndex index;
-  uint32_t num_clusters = 0;
-  SISG_RETURN_IF_ERROR(r.ReadScalar(&index.dim_));
-  SISG_RETURN_IF_ERROR(r.ReadScalar(&index.num_indexed_));
-  SISG_RETURN_IF_ERROR(r.ReadScalar(&index.options_.nprobe));
-  SISG_RETURN_IF_ERROR(r.ReadScalar(&index.nprobe_));
-  SISG_RETURN_IF_ERROR(r.ReadScalar(&index.options_.kmeans.num_clusters));
-  SISG_RETURN_IF_ERROR(r.ReadScalar(&index.options_.kmeans.iterations));
-  SISG_RETURN_IF_ERROR(r.ReadScalar(&index.options_.kmeans.seed));
-  SISG_RETURN_IF_ERROR(r.ReadScalar(&num_clusters));
-  if (index.dim_ == 0 || index.num_indexed_ == 0 || num_clusters == 0) {
-    return Status::DataLoss("ivf: empty shape in " + path);
-  }
-  const uint64_t expected =
-      static_cast<uint64_t>(num_clusters) * index.dim_ * sizeof(float) +
-      (static_cast<uint64_t>(num_clusters) + 1) * sizeof(uint32_t) +
-      static_cast<uint64_t>(index.num_indexed_) * sizeof(uint32_t) +
-      static_cast<uint64_t>(index.num_indexed_) * index.dim_ * sizeof(float);
-  if (r.remaining() != expected) {
-    return Status::DataLoss("ivf: artifact payload is " +
-                            std::to_string(r.remaining()) +
-                            " bytes where the declared shape needs " +
-                            std::to_string(expected) + ": " + path);
-  }
-  std::vector<float> centroids(static_cast<size_t>(num_clusters) * index.dim_);
-  SISG_RETURN_IF_ERROR(
-      r.Read(centroids.data(), centroids.size() * sizeof(float)));
-  SISG_RETURN_IF_ERROR(
-      index.quantizer_.Restore(std::move(centroids), num_clusters, index.dim_));
-  index.list_begin_.assign(num_clusters + 1, 0);
-  SISG_RETURN_IF_ERROR(r.Read(index.list_begin_.data(),
-                              index.list_begin_.size() * sizeof(uint32_t)));
-  if (index.list_begin_.front() != 0 ||
-      index.list_begin_.back() != index.num_indexed_ ||
-      !std::is_sorted(index.list_begin_.begin(), index.list_begin_.end())) {
-    return Status::DataLoss("ivf: inconsistent posting-list offsets in " + path);
-  }
-  index.flat_ids_.assign(index.num_indexed_, 0);
-  SISG_RETURN_IF_ERROR(r.Read(index.flat_ids_.data(),
-                              index.flat_ids_.size() * sizeof(uint32_t)));
-  index.stride_ = AlignedRowStride(index.dim_);
-  index.list_data_.assign(
-      static_cast<size_t>(index.num_indexed_) * index.stride_, 0.0f);
-  for (uint32_t row = 0; row < index.num_indexed_; ++row) {
-    SISG_RETURN_IF_ERROR(
-        r.Read(index.list_data_.data() + static_cast<size_t>(row) * index.stride_,
-               index.dim_ * sizeof(float)));
-  }
-  return index;
-}
-
-double IvfIndex::ExpectedScanFraction() const {
-  if (num_indexed_ == 0) return 0.0;
-  // Average list size times nprobe over the corpus: a first-order proxy; a
-  // real deployment measures per-query scan counts.
-  const double avg_list =
-      static_cast<double>(num_indexed_) / quantizer_.num_clusters();
-  return std::min(1.0, avg_list * nprobe_ / num_indexed_);
 }
 
 }  // namespace sisg

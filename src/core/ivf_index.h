@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "common/simd.h"
@@ -38,63 +37,29 @@ class IvfIndex {
 
   uint32_t num_vectors() const { return num_indexed_; }
   uint32_t dim() const { return dim_; }
-  const IvfOptions& options() const { return options_; }
-  /// nprobe actually used per query: options().nprobe clamped to the number
-  /// of non-empty posting lists.
+  /// nprobe actually used per query: IvfOptions::nprobe clamped to the
+  /// number of non-empty posting lists.
   uint32_t effective_nprobe() const { return nprobe_; }
 
   /// Top-k rows by inner product with `query`, scanning the nprobe nearest
   /// lists. `exclude` (e.g. the query item itself) is skipped. Returns empty
-  /// when the index is unbuilt or k == 0 (use QueryChecked for a Status).
+  /// when the index is unbuilt or k == 0.
   std::vector<ScoredId> Query(const float* query, uint32_t k,
                               uint32_t exclude = UINT32_MAX) const;
 
-  /// Query with argument validation: rejects an unbuilt index, k == 0 and a
-  /// query dimensionality that does not match the index instead of silently
-  /// scanning nothing.
-  Status QueryChecked(const float* query, uint32_t query_dim, uint32_t k,
-                      uint32_t exclude, std::vector<ScoredId>* out) const;
-
-  /// Multi-query serving: `queries` is num_queries x query_dim row-major;
-  /// results align with queries. `excludes` is optional (one id per query).
-  /// Fanned out over a ThreadPool when num_threads > 1.
-  Status QueryBatch(const float* queries, uint32_t num_queries,
-                    uint32_t query_dim, uint32_t k, uint32_t num_threads,
-                    std::vector<std::vector<ScoredId>>* out,
-                    const uint32_t* excludes = nullptr) const;
-
-  /// Fraction of indexed vectors scanned by one query (the speedup proxy:
-  /// brute force scans 1.0).
-  double ExpectedScanFraction() const;
-
   /// --- IVF-PQ: asymmetric-distance scans inside the posting lists. ---
-  /// Trains (or adopts) a product codebook and encodes every indexed row
+  /// Trains a product codebook on the indexed rows and encodes every row
   /// into a code arena parallel to the CSR layout (list c's codes are the
   /// contiguous rows [list_begin_[c], list_begin_[c+1]) x m bytes). Queries
   /// then scan m-byte codes through a per-query ADC table instead of
-  /// dim * 4-byte fp32 rows, and the top `rerank` approximate hits are
-  /// re-scored exactly against the retained fp32 rows before the final
-  /// top-k — the PQ error only has to keep the true winners inside the
-  /// shortlist, not rank them. `rerank` 0 picks max(4k, 32) per query.
-  Status EnablePq(const PqOptions& options, uint32_t rerank = 0);
-  /// Same, with a codebook trained elsewhere (must match dim()).
-  Status EnablePq(PqCodebook book, uint32_t rerank = 0);
+  /// dim * 4-byte fp32 rows, and a ShortlistDepth(k) shortlist of
+  /// approximate hits is re-scored exactly against the retained fp32 rows
+  /// before the final top-k — the PQ error only has to keep the true
+  /// winners inside the shortlist, not rank them.
+  Status EnablePq(const PqOptions& options);
   bool pq_enabled() const { return pq_ != nullptr; }
-  const PqCodebook* pq() const { return pq_.get(); }
-
-  /// Serializes the built index (quantizer centroids, posting-list layout
-  /// and packed rows) as an atomically published, checksummed artifact.
-  /// PQ state is not persisted: the codebook has its own artifact
-  /// (PqCodebook::Save) and codes are re-derived by EnablePq after Load.
-  Status Save(const std::string& path) const;
-
-  /// Loads an index saved by Save(). A truncated or bit-flipped file fails
-  /// the artifact checksum (or the structural validation behind it) and
-  /// yields Status::DataLoss — never a partially loaded index.
-  static StatusOr<IvfIndex> Load(const std::string& path);
 
  private:
-  IvfOptions options_;
   uint32_t dim_ = 0;
   uint32_t num_indexed_ = 0;
   uint32_t nprobe_ = 0;     // clamped to non-empty lists at Build
@@ -107,13 +72,11 @@ class IvfIndex {
   std::vector<uint32_t> flat_ids_;
   std::vector<uint32_t> list_begin_;
   // IVF-PQ state (absent unless EnablePq succeeded): per-row codes in CSR
-  // order (num_indexed_ x m bytes), an identity row-id array so the ADC
-  // kernel can report block rows for the rerank pass, and the shortlist
-  // depth.
+  // order (num_indexed_ x m bytes) and an identity row-id array so the ADC
+  // kernel can report block rows for the rerank pass.
   std::unique_ptr<PqCodebook> pq_;
   AlignedByteVector pq_codes_;
   std::vector<uint32_t> row_ids_;
-  uint32_t pq_rerank_ = 0;
 };
 
 }  // namespace sisg

@@ -32,21 +32,8 @@ class KMeans {
     return centroids_.data() + static_cast<size_t>(c) * dim_;
   }
 
-  /// Full centroid matrix (num_clusters x dim row-major), for serialization.
+  /// Full centroid matrix (num_clusters x dim row-major).
   const std::vector<float>& centroids() const { return centroids_; }
-
-  /// Rebuilds a fitted quantizer from serialized centroids (IvfIndex::Load).
-  Status Restore(std::vector<float> centroids, uint32_t num_clusters,
-                 uint32_t dim) {
-    if (num_clusters == 0 || dim == 0 ||
-        centroids.size() != static_cast<size_t>(num_clusters) * dim) {
-      return Status::InvalidArgument("kmeans: centroid matrix shape mismatch");
-    }
-    num_clusters_ = num_clusters;
-    dim_ = dim;
-    centroids_ = std::move(centroids);
-    return Status::OK();
-  }
 
   /// Index of the nearest centroid (squared euclidean).
   uint32_t Assign(const float* vec) const;

@@ -17,7 +17,8 @@ namespace {
 /// Candidate-scan byte counters. serve.bytes_scanned counts the bytes
 /// scored (block bytes once per query, plus fp32 rerank rows);
 /// serve.bytes_streamed counts the block bytes read (once per shard pass; a
-/// Query() is a pass of one), so their ratio is the coalescing factor.
+/// Query() is a pass of one), so their ratio is the coalescing factor. An
+/// IVF-PQ walk adds its code and rerank bytes to both (IvfIndex::Query).
 obs::Counter* ScanBytes() {
   static obs::Counter* const c =
       obs::MetricsRegistry::Global().counter("serve.bytes_scanned");
@@ -118,10 +119,8 @@ void MatchingEngine::InstallArena(std::unique_ptr<ServingArena> arena) {
   mode_ = static_cast<SimilarityMode>(v.mode);
   row_of_item_.assign(num_items_, UINT32_MAX);
   for (uint32_t r = 0; r < v.num_cand; ++r) row_of_item_[v.cand_ids[r]] = r;
-  backend_ = AnnBackend::kBruteForce;
   degraded_ = false;
   ivf_.reset();
-  hnsw_.reset();
   quant_mode_ = QuantMode::kFp32;
   int8_arena_.reset();
   int8_row_ids_.clear();
@@ -218,100 +217,26 @@ Status MatchingEngine::SaveInt8(const std::string& path) const {
 }
 
 Status MatchingEngine::EnableIvfPq(const IvfOptions& ivf_options,
-                                   const PqOptions& pq_options,
-                                   uint32_t rerank) {
-  SISG_RETURN_IF_ERROR(EnableIvf(ivf_options));
-  const Status st = ivf_->EnablePq(pq_options, rerank);
-  if (!st.ok()) {
-    degraded_ = true;
-    backend_ = AnnBackend::kBruteForce;
-    ivf_.reset();
-    PublishDegraded();
-    LOG_WARN << "matching engine: PQ enable failed (" << st.message()
-             << "); serving degrades to brute-force scan";
-    return st;
-  }
-  return Status::OK();
-}
-
-Status MatchingEngine::EnableIvf(const IvfOptions& options) {
+                                   const PqOptions& pq_options) {
   if (num_items_ == 0) {
     return Status::FailedPrecondition("matching engine: not built");
   }
   auto index = std::make_unique<IvfIndex>();
-  const Status built =
-      index->Build(DenseCandidateMatrix().data(), num_items_, dim_, options);
-  if (!built.ok()) {
+  Status st =
+      index->Build(DenseCandidateMatrix().data(), num_items_, dim_, ivf_options);
+  if (st.ok()) st = index->EnablePq(pq_options);
+  if (!st.ok()) {
     degraded_ = true;
-    backend_ = AnnBackend::kBruteForce;
+    ivf_.reset();
     PublishDegraded();
-    LOG_WARN << "matching engine: IVF build failed (" << built.message()
+    LOG_WARN << "matching engine: IVF-PQ enable failed (" << st.message()
              << "); serving degrades to brute-force scan";
-    return built;
+    return st;
   }
   ivf_ = std::move(index);
-  backend_ = AnnBackend::kIvf;
   degraded_ = false;
   PublishDegraded();
   return Status::OK();
-}
-
-Status MatchingEngine::EnableHnsw(const HnswOptions& options) {
-  if (num_items_ == 0) {
-    return Status::FailedPrecondition("matching engine: not built");
-  }
-  auto index = std::make_unique<HnswIndex>();
-  const Status built =
-      index->Build(DenseCandidateMatrix().data(), num_items_, dim_, options);
-  if (!built.ok()) {
-    degraded_ = true;
-    backend_ = AnnBackend::kBruteForce;
-    PublishDegraded();
-    LOG_WARN << "matching engine: HNSW build failed (" << built.message()
-             << "); serving degrades to brute-force scan";
-    return built;
-  }
-  hnsw_ = std::move(index);
-  backend_ = AnnBackend::kHnsw;
-  degraded_ = false;
-  PublishDegraded();
-  return Status::OK();
-}
-
-Status MatchingEngine::EnableIvfFromFile(const std::string& path) {
-  if (num_items_ == 0) {
-    return Status::FailedPrecondition("matching engine: not built");
-  }
-  auto degrade = [&](const Status& why) {
-    degraded_ = true;
-    backend_ = AnnBackend::kBruteForce;
-    PublishDegraded();
-    LOG_WARN << "matching engine: IVF load from " << path << " failed ("
-             << why.message() << "); serving degrades to brute-force scan";
-    return why;
-  };
-  StatusOr<IvfIndex> loaded = IvfIndex::Load(path);
-  if (!loaded.ok()) return degrade(loaded.status());
-  if (loaded->dim() != dim_ || loaded->num_vectors() > num_items_) {
-    return degrade(Status::FailedPrecondition(
-        "ivf artifact indexes " + std::to_string(loaded->num_vectors()) +
-        " vectors of dim " + std::to_string(loaded->dim()) +
-        " but this engine serves " + std::to_string(num_items_) +
-        " items of dim " + std::to_string(dim_)));
-  }
-  ivf_ = std::make_unique<IvfIndex>(std::move(loaded).value());
-  backend_ = AnnBackend::kIvf;
-  degraded_ = false;
-  PublishDegraded();
-  return Status::OK();
-}
-
-Status MatchingEngine::SaveIvf(const std::string& path) const {
-  if (backend_ != AnnBackend::kIvf || ivf_ == nullptr) {
-    return Status::FailedPrecondition(
-        "matching engine: no IVF index installed");
-  }
-  return ivf_->Save(path);
 }
 
 std::vector<ScoredId> MatchingEngine::Query(uint32_t item, uint32_t k) const {
@@ -401,17 +326,11 @@ void MatchingEngine::Scan(const Active* act, size_t n, ThreadPool* pool) const {
 }
 
 void MatchingEngine::ScanSpan(const Active* act, size_t m) const {
-  // ANN fast path; the brute-force block below stays intact as the serving
-  // fallback, so a failed or missing index only costs latency, not queries.
-  if (backend_ == AnnBackend::kIvf && ivf_ != nullptr) {
+  // IVF-PQ fast path; the brute-force block below stays intact as the
+  // serving fallback, so a failed or missing index only costs latency.
+  if (ivf_ != nullptr) {
     for (size_t j = 0; j < m; ++j) {
       *act[j].out = ivf_->Query(act[j].query, act[j].k, act[j].exclude);
-    }
-    return;
-  }
-  if (backend_ == AnnBackend::kHnsw && hnsw_ != nullptr) {
-    for (size_t j = 0; j < m; ++j) {
-      *act[j].out = hnsw_->Query(act[j].query, act[j].k, act[j].exclude);
     }
     return;
   }
@@ -441,9 +360,7 @@ void MatchingEngine::ScanSpan(const Active* act, size_t m) const {
     shortlists.reserve(m);
     for (size_t j = 0; j < m; ++j) {
       iq[j] = QuantizeQueryInt8(act[j].query, dim_, qcodes.data() + j * dim_);
-      const uint32_t shortlist_k =
-          std::min(rows, std::max(4 * act[j].k, 32u)) + 1;  // +1: exclude
-      shortlists.emplace_back(shortlist_k);
+      shortlists.emplace_back(ShortlistDepth(act[j].k, rows));
     }
     // Whole tiles of queries share one register-tiled pass per chunk;
     // the remainder (and any batch under one tile) scans per query.

@@ -11,21 +11,15 @@
 #include "common/status.h"
 #include "common/top_k.h"
 #include "core/embedding_arena.h"
-#include "core/hnsw_index.h"
 #include "core/ivf_index.h"
 
 namespace sisg {
 
 class ThreadPool;
 
-/// Which retrieval structure serves queries. Brute force is both the
-/// baseline and the graceful-degradation fallback: an ANN index that fails
-/// to build or to load never takes the query path down with it.
-enum class AnnBackend { kBruteForce, kIvf, kHnsw };
-
 /// Precision of the brute-force candidate scan. kInt8 scans 1-byte codes
 /// (4x+ fewer bytes than fp32) and exactly re-scores a small shortlist;
-/// PQ lives inside the IVF backend (EnableIvfPq), not here.
+/// PQ lives inside the IVF-PQ index (EnableIvfPq), not here.
 enum class QuantMode { kFp32, kInt8 };
 
 /// How a query item is scored against candidates (Section II-C).
@@ -91,9 +85,9 @@ class MatchingEngine {
   /// the same order at every batch size, so results are bit-identical to
   /// calling Query(items[i], ks[i]) per item; this is what makes the network
   /// batcher's answers indistinguishable from the one-shot CLI's. With a
-  /// `pool`, the batch is sharded into per-worker coalesced sub-batches. ANN
-  /// backends walk their index per query (posting-list walks share no
-  /// linear scan).
+  /// `pool`, the batch is sharded into per-worker coalesced sub-batches. An
+  /// installed IVF-PQ index is walked per query (posting-list walks share
+  /// no linear scan).
   std::vector<std::vector<ScoredId>> QueryBatchCoalesced(
       const uint32_t* items, const uint32_t* ks, size_t n,
       ThreadPool* pool = nullptr) const;
@@ -101,32 +95,20 @@ class MatchingEngine {
   /// Pairwise score between two items under the engine's mode.
   float Score(uint32_t query_item, uint32_t candidate) const;
 
-  /// --- ANN acceleration with graceful degradation. Each Enable* attempts
-  /// to install the index over DenseCandidateMatrix(); on failure the engine
-  /// LOGs the degradation, keeps serving through the brute-force block scan
-  /// (queries never error), marks degraded() and returns the underlying
+  /// --- IVF-PQ acceleration with graceful degradation: builds an IVF index
+  /// over DenseCandidateMatrix() and product-quantizes its posting lists, so
+  /// queries scan m-byte ADC codes and exactly re-score a shortlist. On
+  /// failure the engine LOGs the degradation, keeps serving through the
+  /// brute-force block scan (queries never error and answer bit-identically
+  /// to before the attempt), marks degraded() and returns the underlying
   /// failure so callers can surface it.
-  Status EnableIvf(const IvfOptions& options);
-  Status EnableHnsw(const HnswOptions& options);
-  /// IVF with product-quantized posting lists: ADC scans over m-byte codes,
-  /// exact fp32 rerank of the shortlist. Same degradation contract as the
-  /// other Enable*.
-  Status EnableIvfPq(const IvfOptions& ivf_options, const PqOptions& pq_options,
-                     uint32_t rerank = 0);
-  /// Installs a pre-built IVF index from a checksummed artifact; a corrupt
-  /// file yields Status::DataLoss (and brute-force fallback), an index built
-  /// for a different engine shape yields FailedPrecondition.
-  Status EnableIvfFromFile(const std::string& path);
-  /// Persists the currently installed IVF index (FailedPrecondition when the
-  /// active backend is not IVF).
-  Status SaveIvf(const std::string& path) const;
+  Status EnableIvfPq(const IvfOptions& ivf_options, const PqOptions& pq_options);
 
-  AnnBackend ann_backend() const { return backend_; }
-  /// True when an ANN enable failed and the engine fell back to brute force.
+  /// True when an enable failed and the engine fell back to brute force.
   bool degraded() const { return degraded_; }
 
   /// --- Quantized brute-force scan (int8). Same degradation contract as
-  /// the ANN enables: a corrupt or mismatched quantized artifact marks the
+  /// EnableIvfPq: a corrupt or mismatched quantized artifact marks the
   /// engine degraded (serve.degraded gauge) and queries keep flowing
   /// through the fp32 path, bit-identical to before the attempt.
   Status EnableInt8();
@@ -167,19 +149,19 @@ class MatchingEngine {
   /// observation for the call, then shards the span over `pool` (when
   /// given) into ScanSpan passes. Every query API funnels through here.
   void Scan(const Active* act, size_t n, ThreadPool* pool) const;
-  /// The scan core: an ANN walk per query when an index is installed,
+  /// The scan core: an IVF-PQ walk per query when ivf_ is installed,
   /// otherwise one chunk-tiled pass over the candidate block (int8 shortlist
   /// plus exact fp32 rerank, or the fp32 scan).
   void ScanSpan(const Active* act, size_t n) const;
 
   /// Takes ownership of the serving state and resets everything derived
-  /// from the previous one (item -> row map, int8 codes, ANN indexes).
+  /// from the previous one (item -> row map, int8 codes, IVF-PQ index).
   void InstallArena(std::unique_ptr<ServingArena> arena);
   /// Switches the scan to `codes` (one row per candidate-block row).
   void InstallInt8(std::unique_ptr<Int8Arena> codes);
 
   /// Publishes degraded_ to the serve.degraded gauge (cold path; runs on
-  /// every ANN enable/degrade transition).
+  /// every enable/degrade transition).
   void PublishDegraded() const;
 
   uint32_t num_items_ = 0;
@@ -198,12 +180,10 @@ class MatchingEngine {
   std::unique_ptr<Int8Arena> int8_arena_;
   std::vector<uint32_t> int8_row_ids_;
 
-  // Optional ANN acceleration; brute force remains the fallback whenever
-  // these are absent (never built, failed to build, failed to load).
-  AnnBackend backend_ = AnnBackend::kBruteForce;
+  // Optional IVF-PQ acceleration; the brute-force scan serves whenever it
+  // is absent (never enabled, or the enable failed).
   bool degraded_ = false;
   std::unique_ptr<IvfIndex> ivf_;
-  std::unique_ptr<HnswIndex> hnsw_;
 };
 
 }  // namespace sisg

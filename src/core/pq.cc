@@ -3,14 +3,10 @@
 #include <algorithm>
 #include <cstring>
 
-#include "common/io_util.h"
 #include "common/math_util.h"
 
 namespace sisg {
 namespace {
-
-constexpr char kPqKind[] = "PQCBOOK";
-constexpr uint32_t kPqVersion = 1;
 
 uint32_t LargestDivisorAtMost(uint32_t dim, uint32_t m) {
   m = std::min(m, dim);
@@ -28,7 +24,6 @@ Status PqCodebook::Train(const float* rows, uint32_t n, uint32_t dim,
   if (options.m == 0 || options.ksub == 0 || options.ksub > 256) {
     return Status::InvalidArgument("pq: need m > 0 and 1 <= ksub <= 256");
   }
-  dim_ = dim;
   m_ = LargestDivisorAtMost(dim, options.m);
   dsub_ = dim / m_;
   ksub_.assign(m_, 0);
@@ -85,13 +80,6 @@ void PqCodebook::Encode(const float* row, uint8_t* codes) const {
   }
 }
 
-void PqCodebook::Decode(const uint8_t* codes, float* row) const {
-  for (uint32_t s = 0; s < m_; ++s) {
-    std::memcpy(row + static_cast<size_t>(s) * dsub_, Centroid(s, codes[s]),
-                dsub_ * sizeof(float));
-  }
-}
-
 void PqCodebook::BuildAdcTable(const float* query, float* table) const {
   std::memset(table, 0, static_cast<size_t>(m_) * 256 * sizeof(float));
   for (uint32_t s = 0; s < m_; ++s) {
@@ -101,65 +89,6 @@ void PqCodebook::BuildAdcTable(const float* query, float* table) const {
       out[c] = Dot(sub, Centroid(s, c), dsub_);
     }
   }
-}
-
-Status PqCodebook::Save(const std::string& path) const {
-  if (!trained()) {
-    return Status::FailedPrecondition("pq: cannot save an untrained codebook");
-  }
-  SISG_ASSIGN_OR_RETURN(ArtifactWriter w,
-                        ArtifactWriter::Open(path, kPqKind, kPqVersion));
-  SISG_RETURN_IF_ERROR(w.WriteScalar(dim_));
-  SISG_RETURN_IF_ERROR(w.WriteScalar(m_));
-  SISG_RETURN_IF_ERROR(w.WriteScalar(dsub_));
-  const uint32_t reserved = 0;
-  SISG_RETURN_IF_ERROR(w.WriteScalar(reserved));
-  SISG_RETURN_IF_ERROR(
-      w.Write(ksub_.data(), ksub_.size() * sizeof(uint32_t)));
-  SISG_RETURN_IF_ERROR(
-      w.Write(centroids_.data(), centroids_.size() * sizeof(float)));
-  return w.Commit();
-}
-
-StatusOr<PqCodebook> PqCodebook::Load(const std::string& path) {
-  SISG_ASSIGN_OR_RETURN(ArtifactReader r, ArtifactReader::Open(path, kPqKind));
-  if (r.version() != kPqVersion) {
-    return Status::InvalidArgument("pq: unsupported artifact version " +
-                                   std::to_string(r.version()) + " in " + path);
-  }
-  PqCodebook book;
-  uint32_t reserved = 0;
-  SISG_RETURN_IF_ERROR(r.ReadScalar(&book.dim_));
-  SISG_RETURN_IF_ERROR(r.ReadScalar(&book.m_));
-  SISG_RETURN_IF_ERROR(r.ReadScalar(&book.dsub_));
-  SISG_RETURN_IF_ERROR(r.ReadScalar(&reserved));
-  if (book.dim_ == 0 || book.m_ == 0 || book.dsub_ == 0 ||
-      static_cast<uint64_t>(book.m_) * book.dsub_ != book.dim_ ||
-      reserved != 0) {
-    return Status::DataLoss("pq: inconsistent codebook shape in " + path);
-  }
-  const uint64_t expected =
-      static_cast<uint64_t>(book.m_) * sizeof(uint32_t) +
-      static_cast<uint64_t>(book.m_) * 256 * book.dsub_ * sizeof(float);
-  if (r.remaining() != expected) {
-    return Status::DataLoss("pq: artifact payload is " +
-                            std::to_string(r.remaining()) +
-                            " bytes where the declared shape needs " +
-                            std::to_string(expected) + ": " + path);
-  }
-  book.ksub_.assign(book.m_, 0);
-  SISG_RETURN_IF_ERROR(
-      r.Read(book.ksub_.data(), book.ksub_.size() * sizeof(uint32_t)));
-  for (const uint32_t k : book.ksub_) {
-    if (k == 0 || k > 256) {
-      return Status::DataLoss("pq: centroid count out of range in " + path);
-    }
-  }
-  book.centroids_.assign(static_cast<size_t>(book.m_) * 256 * book.dsub_,
-                         0.0f);
-  SISG_RETURN_IF_ERROR(
-      r.Read(book.centroids_.data(), book.centroids_.size() * sizeof(float)));
-  return book;
 }
 
 }  // namespace sisg

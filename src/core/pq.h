@@ -2,7 +2,6 @@
 #define SISG_CORE_PQ_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "common/status.h"
@@ -38,27 +37,16 @@ class PqCodebook {
   Status Train(const float* rows, uint32_t n, uint32_t dim, size_t row_stride,
                const PqOptions& options);
 
-  uint32_t dim() const { return dim_; }
   uint32_t m() const { return m_; }
-  uint32_t dsub() const { return dsub_; }
-  bool trained() const { return m_ > 0; }
 
   /// Writes the m nearest-centroid codes (squared euclidean per subspace)
   /// for one row of dim() floats.
   void Encode(const float* row, uint8_t* codes) const;
 
-  /// Reconstructs a row from its codes (dim() floats out) — the
-  /// approximation the ADC score is exact for.
-  void Decode(const uint8_t* codes, float* row) const;
-
   /// Fills the per-query ADC table (m() * 256 floats): table[s * 256 + c] =
   /// dot(query subvector s, centroid c of subspace s). Slots past a
   /// subspace's live centroid count are zero and never referenced by codes.
   void BuildAdcTable(const float* query, float* table) const;
-
-  /// Serializes as a checksummed PQCBOOK artifact.
-  Status Save(const std::string& path) const;
-  static StatusOr<PqCodebook> Load(const std::string& path);
 
  private:
   const float* Centroid(uint32_t s, uint32_t c) const {
@@ -66,7 +54,6 @@ class PqCodebook {
            (static_cast<size_t>(s) * 256 + c) * dsub_;
   }
 
-  uint32_t dim_ = 0;
   uint32_t m_ = 0;
   uint32_t dsub_ = 0;
   std::vector<uint32_t> ksub_;    // live centroids per subspace (1..256)

@@ -1,13 +1,13 @@
-// Tests of the approximate-nearest-neighbor serving layer: k-means
-// quantizer and the IVF index, including recall against brute force.
+// Tests of the approximate-nearest-neighbor serving layer: the k-means
+// quantizer, the IVF and HNSW indexes (recall against brute force), and the
+// engine's IVF-PQ path with its degradation contract.
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
-#include <cstdio>
 #include <set>
 
-#include "common/io_util.h"
 #include "common/math_util.h"
 #include "common/rng.h"
 #include "core/hnsw_index.h"
@@ -349,22 +349,26 @@ TEST(HnswIndexTest, QueryIsDeterministicAcrossRepeatsAndThreadCounts) {
 
 // --------------------------- integration with the engine ---------------------------
 
-TEST(IvfIndexTest, ServesSisgMatchingEngine) {
+/// A single-thread (so deterministic) SISG-F-U model over 600 items.
+StatusOr<SisgModel> TrainSmallModel(uint32_t dim) {
   DatasetSpec spec;
   spec.catalog.num_items = 600;
   spec.catalog.num_leaf_categories = 12;
   spec.users.num_user_types = 60;
   spec.num_train_sessions = 2000;
   spec.num_test_sessions = 100;
-  auto ds = SyntheticDataset::Generate(spec);
-  ASSERT_TRUE(ds.ok());
+  SISG_ASSIGN_OR_RETURN(SyntheticDataset ds, SyntheticDataset::Generate(spec));
   SisgConfig config;
   config.variant = SisgVariant::kSisgFU;
-  config.sgns.dim = 16;
+  config.sgns.dim = dim;
   config.sgns.epochs = 2;
   config.sgns.negatives = 5;
   SisgPipeline pipeline(config);
-  auto model = pipeline.Train(*ds);
+  return pipeline.Train(ds);
+}
+
+TEST(IvfIndexTest, ServesSisgMatchingEngine) {
+  auto model = TrainSmallModel(16);
   ASSERT_TRUE(model.ok());
   auto engine = model->BuildMatchingEngine();
   ASSERT_TRUE(engine.ok());
@@ -394,208 +398,100 @@ TEST(IvfIndexTest, ServesSisgMatchingEngine) {
   }
   ASSERT_GT(queries, 50u);
   EXPECT_GT(recall / queries, 0.5);
-  EXPECT_LT(index.ExpectedScanFraction(), 0.5);
+  // A query probes fewer than half of the lists.
+  EXPECT_LT(2 * index.effective_nprobe(), opts.kmeans.num_clusters);
 }
 
-// --------------------------- IVF persistence ---------------------------
+// --------------------------- engine IVF-PQ ---------------------------
 
-void FlipIndexByte(const std::string& path, long offset) {
-  std::FILE* f = std::fopen(path.c_str(), "r+b");
-  ASSERT_NE(f, nullptr);
-  ASSERT_EQ(std::fseek(f, offset, SEEK_SET), 0);
-  const int c = std::fgetc(f);
-  ASSERT_NE(c, EOF);
-  ASSERT_EQ(std::fseek(f, offset, SEEK_SET), 0);
-  std::fputc(c ^ 0x10, f);
-  std::fclose(f);
+// The engine's only ANN form, as `--quant pq` installs it (default IVF and
+// PQ options) over a trained model.
+TEST(MatchingEngineIvfPqTest, ServesTrainedEngineLikeBruteForce) {
+  auto model = TrainSmallModel(32);
+  ASSERT_TRUE(model.ok());
+  auto brute = model->BuildMatchingEngine();
+  auto engine = model->BuildMatchingEngine();
+  ASSERT_TRUE(brute.ok() && engine.ok());
+  ASSERT_TRUE(engine->EnableIvfPq(IvfOptions{}, PqOptions{}).ok());
+  EXPECT_FALSE(engine->degraded());
+
+  const uint32_t k = 10;
+  std::vector<uint32_t> items;
+  for (uint32_t item = 0; item < engine->num_items(); ++item) {
+    if (engine->HasItem(item)) items.push_back(item);
+  }
+  ASSERT_GT(items.size(), 300u);
+  const std::vector<uint32_t> ks(items.size(), k);
+  const auto batch =
+      engine->QueryBatchCoalesced(items.data(), ks.data(), items.size());
+  double recall = 0.0;
+  for (size_t i = 0; i < items.size(); ++i) {
+    const auto got = engine->Query(items[i], k);
+    ASSERT_LE(got.size(), k);
+    for (size_t r = 0; r < got.size(); ++r) {
+      EXPECT_NE(got[r].id, items[i]) << "item " << items[i];
+      if (r > 0) {
+        EXPECT_GE(got[r - 1].score, got[r].score) << "item " << items[i];
+      }
+    }
+    ASSERT_EQ(batch[i].size(), got.size()) << "item " << items[i];
+    for (size_t r = 0; r < got.size(); ++r) {
+      EXPECT_EQ(batch[i][r].id, got[r].id) << "item " << items[i];
+      EXPECT_EQ(std::bit_cast<uint32_t>(batch[i][r].score),
+                std::bit_cast<uint32_t>(got[r].score))
+          << "item " << items[i];
+    }
+    const auto exact = brute->Query(items[i], k);
+    int common = 0;
+    for (const auto& a : exact) {
+      for (const auto& b : got) common += a.id == b.id;
+    }
+    recall += static_cast<double>(common) / k;
+  }
+  recall /= static_cast<double>(items.size());
+  // Measured 0.998 at the scalar, avx2 and avx512vnni dispatch levels.
+  EXPECT_GE(recall, 0.98) << "IVF-PQ recall@10 against fp32 brute force";
 }
 
-TEST(IvfIndexTest, SaveLoadRoundTripServesIdentically) {
-  Rng rng(11);
-  const uint32_t n = 500, dim = 12;
-  std::vector<float> data(static_cast<size_t>(n) * dim);
-  for (auto& x : data) x = rng.UniformFloat() - 0.5f;
-  IvfIndex index;
-  IvfOptions opts;
-  opts.kmeans.num_clusters = 12;
-  opts.nprobe = 4;
-  ASSERT_TRUE(index.Build(data.data(), n, dim, opts).ok());
+TEST(MatchingEngineIvfPqTest, FailedEnableDegradesToBruteForce) {
+  Rng rng(21);
+  const uint32_t n = 400, dim = 8;
+  std::vector<float> in(static_cast<size_t>(n) * dim);
+  for (auto& x : in) x = rng.UniformFloat() + 0.1f;  // no zero rows
+  MatchingEngine never_tried, engine;
+  ASSERT_TRUE(never_tried.Build(in, {}, n, dim, SimilarityMode::kCosineInput)
+                  .ok());
+  ASSERT_TRUE(
+      engine.Build(in, {}, n, dim, SimilarityMode::kCosineInput).ok());
 
-  const std::string path = ::testing::TempDir() + "/ivf_roundtrip.idx";
-  std::remove(path.c_str());
-  ASSERT_TRUE(index.Save(path).ok());
-  auto loaded = IvfIndex::Load(path);
-  ASSERT_TRUE(loaded.ok());
-
-  EXPECT_EQ(loaded->num_vectors(), index.num_vectors());
-  EXPECT_EQ(loaded->dim(), index.dim());
-  EXPECT_EQ(loaded->effective_nprobe(), index.effective_nprobe());
-  EXPECT_DOUBLE_EQ(loaded->ExpectedScanFraction(), index.ExpectedScanFraction());
-  // Every query routes to the same lists and scores the same rows.
-  for (uint32_t q = 0; q < 40; ++q) {
-    const float* qv = data.data() + static_cast<size_t>(q) * dim;
-    const auto before = index.Query(qv, 10, q);
-    const auto after = loaded->Query(qv, 10, q);
-    ASSERT_EQ(before.size(), after.size()) << "query " << q;
-    for (size_t i = 0; i < before.size(); ++i) {
-      EXPECT_EQ(before[i].id, after[i].id) << "query " << q << " rank " << i;
-      EXPECT_EQ(before[i].score, after[i].score) << "query " << q;
+  IvfOptions bad_ivf;
+  bad_ivf.nprobe = 0;  // rejected by IvfIndex::Build
+  PqOptions bad_pq;
+  bad_pq.ksub = 0;  // rejected by PqCodebook::Train
+  // A failed enable also drops an index a previous enable installed.
+  ASSERT_TRUE(engine.EnableIvfPq(IvfOptions{}, PqOptions{}).ok());
+  for (const bool fail_ivf : {true, false}) {
+    const Status st = fail_ivf ? engine.EnableIvfPq(bad_ivf, PqOptions{})
+                               : engine.EnableIvfPq(IvfOptions{}, bad_pq);
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+    EXPECT_TRUE(engine.degraded()) << "fail_ivf=" << fail_ivf;
+    // The query path never goes down with the index: every answer is the
+    // never-accelerated engine's, bit for bit.
+    for (uint32_t item = 0; item < n; item += 7) {
+      const auto got = engine.Query(item, 10);
+      const auto want = never_tried.Query(item, 10);
+      ASSERT_EQ(got.size(), want.size()) << "item " << item;
+      for (size_t r = 0; r < got.size(); ++r) {
+        ASSERT_EQ(got[r].id, want[r].id) << "item " << item;
+        ASSERT_EQ(std::bit_cast<uint32_t>(got[r].score),
+                  std::bit_cast<uint32_t>(want[r].score))
+            << "item " << item;
+      }
     }
   }
-  std::remove(path.c_str());
-}
-
-TEST(IvfIndexTest, CorruptedArtifactIsDataLoss) {
-  Rng rng(13);
-  const uint32_t n = 100, dim = 8;
-  std::vector<float> data(static_cast<size_t>(n) * dim);
-  for (auto& x : data) x = rng.UniformFloat() - 0.5f;
-  IvfIndex index;
-  IvfOptions opts;
-  opts.kmeans.num_clusters = 4;
-  ASSERT_TRUE(index.Build(data.data(), n, dim, opts).ok());
-
-  const std::string path = ::testing::TempDir() + "/ivf_corrupt.idx";
-  std::remove(path.c_str());
-  ASSERT_TRUE(index.Save(path).ok());
-  FlipIndexByte(path, static_cast<long>(kArtifactHeaderBytes) + 200);
-  EXPECT_EQ(IvfIndex::Load(path).status().code(), StatusCode::kDataLoss);
-
-  // An unbuilt index refuses to save rather than writing an empty artifact.
-  IvfIndex empty;
-  EXPECT_EQ(empty.Save(path).code(), StatusCode::kFailedPrecondition);
-  std::remove(path.c_str());
-}
-
-// --------------------------- engine ANN degradation ---------------------------
-
-class MatchingEngineAnnTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    Rng rng(21);
-    const uint32_t n = 400, dim = 8;
-    std::vector<float> in(static_cast<size_t>(n) * dim);
-    for (auto& x : in) x = rng.UniformFloat() + 0.1f;  // no zero rows
-    ASSERT_TRUE(engine_
-                    .Build(std::move(in), {}, n, dim,
-                           SimilarityMode::kCosineInput)
-                    .ok());
-  }
-
-  IvfOptions FullProbe() const {
-    IvfOptions opts;
-    opts.kmeans.num_clusters = 8;
-    opts.nprobe = 8;  // scan everything: ANN results == brute force
-    return opts;
-  }
-
-  MatchingEngine engine_;
-};
-
-TEST_F(MatchingEngineAnnTest, EnableIvfServesIdenticalResultsAtFullProbe) {
-  const auto brute = engine_.Query(3, 10);
-  ASSERT_TRUE(engine_.EnableIvf(FullProbe()).ok());
-  EXPECT_EQ(engine_.ann_backend(), AnnBackend::kIvf);
-  EXPECT_FALSE(engine_.degraded());
-  const auto ann = engine_.Query(3, 10);
-  ASSERT_EQ(ann.size(), brute.size());
-  for (size_t i = 0; i < ann.size(); ++i) EXPECT_EQ(ann[i].id, brute[i].id);
-}
-
-TEST_F(MatchingEngineAnnTest, FailedEnableDegradesToBruteForce) {
-  const auto before = engine_.Query(5, 10);
-  IvfOptions bad = FullProbe();
-  bad.nprobe = 0;  // rejected by IvfIndex::Build
-  EXPECT_FALSE(engine_.EnableIvf(bad).ok());
-  EXPECT_TRUE(engine_.degraded());
-  EXPECT_EQ(engine_.ann_backend(), AnnBackend::kBruteForce);
-  // The query path never goes down with the index.
-  const auto after = engine_.Query(5, 10);
-  ASSERT_EQ(after.size(), before.size());
-  for (size_t i = 0; i < after.size(); ++i) EXPECT_EQ(after[i].id, before[i].id);
-
-  HnswOptions bad_hnsw;
-  bad_hnsw.M = 1;  // rejected by HnswIndex::Build
-  EXPECT_FALSE(engine_.EnableHnsw(bad_hnsw).ok());
-  EXPECT_EQ(engine_.ann_backend(), AnnBackend::kBruteForce);
-  EXPECT_FALSE(engine_.Query(5, 10).empty());
-}
-
-TEST_F(MatchingEngineAnnTest, SaveAndReloadIvfRoundTrip) {
-  const std::string path = ::testing::TempDir() + "/engine_ivf.idx";
-  std::remove(path.c_str());
-  // Saving before any IVF index exists is an error, not a crash.
-  EXPECT_EQ(engine_.SaveIvf(path).code(), StatusCode::kFailedPrecondition);
-
-  ASSERT_TRUE(engine_.EnableIvf(FullProbe()).ok());
-  ASSERT_TRUE(engine_.SaveIvf(path).ok());
-  const auto built = engine_.Query(7, 10);
-
-  // A second engine over the same candidates serves from the saved index.
-  Rng rng(21);
-  const uint32_t n = 400, dim = 8;
-  std::vector<float> in(static_cast<size_t>(n) * dim);
-  for (auto& x : in) x = rng.UniformFloat() + 0.1f;
-  MatchingEngine other;
-  ASSERT_TRUE(
-      other.Build(std::move(in), {}, n, dim, SimilarityMode::kCosineInput)
-          .ok());
-  ASSERT_TRUE(other.EnableIvfFromFile(path).ok());
-  EXPECT_EQ(other.ann_backend(), AnnBackend::kIvf);
-  EXPECT_FALSE(other.degraded());
-  const auto reloaded = other.Query(7, 10);
-  ASSERT_EQ(reloaded.size(), built.size());
-  for (size_t i = 0; i < reloaded.size(); ++i) {
-    EXPECT_EQ(reloaded[i].id, built[i].id);
-  }
-  std::remove(path.c_str());
-}
-
-TEST_F(MatchingEngineAnnTest, CorruptIvfFileFallsBackToBruteForce) {
-  const std::string path = ::testing::TempDir() + "/engine_ivf_bad.idx";
-  std::remove(path.c_str());
-  ASSERT_TRUE(engine_.EnableIvf(FullProbe()).ok());
-  ASSERT_TRUE(engine_.SaveIvf(path).ok());
-  FlipIndexByte(path, static_cast<long>(kArtifactHeaderBytes) + 48);
-
-  Rng rng(21);
-  const uint32_t n = 400, dim = 8;
-  std::vector<float> in(static_cast<size_t>(n) * dim);
-  for (auto& x : in) x = rng.UniformFloat() + 0.1f;
-  MatchingEngine other;
-  ASSERT_TRUE(
-      other.Build(std::move(in), {}, n, dim, SimilarityMode::kCosineInput)
-          .ok());
-  const auto brute = other.Query(9, 10);
-  EXPECT_EQ(other.EnableIvfFromFile(path).code(), StatusCode::kDataLoss);
-  EXPECT_TRUE(other.degraded());
-  EXPECT_EQ(other.ann_backend(), AnnBackend::kBruteForce);
-  const auto after = other.Query(9, 10);
-  ASSERT_EQ(after.size(), brute.size());
-  for (size_t i = 0; i < after.size(); ++i) EXPECT_EQ(after[i].id, brute[i].id);
-  std::remove(path.c_str());
-}
-
-TEST_F(MatchingEngineAnnTest, MismatchedIvfFileIsFailedPrecondition) {
-  // Index built for a different engine shape (dim 4, not 8).
-  Rng rng(33);
-  const uint32_t n = 50, dim = 4;
-  std::vector<float> small(static_cast<size_t>(n) * dim);
-  for (auto& x : small) x = rng.UniformFloat() + 0.1f;
-  IvfIndex index;
-  IvfOptions opts;
-  opts.kmeans.num_clusters = 2;
-  ASSERT_TRUE(index.Build(small.data(), n, dim, opts).ok());
-  const std::string path = ::testing::TempDir() + "/engine_ivf_shape.idx";
-  std::remove(path.c_str());
-  ASSERT_TRUE(index.Save(path).ok());
-
-  EXPECT_EQ(engine_.EnableIvfFromFile(path).code(),
-            StatusCode::kFailedPrecondition);
-  EXPECT_TRUE(engine_.degraded());
-  EXPECT_EQ(engine_.ann_backend(), AnnBackend::kBruteForce);
-  EXPECT_FALSE(engine_.Query(2, 5).empty());
-  std::remove(path.c_str());
+  // A good enable after the failures clears the degraded state.
+  ASSERT_TRUE(engine.EnableIvfPq(IvfOptions{}, PqOptions{}).ok());
+  EXPECT_FALSE(engine.degraded());
 }
 
 }  // namespace

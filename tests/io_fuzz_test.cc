@@ -1,8 +1,8 @@
 // Seeded corruption fuzzing of every on-disk artifact kind: random
 // truncations and byte flips over saved embedding models, vocabularies,
-// packed corpora, corpus caches, and IVF indexes must always yield a typed
-// DataLoss / InvalidArgument — never a crash, never a partially loaded
-// object. The SISGART1 framing makes this provable: the CRC covers the
+// packed corpora, corpus caches, int8 arenas and serving arenas must always
+// yield a typed DataLoss / InvalidArgument — never a crash, never a
+// partially loaded object. The SISGART1 framing makes this provable: the CRC covers the
 // whole payload and every header byte (magic, kind, version, reserved,
 // declared size, checksum) is validated on open.
 
@@ -17,9 +17,7 @@
 #include "common/io_util.h"
 #include "common/quant.h"
 #include "common/status.h"
-#include "core/ivf_index.h"
 #include "core/matching_engine.h"
-#include "core/pq.h"
 #include "corpus/corpus.h"
 #include "corpus/packed_corpus.h"
 #include "corpus/vocabulary.h"
@@ -124,20 +122,10 @@ class IoFuzzTest : public ::testing::Test {
                          return EmbeddingModel::Load(emb_path).status();
                        }});
 
-    const std::string ivf_path = dir + "/fuzz.ivf";
     std::mt19937 rng(123);
     std::uniform_real_distribution<float> unit(-1.0f, 1.0f);
     std::vector<float> data(256 * 16);
     for (float& v : data) v = unit(rng);
-    IvfIndex ivf;
-    IvfOptions iopts;
-    iopts.kmeans.num_clusters = 8;
-    iopts.nprobe = 2;
-    ASSERT_TRUE(ivf.Build(data.data(), 256, 16, iopts).ok());
-    ASSERT_TRUE(ivf.Save(ivf_path).ok());
-    cases_->push_back({"ivf_index", ivf_path, [ivf_path] {
-                         return IvfIndex::Load(ivf_path).status();
-                       }});
 
     // Quantized / arena artifacts. The mmap loaders validate the whole file
     // (CRC included) before handing out a mapping, so they must reject every
@@ -151,17 +139,6 @@ class IoFuzzTest : public ::testing::Test {
                        }});
     cases_->push_back({"int8_arena.mmap", qnt_path, [qnt_path] {
                          return Int8Arena::Load(qnt_path, true).status();
-                       }});
-
-    const std::string pq_path = dir + "/fuzz.pqcbook";
-    PqCodebook book;
-    PqOptions popts;
-    popts.m = 4;
-    popts.ksub = 16;
-    ASSERT_TRUE(book.Train(data.data(), 256, 16, 16, popts).ok());
-    ASSERT_TRUE(book.Save(pq_path).ok());
-    cases_->push_back({"pq_codebook", pq_path, [pq_path] {
-                         return PqCodebook::Load(pq_path).status();
                        }});
 
     const std::string arena_path = dir + "/fuzz.arena";
@@ -324,42 +301,6 @@ TEST_F(IoFuzzTest, ValidCrcShapeMismatchesRejected) {
     ASSERT_TRUE(w->Commit().ok());
     expect_dataloss(Int8Arena::Load(p, false).status(), "qarena no codes heap");
     expect_dataloss(Int8Arena::Load(p, true).status(), "qarena no codes mmap");
-    std::remove(p.c_str());
-  }
-
-  // PQCBOOK whose subspaces do not multiply out to dim.
-  {
-    const std::string p = dir + "/mismatch.pqcbook";
-    auto w = ArtifactWriter::Open(p, "PQCBOOK", 1);
-    ASSERT_TRUE(w.ok());
-    const uint32_t dim = 16, m = 3, dsub = 8, reserved = 0;  // 3 * 8 != 16
-    ASSERT_TRUE(w->WriteScalar(dim).ok());
-    ASSERT_TRUE(w->WriteScalar(m).ok());
-    ASSERT_TRUE(w->WriteScalar(dsub).ok());
-    ASSERT_TRUE(w->WriteScalar(reserved).ok());
-    ASSERT_TRUE(w->Commit().ok());
-    expect_dataloss(PqCodebook::Load(p).status(), "pq shape mismatch");
-    std::remove(p.c_str());
-  }
-
-  // PQCBOOK with a live-centroid count outside 1..256.
-  {
-    const std::string p = dir + "/badksub.pqcbook";
-    auto w = ArtifactWriter::Open(p, "PQCBOOK", 1);
-    ASSERT_TRUE(w.ok());
-    const uint32_t dim = 16, m = 4, dsub = 4, reserved = 0;
-    ASSERT_TRUE(w->WriteScalar(dim).ok());
-    ASSERT_TRUE(w->WriteScalar(m).ok());
-    ASSERT_TRUE(w->WriteScalar(dsub).ok());
-    ASSERT_TRUE(w->WriteScalar(reserved).ok());
-    const uint32_t ksub[4] = {16, 0, 16, 16};  // subspace 1 claims 0 centroids
-    ASSERT_TRUE(w->Write(ksub, sizeof(ksub)).ok());
-    const std::vector<float> centroids(static_cast<size_t>(m) * 256 * dsub,
-                                       0.0f);
-    ASSERT_TRUE(
-        w->Write(centroids.data(), centroids.size() * sizeof(float)).ok());
-    ASSERT_TRUE(w->Commit().ok());
-    expect_dataloss(PqCodebook::Load(p).status(), "pq ksub out of range");
     std::remove(p.c_str());
   }
 

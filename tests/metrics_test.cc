@@ -319,7 +319,7 @@ TEST_F(MetricsTest, PrometheusTextShape) {
 // serve.bytes_scanned counts bytes scored (the block once per query, plus
 // the fp32 rerank rows of the int8 path); serve.bytes_streamed counts the
 // block once per pass: per query on the per-query path, per shard on the
-// coalesced one.
+// coalesced one. The IVF-PQ walk counts the same bytes in both.
 TEST_F(MetricsTest, ScanBytesCountScoredAndStreamedBlocks) {
   obs::EnableMetrics(true);
   auto& reg = obs::MetricsRegistry::Global();
@@ -370,6 +370,21 @@ TEST_F(MetricsTest, ScanBytesCountScoredAndStreamedBlocks) {
   EXPECT_EQ(streamed->Value(), int8_block);
   EXPECT_EQ(scanned->Value(),
             int8_block + reranked->Value() * dim * sizeof(float));
+
+  // An IVF-PQ walk scores m-byte codes of the probed rows plus fp32 rerank
+  // rows (not its ADC table) and shares nothing across queries, so it
+  // streams every byte it scores.
+  PqOptions pq;
+  pq.m = 8;  // divides dim: 8 code bytes per row
+  ASSERT_TRUE(engine.EnableIvfPq(IvfOptions{}, pq).ok());
+  reg.Reset();
+  engine.QueryBatchCoalesced(items.data(), ks.data(), items.size());
+  const uint64_t ivf_rows = reg.counter("serve.ivf_rows_scanned")->Value();
+  EXPECT_GT(ivf_rows, 0u);
+  EXPECT_GT(reranked->Value(), 0u);
+  EXPECT_EQ(scanned->Value(),
+            ivf_rows * pq.m + reranked->Value() * dim * sizeof(float));
+  EXPECT_EQ(streamed->Value(), scanned->Value());
 }
 
 // serve.query_seconds holds one observation per engine scan call — a

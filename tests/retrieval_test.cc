@@ -277,39 +277,6 @@ TEST(QueryBatchTest, Int8CandidateTableRowsEqualQueryAt1And4Threads) {
   }
 }
 
-TEST(QueryBatchTest, IvfBatchMatchesSerialQueries) {
-  Rng rng(104);
-  const uint32_t n = 500, dim = 12, k = 6;
-  std::vector<float> data(static_cast<size_t>(n) * dim);
-  for (auto& x : data) x = rng.UniformFloat() - 0.5f;
-  IvfIndex index;
-  IvfOptions opts;
-  opts.kmeans.num_clusters = 8;
-  opts.nprobe = 4;
-  ASSERT_TRUE(index.Build(data.data(), n, dim, opts).ok());
-  const uint32_t num_queries = 20;
-  std::vector<uint32_t> excludes(num_queries);
-  for (uint32_t i = 0; i < num_queries; ++i) excludes[i] = i;
-  std::vector<std::vector<ScoredId>> serial, parallel;
-  ASSERT_TRUE(index
-                  .QueryBatch(data.data(), num_queries, dim, k, 1, &serial,
-                              excludes.data())
-                  .ok());
-  ASSERT_TRUE(index
-                  .QueryBatch(data.data(), num_queries, dim, k, 4, &parallel,
-                              excludes.data())
-                  .ok());
-  for (uint32_t i = 0; i < num_queries; ++i) {
-    const auto direct =
-        index.Query(data.data() + static_cast<size_t>(i) * dim, k, i);
-    ASSERT_EQ(serial[i].size(), direct.size());
-    for (size_t j = 0; j < direct.size(); ++j) {
-      EXPECT_EQ(serial[i][j], direct[j]);
-      EXPECT_EQ(parallel[i][j], direct[j]);
-    }
-  }
-}
-
 TEST(QueryBatchTest, HnswBatchMatchesSerialQueries) {
   Rng rng(105);
   const uint32_t n = 400, dim = 16, k = 5;
@@ -339,35 +306,19 @@ TEST(QueryBatchTest, RejectsDegenerateInputs) {
   const uint32_t n = 100, dim = 8;
   std::vector<float> data(static_cast<size_t>(n) * dim);
   for (auto& x : data) x = rng.UniformFloat() - 0.5f;
-  IvfIndex ivf;
-  IvfOptions iopts;
-  iopts.kmeans.num_clusters = 4;
-  ASSERT_TRUE(ivf.Build(data.data(), n, dim, iopts).ok());
   HnswIndex hnsw;
   ASSERT_TRUE(hnsw.Build(data.data(), n, dim, HnswOptions{}).ok());
   std::vector<std::vector<ScoredId>> out;
 
-  EXPECT_EQ(ivf.QueryBatch(data.data(), 10, dim, 0, 1, &out).code(),
-            StatusCode::kInvalidArgument);  // k == 0
-  EXPECT_EQ(ivf.QueryBatch(data.data(), 10, dim + 1, 5, 1, &out).code(),
-            StatusCode::kInvalidArgument);  // dim mismatch
-  EXPECT_EQ(ivf.QueryBatch(nullptr, 10, dim, 5, 1, &out).code(),
-            StatusCode::kInvalidArgument);
   EXPECT_EQ(hnsw.QueryBatch(data.data(), 10, dim, 0, 1, &out).code(),
-            StatusCode::kInvalidArgument);
+            StatusCode::kInvalidArgument);  // k == 0
   EXPECT_EQ(hnsw.QueryBatch(data.data(), 10, dim - 3, 5, 1, &out).code(),
+            StatusCode::kInvalidArgument);  // dim mismatch
+  EXPECT_EQ(hnsw.QueryBatch(nullptr, 10, dim, 5, 1, &out).code(),
             StatusCode::kInvalidArgument);
-  IvfIndex unbuilt;
+  HnswIndex unbuilt;
   EXPECT_EQ(unbuilt.QueryBatch(data.data(), 10, dim, 5, 1, &out).code(),
             StatusCode::kFailedPrecondition);
-
-  std::vector<ScoredId> one;
-  EXPECT_EQ(ivf.QueryChecked(data.data(), dim, 0, UINT32_MAX, &one).code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_EQ(ivf.QueryChecked(data.data(), dim + 2, 5, UINT32_MAX, &one).code(),
-            StatusCode::kInvalidArgument);
-  EXPECT_TRUE(ivf.QueryChecked(data.data(), dim, 5, UINT32_MAX, &one).ok());
-  EXPECT_EQ(one.size(), 5u);
 }
 
 // --------------------------- IVF clamping & recall ---------------------------

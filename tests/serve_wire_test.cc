@@ -256,7 +256,9 @@ TEST(ServeWireTest, GarbageBetweenValidFramesPoisonsNotCrashes) {
     // After it, the garbage either needs more bytes or poisons — both fine,
     // neither crashes nor yields a phantom frame of the wrong shape.
     const Status st = reader.Next(&frame, &have);
-    if (!st.ok()) EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+    if (!st.ok()) {
+      EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+    }
   }
 }
 

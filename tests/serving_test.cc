@@ -300,44 +300,19 @@ class DegradationFixture : public ServingFixture {
   bool was_enabled_ = false;
 };
 
-// A corrupt IVF artifact must fail the checksum, flip the degraded gauge,
-// keep serving through the brute-force scan (results identical to a
-// never-accelerated engine), and keep the latency histogram recording.
-TEST_F(DegradationFixture, CorruptIvfArtifactDegradesToBruteForce) {
-  // Build + persist a valid index first.
-  auto good = model_->BuildMatchingEngine();
-  ASSERT_TRUE(good.ok());
-  IvfOptions opts;
-  opts.kmeans.num_clusters = 16;
-  opts.nprobe = 4;
-  ASSERT_TRUE(good->EnableIvf(opts).ok());
-  EXPECT_FALSE(good->degraded());
-  EXPECT_EQ(DegradedGauge(), 0.0);
-  const std::string path = ::testing::TempDir() + "/degradation.ivf";
-  ASSERT_TRUE(good->SaveIvf(path).ok());
-
-  // Flip one payload byte; the artifact CRC must catch it.
-  {
-    std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
-    ASSERT_TRUE(f.good());
-    f.seekg(100);
-    char b = 0;
-    f.read(&b, 1);
-    b = static_cast<char>(b ^ 0x40);
-    f.seekp(100);
-    f.write(&b, 1);
-  }
-
+// A failed IVF-PQ enable must flip the degraded gauge, keep serving through
+// the brute-force scan (results identical to a never-accelerated engine),
+// and keep the latency histogram recording; a good enable clears the state.
+TEST_F(DegradationFixture, FailedIvfPqEnableDegradesToBruteForce) {
   auto victim = model_->BuildMatchingEngine();
   ASSERT_TRUE(victim.ok());
-  const Status st = victim->EnableIvfFromFile(path);
-  EXPECT_EQ(st.code(), StatusCode::kDataLoss) << st.ToString();
+  PqOptions bad;
+  bad.ksub = 0;  // rejected by PqCodebook::Train, after the IVF build
+  const Status st = victim->EnableIvfPq(IvfOptions{}, bad);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
   EXPECT_TRUE(victim->degraded());
-  EXPECT_EQ(victim->ann_backend(), AnnBackend::kBruteForce);
   EXPECT_EQ(DegradedGauge(), 1.0);
 
-  // Degraded serving answers every query bit-identically to an engine that
-  // never attempted acceleration.
   auto brute = model_->BuildMatchingEngine();
   ASSERT_TRUE(brute.ok());
   const uint64_t latency_before = obs::MetricsRegistry::Global()
@@ -360,46 +335,14 @@ TEST_F(DegradationFixture, CorruptIvfArtifactDegradesToBruteForce) {
                 ->Count(),
             latency_before)
       << "latency histogram stopped recording after degradation";
-  EXPECT_GT(
-      obs::MetricsRegistry::Global().counter("serve.queries")->Value(), 0u);
 
-  // Recovery: replacing the corrupt artifact with a valid one clears the
-  // degraded state and the gauge.
-  ASSERT_TRUE(good->SaveIvf(path).ok());
-  ASSERT_TRUE(victim->EnableIvfFromFile(path).ok());
+  // Recovery: a good enable clears the degraded state and the gauge.
+  ASSERT_TRUE(victim->EnableIvfPq(IvfOptions{}, PqOptions{}).ok());
   EXPECT_FALSE(victim->degraded());
-  EXPECT_EQ(victim->ann_backend(), AnnBackend::kIvf);
   EXPECT_EQ(DegradedGauge(), 0.0);
-  std::remove(path.c_str());
 }
 
-// A shape-mismatched (but uncorrupted) artifact is FailedPrecondition and
-// also degrades; queries keep flowing.
-TEST_F(DegradationFixture, MismatchedIvfArtifactDegrades) {
-  // An index over tiny random data can never match this engine's shape.
-  std::vector<float> data(32 * 4, 0.25f);
-  for (size_t i = 0; i < data.size(); ++i) {
-    data[i] = 0.1f * static_cast<float>(i % 13) - 0.5f;
-  }
-  IvfIndex small;
-  IvfOptions iopts;
-  iopts.kmeans.num_clusters = 4;
-  ASSERT_TRUE(small.Build(data.data(), 32, 4, iopts).ok());
-  const std::string path = ::testing::TempDir() + "/mismatch.ivf";
-  ASSERT_TRUE(small.Save(path).ok());
-
-  auto victim = model_->BuildMatchingEngine();
-  ASSERT_TRUE(victim.ok());
-  EXPECT_EQ(victim->EnableIvfFromFile(path).code(),
-            StatusCode::kFailedPrecondition);
-  EXPECT_TRUE(victim->degraded());
-  EXPECT_EQ(DegradedGauge(), 1.0);
-  EXPECT_FALSE(victim->Query(0, 5).empty() &&
-               victim->Query(1, 5).empty() && victim->Query(2, 5).empty());
-  std::remove(path.c_str());
-}
-
-// The quantized scan honors the same contract as the ANN backends: a corrupt
+// The quantized scan honors the same contract as the IVF-PQ enable: a corrupt
 // int8 arena artifact fails its CRC as DataLoss, flips the degraded gauge,
 // and the engine keeps answering on the fp32 scan bit-identically to a
 // never-quantized engine; a pristine replacement clears the state.

@@ -8,8 +8,8 @@
 // artifacts so validated rollback is exercised under fire.
 //
 //   sisg_chaos --port 7411 --modes all --connections 4 --duration 10
-//   sisg_chaos --port 7411 --modes disconnect,truncate \
-//              --reload_dir /tmp/watch --reload_interval_ms 300 \
+//   sisg_chaos --port 7411 --modes disconnect,truncate
+//              --reload_dir /tmp/watch --reload_interval_ms 300
 //              --corrupt_every 3 --duration 15 --json_out chaos_row.json
 //
 // Exit code 0 means the server survived: every probe answered, the final

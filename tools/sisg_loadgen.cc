@@ -6,7 +6,7 @@
 // admission-control outcomes.
 //
 //   sisg_loadgen --port 7411 --mode closed --connections 8 --duration 5
-//   sisg_loadgen --port 7411 --mode open --qps 20000 --arrival pareto \
+//   sisg_loadgen --port 7411 --mode open --qps 20000 --arrival pareto
 //                --duration 5 --json_out bench_row.json
 //
 // Exit code: 0 on a clean run, 1 when any transport/protocol error occurred

@@ -20,31 +20,6 @@
 
 using namespace sisg;
 
-namespace {
-
-/// Switches the candidate scan to the requested precision. Enable failures
-/// follow the engine's degradation contract — warn and keep serving fp32.
-void ApplyQuant(MatchingEngine& engine, const std::string& quant,
-                const std::string& arena_prefix, bool use_mmap) {
-  if (quant == "int8") {
-    const Status st =
-        arena_prefix.empty()
-            ? engine.EnableInt8()
-            : engine.EnableInt8FromFile(arena_prefix + ".qarena", use_mmap);
-    if (!st.ok()) {
-      std::cerr << "int8 enable failed (serving fp32): " << st.ToString()
-                << "\n";
-    }
-  } else if (quant == "pq") {
-    if (auto st = engine.EnableIvfPq(IvfOptions{}, PqOptions{}); !st.ok()) {
-      std::cerr << "pq enable failed (serving fp32): " << st.ToString()
-                << "\n";
-    }
-  }
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   FlagParser flags;
   const auto known = tools::WithWorldFlags(
@@ -99,7 +74,7 @@ int main(int argc, char** argv) {
       std::cerr << "arena load failed: " << st.ToString() << "\n";
       return 1;
     }
-    ApplyQuant(engine, quant, prefix, use_mmap);
+    tools::ApplyQuant(engine, quant, prefix, use_mmap);
   } else {
     const DatasetSpec spec = tools::SpecFromFlags(flags);
     ItemCatalog catalog;
@@ -153,7 +128,7 @@ int main(int argc, char** argv) {
     }
 
     if (flags.Has("cold_gender")) {
-      ApplyQuant(engine, quant, /*arena_prefix=*/"", use_mmap);
+      tools::ApplyQuant(engine, quant, /*arena_prefix=*/"", use_mmap);
       const std::string g = flags.GetString("cold_gender", "F");
       const int gender = g == "F" ? 0 : (g == "M" ? 1 : 2);
       std::vector<float> v;
@@ -172,7 +147,7 @@ int main(int argc, char** argv) {
       std::cout << "\n";
       return metrics.Finish();
     }
-    ApplyQuant(engine, quant, /*arena_prefix=*/"", use_mmap);
+    tools::ApplyQuant(engine, quant, /*arena_prefix=*/"", use_mmap);
   }
 
   if (flags.Has("candidates")) {

@@ -42,31 +42,6 @@
 
 using namespace sisg;
 
-namespace {
-
-/// Same degradation contract as sisg_query: a failed quant enable warns and
-/// keeps serving fp32.
-void ApplyQuant(MatchingEngine& engine, const std::string& quant,
-                const std::string& arena_prefix, bool use_mmap) {
-  if (quant == "int8") {
-    const Status st =
-        arena_prefix.empty()
-            ? engine.EnableInt8()
-            : engine.EnableInt8FromFile(arena_prefix + ".qarena", use_mmap);
-    if (!st.ok()) {
-      std::cerr << "int8 enable failed (serving fp32): " << st.ToString()
-                << "\n";
-    }
-  } else if (quant == "pq") {
-    if (auto st = engine.EnableIvfPq(IvfOptions{}, PqOptions{}); !st.ok()) {
-      std::cerr << "pq enable failed (serving fp32): " << st.ToString()
-                << "\n";
-    }
-  }
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   FlagParser flags;
   const auto known = tools::WithWorldFlags(
@@ -139,7 +114,7 @@ int main(int argc, char** argv) {
       std::cerr << "arena load failed: " << st.ToString() << "\n";
       return 1;
     }
-    ApplyQuant(engine, quant, prefix, use_mmap);
+    tools::ApplyQuant(engine, quant, prefix, use_mmap);
   } else if (flags.Has("model")) {
     const DatasetSpec spec = tools::SpecFromFlags(flags);
     ItemCatalog catalog;
@@ -168,7 +143,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     engine = std::move(*built);
-    ApplyQuant(engine, quant, /*arena_prefix=*/"", use_mmap);
+    tools::ApplyQuant(engine, quant, /*arena_prefix=*/"", use_mmap);
   } else {
     const auto items = static_cast<uint32_t>(flags.GetInt64("synth_items", 0));
     const auto dim = static_cast<uint32_t>(flags.GetInt64("synth_dim", 128));
@@ -179,7 +154,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     engine = std::move(*synth);
-    ApplyQuant(engine, quant, /*arena_prefix=*/"", use_mmap);
+    tools::ApplyQuant(engine, quant, /*arena_prefix=*/"", use_mmap);
   }
 
   serve::ServerOptions opts;

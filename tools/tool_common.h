@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/flags.h"
+#include "core/matching_engine.h"
 #include "datagen/dataset.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
@@ -100,6 +101,29 @@ inline DatasetSpec SpecFromFlags(const FlagParser& flags) {
 inline std::vector<std::string> WithWorldFlags(std::vector<std::string> own) {
   own.insert(own.end(), kWorldFlags.begin(), kWorldFlags.end());
   return own;
+}
+
+/// Switches the candidate scan to the --quant precision (fp32|int8|pq). An
+/// int8 scan reads `arena_prefix`.qarena when serving from an arena. Enable
+/// failures follow the engine's degradation contract: warn, keep serving
+/// fp32.
+inline void ApplyQuant(MatchingEngine& engine, const std::string& quant,
+                       const std::string& arena_prefix, bool use_mmap) {
+  if (quant == "int8") {
+    const Status st =
+        arena_prefix.empty()
+            ? engine.EnableInt8()
+            : engine.EnableInt8FromFile(arena_prefix + ".qarena", use_mmap);
+    if (!st.ok()) {
+      std::cerr << "int8 enable failed (serving fp32): " << st.ToString()
+                << "\n";
+    }
+  } else if (quant == "pq") {
+    if (auto st = engine.EnableIvfPq(IvfOptions{}, PqOptions{}); !st.ok()) {
+      std::cerr << "pq enable failed (serving fp32): " << st.ToString()
+                << "\n";
+    }
+  }
 }
 
 }  // namespace sisg::tools
