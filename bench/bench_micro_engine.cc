@@ -15,7 +15,6 @@
 #include "common/top_k.h"
 #include "corpus/corpus.h"
 #include "datagen/dataset.h"
-#include "sgns/sgns_kernel.h"
 #include "sgns/trainer.h"
 #include "sgns/window.h"
 
@@ -125,9 +124,9 @@ void SgnsPairUpdateBench(benchmark::State& state, KernelVariant variant) {
                             0.025f, dim, sigmoid);
       ops.axpy(1.0f, grad.data(), in.data() + t * stride, dim);
     } else {
-      SgnsUpdateScalar(in.data() + t * stride, grad.data(),
-                       out.data() + c * stride, negs.data(), negatives, 0.025f,
-                       dim, sigmoid);
+      simd_scalar::SgnsUpdateFused(in.data() + t * stride, grad.data(),
+                                   out.data() + c * stride, negs.data(),
+                                   negatives, 0.025f, dim, sigmoid);
       Axpy(1.0f, grad.data(), in.data() + t * stride, dim);
     }
   }

@@ -72,7 +72,7 @@ inline constexpr size_t kI8TileQueries = 4;
 /// gradient step: it computes the positive and all negative dot products,
 /// maps them through the sigmoid LUT, then updates every output row in place
 /// and accumulates the input gradient into `grad_in` — the same contract as
-/// the scalar `SgnsUpdateScalar` in sgns/sgns_kernel.h (null negative
+/// the portable reference `simd_scalar::SgnsUpdateFused` (null negative
 /// pointers are skipped), with one fewer sweep per row.
 struct SimdOps {
   float (*dot)(const float* a, const float* b, size_t dim);

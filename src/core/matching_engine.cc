@@ -35,6 +35,9 @@ obs::Counter* RerankRows() {
   return c;
 }
 
+/// Queries per scan shard (Scan): bounds a shard's shortlist scratch.
+constexpr size_t kMaxShardQueries = 256;
+
 /// Scales a row to unit length (zero rows stay zero).
 void NormalizeRow(float* row, uint32_t dim) {
   const float norm = L2Norm(row, dim);
@@ -117,8 +120,6 @@ void MatchingEngine::InstallArena(std::unique_ptr<ServingArena> arena) {
   num_items_ = v.num_items;
   dim_ = v.dim;
   mode_ = static_cast<SimilarityMode>(v.mode);
-  row_of_item_.assign(num_items_, UINT32_MAX);
-  for (uint32_t r = 0; r < v.num_cand; ++r) row_of_item_[v.cand_ids[r]] = r;
   degraded_ = false;
   ivf_.reset();
   quant_mode_ = QuantMode::kFp32;
@@ -261,26 +262,10 @@ std::vector<ScoredId> MatchingEngine::QueryVector(const float* query,
 std::vector<std::vector<ScoredId>> MatchingEngine::QueryBatch(
     const std::vector<uint32_t>& items, uint32_t k,
     uint32_t num_threads) const {
-  // Fixed blocks of items, each one serial coalesced pass: a block streams
-  // the candidate rows once, and a worker's scratch never exceeds one
-  // block's shortlists.
-  constexpr size_t kBlockItems = 256;
-  std::vector<std::vector<ScoredId>> results(items.size());
-  const std::vector<uint32_t> ks(std::min(items.size(), kBlockItems), k);
-  const size_t blocks = (items.size() + kBlockItems - 1) / kBlockItems;
-  const auto run_block = [&](size_t b) {
-    const size_t begin = b * kBlockItems;
-    const size_t len = std::min(kBlockItems, items.size() - begin);
-    auto part = QueryBatchCoalesced(items.data() + begin, ks.data(), len);
-    std::move(part.begin(), part.end(), results.begin() + begin);
-  };
-  if (num_threads <= 1 || blocks <= 1) {
-    for (size_t b = 0; b < blocks; ++b) run_block(b);
-    return results;
-  }
-  ThreadPool pool(std::min<size_t>(num_threads, blocks));
-  pool.ParallelFor(blocks, run_block);
-  return results;
+  const std::vector<uint32_t> ks(items.size(), k);
+  std::unique_ptr<ThreadPool> pool;
+  if (num_threads > 1) pool = std::make_unique<ThreadPool>(num_threads);
+  return QueryBatchCoalesced(items.data(), ks.data(), items.size(), pool.get());
 }
 
 std::vector<std::vector<ScoredId>> MatchingEngine::QueryBatchCoalesced(
@@ -310,19 +295,26 @@ void MatchingEngine::Scan(const Active* act, size_t n, ThreadPool* pool) const {
     latency = m_latency;
   }
   const obs::TraceSpan span(latency);
-  // One shard = a contiguous span of the queries, answered with its own
-  // chunk-tiled pass. Serial serving is a single shard; with a pool each
-  // worker streams the block once for its span.
+  // One shard = a contiguous span of at most kMaxShardQueries queries,
+  // answered with its own chunk-tiled pass: the shard streams the block
+  // once, and its scratch never exceeds that many shortlists. A batch too
+  // small to give every worker two queries is one serial pass.
   const size_t workers = pool == nullptr ? 1 : pool->num_threads();
-  if (workers <= 1 || n < 2 * workers) {
+  if (n < 2 * workers) {
     ScanSpan(act, n);
     return;
   }
-  const size_t shard = (n + workers - 1) / workers;
-  pool->ParallelFor((n + shard - 1) / shard, [&](size_t s) {
+  const size_t shard = std::min(kMaxShardQueries, (n + workers - 1) / workers);
+  const size_t shards = (n + shard - 1) / shard;
+  const auto run_shard = [&](size_t s) {
     const size_t begin = s * shard;
     ScanSpan(act + begin, std::min(shard, n - begin));
-  });
+  };
+  if (pool == nullptr) {
+    for (size_t s = 0; s < shards; ++s) run_shard(s);
+  } else {
+    pool->ParallelFor(shards, run_shard);
+  }
 }
 
 void MatchingEngine::ScanSpan(const Active* act, size_t m) const {
@@ -422,15 +414,6 @@ void MatchingEngine::ScanSpan(const Active* act, size_t m) const {
     ScanBytes()->Add(block * m);
     StreamedBytes()->Add(block);
   }
-}
-
-float MatchingEngine::Score(uint32_t query_item, uint32_t candidate) const {
-  if (query_item >= num_items_ || candidate >= num_items_) return 0.0f;
-  const uint32_t row = row_of_item_[candidate];
-  if (row == UINT32_MAX) return 0.0f;
-  const ServingArena::View& v = arena_->view();
-  return Dot(QueryRow(query_item),
-             v.cand_rows + static_cast<size_t>(row) * v.cand_stride, dim_);
 }
 
 }  // namespace sisg

@@ -69,9 +69,9 @@ class MatchingEngine {
   std::vector<ScoredId> QueryVector(const float* query, uint32_t k) const;
 
   /// Multi-query serving: the answers of Query() for each item in `items`,
-  /// bit for bit. Items go in fixed blocks through QueryBatchCoalesced, one
-  /// serial pass per block, the blocks fanned out over a ThreadPool when
-  /// num_threads > 1. Results align with `items`.
+  /// bit for bit — QueryBatchCoalesced with one k for all, over a ThreadPool
+  /// of `num_threads` workers when num_threads > 1. Results align with
+  /// `items`.
   std::vector<std::vector<ScoredId>> QueryBatch(
       const std::vector<uint32_t>& items, uint32_t k,
       uint32_t num_threads = 1) const;
@@ -84,16 +84,14 @@ class MatchingEngine {
   /// pass at n = 1, and the kernels fold rows into each query's selector in
   /// the same order at every batch size, so results are bit-identical to
   /// calling Query(items[i], ks[i]) per item; this is what makes the network
-  /// batcher's answers indistinguishable from the one-shot CLI's. With a
-  /// `pool`, the batch is sharded into per-worker coalesced sub-batches. An
-  /// installed IVF-PQ index is walked per query (posting-list walks share
-  /// no linear scan).
+  /// batcher's answers indistinguishable from the one-shot CLI's. The batch
+  /// is cut into shards of at most 256 queries, one pass each, run on
+  /// `pool` when given and serially otherwise (see Scan). An installed
+  /// IVF-PQ index is walked per query (posting-list walks share no linear
+  /// scan).
   std::vector<std::vector<ScoredId>> QueryBatchCoalesced(
       const uint32_t* items, const uint32_t* ks, size_t n,
       ThreadPool* pool = nullptr) const;
-
-  /// Pairwise score between two items under the engine's mode.
-  float Score(uint32_t query_item, uint32_t candidate) const;
 
   /// --- IVF-PQ acceleration with graceful degradation: builds an IVF index
   /// over DenseCandidateMatrix() and product-quantizes its posting lists, so
@@ -146,8 +144,11 @@ class MatchingEngine {
   struct Active;
 
   /// Answers act[0, n): records serve.queries and one serve.query_seconds
-  /// observation for the call, then shards the span over `pool` (when
-  /// given) into ScanSpan passes. Every query API funnels through here.
+  /// observation for the call, then cuts the span into ScanSpan shards of
+  /// min(256, ceil(n / workers)) queries, run through one ParallelFor on
+  /// `pool` (workers = its threads) or serially without one (workers = 1).
+  /// A span under two queries per worker is one serial ScanSpan. Every
+  /// query API funnels through here.
   void Scan(const Active* act, size_t n, ThreadPool* pool) const;
   /// The scan core: an IVF-PQ walk per query when ivf_ is installed,
   /// otherwise one chunk-tiled pass over the candidate block (int8 shortlist
@@ -155,7 +156,7 @@ class MatchingEngine {
   void ScanSpan(const Active* act, size_t n) const;
 
   /// Takes ownership of the serving state and resets everything derived
-  /// from the previous one (item -> row map, int8 codes, IVF-PQ index).
+  /// from the previous one (int8 codes, IVF-PQ index).
   void InstallArena(std::unique_ptr<ServingArena> arena);
   /// Switches the scan to `codes` (one row per candidate-block row).
   void InstallInt8(std::unique_ptr<Int8Arena> codes);
@@ -172,7 +173,6 @@ class MatchingEngine {
   // after an mmap load. The scan kernels cannot tell the difference, which
   // is what makes every form answer bit-identically.
   std::unique_ptr<ServingArena> arena_;
-  std::vector<uint32_t> row_of_item_;  // item -> block row (UINT32_MAX: none)
 
   // Int8 brute-force scan state. The chunked shortlist scan takes global
   // block rows as ids, so the identity map is built once per install.

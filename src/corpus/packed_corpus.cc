@@ -4,9 +4,6 @@
 
 namespace sisg {
 namespace {
-constexpr char kPackedKind[] = "PACKCORP";
-constexpr uint32_t kPackedVersion = 1;
-
 /// Bytes of the serialized payload section for a given shape, or 0 on
 /// overflow (an implausible header must be rejected before allocation).
 uint64_t PayloadBytes(uint64_t num_seqs, uint64_t num_tokens) {
@@ -64,28 +61,6 @@ StatusOr<PackedCorpus> PackedCorpus::ReadFrom(ArtifactReader* r,
                                 std::to_string(token_bound));
       }
     }
-  }
-  return pc;
-}
-
-Status PackedCorpus::Save(const std::string& path) const {
-  SISG_ASSIGN_OR_RETURN(ArtifactWriter w,
-                        ArtifactWriter::Open(path, kPackedKind, kPackedVersion));
-  SISG_RETURN_IF_ERROR(AppendTo(&w));
-  return w.Commit();
-}
-
-StatusOr<PackedCorpus> PackedCorpus::Load(const std::string& path,
-                                          uint32_t token_bound) {
-  SISG_ASSIGN_OR_RETURN(ArtifactReader r,
-                        ArtifactReader::Open(path, kPackedKind));
-  if (r.version() != kPackedVersion) {
-    return Status::InvalidArgument("packed corpus: unsupported version " +
-                                   std::to_string(r.version()) + " in " + path);
-  }
-  auto pc = ReadFrom(&r, token_bound);
-  if (!pc.ok()) {
-    return Status(pc.status().code(), pc.status().message() + " in " + path);
   }
   return pc;
 }

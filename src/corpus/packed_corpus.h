@@ -94,16 +94,11 @@ class PackedCorpus {
     return offsets_ == o.offsets_ && tokens_ == o.tokens_;
   }
 
-  /// Checksummed binary serialization (SISGART1 framing, kind PACKCORP).
-  /// Load validates the offset table (monotone, ends at the token count)
-  /// and that every token is < `token_bound` when token_bound > 0, so a
-  /// corrupt or truncated file is DataLoss — never partial data.
-  Status Save(const std::string& path) const;
-  static StatusOr<PackedCorpus> Load(const std::string& path,
-                                     uint32_t token_bound = 0);
-
-  /// Embedding into a larger artifact (the Corpus cache): Append writes the
-  /// payload section into an open writer; Read consumes it from a reader.
+  /// The packed section of a larger checksummed artifact (the Corpus
+  /// cache): AppendTo writes it into an open writer; ReadFrom consumes it as
+  /// the reader's tail and validates the offset table (monotone, ends at the
+  /// token count) and that every token is < `token_bound` when
+  /// token_bound > 0, so a corrupt section is DataLoss — never partial data.
   Status AppendTo(class ArtifactWriter* w) const;
   static StatusOr<PackedCorpus> ReadFrom(class ArtifactReader* r,
                                          uint32_t token_bound);

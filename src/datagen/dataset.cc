@@ -104,11 +104,9 @@ Status WriteSessionsText(const std::vector<Session>& sessions,
   return file.Commit();
 }
 
-StatusOr<std::vector<Session>> ReadSessionsText(
-    const UserUniverse& users, const std::string& path,
-    const SessionStreamOptions& options, IngestStats* stats) {
-  SISG_ASSIGN_OR_RETURN(SessionStream stream,
-                        SessionStream::Open(users, path, options));
+StatusOr<std::vector<Session>> ReadSessionsText(const UserUniverse& users,
+                                                const std::string& path) {
+  SISG_ASSIGN_OR_RETURN(SessionStream stream, SessionStream::Open(users, path));
   std::vector<Session> sessions;
   std::vector<Session> chunk;
   for (;;) {
@@ -117,13 +115,7 @@ StatusOr<std::vector<Session>> ReadSessionsText(
     sessions.insert(sessions.end(), std::make_move_iterator(chunk.begin()),
                     std::make_move_iterator(chunk.end()));
   }
-  if (stats != nullptr) *stats = stream.stats();
   return sessions;
-}
-
-StatusOr<std::vector<Session>> ReadSessionsText(const UserUniverse& users,
-                                                const std::string& path) {
-  return ReadSessionsText(users, path, SessionStreamOptions{}, nullptr);
 }
 
 }  // namespace sisg

@@ -69,16 +69,13 @@ Status WriteSessionsText(const std::vector<Session>& sessions,
                          const UserUniverse& users, const std::string& path);
 
 /// Reads sessions written by WriteSessionsText. User-type tokens are mapped
-/// back via a token->id index built from `users`. The default is strict: any
-/// malformed line fails the load with its line number. The options overload
-/// can instead tolerate up to `options.max_errors` bad lines (skipped and
-/// counted into `stats`); chunked streaming without materializing the whole
-/// file is SessionStream (session_stream.h), which this wraps.
+/// back via a token->id index built from `users`. Strict: any malformed line
+/// fails the load with its line number. Tolerating bad lines
+/// (SessionStreamOptions::max_errors) and chunked streaming without
+/// materializing the whole file are SessionStream (session_stream.h), which
+/// this wraps.
 StatusOr<std::vector<Session>> ReadSessionsText(const UserUniverse& users,
                                                 const std::string& path);
-StatusOr<std::vector<Session>> ReadSessionsText(
-    const UserUniverse& users, const std::string& path,
-    const struct SessionStreamOptions& options, struct IngestStats* stats);
 
 }  // namespace sisg
 

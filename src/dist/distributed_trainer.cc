@@ -11,7 +11,6 @@
 #include "common/timer.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "sgns/sgns_kernel.h"
 #include "sgns/window.h"
 
 namespace sisg {

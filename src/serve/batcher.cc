@@ -195,10 +195,6 @@ void QueryBatcher::DispatchLoop() {
 void QueryBatcher::Drain() {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (draining_) {
-      // A second Drain() only needs to wait for the first; fall through to
-      // the join below (threads vector is only mutated under started_).
-    }
     draining_ = true;
   }
   cv_.notify_all();

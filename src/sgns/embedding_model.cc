@@ -3,7 +3,6 @@
 #include <cstring>
 
 #include "common/io_util.h"
-#include "common/quant.h"
 #include "common/rng.h"
 
 namespace sisg {
@@ -103,16 +102,6 @@ StatusOr<EmbeddingModel> EmbeddingModel::Load(const std::string& path) {
   SISG_RETURN_IF_ERROR(ReadRows(r, m.input_.data(), m.rows_, m.dim_, m.stride_));
   SISG_RETURN_IF_ERROR(ReadRows(r, m.output_.data(), m.rows_, m.dim_, m.stride_));
   return m;
-}
-
-Status EmbeddingModel::SaveInt8Arena(const std::string& path) const {
-  if (rows_ == 0) {
-    return Status::FailedPrecondition("embedding model: not initialized");
-  }
-  Int8Arena arena;
-  SISG_RETURN_IF_ERROR(
-      arena.BuildFromRows(input_.data(), rows_, dim_, stride_));
-  return arena.Save(path);
 }
 
 }  // namespace sisg

@@ -49,11 +49,6 @@ class EmbeddingModel {
   Status Save(const std::string& path) const;
   static StatusOr<EmbeddingModel> Load(const std::string& path);
 
-  /// Quantizes the input matrix (the query/candidate side of retrieval)
-  /// into a QNTARENA artifact (common/quant.h) — the offline step of the
-  /// int8 serving path.
-  Status SaveInt8Arena(const std::string& path) const;
-
  private:
   uint32_t rows_ = 0;
   uint32_t dim_ = 0;

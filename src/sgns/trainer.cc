@@ -14,7 +14,6 @@
 #include "common/timer.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "sgns/sgns_kernel.h"
 
 namespace sisg {
 namespace {

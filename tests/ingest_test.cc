@@ -346,15 +346,20 @@ TEST_F(IngestFixture, ReadSessionsTextSurfacesSkips) {
   auto strict = ReadSessionsText(dataset_->users(), path);
   EXPECT_EQ(strict.status().code(), StatusCode::kCorruption);
   EXPECT_NE(strict.status().message().find("line 2"), std::string::npos);
-  // Tolerant: skips and reports.
+  // Tolerant (a SessionStream with an error budget): skips and reports.
   SessionStreamOptions opts;
   opts.max_errors = 1;
-  IngestStats stats;
-  auto tolerant = ReadSessionsText(dataset_->users(), path, opts, &stats);
-  ASSERT_TRUE(tolerant.ok());
-  EXPECT_EQ(tolerant->size(), 2u);
-  EXPECT_EQ(stats.lines_skipped, 1u);
-  EXPECT_EQ(stats.lines_read, 3u);
+  auto stream = SessionStream::Open(dataset_->users(), path, opts);
+  ASSERT_TRUE(stream.ok()) << stream.status().ToString();
+  std::vector<Session> chunk;
+  size_t sessions = 0;
+  do {
+    ASSERT_TRUE(stream->NextChunk(&chunk).ok());
+    sessions += chunk.size();
+  } while (!chunk.empty());
+  EXPECT_EQ(sessions, 2u);
+  EXPECT_EQ(stream->stats().lines_skipped, 1u);
+  EXPECT_EQ(stream->stats().lines_read, 3u);
   std::remove(path.c_str());
 }
 
@@ -463,20 +468,37 @@ TEST(PackedCorpusTest, AppendAndView) {
   EXPECT_EQ(reinterpret_cast<uintptr_t>(pc.tokens().data()) % 64, 0u);
 }
 
-TEST(PackedCorpusTest, SaveLoadRoundTrip) {
+// The packed section is persisted only inside the corpus cache; these pin
+// its AppendTo/ReadFrom contract through a bare artifact holding just it.
+constexpr char kPackedTestKind[] = "PACKTEST";
+
+Status SavePacked(const PackedCorpus& pc, const std::string& path) {
+  SISG_ASSIGN_OR_RETURN(ArtifactWriter w,
+                        ArtifactWriter::Open(path, kPackedTestKind, 1));
+  SISG_RETURN_IF_ERROR(pc.AppendTo(&w));
+  return w.Commit();
+}
+
+StatusOr<PackedCorpus> LoadPacked(const std::string& path,
+                                  uint32_t token_bound = 0) {
+  SISG_ASSIGN_OR_RETURN(ArtifactReader r,
+                        ArtifactReader::Open(path, kPackedTestKind));
+  return PackedCorpus::ReadFrom(&r, token_bound);
+}
+
+TEST(PackedCorpusTest, SectionRoundTrip) {
   PackedCorpus pc;
   for (uint32_t i = 0; i < 100; ++i) {
     std::vector<uint32_t> seq(1 + i % 7, i);
     pc.AppendSequence(seq);
   }
   const std::string path = FreshPath("packed_rt.bin");
-  ASSERT_TRUE(pc.Save(path).ok());
-  auto loaded = PackedCorpus::Load(path);
+  ASSERT_TRUE(SavePacked(pc, path).ok());
+  auto loaded = LoadPacked(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   EXPECT_TRUE(*loaded == pc);
   // A token bound below the max token is DataLoss.
-  EXPECT_EQ(PackedCorpus::Load(path, 50).status().code(),
-            StatusCode::kDataLoss);
+  EXPECT_EQ(LoadPacked(path, 50).status().code(), StatusCode::kDataLoss);
   std::remove(path.c_str());
 }
 
@@ -486,7 +508,7 @@ TEST(PackedCorpusTest, CorruptionIsDataLossNeverPartialData) {
     pc.AppendSequence(std::vector<uint32_t>{i, i + 1, i + 2});
   }
   const std::string path = FreshPath("packed_corrupt.bin");
-  ASSERT_TRUE(pc.Save(path).ok());
+  ASSERT_TRUE(SavePacked(pc, path).ok());
   const long size = FileSize(path);
   ASSERT_GT(size, static_cast<long>(kArtifactHeaderBytes));
 
@@ -495,15 +517,15 @@ TEST(PackedCorpusTest, CorruptionIsDataLossNeverPartialData) {
                          static_cast<long>(kArtifactHeaderBytes) + 40,
                          size - 1}) {
     FlipByteAt(path, off);
-    EXPECT_EQ(PackedCorpus::Load(path).status().code(), StatusCode::kDataLoss)
+    EXPECT_EQ(LoadPacked(path).status().code(), StatusCode::kDataLoss)
         << "offset " << off;
     FlipByteAt(path, off);  // restore
-    ASSERT_TRUE(PackedCorpus::Load(path).ok());
+    ASSERT_TRUE(LoadPacked(path).ok());
   }
 
   // Truncation at any boundary is DataLoss too.
   ASSERT_EQ(::truncate(path.c_str(), size / 2), 0);
-  EXPECT_EQ(PackedCorpus::Load(path).status().code(), StatusCode::kDataLoss);
+  EXPECT_EQ(LoadPacked(path).status().code(), StatusCode::kDataLoss);
   std::remove(path.c_str());
 }
 

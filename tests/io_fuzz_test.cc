@@ -89,13 +89,6 @@ class IoFuzzTest : public ::testing::Test {
                          return Vocabulary::Load(vocab_path).status();
                        }});
 
-    const std::string packed_path = dir + "/fuzz.packed";
-    ASSERT_TRUE(corpus_->packed().Save(packed_path).ok());
-    const uint32_t bound = corpus_->vocab().size();
-    cases_->push_back({"packed_corpus", packed_path, [packed_path, bound] {
-                         return PackedCorpus::Load(packed_path, bound).status();
-                       }});
-
     // The corpus cache is two artifacts behind one prefix; fuzz each file
     // while the sibling stays pristine.
     const std::string cache_prefix = dir + "/fuzz_cache";

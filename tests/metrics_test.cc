@@ -388,8 +388,9 @@ TEST_F(MetricsTest, ScanBytesCountScoredAndStreamedBlocks) {
 }
 
 // serve.query_seconds holds one observation per engine scan call — a
-// Query, a QueryVector, or one whole QueryBatchCoalesced batch, pooled or
-// not — while serve.queries counts the queries answered.
+// Query, a QueryVector, or one whole QueryBatchCoalesced or QueryBatch
+// batch, pooled or not, however many shards it is cut into — while
+// serve.queries counts the queries answered.
 TEST_F(MetricsTest, QuerySecondsObservesOncePerScanCall) {
   obs::EnableMetrics(true);
   auto& reg = obs::MetricsRegistry::Global();
@@ -429,6 +430,17 @@ TEST_F(MetricsTest, QuerySecondsObservesOncePerScanCall) {
   engine.QueryVector(in.data(), 5);
   EXPECT_EQ(latency->Count(), 1u);
   EXPECT_EQ(queries->Value(), 1u);
+
+  // 600 queries are three shards serially and more over four workers; the
+  // batch is still one scan call.
+  std::vector<uint32_t> many;
+  for (uint32_t i = 0; i < 600; ++i) many.push_back(i % n);
+  for (uint32_t threads : {1u, 4u}) {
+    reg.Reset();
+    engine.QueryBatch(many, 5, threads);
+    EXPECT_EQ(latency->Count(), 1u) << threads << " threads";
+    EXPECT_EQ(queries->Value(), 600u) << threads << " threads";
+  }
 }
 
 TEST_F(MetricsTest, TrainingBitIdenticalWithMetricsOnAndOff) {

@@ -8,6 +8,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <memory>
 #include <span>
@@ -23,6 +24,7 @@
 #include "corpus/packed_corpus.h"
 #include "corpus/vocabulary.h"
 #include "datagen/catalog.h"
+#include "datagen/session_generator.h"
 #include "datagen/user_universe.h"
 #include "gtest/gtest.h"
 #include "prop.h"
@@ -77,6 +79,21 @@ const World& FixtureWorld() {
     return world;
   }();
   return *w;
+}
+
+/// The packed corpus is persisted only as a section of the corpus cache;
+/// the round trip pins AppendTo/ReadFrom through an artifact holding just it.
+Status SavePackedSection(const PackedCorpus& pc, const std::string& path) {
+  SISG_ASSIGN_OR_RETURN(ArtifactWriter w,
+                        ArtifactWriter::Open(path, "PACKTEST", 1));
+  SISG_RETURN_IF_ERROR(pc.AppendTo(&w));
+  return w.Commit();
+}
+
+StatusOr<PackedCorpus> LoadPackedSection(const std::string& path) {
+  SISG_ASSIGN_OR_RETURN(ArtifactReader r,
+                        ArtifactReader::Open(path, "PACKTEST"));
+  return PackedCorpus::ReadFrom(&r, 0);
 }
 
 // ------------------------------ round trips ------------------------------
@@ -164,8 +181,8 @@ TEST(PropArtifact, PackedCorpusRoundTripsGeneratedSequences) {
         PackedCorpus pc;
         for (const auto& s : seqs) pc.AppendSequence(s);
         const std::string path = FreshPath("prop_art_packcorp");
-        if (!pc.Save(path).ok()) return "save failed";
-        auto loaded = PackedCorpus::Load(path);
+        if (!SavePackedSection(pc, path).ok()) return "save failed";
+        auto loaded = LoadPackedSection(path);
         std::remove(path.c_str());
         if (!loaded.ok()) return "load failed: " + loaded.status().ToString();
         if (!(*loaded == pc)) return "loaded corpus != saved corpus";
@@ -327,19 +344,39 @@ const ArtifactTarget kTargets[] = {
      [](const std::string& path) {
        return EmbeddingModel::Load(path).status();
      }},
-    {"PACKCORP",
+    {"CORPCACH",
+     // The corpus cache is `<prefix>.corpus` beside `<prefix>.vocab`: the
+     // target file is the .corpus artifact, the vocabulary a pristine side
+     // file, and the loader reads the target back through Corpus::Load.
      [](const std::string& path, Rng& rng) {
-       PackedCorpus pc;
-       const int n = static_cast<int>(rng.UniformInt(1, 30));
-       for (int i = 0; i < n; ++i) {
-         std::vector<uint32_t> seq(1 + rng.UniformU64(6));
-         for (auto& t : seq) t = static_cast<uint32_t>(rng.UniformU64(999));
-         pc.AppendSequence(seq);
+       const World& world = FixtureWorld();
+       std::vector<Session> sessions(1 + rng.UniformU64(30));
+       for (Session& s : sessions) {
+         s.user_type = static_cast<uint32_t>(
+             rng.UniformU64(world.users.num_types()));
+         s.items.resize(2 + rng.UniformU64(6));
+         for (auto& item : s.items) {
+           item = static_cast<uint32_t>(
+               rng.UniformU64(world.catalog.num_items()));
+         }
        }
-       return pc.Save(path).ok();
+       Corpus corpus;
+       if (!corpus.Build(sessions, world.token_space, world.catalog, {}).ok() ||
+           !corpus.Save(path).ok()) {
+         return false;
+       }
+       return std::rename((path + ".corpus").c_str(), path.c_str()) == 0;
      },
      [](const std::string& path) {
-       return PackedCorpus::Load(path).status();
+       std::error_code ec;
+       std::filesystem::copy_file(
+           path, path + ".corpus",
+           std::filesystem::copy_options::overwrite_existing, ec);
+       if (ec) return Status::IOError("copy failed: " + ec.message());
+       const Status st =
+           Corpus::Load(path, {}, FixtureWorld().token_space).status();
+       std::remove((path + ".corpus").c_str());
+       return st;
      }},
     {"QNTARENA",
      [](const std::string& path, Rng& rng) {

@@ -11,6 +11,7 @@
 #include <condition_variable>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -73,19 +74,36 @@ TEST(CoalescedScanTest, Fp32BitIdenticalToPerQuery) {
   }
 }
 
-TEST(CoalescedScanTest, Fp32BitIdenticalWithPoolSharding) {
-  MatchingEngine engine = serve::BuildSynthEngine(300, 16, 99).value();
-  std::vector<uint32_t> items, ks;
-  for (uint32_t i = 0; i < 300; i += 2) {
-    items.push_back(i);
-    ks.push_back(10);
-  }
-  ThreadPool pool(3);
-  const auto batched =
-      engine.QueryBatchCoalesced(items.data(), ks.data(), items.size(), &pool);
-  for (size_t i = 0; i < items.size(); ++i) {
-    ExpectBitIdentical(batched[i], engine.Query(items[i], ks[i]),
-                       "pooled item " + std::to_string(items[i]));
+TEST(CoalescedScanTest, BitIdenticalAcrossShardSizesAndPools) {
+  // Batch sizes around the 256-query shard bound, serial and over pools of
+  // 1-4 workers: shards of min(256, ceil(n / workers)) queries, and the
+  // whole-tile/remainder split of the int8 scan moves with every cut, so
+  // each answer must still be the per-query one.
+  for (bool int8 : {false, true}) {
+    MatchingEngine engine = serve::BuildSynthEngine(300, 16, 99).value();
+    if (int8) {
+      ASSERT_TRUE(engine.EnableInt8().ok());
+    }
+    std::vector<std::vector<ScoredId>> want;
+    for (uint32_t i = 0; i < 300; ++i) want.push_back(engine.Query(i, 10));
+    for (size_t n : {7u, 150u, 255u, 256u, 257u, 1000u}) {
+      std::vector<uint32_t> items(n), ks(n, 10);
+      for (size_t i = 0; i < n; ++i) items[i] = (i * 7) % 300;
+      for (size_t workers : {0u, 1u, 2u, 3u, 4u}) {
+        std::unique_ptr<ThreadPool> pool;
+        if (workers > 0) pool = std::make_unique<ThreadPool>(workers);
+        const auto batched = engine.QueryBatchCoalesced(
+            items.data(), ks.data(), n, pool.get());
+        ASSERT_EQ(batched.size(), n);
+        for (size_t i = 0; i < n; ++i) {
+          ExpectBitIdentical(batched[i], want[items[i]],
+                             std::string(int8 ? "int8" : "fp32") + " n " +
+                                 std::to_string(n) + " workers " +
+                                 std::to_string(workers) + " item " +
+                                 std::to_string(items[i]));
+        }
+      }
+    }
   }
 }
 
@@ -180,6 +198,67 @@ TEST(QueryBatcherTest, CoalescesQueuedRequestsIntoOneBatch) {
                 CounterVal(before, "serve.batches"),
             1u);
   EXPECT_EQ(GaugeVal(after, "serve.queue_depth"), 0.0);
+}
+
+TEST(QueryBatcherTest, ConcurrentDispatchersWithPooledScansAnswerOnce) {
+  // Two dispatchers, each sharding its micro-batch over its own 2-worker
+  // scan pool. Waves of 1-32 requests give batches on both sides of the
+  // serial guard (under two queries per worker) and pooled shards.
+  serve::BatchOptions opts;
+  opts.max_batch = 32;
+  opts.max_wait_us = 1000;
+  opts.dispatch_threads = 2;
+  opts.scan_threads = 2;
+  serve::ModelRegistry registry;
+  MatchingEngine built = serve::BuildSynthEngine(400, 32, 99).value();
+  ASSERT_TRUE(built.EnableInt8().ok());
+  registry.PublishOwned(std::make_unique<MatchingEngine>(std::move(built)),
+                        "test");
+  const serve::SnapshotPtr snap = registry.Acquire();
+  const MatchingEngine& engine = snap->engine();
+
+  // Declared before the batcher, so the callbacks' state outlives its
+  // drain on every exit path.
+  constexpr size_t kWaves = 32;
+  const size_t total = kWaves * (kWaves + 1) / 2;
+  std::mutex mu;
+  std::condition_variable cv;
+  std::vector<int> fired(total, 0);
+  std::vector<std::vector<ScoredId>> results(total);
+  size_t done = 0;
+  serve::QueryBatcher batcher(&registry, opts);
+  batcher.Start();
+  const auto item_of = [](size_t slot) {
+    return static_cast<uint32_t>(slot * 13 % 400);
+  };
+  size_t slot = 0;
+  for (size_t wave = 1; wave <= kWaves; ++wave) {
+    for (size_t i = 0; i < wave; ++i, ++slot) {
+      ASSERT_EQ(batcher.Submit(item_of(slot), 8,
+                               [&, slot](serve::WireStatus st, uint64_t,
+                                         std::vector<ScoredId> r) {
+                                 EXPECT_EQ(st, serve::WireStatus::kOk);
+                                 std::lock_guard<std::mutex> lock(mu);
+                                 ++fired[slot];
+                                 results[slot] = std::move(r);
+                                 ++done;
+                                 cv.notify_all();
+                               }),
+                serve::AdmitResult::kAccepted);
+    }
+    std::unique_lock<std::mutex> lock(mu);
+    ASSERT_TRUE(cv.wait_for(lock, std::chrono::seconds(10),
+                            [&] { return done == slot; }))
+        << "wave " << wave;
+  }
+  batcher.Drain();
+
+  std::lock_guard<std::mutex> lock(mu);
+  for (size_t s = 0; s < total; ++s) {
+    EXPECT_EQ(fired[s], 1) << "slot " << s;
+    ExpectBitIdentical(results[s], engine.Query(item_of(s), 8),
+                       "slot " + std::to_string(s));
+  }
 }
 
 TEST(QueryBatcherTest, FullQueueRepliesBusyNeverBuffersUnboundedly) {

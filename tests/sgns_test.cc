@@ -10,11 +10,11 @@
 
 #include "common/math_util.h"
 #include "common/rng.h"
+#include "common/simd.h"
 #include "corpus/corpus.h"
 #include "datagen/dataset.h"
 #include "sgns/checkpoint.h"
 #include "sgns/embedding_model.h"
-#include "sgns/sgns_kernel.h"
 #include "sgns/trainer.h"
 #include "sgns/window.h"
 
@@ -113,8 +113,8 @@ TEST(SgnsKernelTest, MatchesAnalyticGradient) {
 
   std::vector<float> pos_copy = pos, neg_copy = neg, grad_in(dim, 0.0f);
   float* negs[1] = {neg_copy.data()};
-  SgnsUpdate(in.data(), grad_in.data(), pos_copy.data(), negs, 1, lr, dim,
-             sigmoid);
+  GetSimdOps().sgns_update_fused(in.data(), grad_in.data(), pos_copy.data(),
+                                 negs, 1, lr, dim, sigmoid);
 
   const double fpos = Dot(in.data(), pos.data(), dim);
   const double fneg = Dot(in.data(), neg.data(), dim);
@@ -134,7 +134,8 @@ TEST(SgnsKernelTest, NullNegativesAreSkipped) {
   std::vector<float> grad(dim, 0.0f);
   float* negs[3] = {nullptr, nullptr, nullptr};
   const SigmoidTable sigmoid;
-  SgnsUpdate(in.data(), grad.data(), pos.data(), negs, 3, 0.1f, dim, sigmoid);
+  GetSimdOps().sgns_update_fused(in.data(), grad.data(), pos.data(), negs, 3,
+                                 0.1f, dim, sigmoid);
   // Only the positive term applies: g = (1 - s(0)) * lr = 0.05.
   EXPECT_NEAR(pos[0], 0.005f, 1e-5);
   EXPECT_NEAR(grad[0], 0.0f, 1e-6);  // pos vector was zero before update
@@ -150,7 +151,8 @@ TEST(SgnsKernelTest, UpdateIncreasesPositiveScore) {
   }
   const SigmoidTable sigmoid;
   const float before = Dot(in.data(), pos.data(), dim);
-  SgnsUpdate(in.data(), grad.data(), pos.data(), nullptr, 0, 0.5f, dim, sigmoid);
+  GetSimdOps().sgns_update_fused(in.data(), grad.data(), pos.data(), nullptr, 0,
+                                 0.5f, dim, sigmoid);
   Axpy(1.0f, grad.data(), in.data(), dim);
   EXPECT_GT(Dot(in.data(), pos.data(), dim), before);
 }

@@ -7,7 +7,6 @@
 #include "common/rng.h"
 #include "common/simd.h"
 #include "sgns/embedding_model.h"
-#include "sgns/sgns_kernel.h"
 
 namespace sisg {
 namespace {
@@ -133,8 +132,9 @@ TEST(SimdParityTest, SgnsUpdateFusedMatchesScalar) {
       neg_ptrs_simd.push_back(k == 2 ? nullptr : negs_simd[k].data());
     }
     std::vector<float> grad_ref(dim, 0.0f), grad_simd(dim, 0.0f);
-    SgnsUpdateScalar(in.data(), grad_ref.data(), pos_ref.data(),
-                     neg_ptrs_ref.data(), num_negs, 0.1f, dim, sigmoid);
+    simd_scalar::SgnsUpdateFused(in.data(), grad_ref.data(), pos_ref.data(),
+                                 neg_ptrs_ref.data(), num_negs, 0.1f, dim,
+                                 sigmoid);
     ops.sgns_update_fused(in.data(), grad_simd.data(), pos_simd.data(),
                           neg_ptrs_simd.data(), num_negs, 0.1f, dim, sigmoid);
     for (size_t i = 0; i < dim; ++i) {
@@ -167,8 +167,8 @@ TEST(SimdParityTest, FusedHandlesManyNegativesAcrossChunks) {
     ptrs_simd[k] = negs_simd[k].data();
   }
   std::vector<float> grad_ref(dim, 0.0f), grad_simd(dim, 0.0f);
-  SgnsUpdateScalar(in.data(), grad_ref.data(), pos_ref.data(), ptrs_ref.data(),
-                   num_negs, 0.05f, dim, sigmoid);
+  simd_scalar::SgnsUpdateFused(in.data(), grad_ref.data(), pos_ref.data(),
+                               ptrs_ref.data(), num_negs, 0.05f, dim, sigmoid);
   ops.sgns_update_fused(in.data(), grad_simd.data(), pos_simd.data(),
                         ptrs_simd.data(), num_negs, 0.05f, dim, sigmoid);
   for (size_t i = 0; i < dim; ++i) {

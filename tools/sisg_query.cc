@@ -32,7 +32,8 @@ int main(int argc, char** argv) {
   }
   const bool has_source = flags.Has("model") || flags.Has("arena");
   if (flags.GetBool("help", false) || !has_source) {
-    std::cout << "usage: sisg_query --model PREFIX [--variant sisg-f-u-d] "
+    std::cout << "usage: sisg_query --model PREFIX "
+                 "[--variant sgns|sisg-f|sisg-u|sisg-f-u|sisg-f-u-d] "
                  "[--k 10] [item ids...]\n"
                  "  --candidates FILE   export the full item->top-K table\n"
                  "  --cold_gender F|M [--cold_age 0-6] [--cold_purchase 0-2]\n"
@@ -59,6 +60,13 @@ int main(int argc, char** argv) {
   tools::ToolMetrics metrics = tools::ToolMetrics::FromFlags(flags);
   // A Ctrl-C'd candidate export still leaves its latency artifact behind.
   metrics.InstallSignalFlush();
+
+  const auto variant =
+      tools::VariantFromName(flags.GetString("variant", "sisg-f-u-d"));
+  if (!variant.ok()) {
+    std::cerr << variant.status().ToString() << "\n";
+    return 2;
+  }
 
   MatchingEngine engine;
   if (flags.Has("arena")) {
@@ -89,9 +97,7 @@ int main(int argc, char** argv) {
     }
 
     SisgConfig config;
-    config.variant = flags.GetString("variant", "sisg-f-u-d") == "sisg-f-u-d"
-                         ? SisgVariant::kSisgFUD
-                         : SisgVariant::kSisgFU;
+    config.variant = *variant;
     TokenSpace ts = TokenSpace::Create(&catalog, &users);
     auto model = SisgModel::Load(flags.GetString("model", ""), config, ts);
     if (!model.ok()) {

@@ -1,11 +1,10 @@
-// sisg_serve — long-lived TCP serving process. Loads a frozen arena (or a
-// trained model, or a deterministic synthetic corpus for benches), then
-// coalesces concurrent single-item requests into micro-batches dispatched
-// through the SIMD batch scan.
+// sisg_serve — long-lived TCP serving process. Loads a frozen arena (what
+// `sisg_query --save_arena` writes and the reloader hot-swaps), or a
+// deterministic synthetic corpus for benches, then coalesces concurrent
+// single-item requests into micro-batches dispatched through the SIMD batch
+// scan.
 //
 //   sisg_serve --arena /tmp/serve --quant int8 --port 7411
-//   sisg_serve --model /tmp/model --variant sisg-f-u-d --port 0
-//              --port_file /tmp/port
 //   sisg_serve --synth_items 20000 --synth_dim 128 --max_batch 32
 //              --metrics_out /tmp/serve_metrics.json
 //   sisg_serve --arena /tmp/serve --watch_dir /tmp/serve
@@ -29,11 +28,12 @@
 #include <cstdio>
 #include <iostream>
 #include <memory>
+#include <string>
 #include <utility>
+#include <vector>
 
 #include "common/flags.h"
 #include "core/matching_engine.h"
-#include "core/pipeline.h"
 #include "serve/chaos.h"
 #include "serve/model_registry.h"
 #include "serve/reloader.h"
@@ -44,23 +44,20 @@ using namespace sisg;
 
 int main(int argc, char** argv) {
   FlagParser flags;
-  const auto known = tools::WithWorldFlags(
-      {"host", "port", "port_file", "arena", "model", "variant", "quant",
-       "mmap", "synth_items", "synth_dim", "synth_seed", "io_threads",
-       "max_connections", "max_batch", "max_wait_us", "queue_capacity",
-       "dispatch_threads", "scan_threads", "deadline_ms", "idle_timeout_ms",
-       "watch_dir", "reload_interval_ms", "metrics_out", "metrics_interval",
-       "help"});
+  const std::vector<std::string> known = {
+      "host", "port", "port_file", "arena", "quant", "mmap", "synth_items",
+      "synth_dim", "synth_seed", "io_threads", "max_connections", "max_batch",
+      "max_wait_us", "queue_capacity", "dispatch_threads", "scan_threads",
+      "deadline_ms", "idle_timeout_ms", "watch_dir", "reload_interval_ms",
+      "metrics_out", "metrics_interval", "help"};
   if (auto st = flags.Parse(argc, argv, known); !st.ok()) {
     std::cerr << st.ToString() << "\n";
     return 2;
   }
-  const bool has_source =
-      flags.Has("arena") || flags.Has("model") || flags.Has("synth_items");
+  const bool has_source = flags.Has("arena") || flags.Has("synth_items");
   if (flags.GetBool("help", false) || !has_source) {
     std::cout
-        << "usage: sisg_serve (--arena PREFIX | --model PREFIX | "
-           "--synth_items N) [options]\n"
+        << "usage: sisg_serve (--arena PREFIX | --synth_items N) [options]\n"
            "  --host ADDR         bind address (default 127.0.0.1)\n"
            "  --port P            TCP port; 0 picks an ephemeral port\n"
            "  --port_file FILE    write the bound port (scripts/tests)\n"
@@ -84,8 +81,7 @@ int main(int argc, char** argv) {
            "                      publish validated new model versions\n"
            "  --reload_interval_ms MS  LATEST poll cadence (default 1000)\n"
            "  --metrics_out FILE  export on drain (.prom -> Prometheus)\n"
-           "  --metrics_interval SECONDS  periodic sampler\n"
-           "  [world flags matching sisg_train when using --model]\n";
+           "  --metrics_interval SECONDS  periodic sampler\n";
     return has_source ? 0 : 2;
   }
 
@@ -115,35 +111,6 @@ int main(int argc, char** argv) {
       return 1;
     }
     tools::ApplyQuant(engine, quant, prefix, use_mmap);
-  } else if (flags.Has("model")) {
-    const DatasetSpec spec = tools::SpecFromFlags(flags);
-    ItemCatalog catalog;
-    UserUniverse users;
-    if (auto st = catalog.Build(spec.catalog); !st.ok()) {
-      std::cerr << st.ToString() << "\n";
-      return 1;
-    }
-    if (auto st = users.Build(spec.users, catalog.num_tops()); !st.ok()) {
-      std::cerr << st.ToString() << "\n";
-      return 1;
-    }
-    SisgConfig config;
-    config.variant = flags.GetString("variant", "sisg-f-u-d") == "sisg-f-u-d"
-                         ? SisgVariant::kSisgFUD
-                         : SisgVariant::kSisgFU;
-    TokenSpace ts = TokenSpace::Create(&catalog, &users);
-    auto model = SisgModel::Load(flags.GetString("model", ""), config, ts);
-    if (!model.ok()) {
-      std::cerr << "load failed: " << model.status().ToString() << "\n";
-      return 1;
-    }
-    auto built = model->BuildMatchingEngine();
-    if (!built.ok()) {
-      std::cerr << built.status().ToString() << "\n";
-      return 1;
-    }
-    engine = std::move(*built);
-    tools::ApplyQuant(engine, quant, /*arena_prefix=*/"", use_mmap);
   } else {
     const auto items = static_cast<uint32_t>(flags.GetInt64("synth_items", 0));
     const auto dim = static_cast<uint32_t>(flags.GetInt64("synth_dim", 128));

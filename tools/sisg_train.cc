@@ -13,19 +13,6 @@
 
 using namespace sisg;
 
-namespace {
-
-StatusOr<SisgVariant> VariantFromName(const std::string& name) {
-  if (name == "sgns") return SisgVariant::kSgns;
-  if (name == "sisg-f") return SisgVariant::kSisgF;
-  if (name == "sisg-u") return SisgVariant::kSisgU;
-  if (name == "sisg-f-u") return SisgVariant::kSisgFU;
-  if (name == "sisg-f-u-d") return SisgVariant::kSisgFUD;
-  return Status::InvalidArgument("unknown variant: " + name);
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   FlagParser flags;
   const auto known = tools::WithWorldFlags(
@@ -70,7 +57,8 @@ int main(int argc, char** argv) {
     std::cerr << st.ToString() << "\n";
     return 1;
   }
-  auto variant = VariantFromName(flags.GetString("variant", "sisg-f-u-d"));
+  auto variant =
+      tools::VariantFromName(flags.GetString("variant", "sisg-f-u-d"));
   if (!variant.ok()) {
     std::cerr << variant.status().ToString() << "\n";
     return 2;

@@ -9,6 +9,7 @@
 
 #include "common/flags.h"
 #include "core/matching_engine.h"
+#include "core/sisg_config.h"
 #include "datagen/dataset.h"
 #include "obs/export.h"
 #include "obs/metrics.h"
@@ -101,6 +102,17 @@ inline DatasetSpec SpecFromFlags(const FlagParser& flags) {
 inline std::vector<std::string> WithWorldFlags(std::vector<std::string> own) {
   own.insert(own.end(), kWorldFlags.begin(), kWorldFlags.end());
   return own;
+}
+
+/// Parses a --variant name (the Table III variants). An unknown name is
+/// InvalidArgument; tools exit 2 on it rather than guess a variant.
+inline StatusOr<SisgVariant> VariantFromName(const std::string& name) {
+  if (name == "sgns") return SisgVariant::kSgns;
+  if (name == "sisg-f") return SisgVariant::kSisgF;
+  if (name == "sisg-u") return SisgVariant::kSisgU;
+  if (name == "sisg-f-u") return SisgVariant::kSisgFU;
+  if (name == "sisg-f-u-d") return SisgVariant::kSisgFUD;
+  return Status::InvalidArgument("unknown variant: " + name);
 }
 
 /// Switches the candidate scan to the --quant precision (fp32|int8|pq). An
