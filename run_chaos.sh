@@ -13,7 +13,10 @@
 # the wire at the same time. The server must answer every honest probe,
 # swap every good version, roll back every corrupt one, and drain cleanly.
 set -e
-cd /root/repo
+# Resolve the checkout from the script's own location, so the script runs
+# from any checkout and any working directory.
+cd "$(dirname "$0")" || exit 1
+ROOT=$(pwd)
 cmake -B build-tsan -S . -DSISG_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build build-tsan -j
 cd build-tsan
@@ -38,7 +41,7 @@ fi
 # On failure, surface the seeds needed to reproduce: every falsified
 # property prints its own "replay: SISG_PROP_SEED=..." line in the ctest
 # output above.
-if ! TSAN_OPTIONS="suppressions=/root/repo/tsan.supp history_size=7" \
+if ! TSAN_OPTIONS="suppressions=$ROOT/tsan.supp history_size=7" \
     ctest -L chaos --output-on-failure "$@"; then
   echo "chaos: FAILED (SISG_PROP_CASES=$SISG_PROP_CASES" \
     "SISG_PROP_BASE_SEED=${SISG_PROP_BASE_SEED:-default})" >&2
@@ -53,7 +56,7 @@ PORT_FILE="$CHAOS_DIR/port"
 METRICS_OUT="${SISG_CHAOS_METRICS_OUT:-$CHAOS_DIR/serve_chaos_metrics.json}"
 WATCH_DIR="$CHAOS_DIR/watch"
 mkdir -p "$WATCH_DIR"
-TSAN_OPTIONS="suppressions=/root/repo/tsan.supp history_size=7" \
+TSAN_OPTIONS="suppressions=$ROOT/tsan.supp history_size=7" \
   ./tools/sisg_serve --synth_items 2000 --synth_dim 32 --port 0 \
     --port_file "$PORT_FILE" --watch_dir "$WATCH_DIR" \
     --reload_interval_ms 100 --idle_timeout_ms 300 --deadline_ms 500 \

@@ -121,16 +121,12 @@ StatusOr<SisgModel> SisgPipeline::TrainOnCorpus(
     SISG_ASSIGN_OR_RETURN(Checkpointer created, Checkpointer::Create(copts));
     checkpointer.emplace(std::move(created));
     ckpt.checkpointer = &*checkpointer;
-    if (config_.distributed) {
-      ckpt.interval_pairs = config_.checkpoint_interval;  // 0 = sync interval
-    } else {
-      // Default cadence: ~8 snapshots over the planned work queue.
-      const uint64_t total_slots =
-          static_cast<uint64_t>(sgns.epochs) * corpus.num_sequences();
-      ckpt.interval_slots = config_.checkpoint_interval > 0
-                                ? config_.checkpoint_interval
-                                : std::max<uint64_t>(1, total_slots / 8);
-    }
+    // Default cadence (both trainers): ~8 snapshots over the planned slots.
+    const uint64_t total_slots =
+        static_cast<uint64_t>(sgns.epochs) * corpus.num_sequences();
+    ckpt.interval_slots = config_.checkpoint_interval > 0
+                              ? config_.checkpoint_interval
+                              : std::max<uint64_t>(1, total_slots / 8);
     if (config_.resume) {
       SISG_RETURN_IF_ERROR(
           checkpointer->LoadLatest(&emb, &resume_point));

@@ -41,10 +41,10 @@ struct SisgConfig {
   DistOptions dist;
 
   /// Fault tolerance: when `checkpoint_dir` is set the pipeline snapshots
-  /// model + trainer progress there every `checkpoint_interval` units (work
-  /// queue slots for the local trainer, pairs for the distributed engine;
-  /// 0 = an automatic cadence) and, with `resume`, continues training from
-  /// the newest checkpoint instead of starting over. Fault injection for the
+  /// model + trainer progress there every `checkpoint_interval` work slots
+  /// (one slot = one sequence of one epoch, for both trainers; 0 = about 8
+  /// snapshots per run) and, with `resume`, continues training from the
+  /// newest checkpoint instead of starting over. Fault injection for the
   /// distributed engine is configured via `dist.fault`.
   std::string checkpoint_dir;
   uint64_t checkpoint_interval = 0;

@@ -9,6 +9,9 @@
 
 namespace sisg {
 
+/// Subsampling threshold of user-type tokens (one per session).
+constexpr double kUserTypeSubsampleThreshold = 1e-4;
+
 /// Frequent-token subsampling thresholds. The ATNS engine "aggressively
 /// downsamples" hot SI tokens (Section III-A), hence the much smaller SI
 /// threshold: an SI token like leaf_category_X occurs once per item click,
@@ -16,7 +19,6 @@ namespace sisg {
 struct SubsampleConfig {
   double item_threshold = 1e-3;
   double si_threshold = 1e-4;
-  double user_type_threshold = 1e-4;
 
   /// The ATNS production setting (Section III-A): hot SI downsampled an
   /// order of magnitude harder, trading a little SI signal for worker load
@@ -54,7 +56,7 @@ class Subsampler {
           t = config.si_threshold;
           break;
         case TokenClass::kUserType:
-          t = config.user_type_threshold;
+          t = kUserTypeSubsampleThreshold;
           break;
       }
       keep_[v] = static_cast<float>(

@@ -1,7 +1,6 @@
 #include "corpus/vocabulary.h"
 
 #include <algorithm>
-#include <cmath>
 #include <numeric>
 
 #include "common/io_util.h"
@@ -87,11 +86,9 @@ Status Vocabulary::AssignIds(std::vector<std::pair<uint32_t, uint64_t>> kept,
   return Status::OK();
 }
 
-StatusOr<AliasTable> Vocabulary::BuildNoise(double alpha) const {
+StatusOr<AliasTable> Vocabulary::BuildNoise() const {
   std::vector<double> w(size());
-  for (uint32_t v = 0; v < size(); ++v) {
-    w[v] = std::pow(static_cast<double>(freq_[v]), alpha);
-  }
+  for (uint32_t v = 0; v < size(); ++v) w[v] = NoiseWeight(freq_[v]);
   AliasTable table;
   SISG_RETURN_IF_ERROR(table.Build(w));
   return table;
@@ -161,13 +158,13 @@ StatusOr<Vocabulary> Vocabulary::Load(const std::string& path) {
 }
 
 StatusOr<AliasTable> Vocabulary::BuildNoiseOver(
-    const std::vector<uint32_t>& vocab_ids, double alpha) const {
+    const std::vector<uint32_t>& vocab_ids) const {
   if (vocab_ids.empty()) {
     return Status::InvalidArgument("noise: empty vocab subset");
   }
   std::vector<double> w(vocab_ids.size());
   for (size_t i = 0; i < vocab_ids.size(); ++i) {
-    w[i] = std::pow(static_cast<double>(freq_[vocab_ids[i]]), alpha);
+    w[i] = NoiseWeight(freq_[vocab_ids[i]]);
   }
   AliasTable table;
   SISG_RETURN_IF_ERROR(table.Build(w));

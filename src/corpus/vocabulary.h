@@ -1,6 +1,7 @@
 #ifndef SISG_CORPUS_VOCABULARY_H_
 #define SISG_CORPUS_VOCABULARY_H_
 
+#include <cmath>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -10,6 +11,14 @@
 #include "corpus/token_space.h"
 
 namespace sisg {
+
+/// Negative-sampling weight of a token seen `count` times: count^0.75
+/// (Section III-C). The one noise exponent of the codebase: the vocabulary's
+/// noise tables below and EGES's walk-corpus noise both use it.
+constexpr double kNoiseAlpha = 0.75;
+inline double NoiseWeight(uint64_t count) {
+  return std::pow(static_cast<double>(count), kNoiseAlpha);
+}
 
 /// The frequency dictionary D of Section III-C: counts every token in the
 /// enriched corpus, drops tokens below `min_count`, and assigns dense vocab
@@ -44,12 +53,12 @@ class Vocabulary {
     return class_counts_[static_cast<int>(c)];
   }
 
-  /// Builds the negative-sampling noise distribution P(v) ~ freq(v)^alpha
-  /// (Section III-C, alpha = 0.75) over all vocab entries, or over a subset
-  /// when `restrict_to` is non-empty (per-shard local noise in TNS).
-  StatusOr<AliasTable> BuildNoise(double alpha) const;
-  StatusOr<AliasTable> BuildNoiseOver(const std::vector<uint32_t>& vocab_ids,
-                                      double alpha) const;
+  /// Builds the negative-sampling noise distribution P(v) ~ NoiseWeight(
+  /// freq(v)) over all vocab entries, or over a subset of vocab ids
+  /// (per-shard local noise in TNS).
+  StatusOr<AliasTable> BuildNoise() const;
+  StatusOr<AliasTable> BuildNoiseOver(
+      const std::vector<uint32_t>& vocab_ids) const;
 
   /// Binary serialization of the dictionary (token ids, counts, classes).
   Status Save(const std::string& path) const;
@@ -70,17 +79,21 @@ class Vocabulary {
   uint64_t total_count_ = 0;
 };
 
+/// ATNS's hot-set rule (Section III-C step 4): "all elements with frequency
+/// above a certain threshold", as a relative corpus frequency.
+constexpr double kHotFreqThreshold = 5e-5;
+
 /// Size K of the hot set: vocab ids are frequency-sorted, so the hottest
 /// tokens are the prefix [0, K) of ids whose relative corpus frequency
-/// reaches `threshold`, capped at `cap`. The one hot-set rule of the
+/// reaches kHotFreqThreshold, capped at `cap`. The one hot-set rule of the
 /// codebase: ATNS's replicated set Q (DistributedTrainer) and the local
 /// trainer's per-thread replica rows (SgnsTrainer) both use it.
-inline uint32_t HotPrefixSize(const Vocabulary& vocab, double threshold,
-                              uint32_t cap) {
+inline uint32_t HotPrefixSize(const Vocabulary& vocab, uint32_t cap) {
   const double total = static_cast<double>(vocab.total_count());
   uint32_t k = 0;
   while (k < vocab.size() && k < cap &&
-         static_cast<double>(vocab.Frequency(k)) / total >= threshold) {
+         static_cast<double>(vocab.Frequency(k)) / total >=
+             kHotFreqThreshold) {
     ++k;
   }
   return k;

@@ -20,10 +20,15 @@ namespace {
 // request (token id, lr, flags) and the response.
 constexpr uint64_t kMessageHeaderBytes = 16;
 
-// Bounded retries when a sampled negative collides with the target or the
-// context; after the budget the negative is dropped (degenerate local noise
-// distributions, e.g. a one-token shard, can never escape the collision).
-constexpr int kMaxNegativeResamples = 8;
+// Upper bound on the ATNS hot set |Q|.
+constexpr uint32_t kMaxHotSetSize = 8192;
+
+// Retry policy of a remote TNS call. Backoff time is modeled (the simulation
+// does not sleep) and accounted in CommStats::backoff_seconds.
+constexpr uint32_t kMaxRetries = 4;     // retransmissions after the first
+constexpr double kBaseBackoffS = 0.01;  // backoff after the first drop
+constexpr double kMaxBackoffS = 1.0;    // exponential backoff cap
+constexpr double kCallTimeoutS = 0.5;   // per-call budget, then pair lost
 
 }  // namespace
 
@@ -60,8 +65,9 @@ Status DistributedTrainer::Train(const Corpus& corpus,
 
   const TrainProgress* resume =
       checkpoint != nullptr ? checkpoint->resume : nullptr;
-  const bool ckpt_active =
-      checkpoint != nullptr && checkpoint->checkpointer != nullptr;
+  const bool ckpt_active = checkpoint != nullptr &&
+                           checkpoint->checkpointer != nullptr &&
+                           checkpoint->interval_slots > 0;
   if (resume != nullptr && resume->rng_states.size() != 2) {
     return Status::FailedPrecondition(
         "dist: resume snapshot must carry 2 rng streams (train, fault), got " +
@@ -93,9 +99,7 @@ Status DistributedTrainer::Train(const Corpus& corpus,
 
   // --- ATNS hot set Q: the hot prefix of the frequency-sorted vocab.
   const uint32_t K =
-      options_.use_atns ? HotPrefixSize(vocab, options_.hot_freq_threshold,
-                                        options_.hot_set_size)
-                        : 0;
+      options_.use_atns ? HotPrefixSize(vocab, kMaxHotSetSize) : 0;
   std::vector<int32_t> hot_index(V, -1);
   for (uint32_t v = 0; v < K; ++v) hot_index[v] = static_cast<int32_t>(v);
 
@@ -153,9 +157,7 @@ Status DistributedTrainer::Train(const Corpus& corpus,
     if (!options_.dry_run) {
       for (uint32_t w = 0; w < W; ++w) {
         if (!alive[w]) continue;
-        SISG_ASSIGN_OR_RETURN(noise[w],
-                              vocab.BuildNoiseOver(local_vocab[w],
-                                                   options_.sgns.noise_alpha));
+        SISG_ASSIGN_OR_RETURN(noise[w], vocab.BuildNoiseOver(local_vocab[w]));
       }
     }
     return Status::OK();
@@ -285,22 +287,26 @@ Status DistributedTrainer::Train(const Corpus& corpus,
   uint64_t processed_tokens = resume != nullptr ? resume->processed_tokens : 0;
   uint64_t pair_counter = resume != nullptr ? resume->pairs_trained : 0;
   uint64_t kept_tokens = resume != nullptr ? resume->tokens_kept : 0;
-  const float lr0 = so.learning_rate;
-  const float min_lr = lr0 * so.min_learning_rate_ratio;
   auto lr_at = [&](uint64_t tokens) {
-    float lr = lr0 * (1.0f - static_cast<float>(tokens) /
-                                 static_cast<float>(planned_tokens));
-    return lr < min_lr ? min_lr : lr;
+    return LinearDecayLr(so.learning_rate, tokens, planned_tokens);
   };
   const float lr_start = lr_at(processed_tokens);
   float lr = lr_start;
   Timer timer;
 
-  const uint64_t ckpt_interval =
-      ckpt_active && checkpoint->interval_pairs > 0 ? checkpoint->interval_pairs
-                                                    : sync_interval;
-  uint64_t next_ckpt =
-      ckpt_active ? (pair_counter / ckpt_interval + 1) * ckpt_interval : 0;
+  // Sequences are visited one at a time in epoch-major slot order, the same
+  // work position SgnsTrainer's queue uses; snapshots are checked at slot
+  // boundaries every `interval_slots` slots.
+  const PackedCorpus& packed = corpus.packed();
+  const uint64_t num_seqs = packed.size();
+  const uint64_t total_work = static_cast<uint64_t>(so.epochs) * num_seqs;
+  const uint64_t start_work = resume != nullptr ? resume->next_work : 0;
+  if (start_work > total_work) {
+    return Status::InvalidArgument(
+        "dist: resume point beyond this corpus/epoch plan");
+  }
+  const uint64_t interval = ckpt_active ? checkpoint->interval_slots : 0;
+  uint64_t next_ckpt = ckpt_active ? (start_work / interval + 1) * interval : 0;
   uint64_t checkpoints_saved = 0;
 
   // The pair the fault plan kills at may already be behind a resume point,
@@ -313,189 +319,176 @@ Status DistributedTrainer::Train(const Corpus& corpus,
   bool stopped = false;
   Status stop_status;
 
-  const PackedCorpus& packed = corpus.packed();
-  const uint32_t start_epoch = resume != nullptr ? resume->epoch : 0;
-  const uint64_t start_seq = resume != nullptr ? resume->sequence_index : 0;
-  for (uint32_t epoch = start_epoch; epoch < so.epochs && !stopped; ++epoch) {
-    const size_t s_begin =
-        epoch == start_epoch ? static_cast<size_t>(start_seq) : 0;
-    for (size_t s = s_begin; s < packed.size() && !stopped; ++s) {
-      const std::span<const uint32_t> seq = packed.seq(s);
-      processed_tokens += seq.size();
-      lr = lr_at(processed_tokens);
-      // In the real engine every worker scans the shared input and keeps the
-      // pairs whose target it owns; a hot target is processed wherever it is
-      // sampled. Model that sampling worker as round-robin over sequences
-      // (over the live workers once the fault plan has killed one).
-      const uint32_t sampling_worker = live_ids[s % live_ids.size()];
+  for (uint64_t work = start_work; work < total_work && !stopped; ++work) {
+    const uint64_t s = work % num_seqs;
+    const std::span<const uint32_t> seq = packed.seq(s);
+    processed_tokens += seq.size();
+    lr = lr_at(processed_tokens);
+    // In the real engine every worker scans the shared input and keeps the
+    // pairs whose target it owns; a hot target is processed wherever it is
+    // sampled. Model that sampling worker as round-robin over sequences
+    // (over the live workers once the fault plan has killed one).
+    const uint32_t sampling_worker = live_ids[s % live_ids.size()];
 
-      SubsampleSequence(seq, subsampler, rng, &kept);
-      kept_tokens += kept.size();
-      ForEachPair(kept, so.window, rng, [&](uint32_t target, uint32_t context) {
-        if (stopped) return;  // crash fired mid-sequence
-        const bool target_hot = hot_index[target] >= 0;
-        const bool context_hot = hot_index[context] >= 0;
-        const uint32_t proc = target_hot ? sampling_worker : owner[target];
-        uint32_t executor = proc;  // worker running the TNS function
-        bool lost = false;
-        if (context_hot) {
-          ++comm.hot_pairs;
-        } else if (owner[context] == proc) {
-          ++comm.local_pairs;
-        } else {
-          executor = owner[context];
-          ++comm.remote_pairs;
-          ++comm.remote_calls_per_worker[proc];
-          // Request: target input vector; response: the input gradient.
-          const uint64_t payload = dim * sizeof(float) + kMessageHeaderBytes;
-          auto account_transfer = [&]() {
-            comm.bytes_per_worker[proc] += payload;
-            comm.bytes_per_worker[executor] += payload;
-            comm.bytes_sent += 2 * payload;
-          };
-          account_transfer();
-          if (plan.remote_drop_rate > 0.0) {
-            // Each attempt is lost independently; retry with exponential
-            // backoff until the call succeeds or the budget (retries or the
-            // per-call timeout) runs out, in which case the pair is lost.
-            double call_time = 0.0;
-            uint32_t attempt = 0;
-            while (fault_rng.Bernoulli(plan.remote_drop_rate)) {
-              ++comm.remote_drops;
-              if (attempt >= options_.retry.max_retries) {
-                lost = true;
-                break;
-              }
-              const double backoff =
-                  std::min(options_.retry.base_backoff_s *
-                               static_cast<double>(1ull << attempt),
-                           options_.retry.max_backoff_s);
-              call_time += backoff;
-              comm.backoff_seconds += backoff;
-              if (call_time > options_.retry.call_timeout_s) {
-                lost = true;
-                break;
-              }
-              ++comm.remote_retries;
-              ++attempt;
-              account_transfer();  // retransmission
+    SubsampleSequence(seq, subsampler, rng, &kept);
+    kept_tokens += kept.size();
+    ForEachPair(kept, so.window, rng, [&](uint32_t target, uint32_t context) {
+      if (stopped) return;  // crash fired mid-sequence
+      const bool target_hot = hot_index[target] >= 0;
+      const bool context_hot = hot_index[context] >= 0;
+      const uint32_t proc = target_hot ? sampling_worker : owner[target];
+      uint32_t executor = proc;  // worker running the TNS function
+      bool lost = false;
+      if (context_hot) {
+        ++comm.hot_pairs;
+      } else if (owner[context] == proc) {
+        ++comm.local_pairs;
+      } else {
+        executor = owner[context];
+        ++comm.remote_pairs;
+        ++comm.remote_calls_per_worker[proc];
+        // Request: target input vector; response: the input gradient.
+        const uint64_t payload = dim * sizeof(float) + kMessageHeaderBytes;
+        auto account_transfer = [&]() {
+          comm.bytes_per_worker[proc] += payload;
+          comm.bytes_per_worker[executor] += payload;
+          comm.bytes_sent += 2 * payload;
+        };
+        account_transfer();
+        if (plan.remote_drop_rate > 0.0) {
+          // Each attempt is lost independently; retry with exponential
+          // backoff until the call succeeds or the budget (retries or the
+          // per-call timeout) runs out, in which case the pair is lost.
+          double call_time = 0.0;
+          uint32_t attempt = 0;
+          while (fault_rng.Bernoulli(plan.remote_drop_rate)) {
+            ++comm.remote_drops;
+            if (attempt >= kMaxRetries) {
+              lost = true;
+              break;
             }
-            if (lost) ++comm.pairs_lost;
-            if (metrics_on && (attempt > 0 || lost)) {
-              m_retries_per_call->Observe(static_cast<double>(attempt));
-              m_backoff_per_call->Observe(call_time);
+            const double backoff = std::min(
+                kBaseBackoffS * static_cast<double>(1ull << attempt),
+                kMaxBackoffS);
+            call_time += backoff;
+            comm.backoff_seconds += backoff;
+            if (call_time > kCallTimeoutS) {
+              lost = true;
+              break;
             }
+            ++comm.remote_retries;
+            ++attempt;
+            account_transfer();  // retransmission
           }
-          if (!lost && plan.remote_dup_rate > 0.0 &&
-              fault_rng.Bernoulli(plan.remote_dup_rate)) {
-            // The response arrives twice; dedup suppresses the second
-            // delivery, so only the wasted response bytes are accounted.
-            ++comm.remote_duplicates;
-            comm.bytes_per_worker[executor] += payload;
-            comm.bytes_sent += payload;
+          if (lost) ++comm.pairs_lost;
+          if (metrics_on && (attempt > 0 || lost)) {
+            m_retries_per_call->Observe(static_cast<double>(attempt));
+            m_backoff_per_call->Observe(call_time);
           }
         }
-        ++comm.pairs_per_worker[executor];
-        ++pair_counter;
-
-        if (!options_.dry_run && !lost) {
-          for (uint32_t k = 0; k < so.negatives; ++k) {
-            uint32_t neg = local_vocab[executor][noise[executor].Sample(rng)];
-            for (int r = 0;
-                 r < kMaxNegativeResamples && (neg == context || neg == target);
-                 ++r) {
-              neg = local_vocab[executor][noise[executor].Sample(rng)];
-            }
-            neg_ptrs[k] = (neg == context || neg == target)
-                              ? nullptr
-                              : output_row(neg, executor);
-          }
-          Zero(grad_in.data(), dim);
-          ops.sgns_update_fused(input_row(target, proc), grad_in.data(),
-                                output_row(context, executor), neg_ptrs.data(),
-                                static_cast<int>(so.negatives), lr, dim,
-                                sigmoid);
-          ops.axpy(1.0f, grad_in.data(), input_row(target, proc), dim);
+        if (!lost && plan.remote_dup_rate > 0.0 &&
+            fault_rng.Bernoulli(plan.remote_dup_rate)) {
+          // The response arrives twice; dedup suppresses the second
+          // delivery, so only the wasted response bytes are accounted.
+          ++comm.remote_duplicates;
+          comm.bytes_per_worker[executor] += payload;
+          comm.bytes_sent += payload;
         }
+      }
+      ++comm.pairs_per_worker[executor];
+      ++pair_counter;
 
-        if (kill_pending && pair_counter >= plan.kill_at_pair) {
-          kill_pending = false;
-          const uint32_t dead = static_cast<uint32_t>(plan.kill_worker);
-          LOG_WARN << "dist: fault plan killed worker " << dead << " at pair "
-                   << pair_counter;
-          ++comm.worker_failures;
-          // The dead shard's rows roll back to the last checkpoint snapshot;
-          // its vocabulary redistributes over the survivors and their noise
-          // tables are rebuilt.
-          if (!options_.dry_run) {
-            for (uint32_t v = 0; v < V; ++v) {
-              if (owner[v] != dead || hot_index[v] >= 0) continue;
-              std::copy_n(snap_in.begin() + static_cast<size_t>(v) * dim, dim,
-                          model->Input(v));
-              std::copy_n(snap_out.begin() + static_cast<size_t>(v) * dim, dim,
-                          model->Output(v));
-            }
-          }
-          stop_status = apply_kill(dead);
-          if (!stop_status.ok()) {
-            stopped = true;
-            return;
-          }
-          stop_status = build_noise();
-          if (!stop_status.ok()) {
-            stopped = true;
-            return;
-          }
-          ++comm.worker_recoveries;
-          LOG_INFO << "dist: worker " << dead
-                   << " shard redistributed over " << live_ids.size()
-                   << " survivors";
+      if (!options_.dry_run && !lost) {
+        const auto draw = [&] {
+          return local_vocab[executor][noise[executor].Sample(rng)];
+        };
+        const auto collides = [target, context](uint32_t n) {
+          return n == context || n == target;
+        };
+        for (uint32_t k = 0; k < so.negatives; ++k) {
+          const uint32_t neg = ResampleNegative(draw(), draw, collides);
+          neg_ptrs[k] = collides(neg) ? nullptr : output_row(neg, executor);
         }
+        Zero(grad_in.data(), dim);
+        ops.sgns_update_fused(input_row(target, proc), grad_in.data(),
+                              output_row(context, executor), neg_ptrs.data(),
+                              static_cast<int>(so.negatives), lr, dim,
+                              sigmoid);
+        ops.axpy(1.0f, grad_in.data(), input_row(target, proc), dim);
+      }
 
-        if (plan.crash_at_pair > 0 && pair_counter >= plan.crash_at_pair) {
-          stop_status = Status::Aborted("dist: injected crash at pair " +
-                                        std::to_string(pair_counter));
+      if (kill_pending && pair_counter >= plan.kill_at_pair) {
+        kill_pending = false;
+        const uint32_t dead = static_cast<uint32_t>(plan.kill_worker);
+        LOG_WARN << "dist: fault plan killed worker " << dead << " at pair "
+                 << pair_counter;
+        ++comm.worker_failures;
+        // The dead shard's rows roll back to the last checkpoint snapshot;
+        // its vocabulary redistributes over the survivors and their noise
+        // tables are rebuilt.
+        if (!options_.dry_run) {
+          for (uint32_t v = 0; v < V; ++v) {
+            if (owner[v] != dead || hot_index[v] >= 0) continue;
+            std::copy_n(snap_in.begin() + static_cast<size_t>(v) * dim, dim,
+                        model->Input(v));
+            std::copy_n(snap_out.begin() + static_cast<size_t>(v) * dim, dim,
+                        model->Output(v));
+          }
+        }
+        stop_status = apply_kill(dead);
+        if (!stop_status.ok()) {
           stopped = true;
           return;
         }
-
-        if (K > 0 && pair_counter % sync_interval == 0) {
-          sync_replicas();
+        stop_status = build_noise();
+        if (!stop_status.ok()) {
+          stopped = true;
+          return;
         }
-      });
+        ++comm.worker_recoveries;
+        LOG_INFO << "dist: worker " << dead
+                 << " shard redistributed over " << live_ids.size()
+                 << " survivors";
+      }
 
-      // Checkpoint at sequence boundaries: force a replica sync so the model
-      // holds the current hot rows, then snapshot model + progress.
-      if (!stopped && ckpt_active && pair_counter >= next_ckpt) {
+      if (plan.crash_at_pair > 0 && pair_counter >= plan.crash_at_pair) {
+        stop_status = Status::Aborted("dist: injected crash at pair " +
+                                      std::to_string(pair_counter));
+        stopped = true;
+        return;
+      }
+
+      if (K > 0 && pair_counter % sync_interval == 0) {
         sync_replicas();
-        TrainProgress p;
-        p.processed_tokens = processed_tokens;
-        p.pairs_trained = pair_counter;
-        p.tokens_kept = kept_tokens;
-        p.epoch = epoch;
-        p.sequence_index = s + 1;
-        if (p.sequence_index == packed.size()) {
-          p.sequence_index = 0;
-          ++p.epoch;
-        }
-        p.rng_states = {rng.State(), fault_rng.State()};
-        p.dead_workers = dead_workers;
-        const Status saved = checkpoint->checkpointer->Save(*model, p);
-        if (!saved.ok()) {
-          stop_status = saved;
-          stopped = true;
-          break;
-        }
-        refresh_snapshot();
-        next_ckpt = (pair_counter / ckpt_interval + 1) * ckpt_interval;
-        ++checkpoints_saved;
-        if (checkpoint->crash_after_saves != 0 &&
-            checkpoints_saved >= checkpoint->crash_after_saves) {
-          stop_status = Status::Aborted(
-              "dist: injected crash after " +
-              std::to_string(checkpoints_saved) + " checkpoint(s)");
-          stopped = true;
-        }
+      }
+    });
+
+    // Checkpoint at slot boundaries: force a replica sync so the model
+    // holds the current hot rows, then snapshot model + progress.
+    if (!stopped && ckpt_active && work + 1 >= next_ckpt) {
+      sync_replicas();
+      TrainProgress p;
+      p.next_work = work + 1;
+      p.processed_tokens = processed_tokens;
+      p.pairs_trained = pair_counter;
+      p.tokens_kept = kept_tokens;
+      p.rng_states = {rng.State(), fault_rng.State()};
+      p.dead_workers = dead_workers;
+      const Status saved = checkpoint->checkpointer->Save(*model, p);
+      if (!saved.ok()) {
+        stop_status = saved;
+        stopped = true;
+        break;
+      }
+      refresh_snapshot();
+      next_ckpt = (p.next_work / interval + 1) * interval;
+      ++checkpoints_saved;
+      if (checkpoint->crash_after_saves != 0 &&
+          checkpoints_saved >= checkpoint->crash_after_saves) {
+        stop_status = Status::Aborted(
+            "dist: injected crash after " +
+            std::to_string(checkpoints_saved) + " checkpoint(s)");
+        stopped = true;
       }
     }
   }

@@ -21,16 +21,13 @@ struct DistOptions {
   uint32_t num_workers = 4;
 
   /// ATNS (Section III-A): replicate the hottest tokens on every worker and
-  /// average the replicas periodically. The shared set Q contains every
-  /// token whose relative corpus frequency reaches `hot_freq_threshold`
-  /// (Section III-C step 4: "all elements with frequency above a certain
-  /// threshold" — in practice mostly SI like age, gender, color), capped at
-  /// `hot_set_size`. With use_atns = false the engine runs plain TNS: no
-  /// hot set, every non-local context costs a remote call, and hot contexts
-  /// pile up on their owning worker.
+  /// average the replicas periodically. The shared set Q is the hot set of
+  /// HotPrefixSize (Section III-C step 4: "all elements with frequency above
+  /// a certain threshold" — in practice mostly SI like age, gender, color),
+  /// capped at 8192 tokens. With use_atns = false the engine runs plain TNS:
+  /// no hot set, every non-local context costs a remote call, and hot
+  /// contexts pile up on their owning worker.
   bool use_atns = true;
-  double hot_freq_threshold = 5e-5;
-  uint32_t hot_set_size = 8192;  // upper bound on |Q|
 
   /// Route pairs and count communication without touching any vectors.
   /// Used by the scalability benches, where only the measured counters
@@ -40,11 +37,11 @@ struct DistOptions {
   uint64_t seed = 23;
 
   /// Deterministic fault injection (worker kill, dropped/duplicated remote
-  /// calls, delayed syncs, whole-job crash) and the retry/backoff policy
-  /// remote calls run under. Default plan is inactive: fault-free behavior
-  /// is bit-identical to the seed engine.
+  /// calls, delayed syncs, whole-job crash). Dropped remote calls retry with
+  /// a fixed exponential backoff (4 retries, 10 ms base, 1 s cap, 0.5 s
+  /// per-call budget). Default plan is inactive: fault-free behavior is
+  /// bit-identical to the seed engine.
   FaultPlan fault;
-  RetryPolicy retry;
 };
 
 struct DistTrainResult {
@@ -71,13 +68,14 @@ class DistributedTrainer {
   /// `item_worker[item]` = worker owning that item's vectors (values in
   /// [0, num_workers)). `model` may be nullptr only in dry-run mode.
   ///
-  /// `checkpoint` (optional): with a Checkpointer set, the engine snapshots
-  /// model + progress every `interval_pairs` pairs (0 = the replica sync
-  /// interval) at sequence boundaries, forcing a replica sync first so the
-  /// snapshot is consistent. With `checkpoint->resume` set, `model` must
-  /// hold the checkpointed weights and training continues from the saved
-  /// epoch/sequence position, RNG streams ([0] training, [1] fault) and
-  /// dead-worker list. A worker killed by the fault plan has its shard
+  /// `checkpoint` (optional): with a Checkpointer and interval_slots set,
+  /// the engine snapshots model + progress every interval_slots work slots
+  /// (sequences, epoch-major), forcing a replica sync first so the snapshot
+  /// is consistent. With `checkpoint->resume` set, `model` must hold the
+  /// checkpointed weights and training continues from the saved next_work
+  /// slot, RNG streams ([0] training, [1] fault) and dead-worker list; a
+  /// fault-free resumed run is bit-identical to the uninterrupted run with
+  /// the same cadence. A worker killed by the fault plan has its shard
   /// redistributed to the survivors and its rows rolled back to the last
   /// snapshot. Returns Status::Aborted on an injected crash.
   Status Train(const Corpus& corpus, const TokenSpace& token_space,

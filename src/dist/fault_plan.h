@@ -52,15 +52,6 @@ struct FaultPlan {
   std::string ToString() const;
 };
 
-/// Retry/backoff policy for remote TNS calls. Backoff time is modeled (the
-/// simulation does not sleep) and accounted in CommStats::backoff_seconds.
-struct RetryPolicy {
-  uint32_t max_retries = 4;      // retransmissions after the first attempt
-  double base_backoff_s = 0.01;  // backoff after the first drop
-  double max_backoff_s = 1.0;    // exponential backoff cap
-  double call_timeout_s = 0.5;   // per-call budget; exceeding it loses the pair
-};
-
 }  // namespace sisg
 
 #endif  // SISG_DIST_FAULT_PLAN_H_

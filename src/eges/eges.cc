@@ -13,6 +13,7 @@
 #include "corpus/subsample.h"
 #include "graph/item_graph.h"
 #include "graph/random_walker.h"
+#include "sgns/window.h"
 
 namespace sisg {
 namespace {
@@ -126,7 +127,7 @@ Status EgesTrainer::Train(const std::vector<Session>& sessions,
   if (walks.empty()) return Status::Internal("eges: random walks are empty");
   std::vector<double> noise_w(catalog.num_items());
   for (uint32_t i = 0; i < catalog.num_items(); ++i) {
-    noise_w[i] = std::pow(static_cast<double>(freq[i]), options_.noise_alpha);
+    noise_w[i] = NoiseWeight(freq[i]);
   }
   AliasTable noise;
   SISG_RETURN_IF_ERROR(noise.Build(noise_w));
@@ -146,27 +147,24 @@ Status EgesTrainer::Train(const std::vector<Session>& sessions,
   const int kSlots = 1 + kNumItemFeatures;
   std::vector<float> hidden(dim), grad_h(dim);
   std::vector<uint32_t> kept;
+  const WindowOptions window{options_.window};  // symmetric, dynamic
 
   const uint64_t planned =
       static_cast<uint64_t>(options_.epochs) * total;
   uint64_t processed = 0;
-  float lr = options_.learning_rate;
-  const float min_lr = options_.learning_rate * options_.min_learning_rate_ratio;
 
   for (uint32_t epoch = 0; epoch < options_.epochs; ++epoch) {
     for (uint64_t s = 0; s < walks.size(); ++s) {
       const std::span<const uint32_t> walk = walks.seq(s);
       processed += walk.size();
-      lr = options_.learning_rate *
-           (1.0f - static_cast<float>(processed) / static_cast<float>(planned));
-      if (lr < min_lr) lr = min_lr;
+      const float lr =
+          LinearDecayLr(options_.learning_rate, processed, planned);
 
       kept.clear();
       for (uint32_t it : walk) {
         if (rng.UniformFloat() < keep[it]) kept.push_back(it);
       }
-      const size_t n = kept.size();
-      for (size_t i = 0; i < n; ++i) {
+      ForEachWindow(kept, window, rng, [&](size_t i, size_t lo, size_t hi) {
         const uint32_t target = kept[i];
         const ItemMeta& tm = catalog.meta(target);
         // Attention softmax weights for the target.
@@ -189,9 +187,6 @@ Status EgesTrainer::Train(const std::vector<Session>& sessions,
           Axpy(w[j], slot_vec[j], hidden.data(), dim);
         }
 
-        const uint32_t b = 1 + static_cast<uint32_t>(rng.UniformU64(options_.window));
-        const size_t lo = i >= b ? i - b : 0;
-        const size_t hi = std::min(n, i + 1 + b);
         for (size_t cpos = lo; cpos < hi; ++cpos) {
           if (cpos == i || kept[cpos] == target) continue;
           const uint32_t context = kept[cpos];
@@ -206,14 +201,15 @@ Status EgesTrainer::Train(const std::vector<Session>& sessions,
             ops.axpy(g, hidden.data(), z, dim);
           };
           update(context, 1.0f);
+          const auto draw = [&] { return noise.Sample(rng); };
+          const auto collides = [target, context](uint32_t n) {
+            return n == context || n == target;
+          };
           for (uint32_t k = 0; k < options_.negatives; ++k) {
-            uint32_t neg = noise.Sample(rng);
             // Bounded resample on collision instead of silently dropping
             // the negative (which shrank the effective negative count).
-            for (int r = 0; r < 8 && (neg == context || neg == target); ++r) {
-              neg = noise.Sample(rng);
-            }
-            if (neg == context || neg == target) continue;
+            const uint32_t neg = ResampleNegative(draw(), draw, collides);
+            if (collides(neg)) continue;
             update(neg, 0.0f);
           }
 
@@ -231,7 +227,7 @@ Status EgesTrainer::Train(const std::vector<Session>& sessions,
                      model->SiEmbedding(kind, tm.Feature(kind)), dim);
           }
         }
-      }
+      });
     }
   }
   return Status::OK();

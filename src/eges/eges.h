@@ -21,11 +21,9 @@ struct EgesOptions {
   uint32_t negatives = 20;
   uint32_t epochs = 2;
   float learning_rate = 0.025f;
-  float min_learning_rate_ratio = 1e-3f;
   uint32_t window = 3;          // item window over walks
   uint32_t walks_per_node = 8;
   uint32_t walk_length = 10;
-  double noise_alpha = 0.75;
   double subsample_threshold = 1e-3;
   uint64_t seed = 31;
 };

@@ -7,25 +7,13 @@
 namespace sisg::obs {
 
 /// RAII phase timer: records the enclosing scope's duration (seconds) into
-/// a latency histogram at destruction. When metrics are disabled the
-/// constructor is one relaxed atomic load and the destructor a null check —
-/// cheap enough to leave in non-hot paths unconditionally.
-///
-///   {
-///     obs::TraceSpan span("serve.query_seconds");
-///     ... do the query ...
-///   }  // span observed here
+/// a pre-registered latency histogram at destruction (callers look the
+/// histogram up once, so a span never touches the registry map). When
+/// metrics are disabled or `hist` is null the constructor is one relaxed
+/// atomic load and the destructor a null check — cheap enough to leave in
+/// non-hot paths unconditionally.
 class TraceSpan {
  public:
-  explicit TraceSpan(const char* histogram_name) {
-    if (MetricsEnabled()) {
-      hist_ = MetricsRegistry::Global().histogram(histogram_name);
-      start_ns_ = MonotonicNanos();
-    }
-  }
-
-  /// Variant for call sites that pre-registered the histogram (hot paths:
-  /// skips the registry map lookup entirely).
   explicit TraceSpan(Histogram* hist) {
     if (MetricsEnabled() && hist != nullptr) {
       hist_ = hist;

@@ -14,7 +14,9 @@ namespace sisg {
 namespace {
 
 constexpr char kProgressKind[] = "TRNPROG";
-constexpr uint32_t kProgressVersion = 1;
+// Version 1 files carried a second position field; ReadProgress rejects
+// them rather than resume at a misread position.
+constexpr uint32_t kProgressVersion = 2;
 
 // Sanity bounds on header counts so a corrupt-but-checksummed state file
 // (wrong version of the writer, hand-edited) cannot trigger huge allocations.
@@ -53,8 +55,6 @@ Status WriteProgress(const std::string& path, const TrainProgress& p) {
   SISG_RETURN_IF_ERROR(w.WriteScalar(p.processed_tokens));
   SISG_RETURN_IF_ERROR(w.WriteScalar(p.pairs_trained));
   SISG_RETURN_IF_ERROR(w.WriteScalar(p.tokens_kept));
-  SISG_RETURN_IF_ERROR(w.WriteScalar(p.epoch));
-  SISG_RETURN_IF_ERROR(w.WriteScalar(p.sequence_index));
   const uint32_t num_rng = static_cast<uint32_t>(p.rng_states.size());
   SISG_RETURN_IF_ERROR(w.WriteScalar(num_rng));
   for (const auto& s : p.rng_states) {
@@ -78,8 +78,6 @@ Status ReadProgress(const std::string& path, TrainProgress* p) {
   SISG_RETURN_IF_ERROR(r.ReadScalar(&p->processed_tokens));
   SISG_RETURN_IF_ERROR(r.ReadScalar(&p->pairs_trained));
   SISG_RETURN_IF_ERROR(r.ReadScalar(&p->tokens_kept));
-  SISG_RETURN_IF_ERROR(r.ReadScalar(&p->epoch));
-  SISG_RETURN_IF_ERROR(r.ReadScalar(&p->sequence_index));
   uint32_t num_rng = 0;
   SISG_RETURN_IF_ERROR(r.ReadScalar(&num_rng));
   if (num_rng > kMaxRngStreams) {

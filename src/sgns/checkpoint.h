@@ -18,15 +18,13 @@ namespace sisg {
 /// resumed run needs to continue the LR schedule, the work queue and every
 /// per-thread RNG stream from where the crashed run stopped.
 struct TrainProgress {
-  /// SgnsTrainer: value of the dispatched-slot counter (all slots below it
-  /// are fully processed when the snapshot is quiesced).
+  /// The one training position of both trainers: the epoch-major work slot
+  /// to process next (slot = epoch * num_sequences + sequence). Every slot
+  /// below it is fully processed when the snapshot is taken.
   uint64_t next_work = 0;
   uint64_t processed_tokens = 0;  // drives the LR schedule
   uint64_t pairs_trained = 0;
   uint64_t tokens_kept = 0;
-  /// DistributedTrainer position: next sequence of `epoch` to process.
-  uint32_t epoch = 0;
-  uint64_t sequence_index = 0;
   /// One stream per trainer thread (SgnsTrainer) or the engine streams
   /// (DistributedTrainer: [0] = training rng, [1] = fault rng).
   std::vector<std::array<uint64_t, 4>> rng_states;
@@ -81,12 +79,9 @@ class Checkpointer {
 /// tolerance (seed behavior).
 struct CheckpointConfig {
   Checkpointer* checkpointer = nullptr;
-  /// SgnsTrainer snapshot cadence in dispatched work-queue slots (0 = no
-  /// periodic snapshots).
+  /// Snapshot cadence of both trainers, in work slots (one slot is one
+  /// sequence of one epoch); 0 = no periodic snapshots.
   uint64_t interval_slots = 0;
-  /// DistributedTrainer snapshot cadence in processed pairs (0 = default:
-  /// the trainer's replica sync interval).
-  uint64_t interval_pairs = 0;
   /// Fault-injection hook: return Status::Aborted after this many
   /// successful saves (0 = never). Simulates a whole-job crash with durable
   /// checkpoints left behind.

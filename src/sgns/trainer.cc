@@ -18,20 +18,13 @@
 namespace sisg {
 namespace {
 
-/// Bounded retries when a sampled negative collides with the target or the
-/// current context. On a degenerate noise distribution (e.g. a one-token
-/// vocabulary) retries cannot succeed, so after the budget the negative is
-/// dropped (nullptr) exactly like the seed behavior.
-constexpr int kMaxNegativeResamples = 8;
-
 /// Tokens a worker processes between refreshes of its learning rate from
 /// the global token count; also the cadence of its replica syncs.
 constexpr uint64_t kRefreshTokens = 4096;
 
-/// Hot-row replicas: ATNS's hot-set rule (relative frequency >= 5e-5, the
-/// DistOptions default), capped so one thread's working and base copies of
-/// both matrices fit in this many bytes (K = 512 at d = 64).
-constexpr double kReplicaFreqThreshold = 5e-5;
+/// Hot-row replicas: ATNS's hot-set rule (HotPrefixSize), capped so one
+/// thread's working and base copies of both matrices fit in this many bytes
+/// (K = 512 at d = 64).
 constexpr size_t kReplicaBytesPerThread = size_t{512} * 1024;
 
 /// One trainer thread's private copies of the K hottest input and output
@@ -114,8 +107,7 @@ uint32_t SgnsTrainer::ReplicaRows(const Vocabulary& vocab) const {
   if (options_.num_threads <= 1) return 0;
   const size_t row_bytes = AlignedRowStride(options_.dim) * sizeof(float);
   const size_t cap = kReplicaBytesPerThread / (4 * row_bytes);
-  return HotPrefixSize(vocab, kReplicaFreqThreshold,
-                       static_cast<uint32_t>(cap));
+  return HotPrefixSize(vocab, static_cast<uint32_t>(cap));
 }
 
 Status SgnsTrainer::Train(const Corpus& corpus, EmbeddingModel* model,
@@ -163,7 +155,7 @@ Status SgnsTrainer::Train(const Corpus& corpus, EmbeddingModel* model,
     SISG_RETURN_IF_ERROR(model->Init(vocab.size(), options_.dim, options_.seed));
   }
 
-  SISG_ASSIGN_OR_RETURN(AliasTable noise, vocab.BuildNoise(options_.noise_alpha));
+  SISG_ASSIGN_OR_RETURN(AliasTable noise, vocab.BuildNoise());
   Subsampler subsampler;
   subsampler.Build(vocab, options_.subsample);
   const SigmoidTable sigmoid;
@@ -194,12 +186,8 @@ Status SgnsTrainer::Train(const Corpus& corpus, EmbeddingModel* model,
       1, std::min<uint64_t>(256, num_seqs / (8ull * num_threads) + 1));
   std::atomic<uint64_t> next_work{resume != nullptr ? resume->next_work : 0};
 
-  const float lr0 = options_.learning_rate;
-  const float min_lr = lr0 * options_.min_learning_rate_ratio;
   auto lr_at = [&](uint64_t tokens) {
-    float lr = lr0 * (1.0f - static_cast<float>(tokens) /
-                                 static_cast<float>(planned_tokens));
-    return lr < min_lr ? min_lr : lr;
+    return LinearDecayLr(options_.learning_rate, tokens, planned_tokens);
   };
 
   // Checkpoint machinery: threads rendezvous at chunk boundaries every
@@ -371,6 +359,8 @@ Status SgnsTrainer::Train(const Corpus& corpus, EmbeddingModel* model,
           // amortized ~1 alias draw per pair instead of `negatives`, while
           // keeping enough draw diversity across the window that quality
           // matches per-pair sampling (full reuse measurably hurts HR/CTR).
+          const auto draw = [&] { return noise.Sample(rng); };
+          const auto is_target = [target](uint32_t n) { return n == target; };
           bool sampled = false;
           uint32_t refresh_slot = 0;
           for (size_t j = lo; j < hi; ++j) {
@@ -380,35 +370,22 @@ Status SgnsTrainer::Train(const Corpus& corpus, EmbeddingModel* model,
             if (!sampled) {
               sampled = true;
               for (uint32_t k = 0; k < options_.negatives; ++k) {
-                uint32_t neg = noise.Sample(rng);
-                for (int r = 0; r < kMaxNegativeResamples && neg == target;
-                     ++r) {
-                  neg = noise.Sample(rng);
-                }
-                neg_ids[k] = neg;
+                neg_ids[k] = ResampleNegative(draw(), draw, is_target);
               }
             } else {
-              uint32_t neg = noise.Sample(rng);
-              for (int r = 0; r < kMaxNegativeResamples && neg == target; ++r) {
-                neg = noise.Sample(rng);
-              }
-              neg_ids[refresh_slot] = neg;
+              neg_ids[refresh_slot] = ResampleNegative(draw(), draw, is_target);
               refresh_slot = (refresh_slot + 1) % options_.negatives;
             }
+            const auto collides = [target, context](uint32_t n) {
+              return n == context || n == target;
+            };
             for (uint32_t k = 0; k < options_.negatives; ++k) {
-              uint32_t neg = neg_ids[k];
               // Context collision: resample (bounded) instead of silently
               // dropping the negative; patch the batch so later contexts
               // keep a valid draw.
-              for (int r = 0;
-                   r < kMaxNegativeResamples && (neg == context || neg == target);
-                   ++r) {
-                neg = noise.Sample(rng);
-              }
+              const uint32_t neg = ResampleNegative(neg_ids[k], draw, collides);
               neg_ids[k] = neg;
-              neg_ptrs[k] = (neg == context || neg == target)
-                                ? nullptr
-                                : rows.Output(neg);
+              neg_ptrs[k] = collides(neg) ? nullptr : rows.Output(neg);
             }
             float* const in_row = rows.Input(target);
             float* const ctx_row = rows.Output(context);

@@ -21,8 +21,6 @@ struct SgnsOptions {
   uint32_t negatives = 20;
   uint32_t epochs = 2;
   float learning_rate = 0.05f;
-  float min_learning_rate_ratio = 1e-3f;
-  double noise_alpha = 0.75;
   SubsampleConfig subsample;
   uint32_t num_threads = 1;
   uint64_t seed = 17;

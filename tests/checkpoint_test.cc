@@ -342,6 +342,44 @@ TEST_F(CheckpointTrainFixture, CorruptedCheckpointIsDataLoss) {
   std::filesystem::remove_all(dir);
 }
 
+// Version 1 of TRNPROG carried the distributed trainer's (epoch,
+// sequence_index) after tokens_kept. Version 2 keeps only next_work, so a
+// v1 file must fail loudly instead of resuming at a misread position.
+TEST_F(CheckpointTrainFixture, VersionOneProgressIsRejected) {
+  const std::string dir = FreshDir("ckpt_v1");
+  Checkpointer::Options copts;
+  copts.dir = dir;
+  auto ck = Checkpointer::Create(copts);
+  ASSERT_TRUE(ck.ok());
+  EmbeddingModel m;
+  ASSERT_TRUE(m.Init(10, 8, 3).ok());
+  TrainProgress p;
+  p.rng_states = {{1, 2, 3, 4}, {5, 6, 7, 8}};
+  ASSERT_TRUE(ck->Save(m, p).ok());
+
+  auto w = ArtifactWriter::Open(dir + "/ckpt-1.state", "TRNPROG", 1);
+  ASSERT_TRUE(w.ok());
+  for (uint64_t v : {uint64_t{0}, uint64_t{1000}, uint64_t{10}, uint64_t{900}}) {
+    ASSERT_TRUE(w->WriteScalar(v).ok());  // next_work .. tokens_kept
+  }
+  ASSERT_TRUE(w->WriteScalar(uint32_t{1}).ok());    // epoch
+  ASSERT_TRUE(w->WriteScalar(uint64_t{42}).ok());   // sequence_index
+  ASSERT_TRUE(w->WriteScalar(uint32_t{2}).ok());    // rng streams
+  for (uint64_t word = 0; word < 8; ++word) {
+    ASSERT_TRUE(w->WriteScalar(word).ok());
+  }
+  ASSERT_TRUE(w->WriteScalar(uint32_t{0}).ok());    // dead workers
+  ASSERT_TRUE(w->Commit().ok());
+
+  EmbeddingModel out;
+  TrainProgress pout;
+  const Status st = ck->LoadLatest(&out, &pout);
+  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+  EXPECT_NE(st.ToString().find("version 1"), std::string::npos)
+      << st.ToString();
+  std::filesystem::remove_all(dir);
+}
+
 // --------------------------- crash + resume ---------------------------
 
 TEST_F(CheckpointTrainFixture, SingleThreadCrashResumeIsBitExact) {

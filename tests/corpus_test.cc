@@ -186,15 +186,15 @@ TEST_F(CorpusFixture, NoiseDistributionFollowsPower) {
   ASSERT_TRUE(v.BuildFromCounts(CountTokens(seqs, token_space_.num_tokens()), 1,
                                 token_space_)
                   .ok());
-  auto noise = v.BuildNoise(0.75);
+  auto noise = v.BuildNoise();
   ASSERT_TRUE(noise.ok());
   // freq ratio 16 -> prob ratio 16^0.75 = 8.
   EXPECT_NEAR(noise->Probability(0) / noise->Probability(1), 8.0, 0.01);
 
-  auto sub = v.BuildNoiseOver({1}, 0.75);
+  auto sub = v.BuildNoiseOver({1});
   ASSERT_TRUE(sub.ok());
   EXPECT_EQ(sub->size(), 1u);
-  EXPECT_FALSE(v.BuildNoiseOver({}, 0.75).ok());
+  EXPECT_FALSE(v.BuildNoiseOver({}).ok());
 }
 
 TEST_F(CorpusFixture, VocabularySaveLoadRoundTrip) {

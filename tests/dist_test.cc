@@ -139,7 +139,6 @@ TEST_F(DistFixture, DryRunMatchesRealRunCounters) {
 
 TEST_F(DistFixture, AtnsReducesRemoteTrafficAndImbalance) {
   DistOptions with_atns = BaseOptions();
-  with_atns.hot_set_size = 128;
   DistOptions no_atns = BaseOptions();
   no_atns.use_atns = false;
 
@@ -453,6 +452,7 @@ TEST_F(DistFixture, WorkerKillWithDropsRecoversToParity) {
   ASSERT_TRUE(ck.ok());
   CheckpointConfig ckpt;
   ckpt.checkpointer = &*ck;
+  ckpt.interval_slots = corpus_.num_sequences() / 8;
 
   EmbeddingModel fault_model;
   DistTrainResult r_fault;
@@ -495,6 +495,7 @@ TEST_F(DistFixture, InjectedCrashThenResumeCompletes) {
   ASSERT_TRUE(ck.ok());
   CheckpointConfig ckpt;
   ckpt.checkpointer = &*ck;
+  ckpt.interval_slots = corpus_.num_sequences() / 4;
 
   DistOptions crashing = o;
   crashing.fault.crash_at_pair = r_ref.train.pairs_trained / 2;
@@ -518,6 +519,7 @@ TEST_F(DistFixture, InjectedCrashThenResumeCompletes) {
   EXPECT_LT(progress.pairs_trained, crashing.fault.crash_at_pair);
   CheckpointConfig resume_cfg;
   resume_cfg.checkpointer = &*resume_ck;
+  resume_cfg.interval_slots = ckpt.interval_slots;
   resume_cfg.resume = &progress;
   DistTrainResult r_resume;
   ASSERT_TRUE(DistributedTrainer(o)
@@ -530,6 +532,31 @@ TEST_F(DistFixture, InjectedCrashThenResumeCompletes) {
   // And the schedule continued rather than restarting.
   EXPECT_LT(r_resume.train.lr_start, r_ref.train.lr_start);
   std::filesystem::remove_all(dir);
+}
+
+TEST_F(DistFixture, ResumeValidatesPosition) {
+  const DistOptions o = BaseOptions();
+  EmbeddingModel model;
+  ASSERT_TRUE(model.Init(corpus_.vocab().size(), o.sgns.dim, 1).ok());
+  TrainProgress progress;
+  progress.rng_states = {{1, 2, 3, 4}, {5, 6, 7, 8}};
+  // One slot past the plan (epochs x sequences) is rejected...
+  progress.next_work = uint64_t{o.sgns.epochs} * corpus_.num_sequences() + 1;
+  CheckpointConfig cfg;
+  cfg.resume = &progress;
+  DistTrainResult result;
+  EXPECT_EQ(DistributedTrainer(o)
+                .Train(corpus_, token_space_, item_worker_, &model, &result,
+                       &cfg)
+                .code(),
+            StatusCode::kInvalidArgument);
+  // ...while a resume at the end of the plan has nothing left to train.
+  --progress.next_work;
+  ASSERT_TRUE(DistributedTrainer(o)
+                  .Train(corpus_, token_space_, item_worker_, &model, &result,
+                         &cfg)
+                  .ok());
+  EXPECT_EQ(result.train.pairs_trained, 0u);
 }
 
 // --------------------------- cost model ---------------------------

@@ -215,7 +215,7 @@ TEST_F(MetricsTest, TraceSpanRecordsElapsed) {
   EXPECT_EQ(h->Count(), 1u);
   EXPECT_GE(h->Snapshot().sum, 0.0);
   // Null histogram and disabled metrics are both no-ops.
-  { obs::TraceSpan span(static_cast<obs::Histogram*>(nullptr)); }
+  { obs::TraceSpan span(nullptr); }
   obs::EnableMetrics(false);
   { obs::TraceSpan span(h); }
   EXPECT_EQ(h->Count(), 1u);

@@ -162,7 +162,6 @@ TEST(SgnsKernelTest, UpdateIncreasesPositiveScore) {
 struct WindowCase {
   uint32_t window;
   bool directional;
-  bool dynamic;
 };
 
 class WindowProperty : public ::testing::TestWithParam<WindowCase> {};
@@ -172,7 +171,6 @@ TEST_P(WindowProperty, PairsRespectPolicy) {
   WindowOptions opts;
   opts.window = c.window;
   opts.directional = c.directional;
-  opts.dynamic = c.dynamic;
   std::vector<uint32_t> seq = {10, 11, 12, 13, 14, 15, 16, 17};
   Rng rng(7);
 
@@ -192,29 +190,31 @@ TEST_P(WindowProperty, PairsRespectPolicy) {
     ++pairs;
   });
   EXPECT_GT(pairs, 0);
-  if (!c.dynamic && !c.directional) {
-    // Exact count for fixed symmetric window: sum over i of window size.
-    int expected = 0;
-    const int n = static_cast<int>(seq.size());
-    for (int i = 0; i < n; ++i) {
-      const int lo = std::max(0, i - static_cast<int>(c.window));
-      const int hi = std::min(n - 1, i + static_cast<int>(c.window));
-      expected += hi - lo;
-    }
-    EXPECT_EQ(pairs, expected);
+  // Each target draws a radius b in [1, window], so the full-radius pair
+  // count bounds the total, and a window of 1 (b is always 1) meets it.
+  int full_radius = 0;
+  const int n = static_cast<int>(seq.size());
+  for (int i = 0; i < n; ++i) {
+    const int lo =
+        c.directional ? i : std::max(0, i - static_cast<int>(c.window));
+    const int hi = std::min(n - 1, i + static_cast<int>(c.window));
+    full_radius += hi - lo;
+  }
+  EXPECT_LE(pairs, full_radius);
+  if (c.window == 1) {
+    EXPECT_EQ(pairs, full_radius);
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Policies, WindowProperty,
-    ::testing::Values(WindowCase{1, false, false}, WindowCase{3, false, false},
-                      WindowCase{3, true, false}, WindowCase{3, true, true},
-                      WindowCase{5, false, true}, WindowCase{8, true, true}));
+    ::testing::Values(WindowCase{1, false}, WindowCase{1, true},
+                      WindowCase{3, false}, WindowCase{3, true},
+                      WindowCase{5, false}, WindowCase{8, true}));
 
 TEST(WindowTest, SelfPairsSkipped) {
   WindowOptions opts;
   opts.window = 2;
-  opts.dynamic = false;
   std::vector<uint32_t> seq = {5, 5, 5};
   Rng rng(1);
   int pairs = 0;
@@ -404,7 +404,7 @@ TEST_F(TrainerFixture, ReplicaRowsFollowTheHotSetRule) {
   // ATNS's frequency rule...
   opts.num_threads = 4;
   opts.dim = 64;
-  const uint32_t uncapped = HotPrefixSize(vocab, 5e-5, UINT32_MAX);
+  const uint32_t uncapped = HotPrefixSize(vocab, UINT32_MAX);
   ASSERT_GT(uncapped, 32u);
   EXPECT_EQ(SgnsTrainer(opts).ReplicaRows(vocab), std::min(uncapped, 512u));
   // ...capped so the working and base copies of both matrices fit in

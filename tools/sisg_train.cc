@@ -35,6 +35,8 @@ int main(int argc, char** argv) {
                  "  [--corpus_cache PREFIX] (reuse the built corpus on disk)\n"
                  "  [--distributed] [--workers 8] [--export_text FILE]\n"
                  "  [--checkpoint_dir DIR] [--checkpoint_interval N]\n"
+                 "    (a snapshot every N work slots, one slot = one sequence\n"
+                 "    in one epoch, for both trainers; 0 = ~8 per run)\n"
                  "  [--resume] [--fault_plan SPEC]\n"
                  "  [--metrics_out FILE] (JSON metrics artifact)\n"
                  "  [--metrics_interval SECONDS] (periodic progress lines)\n"
