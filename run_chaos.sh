@@ -7,11 +7,11 @@
 # the instrumented objects out of the regular build.
 #
 # After the ctest suite, a LIVE sweep runs against a real TSan-instrumented
-# sisg_serve process: sisg_chaos drives every attack mode plus a reload
-# storm (good versions interleaved with deliberately corrupt ones) through
-# the watch-dir, and sisg_loadgen keeps honest load + malformed frames on
-# the wire at the same time. The server must answer every honest probe,
-# swap every good version, roll back every corrupt one, and drain cleanly.
+# int8 sisg_serve process: one sisg_loadgen run keeps honest load on the
+# wire while its chaos workers drive every attack mode and its reload storm
+# publishes good int8 versions interleaved with deliberately corrupt ones
+# into the watch dir. The server must answer every honest probe, swap good
+# versions, roll back every corrupt one, and drain cleanly.
 set -e
 # Resolve the checkout from the script's own location, so the script runs
 # from any checkout and any working directory.
@@ -57,7 +57,7 @@ METRICS_OUT="${SISG_CHAOS_METRICS_OUT:-$CHAOS_DIR/serve_chaos_metrics.json}"
 WATCH_DIR="$CHAOS_DIR/watch"
 mkdir -p "$WATCH_DIR"
 TSAN_OPTIONS="suppressions=$ROOT/tsan.supp history_size=7" \
-  ./tools/sisg_serve --synth_items 2000 --synth_dim 32 --port 0 \
+  ./tools/sisg_serve --synth_items 2000 --synth_dim 32 --quant int8 --port 0 \
     --port_file "$PORT_FILE" --watch_dir "$WATCH_DIR" \
     --reload_interval_ms 100 --idle_timeout_ms 300 --deadline_ms 500 \
     --io_threads 1 --metrics_out "$METRICS_OUT" &
@@ -65,16 +65,13 @@ SERVER_PID=$!
 for i in $(seq 1 100); do [ -s "$PORT_FILE" ] && break; sleep 0.2; done
 test -s "$PORT_FILE"
 PORT=$(cat "$PORT_FILE")
-# Reload storm + full attack sweep; corrupt every 3rd publish so validated
-# rollback is exercised, not just the happy path.
-./tools/sisg_chaos --port "$PORT" --modes all --connections 2 \
-  --duration "${SISG_CHAOS_SECONDS:-8}" --reload_dir "$WATCH_DIR" \
-  --reload_interval_ms 400 --corrupt_every 3 --items 2000 --dim 32
-# Honest load with interleaved malformed frames, timeouts on.
+# Honest load, the full attack sweep and a reload storm (every 3rd publish
+# corrupt, so validated rollback is exercised, not just the happy path),
+# client timeouts on.
 ./tools/sisg_loadgen --port "$PORT" --mode closed --connections 4 \
   --duration "${SISG_CHAOS_SECONDS:-8}" --items 2000 --k 10 \
-  --timeout_ms 5000 --chaos disconnect,garbage,truncate,churn \
-  --chaos_connections 2
+  --timeout_ms 5000 --chaos all --chaos_connections 2 \
+  --reload_dir "$WATCH_DIR"
 kill -TERM "$SERVER_PID"
 wait "$SERVER_PID"
 test -s "$METRICS_OUT"

@@ -127,7 +127,12 @@ StatusOr<SisgModel> SisgPipeline::TrainOnCorpus(
     ckpt.interval_slots = config_.checkpoint_interval > 0
                               ? config_.checkpoint_interval
                               : std::max<uint64_t>(1, total_slots / 8);
-    if (config_.resume) {
+    if (config_.resume && checkpointer->latest_seq() == 0) {
+      // A job that crashed before its first checkpoint: the same restart
+      // command starts it fresh.
+      LOG_INFO << "resume: no checkpoint in " << config_.checkpoint_dir
+               << " yet; starting fresh";
+    } else if (config_.resume) {
       SISG_RETURN_IF_ERROR(
           checkpointer->LoadLatest(&emb, &resume_point));
       ckpt.resume = &resume_point;

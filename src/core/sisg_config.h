@@ -44,8 +44,9 @@ struct SisgConfig {
   /// model + trainer progress there every `checkpoint_interval` work slots
   /// (one slot = one sequence of one epoch, for both trainers; 0 = about 8
   /// snapshots per run) and, with `resume`, continues training from the
-  /// newest checkpoint instead of starting over. Fault injection for the
-  /// distributed engine is configured via `dist.fault`.
+  /// newest checkpoint instead of starting over (a directory with no
+  /// checkpoint yet starts fresh). Fault injection for the distributed
+  /// engine is configured via `dist.fault`.
   std::string checkpoint_dir;
   uint64_t checkpoint_interval = 0;
   bool resume = false;

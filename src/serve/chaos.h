@@ -78,7 +78,8 @@ StatusOr<MatchingEngine> BuildSynthEngine(uint32_t items, uint32_t dim,
 /// `<dir>/<token>.arena` (and `<token>.qarena` when `with_int8`), then
 /// atomically replaces `<dir>/LATEST` with the token —
 /// artifacts first, pointer last, the Checkpointer publication order. This
-/// is what reload storms in tests and sisg_chaos use as a model publisher.
+/// is what reload storms in tests and sisg_loadgen --reload_dir use as a
+/// model publisher.
 Status PublishSynthArena(const std::string& dir, const std::string& token,
                          uint32_t items, uint32_t dim, uint64_t seed,
                          bool with_int8);

@@ -107,21 +107,6 @@ Status ServeClient::Query(uint32_t item, uint32_t k, QueryResponse* out) {
   return Status::OK();
 }
 
-Status ServeClient::Ping() {
-  if (fd_ < 0) return Status::FailedPrecondition("client: not connected");
-  const uint64_t id = next_id_++;
-  std::string out;
-  EncodePing(id, &out);
-  SISG_RETURN_IF_ERROR(WriteAllBlocking(fd_, out.data(), out.size()));
-  std::vector<uint8_t> payload;
-  uint32_t len = 0;
-  SISG_RETURN_IF_ERROR(ReadFrame(MsgType::kPong, &payload, &len));
-  uint64_t got = 0;
-  SISG_RETURN_IF_ERROR(DecodeRequestId(payload.data(), len, &got));
-  if (got != id) return Status::Internal("client: pong id mismatch");
-  return Status::OK();
-}
-
 Status ServeClient::Health(HealthInfo* out) {
   if (fd_ < 0) return Status::FailedPrecondition("client: not connected");
   const uint64_t id = next_id_++;

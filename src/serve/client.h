@@ -57,9 +57,6 @@ class ServeClient {
   /// Reads the next response frame (blocking).
   Status ReadResponse(QueryResponse* out);
 
-  /// Liveness round trip.
-  Status Ping();
-
   /// Readiness round trip: reports whether the server would answer queries
   /// right now, plus the live model version/shape.
   Status Health(HealthInfo* out);

@@ -93,6 +93,36 @@ Status ValidateServingEngine(const MatchingEngine& engine) {
   return Status::OK();
 }
 
+Status PrepareServingEngine(MatchingEngine* engine, const std::string& quant,
+                            const std::string& qarena_path, bool use_mmap) {
+  if (quant == "int8") {
+    SISG_RETURN_IF_ERROR(qarena_path.empty()
+                             ? engine->EnableInt8()
+                             : engine->EnableInt8FromFile(qarena_path, use_mmap));
+  } else if (quant == "pq") {
+    SISG_RETURN_IF_ERROR(engine->EnableIvfPq(IvfOptions{}, PqOptions{}));
+  } else if (quant != "fp32") {
+    return Status::InvalidArgument("unknown quant '" + quant +
+                                   "' (want fp32|int8|pq)");
+  }
+  return ValidateServingEngine(*engine);
+}
+
+StatusOr<MatchingEngine> LoadServingVersion(const std::string& prefix,
+                                            const std::string& quant,
+                                            bool use_mmap) {
+  const std::string arena_path = prefix + ".arena";
+  if (::access(arena_path.c_str(), F_OK) != 0) {
+    return Status::NotFound("serving loader: " + arena_path +
+                            " does not exist");
+  }
+  MatchingEngine engine;
+  SISG_RETURN_IF_ERROR(engine.LoadArena(arena_path, use_mmap));
+  SISG_RETURN_IF_ERROR(
+      PrepareServingEngine(&engine, quant, prefix + ".qarena", use_mmap));
+  return engine;
+}
+
 ModelReloader::ModelReloader(ModelRegistry* registry,
                              const ReloaderOptions& options)
     : registry_(registry), options_(options) {}
@@ -149,8 +179,13 @@ Status ModelReloader::PollOnce() {
   last_attempted_token_ = token;
 
   const uint64_t t0 = MonotonicNanos();
-  Status st = TryLoadToken(token);
-  if (st.ok()) {
+  const std::string prefix = options_.watch_dir + "/" + token;
+  StatusOr<MatchingEngine> loaded =
+      LoadServingVersion(prefix, options_.quant, options_.use_mmap);
+  if (loaded.ok()) {
+    registry_->PublishOwned(
+        std::make_unique<MatchingEngine>(std::move(loaded).value()),
+        prefix + ".arena");
     ++ok_;
     if (obs::MetricsEnabled()) {
       ReloadMetrics::Get().ok->Increment();
@@ -162,29 +197,9 @@ Status ModelReloader::PollOnce() {
     if (obs::MetricsEnabled()) ReloadMetrics::Get().failed->Increment();
     LOG_WARN << "reloader: rejected version '" << token
              << "' — keeping current model v" << registry_->version() << " ("
-             << st.ToString() << ")";
+             << loaded.status().ToString() << ")";
   }
-  return st;
-}
-
-Status ModelReloader::TryLoadToken(const std::string& token) {
-  const std::string arena_path = options_.watch_dir + "/" + token + ".arena";
-  if (::access(arena_path.c_str(), F_OK) != 0) {
-    return Status::NotFound("reloader: LATEST names '" + token + "' but " +
-                            arena_path + " does not exist");
-  }
-  auto engine = std::make_unique<MatchingEngine>();
-  SISG_RETURN_IF_ERROR(engine->LoadArena(arena_path, options_.use_mmap));
-  if (options_.want_int8) {
-    // Unlike startup (degrade to fp32 and keep going), a reload must be
-    // all-or-nothing: the old snapshot serves int8, so a candidate that
-    // cannot is a failed deploy, not a degraded one.
-    SISG_RETURN_IF_ERROR(engine->EnableInt8FromFile(
-        options_.watch_dir + "/" + token + ".qarena", options_.use_mmap));
-  }
-  SISG_RETURN_IF_ERROR(ValidateServingEngine(*engine));
-  registry_->PublishOwned(std::move(engine), arena_path);
-  return Status::OK();
+  return loaded.status();
 }
 
 }  // namespace sisg::serve

@@ -25,11 +25,10 @@ struct ReloaderOptions {
   uint32_t poll_interval_ms = 1000;
   /// Map arena artifacts instead of loading them into the heap.
   bool use_mmap = false;
-  /// Require the int8 code arena (`<tok>.qarena`) alongside an arena
-  /// artifact. At reload time a quant failure is a validation failure
-  /// (rollback), NOT a degradation: silently swapping an int8 model for an
-  /// fp32 one mid-flight would change scores under load.
-  bool want_int8 = false;
+  /// The server's scan precision (fp32|int8|pq): every version loads
+  /// through LoadServingVersion with it, so a reload serves what startup
+  /// served or is rejected — never a silent fp32 fallback mid-flight.
+  std::string quant = "fp32";
 };
 
 /// Invariant checks a candidate engine must pass before it may serve:
@@ -38,6 +37,24 @@ struct ReloaderOptions {
 /// and not the query item itself. This is the publish gate for hot reloads
 /// and the startup gate for sisg_serve's --port_file handshake.
 Status ValidateServingEngine(const MatchingEngine& engine);
+
+/// The quant-and-validate step every serving version goes through: switches
+/// `engine` to the `quant` scan — fp32; int8, reading `qarena_path` or, when
+/// it is empty, quantizing in place; pq, IVF-PQ built in place — then runs
+/// ValidateServingEngine. Strict, unlike the engine's own enable contract
+/// (warn, keep scanning fp32): an unknown name or a failed enable is an
+/// error, because a version that cannot serve the precision it was asked
+/// for must not serve at all.
+Status PrepareServingEngine(MatchingEngine* engine, const std::string& quant,
+                            const std::string& qarena_path, bool use_mmap);
+
+/// The one serving loader, shared by sisg_serve's startup, every hot reload
+/// and sisg_query --arena: loads `<prefix>.arena` (NotFound when absent)
+/// and applies PrepareServingEngine with `<prefix>.qarena` as the int8
+/// codes. Any failure returns the error and no engine.
+StatusOr<MatchingEngine> LoadServingVersion(const std::string& prefix,
+                                            const std::string& quant,
+                                            bool use_mmap);
 
 /// Background hot-swap watcher: polls `watch_dir`/LATEST and, when it names
 /// a version not yet attempted, loads the artifacts into a FRESH engine off
@@ -81,9 +98,6 @@ class ModelReloader {
   /// Reads LATEST; empty string when absent/unreadable (not an error: the
   /// publisher may simply not have produced anything yet).
   std::string ReadLatestToken() const;
-  /// Builds + validates a candidate engine for `token`, publishing on
-  /// success.
-  Status TryLoadToken(const std::string& token);
 
   ModelRegistry* registry_;
   const ReloaderOptions options_;

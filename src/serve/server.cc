@@ -352,20 +352,6 @@ void ServeServer::HandleFrame(IoThread* io,
                               MsgType type, const uint8_t* payload,
                               uint32_t len) {
   switch (type) {
-    case MsgType::kPing: {
-      uint64_t id = 0;
-      if (!DecodeRequestId(payload, len, &id).ok()) {
-        if (obs::MetricsEnabled()) {
-          ServerMetrics::Get().protocol_errors->Increment();
-        }
-        CloseConnection(io, conn);
-        return;
-      }
-      std::string out;
-      EncodePong(id, &out);
-      EnqueueWrite(conn, std::move(out));
-      return;
-    }
     case MsgType::kQuery: {
       QueryRequest req;
       if (const Status st = DecodeQuery(payload, len, &req); !st.ok()) {
@@ -454,7 +440,6 @@ void ServeServer::HandleFrame(IoThread* io,
       return;
     }
     case MsgType::kResponse:
-    case MsgType::kPong:
     case MsgType::kHealthResp:
       // Clients must not send server->client message types.
       if (obs::MetricsEnabled()) {

@@ -33,9 +33,16 @@ void AppendHeader(MsgType type, uint32_t payload_len, std::string* out) {
   AppendU32(payload_len, out);
 }
 
+/// Type bytes 3 and 4 (the retired PING/PONG) are unknown like any other.
 bool ValidType(uint8_t t) {
-  return t >= static_cast<uint8_t>(MsgType::kQuery) &&
-         t <= static_cast<uint8_t>(MsgType::kHealthResp);
+  switch (static_cast<MsgType>(t)) {
+    case MsgType::kQuery:
+    case MsgType::kResponse:
+    case MsgType::kHealth:
+    case MsgType::kHealthResp:
+      return true;
+  }
+  return false;
 }
 
 bool ValidWireStatus(uint8_t s) {
@@ -74,16 +81,6 @@ void EncodeResponse(const QueryResponse& resp, std::string* out) {
     AppendU32(r.id, out);
     AppendF32(r.score, out);
   }
-}
-
-void EncodePing(uint64_t request_id, std::string* out) {
-  AppendHeader(MsgType::kPing, 8, out);
-  AppendU64(request_id, out);
-}
-
-void EncodePong(uint64_t request_id, std::string* out) {
-  AppendHeader(MsgType::kPong, 8, out);
-  AppendU64(request_id, out);
 }
 
 void EncodeHealth(uint64_t request_id, std::string* out) {

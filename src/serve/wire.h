@@ -22,8 +22,6 @@ namespace sisg::serve {
 ///   kQuery      request_id:u64 item:u32 k:u32
 ///   kResponse   request_id:u64 status:u8 pad:u8[3] n:u32 model_version:u64
 ///               (id:u32 score:f32)*n
-///   kPing       request_id:u64
-///   kPong       request_id:u64
 ///   kHealth     request_id:u64
 ///   kHealthResp request_id:u64 ready:u8 pad:u8[3] num_items:u32
 ///               model_version:u64 dim:u32
@@ -55,8 +53,6 @@ constexpr uint32_t kMaxResultsPerResponse = (kMaxPayloadBytes - 24) / 8;
 enum class MsgType : uint8_t {
   kQuery = 1,
   kResponse = 2,
-  kPing = 3,
-  kPong = 4,
   kHealth = 5,
   kHealthResp = 6,
 };
@@ -111,8 +107,6 @@ struct Frame {
 // --- encoding (appends to `out`) ---
 void EncodeQuery(const QueryRequest& req, std::string* out);
 void EncodeResponse(const QueryResponse& resp, std::string* out);
-void EncodePing(uint64_t request_id, std::string* out);
-void EncodePong(uint64_t request_id, std::string* out);
 void EncodeHealth(uint64_t request_id, std::string* out);
 void EncodeHealthResp(const HealthInfo& info, std::string* out);
 

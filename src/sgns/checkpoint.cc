@@ -100,14 +100,19 @@ Status ReadProgress(const std::string& path, TrainProgress* p) {
   return Status::OK();
 }
 
-/// Reads the LATEST pointer; 0 when absent or unparsable.
-uint64_t ReadLatestSeq(const std::string& dir) {
+/// Reads the LATEST pointer; 0 when absent. A pointer that exists but
+/// names no checkpoint sequence is DataLoss: reading it as "none" would
+/// restart the job and overwrite ckpt-1.
+StatusOr<uint64_t> ReadLatestSeq(const std::string& dir) {
   std::FILE* f = std::fopen(LatestPath(dir).c_str(), "r");
-  if (f == nullptr) return 0;
+  if (f == nullptr) return uint64_t{0};
   unsigned long long seq = 0;
   const int got = std::fscanf(f, "%llu", &seq);
   std::fclose(f);
-  return got == 1 ? static_cast<uint64_t>(seq) : 0;
+  if (got != 1 || seq == 0) {
+    return Status::DataLoss("checkpointer: unparsable " + LatestPath(dir));
+  }
+  return static_cast<uint64_t>(seq);
 }
 
 }  // namespace
@@ -120,7 +125,7 @@ StatusOr<Checkpointer> Checkpointer::Create(const Options& options) {
     return Status::InvalidArgument("checkpointer: keep must be >= 1");
   }
   SISG_RETURN_IF_ERROR(MakeDirs(options.dir));
-  const uint64_t latest = ReadLatestSeq(options.dir);
+  SISG_ASSIGN_OR_RETURN(const uint64_t latest, ReadLatestSeq(options.dir));
   return Checkpointer(options, latest + 1);
 }
 
@@ -151,7 +156,7 @@ Status Checkpointer::LoadLatest(EmbeddingModel* model,
   if (model == nullptr || progress == nullptr) {
     return Status::InvalidArgument("checkpointer: null output");
   }
-  const uint64_t seq = ReadLatestSeq(options_.dir);
+  SISG_ASSIGN_OR_RETURN(const uint64_t seq, ReadLatestSeq(options_.dir));
   if (seq == 0) {
     return Status::NotFound("checkpointer: no checkpoint in " + options_.dir);
   }

@@ -51,7 +51,8 @@ class Checkpointer {
   };
 
   /// Creates the directory if needed and positions the sequence counter
-  /// after any checkpoint already present.
+  /// after any checkpoint already present. DataLoss when a LATEST pointer
+  /// exists but does not parse.
   static StatusOr<Checkpointer> Create(const Options& options);
 
   Status Save(const EmbeddingModel& model, const TrainProgress& progress);

@@ -10,6 +10,7 @@
 
 #include "common/io_util.h"
 #include "core/matching_engine.h"
+#include "core/pipeline.h"
 #include "core/sisg_model.h"
 #include "corpus/corpus.h"
 #include "datagen/dataset.h"
@@ -554,6 +555,67 @@ TEST_F(CheckpointTrainFixture, ResumeValidatesThreadCountAndPosition) {
   EXPECT_EQ(SgnsTrainer(opts).Train(corpus_, &model, nullptr, &cfg).code(),
             StatusCode::kInvalidArgument);
 }
+
+// ------------------------ pipeline --resume ------------------------
+
+TEST_F(CheckpointTrainFixture, UnparsableLatestIsDataLoss) {
+  const std::string dir = FreshDir("ckpt_bad_latest");
+  std::filesystem::create_directories(dir);
+  ASSERT_TRUE(WriteFileAtomic(dir + "/LATEST", "not-a-seq\n").ok());
+  Checkpointer::Options copts;
+  copts.dir = dir;
+  EXPECT_EQ(Checkpointer::Create(copts).status().code(), StatusCode::kDataLoss);
+  std::filesystem::remove_all(dir);
+}
+
+class PipelineResumeTest : public CheckpointTrainFixture,
+                           public ::testing::WithParamInterface<bool> {
+ protected:
+  /// The local trainer at one thread, or the distributed one.
+  SisgConfig Config(const std::string& checkpoint_dir, bool resume) const {
+    SisgConfig c;
+    c.variant = SisgVariant::kSisgFU;
+    c.sgns = BaseOptions();
+    c.distributed = GetParam();
+    c.dist.num_workers = 3;
+    c.checkpoint_dir = checkpoint_dir;
+    c.checkpoint_interval = 300;
+    c.resume = resume;
+    return c;
+  }
+};
+
+TEST_P(PipelineResumeTest, ResumeIntoEmptyDirIsAFreshRun) {
+  // A job that crashed before its first checkpoint restarts with the same
+  // command: --resume over a directory with no LATEST trains from scratch,
+  // bit for bit like a run without --resume.
+  const std::string fresh_dir = FreshDir("resume_fresh");
+  const std::string empty_dir = FreshDir("resume_empty");
+  auto fresh = SisgPipeline(Config(fresh_dir, false)).Train(*dataset_);
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  auto resumed = SisgPipeline(Config(empty_dir, true)).Train(*dataset_);
+  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+  ExpectBitIdentical(resumed->embeddings(), fresh->embeddings());
+  std::filesystem::remove_all(fresh_dir);
+  std::filesystem::remove_all(empty_dir);
+}
+
+TEST_P(PipelineResumeTest, UnparsableLatestFailsInsteadOfRestarting) {
+  const std::string dir = FreshDir("resume_bad_latest");
+  std::filesystem::create_directories(dir);
+  ASSERT_TRUE(WriteFileAtomic(dir + "/LATEST", "\n").ok());
+  const auto run = SisgPipeline(Config(dir, true)).Train(*dataset_);
+  EXPECT_EQ(run.status().code(), StatusCode::kDataLoss)
+      << run.status().ToString();
+  EXPECT_EQ(FileSize(dir + "/ckpt-1.emb"), -1);  // nothing was written
+  std::filesystem::remove_all(dir);
+}
+
+INSTANTIATE_TEST_SUITE_P(LocalAndDistributed, PipelineResumeTest,
+                         ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "Distributed" : "Local";
+                         });
 
 }  // namespace
 }  // namespace sisg

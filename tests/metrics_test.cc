@@ -1,9 +1,9 @@
 // Tests of the observability subsystem: lock-free counters/gauges under
 // ThreadPool contention, log-bucket histogram boundaries and percentile
-// merge, JSON exporter round-trip through the bundled parser, the meaning
-// of the candidate-scan byte counters, and the core invariant that
-// instrumentation never perturbs training (metrics on vs off is
-// bit-identical).
+// merge, JSON exporter round-trip through the bundled parser, the
+// sampler's artifact rewrite, the meaning of the candidate-scan byte
+// counters, and the core invariant that instrumentation never perturbs
+// training (metrics on vs off is bit-identical).
 
 #include <gtest/gtest.h>
 
@@ -24,6 +24,7 @@
 #include "obs/export.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
+#include "obs/sampler.h"
 #include "obs/trace.h"
 #include "sgns/embedding_model.h"
 #include "sgns/trainer.h"
@@ -271,6 +272,49 @@ TEST_F(MetricsTest, JsonFileWriteThenParse) {
   auto doc = obs::ParseJson(text);
   ASSERT_TRUE(doc.ok()) << doc.status().ToString();
   EXPECT_EQ(doc->Find("counters")->Find("file.events")->as_number(), 7.0);
+  std::remove(path.c_str());
+}
+
+/// The counter `name` in the JSON metrics artifact at `path` (-1 when the
+/// file or the counter is missing).
+double ArtifactCounter(const std::string& path, const std::string& name) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return -1;
+  std::string text;
+  char buf[4096];
+  size_t n;
+  while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) text.append(buf, n);
+  std::fclose(f);
+  auto doc = obs::ParseJson(text);
+  if (!doc.ok() || doc->Find("counters") == nullptr) return -1;
+  const obs::JsonValue* v = doc->Find("counters")->Find(name);
+  return v == nullptr ? -1 : v->as_number();
+}
+
+TEST_F(MetricsTest, SamplerTickRewritesArtifactAndStopWritesFinalTick) {
+  obs::EnableMetrics(true);
+  auto& reg = obs::MetricsRegistry::Global();
+  const std::string path = ::testing::TempDir() + "/sampler_tick.json";
+  std::remove(path.c_str());
+  obs::MetricsSampler::Options opts;
+  opts.interval_seconds = 3600;  // the background loop never ticks here
+  opts.json_path = path;
+  obs::MetricsSampler sampler(opts);
+
+  reg.counter("sampler.events")->Add(3);
+  sampler.TickOnce();
+  EXPECT_EQ(ArtifactCounter(path, "sampler.events"), 3.0);
+  reg.counter("sampler.events")->Add(4);
+  EXPECT_EQ(ArtifactCounter(path, "sampler.events"), 3.0);  // not yet
+  sampler.TickOnce();
+  EXPECT_EQ(ArtifactCounter(path, "sampler.events"), 7.0);
+
+  // Stop() joins the loop, then writes one final tick: the artifact ends
+  // at end-of-run state even though no interval elapsed.
+  sampler.Start();
+  reg.counter("sampler.events")->Add(5);
+  sampler.Stop();
+  EXPECT_EQ(ArtifactCounter(path, "sampler.events"), 12.0);
   std::remove(path.c_str());
 }
 

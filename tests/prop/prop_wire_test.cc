@@ -26,8 +26,6 @@ using serve::DecodeQuery;
 using serve::DecodeResponse;
 using serve::EncodeHealth;
 using serve::EncodeHealthResp;
-using serve::EncodePing;
-using serve::EncodePong;
 using serve::EncodeQuery;
 using serve::EncodeResponse;
 using serve::Frame;
@@ -46,13 +44,15 @@ enum class SegKind : int {
   kOversized = 2,    // valid magic/version but payload_len > cap -> poison
   kTruncated = 3,    // a valid frame cut short; only legal as the LAST
                      // segment (mid-stream it would corrupt the framing)
+  kRetiredType = 4,  // a well-formed 8-byte frame of the retired PING (3)
+                     // or PONG (4) type -> poison
 };
 
 struct Segment {
   SegKind kind = SegKind::kValidFrame;
   std::string bytes;
   // For kValidFrame: the frame FrameReader must hand back.
-  MsgType type = MsgType::kPing;
+  MsgType type = MsgType::kQuery;
   std::string payload;
 };
 
@@ -63,7 +63,7 @@ struct WireScript {
 
 std::string EncodeRandomFrame(Rng& rng, MsgType* type_out) {
   std::string out;
-  switch (rng.UniformU64(6)) {
+  switch (rng.UniformU64(4)) {
     case 0: {
       QueryRequest req;
       req.request_id = rng.Next();
@@ -89,14 +89,6 @@ std::string EncodeRandomFrame(Rng& rng, MsgType* type_out) {
       break;
     }
     case 2:
-      EncodePing(rng.Next(), &out);
-      *type_out = MsgType::kPing;
-      break;
-    case 3:
-      EncodePong(rng.Next(), &out);
-      *type_out = MsgType::kPong;
-      break;
-    case 4:
       EncodeHealth(rng.Next(), &out);
       *type_out = MsgType::kHealth;
       break;
@@ -131,6 +123,11 @@ Gen<WireScript> WireScriptGen() {
           const std::string full = EncodeRandomFrame(rng, &t);
           // Keep at least one byte and strictly fewer than the whole frame.
           seg.bytes = full.substr(0, 1 + rng.UniformU64(full.size() - 1));
+        } else if (rng.Bernoulli(0.25)) {
+          seg.kind = SegKind::kRetiredType;
+          EncodeHealth(rng.Next(), &seg.bytes);
+          seg.bytes[3] = static_cast<char>(3 + rng.UniformU64(2));
+          poisoned = true;
         } else if (rng.Bernoulli(0.5)) {
           seg.kind = SegKind::kGarbage;
           // At least a full header's worth: the reader only inspects (and
@@ -153,7 +150,7 @@ Gen<WireScript> WireScriptGen() {
           seg.bytes[0] = 0x53;
           seg.bytes[1] = 0x51;
           seg.bytes[2] = 1;  // version
-          seg.bytes[3] = static_cast<char>(MsgType::kPing);
+          seg.bytes[3] = static_cast<char>(MsgType::kHealth);
           std::memcpy(&seg.bytes[4], &len, 4);
           poisoned = true;
         }
@@ -191,6 +188,10 @@ std::string ShowScript(const WireScript& s) {
         break;
       case SegKind::kTruncated:
         os << "truncated(" << s.segments[i].bytes.size() << "B)";
+        break;
+      case SegKind::kRetiredType:
+        os << "retired_type(" << static_cast<int>(s.segments[i].bytes[3])
+           << ")";
         break;
     }
   }
@@ -254,7 +255,8 @@ TEST(PropWire, GeneratedStreamsRecoverFramesAndPoisonDeterministically) {
       "wire_scripts", 200, WireScriptGen(),
       [](const WireScript& s) -> std::string {
         // Model: every valid frame before the first anomaly is recovered;
-        // garbage/oversized poison the stream; truncation starves it.
+        // garbage, oversized and retired-type headers poison the stream;
+        // truncation starves it.
         std::vector<std::pair<MsgType, std::string>> want;
         bool want_poison = false, want_starved = false;
         for (const Segment& seg : s.segments) {

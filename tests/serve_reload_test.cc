@@ -249,10 +249,11 @@ TEST_F(ReloaderFixture, MissingArtifactRollsBack) {
 }
 
 TEST_F(ReloaderFixture, MissingInt8ArtifactRollsBackWhenInt8Required) {
-  // want_int8 makes the quant arena part of the deploy: a version shipped
-  // without it must NOT silently swap the int8 model for an fp32 one.
+  // An int8 server makes the quant arena part of the deploy: a version
+  // shipped without it must NOT silently swap the int8 model for an fp32
+  // one.
   ASSERT_TRUE(serve::PublishSynthArena(dir_, "q1", 60, 8, 41, true).ok());
-  ropts_.want_int8 = true;
+  ropts_.quant = "int8";
   serve::ModelReloader reloader(&registry_, ropts_);
   ASSERT_TRUE(reloader.PollOnce().ok());
   EXPECT_EQ(registry_.version(), 1u);
@@ -265,6 +266,92 @@ TEST_F(ReloaderFixture, MissingInt8ArtifactRollsBackWhenInt8Required) {
   EXPECT_EQ(registry_.version(), 1u);
 }
 
+TEST_F(ReloaderFixture, CorruptInt8ArtifactRollsBackAndIsNotRetried) {
+  ASSERT_TRUE(serve::PublishSynthArena(dir_, "q1", 60, 8, 43, true).ok());
+  ropts_.quant = "int8";
+  serve::ModelReloader reloader(&registry_, ropts_);
+  ASSERT_TRUE(reloader.PollOnce().ok());
+  ASSERT_EQ(registry_.version(), 1u);
+
+  // A good arena behind a garbage code arena: the whole version is
+  // rejected, once.
+  ASSERT_TRUE(serve::PublishSynthArena(dir_, "q2", 60, 8, 44, true).ok());
+  {
+    std::FILE* f = std::fopen((dir_ + "/q2.qarena").c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    const char junk[] = "not a code arena";
+    std::fwrite(junk, 1, sizeof(junk), f);
+    std::fclose(f);
+  }
+  EXPECT_FALSE(reloader.PollOnce().ok());
+  EXPECT_TRUE(reloader.PollOnce().ok());
+  EXPECT_EQ(reloader.failed_reloads(), 1u);
+  EXPECT_EQ(registry_.version(), 1u);
+  EXPECT_EQ(registry_.Acquire()->engine().quant_mode(), QuantMode::kInt8);
+}
+
+TEST_F(ReloaderFixture, PqReloadsServeIvfPqNotBruteForce) {
+  // A pq server reloads into IVF-PQ built in place, exactly as it started:
+  // every swapped-in version answers like an offline LoadArena +
+  // EnableIvfPq engine, and its queries walk posting lists.
+  obs::EnableMetrics(true);
+  constexpr uint32_t kItems = 400;
+  constexpr uint32_t kDim = 32;
+  ropts_.quant = "pq";
+  serve::ModelReloader reloader(&registry_, ropts_);
+  for (uint64_t v = 1; v <= 2; ++v) {
+    const std::string token = "p" + std::to_string(v);
+    ASSERT_TRUE(
+        serve::PublishSynthArena(dir_, token, kItems, kDim, 60 + v, false)
+            .ok());
+    ASSERT_TRUE(reloader.PollOnce().ok());
+    ASSERT_EQ(registry_.version(), v);
+
+    MatchingEngine offline;
+    ASSERT_TRUE(offline.LoadArena(dir_ + "/" + token + ".arena").ok());
+    ASSERT_TRUE(offline.EnableIvfPq(IvfOptions{}, PqOptions{}).ok());
+    std::vector<std::vector<ScoredId>> want;
+    for (uint32_t item = 0; item < kItems; item += 37) {
+      want.push_back(offline.Query(item, 10));
+    }
+    const serve::SnapshotPtr snap = registry_.Acquire();
+    const auto before = obs::MetricsRegistry::Global().Snapshot();
+    for (uint32_t item = 0, i = 0; item < kItems; item += 37, ++i) {
+      EXPECT_TRUE(BitIdentical(snap->engine().Query(item, 10), want[i]))
+          << "version " << v << " item " << item;
+    }
+    const auto after = obs::MetricsRegistry::Global().Snapshot();
+    EXPECT_GT(CounterVal(after, "serve.ivf_rows_scanned"),
+              CounterVal(before, "serve.ivf_rows_scanned"))
+        << "version " << v << " answered by brute force";
+  }
+}
+
+// --- The serving loader: strict quant, no engine on any failure. ---
+
+TEST_F(ReloaderFixture, LoaderRejectsUnknownQuantAndMissingInt8Codes) {
+  ASSERT_TRUE(serve::PublishSynthArena(dir_, "fp", 60, 8, 45, false).ok());
+  ASSERT_TRUE(serve::LoadServingVersion(dir_ + "/fp", "fp32", false).ok());
+
+  const auto unknown = serve::LoadServingVersion(dir_ + "/fp", "int4", false);
+  EXPECT_EQ(unknown.status().code(), StatusCode::kInvalidArgument)
+      << unknown.status().ToString();
+
+  // No fp32 fallback: a missing .qarena is an error, not a degraded engine.
+  const auto no_codes = serve::LoadServingVersion(dir_ + "/fp", "int8", false);
+  EXPECT_FALSE(no_codes.ok());
+
+  const auto no_arena =
+      serve::LoadServingVersion(dir_ + "/ghost", "fp32", false);
+  EXPECT_EQ(no_arena.status().code(), StatusCode::kNotFound);
+
+  MatchingEngine synth = serve::BuildSynthEngine(60, 8, 46).value();
+  EXPECT_EQ(serve::PrepareServingEngine(&synth, "fp16", "", false).code(),
+            StatusCode::kInvalidArgument);
+  ASSERT_TRUE(serve::PrepareServingEngine(&synth, "int8", "", false).ok());
+  EXPECT_EQ(synth.quant_mode(), QuantMode::kInt8);
+}
+
 TEST_F(ReloaderFixture, CheckpointOnlyTokenIsNotServed) {
   // A trainer checkpoint is not a serving artifact: its rows are vocab ids
   // (frequency-sorted, SI and user-type tokens included), not item ids. A
@@ -275,6 +362,10 @@ TEST_F(ReloaderFixture, CheckpointOnlyTokenIsNotServed) {
   ASSERT_TRUE(reloader.PollOnce().ok());
   ASSERT_EQ(registry_.version(), 1u);
 
+  // The Checkpointer refuses a LATEST it cannot parse (the serving token
+  // "a"), so it takes over the pointer from scratch, as a trainer
+  // pointed at a fresh directory would.
+  ASSERT_EQ(std::remove((dir_ + "/LATEST").c_str()), 0);
   auto ckpt = Checkpointer::Create({dir_, /*keep=*/2});
   ASSERT_TRUE(ckpt.ok()) << ckpt.status().ToString();
   EmbeddingModel model;

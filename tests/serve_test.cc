@@ -387,7 +387,9 @@ class LoopbackFixture : public ::testing::Test {
 
     auto client = serve::ServeClient::Connect("127.0.0.1", server.port());
     ASSERT_TRUE(client.ok()) << client.status().ToString();
-    ASSERT_TRUE(client->Ping().ok());
+    serve::HealthInfo health;
+    ASSERT_TRUE(client->Health(&health).ok());
+    EXPECT_TRUE(health.ready);
     for (uint32_t item = 0; item < offline.num_items(); item += 7) {
       serve::QueryResponse resp;
       ASSERT_TRUE(client->Query(item, 10, &resp).ok());
@@ -441,6 +443,71 @@ TEST(ServeServerTest, HugeKIsClampedToWirePayloadBound) {
   ExpectBitIdentical(resp.results, engine.Query(3, serve::kMaxResultsPerResponse),
                      "huge-k clamp");
   client->Close();
+  server.Shutdown();
+}
+
+// --- Connection cap: the connection over max_connections is closed on
+// arrival; the live ones keep answering. ---
+
+TEST(ServeServerTest, ConnectionOverCapIsClosedOnArrival) {
+  obs::EnableMetrics(true);
+  serve::ModelRegistry registry;
+  registry.PublishOwned(std::make_unique<MatchingEngine>(
+                            serve::BuildSynthEngine(120, 8, 97).value()),
+                        "startup");
+  const serve::SnapshotPtr snap = registry.Acquire();
+  const MatchingEngine& engine = snap->engine();
+  serve::ServerOptions opts;
+  opts.io_threads = 1;
+  opts.max_connections = 2;
+  serve::ServeServer server(&registry, opts);
+  ASSERT_TRUE(server.Start().ok());
+  const auto before = obs::MetricsRegistry::Global().Snapshot();
+
+  // Two connections, each registered by the server before the third
+  // arrives (a round trip proves it).
+  serve::ClientOptions copt;
+  copt.io_timeout_ms = 5000;
+  std::vector<serve::ServeClient> live;
+  for (int i = 0; i < 2; ++i) {
+    auto client = serve::ServeClient::Connect("127.0.0.1", server.port(), copt);
+    ASSERT_TRUE(client.ok()) << client.status().ToString();
+    serve::QueryResponse resp;
+    ASSERT_TRUE(client->Query(1, 5, &resp).ok());
+    live.push_back(std::move(client).value());
+  }
+
+  // The kernel completes the third handshake; the server closes it at
+  // accept, so its first round trip fails instead of being answered.
+  auto third = serve::ServeClient::Connect("127.0.0.1", server.port(), copt);
+  ASSERT_TRUE(third.ok()) << third.status().ToString();
+  serve::QueryResponse rejected;
+  EXPECT_FALSE(third->Query(2, 5, &rejected).ok());
+  third->Close();
+  // The server counts the rejection just after the close the client saw.
+  auto rejections = [&] {
+    return CounterVal(obs::MetricsRegistry::Global().Snapshot(),
+                      "serve.conn_rejected") -
+           CounterVal(before, "serve.conn_rejected");
+  };
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (rejections() == 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(rejections(), 1u);
+
+  for (size_t c = 0; c < live.size(); ++c) {
+    for (uint32_t item = 0; item < engine.num_items(); item += 11) {
+      serve::QueryResponse resp;
+      ASSERT_TRUE(live[c].Query(item, 5, &resp).ok());
+      ASSERT_EQ(resp.status, serve::WireStatus::kOk);
+      ExpectBitIdentical(resp.results, engine.Query(item, 5),
+                         "live connection " + std::to_string(c) + " item " +
+                             std::to_string(item));
+    }
+    live[c].Close();
+  }
   server.Shutdown();
 }
 
@@ -504,7 +571,9 @@ TEST(ServeServerTest, OverloadRepliesBusyStaysUpAndRecovers) {
             busy);
 
   // Recovery: the connection and server are still healthy after overload.
-  ASSERT_TRUE(client->Ping().ok());
+  serve::HealthInfo health;
+  ASSERT_TRUE(client->Health(&health).ok());
+  EXPECT_TRUE(health.ready);
   serve::QueryResponse resp;
   ASSERT_TRUE(client->Query(3, 5, &resp).ok());
   EXPECT_EQ(resp.status, serve::WireStatus::kOk);

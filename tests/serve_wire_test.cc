@@ -94,27 +94,6 @@ TEST(ServeWireTest, ResponseRoundtrip) {
   }
 }
 
-TEST(ServeWireTest, PingPongRoundtrip) {
-  std::string bytes;
-  EncodePing(42, &bytes);
-  EncodePong(43, &bytes);
-  FrameReader reader;
-  ASSERT_TRUE(reader.Feed(bytes.data(), bytes.size()).ok());
-  Frame frame;
-  bool have = false;
-  ASSERT_TRUE(reader.Next(&frame, &have).ok());
-  ASSERT_TRUE(have);
-  EXPECT_EQ(frame.type, MsgType::kPing);
-  uint64_t id = 0;
-  ASSERT_TRUE(DecodeRequestId(frame.payload, frame.payload_len, &id).ok());
-  EXPECT_EQ(id, 42u);
-  ASSERT_TRUE(reader.Next(&frame, &have).ok());
-  ASSERT_TRUE(have);
-  EXPECT_EQ(frame.type, MsgType::kPong);
-  ASSERT_TRUE(DecodeRequestId(frame.payload, frame.payload_len, &id).ok());
-  EXPECT_EQ(id, 43u);
-}
-
 TEST(ServeWireTest, TruncatedFrameIsNotYetNotError) {
   const std::string bytes = EncodeOneQuery(1, 2, 3);
   // Every proper prefix parses to "need more bytes", cleanly.
@@ -162,6 +141,17 @@ TEST(ServeWireTest, BadTypePoisons) {
   ExpectPoisoned(bytes);
   bytes[3] = 99;
   ExpectPoisoned(bytes);
+}
+
+TEST(ServeWireTest, RetiredPingPongTypesPoison) {
+  // Type bytes 3 and 4 were PING/PONG; HEALTH is the only probe now, and
+  // a well-formed 8-byte frame of either old type is an unknown type.
+  for (const char retired : {3, 4}) {
+    std::string bytes;
+    EncodeHealth(42, &bytes);
+    bytes[3] = retired;
+    ExpectPoisoned(bytes);
+  }
 }
 
 TEST(ServeWireTest, OversizedDeclaredLengthPoisons) {

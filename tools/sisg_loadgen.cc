@@ -20,7 +20,14 @@
 // --chaos MODES additionally runs fault-injecting workers (serve/chaos.h)
 // alongside the load — mid-frame disconnects, garbage frames, slow-loris,
 // connection churn — and fails the run only if the server stops answering
-// honest probes.
+// honest probes. --reload_dir DIR adds a reload storm: every 400 ms a new
+// synthetic version (`.arena` + `.qarena`, shaped like the first HEALTH
+// reply) is published into DIR, the directory the server watches, and
+// every third publish is a corrupt arena the server must roll back; the run
+// fails unless the served version advanced.
+//
+//   sisg_loadgen --port 7411 --duration 8 --timeout_ms 5000 --chaos all
+//                --reload_dir /tmp/watch
 
 #include <algorithm>
 #include <atomic>
@@ -43,6 +50,10 @@
 using namespace sisg;
 
 namespace {
+
+/// Reload-storm cadence and the share of deliberately corrupt publishes.
+constexpr uint32_t kPublishIntervalMs = 400;
+constexpr uint64_t kCorruptEvery = 3;
 
 struct WorkerStats {
   std::vector<double> latencies_ms;
@@ -255,6 +266,29 @@ void OpenLoopWorker(const std::string& host, uint16_t port, uint32_t items,
   }
 }
 
+/// A publish that must be REJECTED: a garbage arena artifact behind an
+/// honest LATEST pointer. The watching server has to fail validation, keep
+/// the old snapshot, and bump serve.reload_failed.
+Status PublishCorruptArena(const std::string& dir, const std::string& token,
+                           uint64_t seed) {
+  Rng rng(seed);
+  std::string junk(512, '\0');
+  for (char& b : junk) b = static_cast<char>(rng.Next());
+  SISG_RETURN_IF_ERROR(WriteFileAtomic(dir + "/" + token + ".arena", junk));
+  return WriteFileAtomic(dir + "/LATEST", token + "\n");
+}
+
+/// One HEALTH round trip on a fresh connection; false unless the server
+/// answers and reports ready.
+bool ReadyHealth(const std::string& host, uint16_t port,
+                 serve::HealthInfo* health) {
+  serve::ClientOptions copt;
+  copt.connect_timeout_ms = 5000;
+  copt.io_timeout_ms = 5000;
+  auto probe = serve::ServeClient::Connect(host, port, copt);
+  return probe.ok() && probe->Health(health).ok() && health->ready;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -263,7 +297,7 @@ int main(int argc, char** argv) {
           argc, argv,
           {"host", "port", "mode", "connections", "qps", "arrival", "duration",
            "items", "k", "seed", "timeout_ms", "chaos", "chaos_connections",
-           "json_out", "name", "help"});
+           "reload_dir", "json_out", "name", "help"});
       !st.ok()) {
     std::cerr << st.ToString() << "\n";
     return 2;
@@ -287,6 +321,9 @@ int main(int argc, char** argv) {
                  "                     of disconnect|garbage|truncate|\n"
                  "                     slowloris|churn|all, plus seed=N\n"
                  "  --chaos_connections N  chaos workers (default 2)\n"
+                 "  --reload_dir DIR   also storm-publish versions into the\n"
+                 "                     server's --watch_dir (every 3rd one\n"
+                 "                     corrupt); fail unless it advances\n"
                  "  --json_out FILE    write one bench row as JSON\n"
                  "  --name LABEL       row label (default the mode)\n";
     return flags.Has("port") ? 0 : 2;
@@ -327,6 +364,16 @@ int main(int argc, char** argv) {
   }
   const auto chaos_conns = std::max<uint32_t>(
       1, static_cast<uint32_t>(flags.GetInt64("chaos_connections", 2)));
+  const std::string reload_dir = flags.GetString("reload_dir", "");
+  const bool storm = !reload_dir.empty();
+
+  // The storm publishes versions shaped like the one serving now, and must
+  // see the served version move past this one.
+  serve::HealthInfo initial;
+  if (storm && !ReadyHealth(host, port, &initial)) {
+    std::cerr << "reload storm: server unreachable or not ready\n";
+    return 1;
+  }
 
   const uint64_t t_start = MonotonicNanos();
   const uint64_t deadline =
@@ -356,8 +403,34 @@ int main(int argc, char** argv) {
                                  &chaos_stats);
     }
   }
+  uint64_t published_ok = 0;
+  uint64_t published_corrupt = 0;
+  std::thread publisher;
+  if (storm) {
+    publisher = std::thread([&] {
+      for (uint64_t n = 1; MonotonicNanos() < deadline; ++n) {
+        const bool corrupt = n % kCorruptEvery == 0;
+        const std::string token =
+            (corrupt ? "bad-" : "storm-") + std::to_string(n);
+        const Status st =
+            corrupt ? PublishCorruptArena(reload_dir, token, seed + n)
+                    : serve::PublishSynthArena(reload_dir, token,
+                                               initial.num_items, initial.dim,
+                                               seed + n, /*with_int8=*/true);
+        if (st.ok()) {
+          corrupt ? ++published_corrupt : ++published_ok;
+        } else {
+          std::cerr << "publish " << token << " failed: " << st.ToString()
+                    << "\n";
+        }
+        std::this_thread::sleep_for(
+            std::chrono::milliseconds(kPublishIntervalMs));
+      }
+    });
+  }
   for (auto& w : workers) w.join();
   for (auto& w : chaos_workers) w.join();
+  if (publisher.joinable()) publisher.join();
   const double elapsed =
       static_cast<double>(MonotonicNanos() - t_start) * 1e-9;
 
@@ -398,10 +471,12 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(total.errors), elapsed, actual_qps, p50,
       p90, p99, pmax);
 
-  // After a chaos run the server must still be alive and answering: one
-  // final health probe on a fresh connection decides pass/fail together
-  // with the per-attack probe tallies.
+  // After a chaos run or a reload storm the server must still be alive and
+  // answering: one final HEALTH probe on a fresh connection decides
+  // pass/fail together with the per-attack probe tallies and, for a storm,
+  // whether the served version advanced.
   bool chaos_failed = false;
+  serve::HealthInfo final_health;
   if (chaos_plan.Active()) {
     std::printf(
         "chaos: %llu attacks (%llu disconnect, %llu garbage, %llu truncate, "
@@ -415,18 +490,28 @@ int main(int argc, char** argv) {
         static_cast<unsigned long long>(chaos_stats.probes_ok.load()),
         static_cast<unsigned long long>(chaos_stats.probes_failed.load()));
     chaos_failed = chaos_stats.probes_failed.load() > 0;
-    serve::ClientOptions copt;
-    copt.connect_timeout_ms = 5000;
-    copt.io_timeout_ms = 5000;
-    auto probe = serve::ServeClient::Connect(host, port, copt);
-    serve::HealthInfo health;
-    if (!probe.ok() || !probe->Health(&health).ok() || !health.ready) {
-      std::fprintf(stderr, "chaos: final health probe FAILED\n");
+  }
+  if (chaos_plan.Active() || storm) {
+    if (!ReadyHealth(host, port, &final_health)) {
+      std::fprintf(stderr, "final health probe FAILED\n");
       chaos_failed = true;
     } else {
-      std::printf("chaos: final health ok (model v%llu, %u items)\n",
-                  static_cast<unsigned long long>(health.model_version),
-                  health.num_items);
+      std::printf("final health ok (model v%llu, %u items)\n",
+                  static_cast<unsigned long long>(final_health.model_version),
+                  final_health.num_items);
+    }
+  }
+  if (storm) {
+    std::printf("reload storm: published %llu good + %llu corrupt versions, "
+                "served v%llu -> v%llu\n",
+                static_cast<unsigned long long>(published_ok),
+                static_cast<unsigned long long>(published_corrupt),
+                static_cast<unsigned long long>(initial.model_version),
+                static_cast<unsigned long long>(final_health.model_version));
+    if (published_ok > 0 &&
+        final_health.model_version <= initial.model_version) {
+      std::fprintf(stderr, "reload storm: the served version never advanced\n");
+      chaos_failed = true;
     }
   }
 
@@ -443,7 +528,9 @@ int main(int argc, char** argv) {
           "\"retries\": %llu, \"errors\": %llu, \"qps\": %.1f, "
           "\"p50_ms\": %.4f, \"p90_ms\": %.4f, \"p99_ms\": %.4f, "
           "\"max_ms\": %.4f, \"chaos_attacks\": %llu, "
-          "\"chaos_probes_ok\": %llu, \"chaos_probes_failed\": %llu}\n",
+          "\"chaos_probes_ok\": %llu, \"chaos_probes_failed\": %llu, "
+          "\"published_ok\": %llu, \"published_corrupt\": %llu, "
+          "\"model_version_start\": %llu, \"model_version_end\": %llu}\n",
           name.c_str(), mode.c_str(), conns, elapsed,
           static_cast<unsigned long long>(total.completed),
           static_cast<unsigned long long>(total.busy),
@@ -455,7 +542,11 @@ int main(int argc, char** argv) {
           p99, pmax,
           static_cast<unsigned long long>(chaos_stats.attacks.load()),
           static_cast<unsigned long long>(chaos_stats.probes_ok.load()),
-          static_cast<unsigned long long>(chaos_stats.probes_failed.load()));
+          static_cast<unsigned long long>(chaos_stats.probes_failed.load()),
+          static_cast<unsigned long long>(published_ok),
+          static_cast<unsigned long long>(published_corrupt),
+          static_cast<unsigned long long>(initial.model_version),
+          static_cast<unsigned long long>(final_health.model_version));
       st = wrote < 0 ? Status::IOError("cannot write " + path)
                      : out->Commit();
     }

@@ -16,6 +16,7 @@
 #include "core/cold_start.h"
 #include "core/matching_engine.h"
 #include "core/pipeline.h"
+#include "serve/reloader.h"
 #include "tools/tool_common.h"
 
 using namespace sisg;
@@ -51,15 +52,8 @@ int main(int argc, char** argv) {
   }
 
   const std::string quant = flags.GetString("quant", "fp32");
-  if (quant != "fp32" && quant != "int8" && quant != "pq") {
-    std::cerr << "unknown --quant '" << quant << "' (want fp32|int8|pq)\n";
-    return 2;
-  }
   const bool use_mmap = flags.GetBool("mmap", false);
   const uint32_t k = static_cast<uint32_t>(flags.GetInt64("k", 10));
-  tools::ToolMetrics metrics = tools::ToolMetrics::FromFlags(flags);
-  // A Ctrl-C'd candidate export still leaves its latency artifact behind.
-  metrics.InstallSignalFlush();
 
   const auto variant =
       tools::VariantFromName(flags.GetString("variant", "sisg-f-u-d"));
@@ -69,6 +63,7 @@ int main(int argc, char** argv) {
   }
 
   MatchingEngine engine;
+  std::vector<float> cold_query;  // the --cold_gender user vector
   if (flags.Has("arena")) {
     // Arena serving: the frozen .arena artifact carries everything queries
     // need, so the model (and the catalog it requires) is never loaded.
@@ -77,12 +72,14 @@ int main(int argc, char** argv) {
                    "with --cold_gender or --save_arena\n";
       return 2;
     }
-    const std::string prefix = flags.GetString("arena", "");
-    if (auto st = engine.LoadArena(prefix + ".arena", use_mmap); !st.ok()) {
-      std::cerr << "arena load failed: " << st.ToString() << "\n";
+    auto loaded = serve::LoadServingVersion(flags.GetString("arena", ""),
+                                            quant, use_mmap);
+    if (!loaded.ok()) {
+      std::cerr << "arena load failed: " << loaded.status().ToString()
+                << "\n";
       return 1;
     }
-    tools::ApplyQuant(engine, quant, prefix, use_mmap);
+    engine = std::move(loaded).value();
   } else {
     const DatasetSpec spec = tools::SpecFromFlags(flags);
     ItemCatalog catalog;
@@ -130,30 +127,43 @@ int main(int argc, char** argv) {
       std::cout << "froze serving state for " << engine.num_items()
                 << " items to " << prefix << ".arena + " << prefix
                 << ".qarena\n";
-      return metrics.Finish();
+      return tools::ToolMetrics::FromFlags(flags).Finish();
     }
 
+    // The same strict quant step and validation the served versions get.
+    if (auto st = serve::PrepareServingEngine(&engine, quant, "", use_mmap);
+        !st.ok()) {
+      std::cerr << st.ToString() << "\n";
+      return 1;
+    }
     if (flags.Has("cold_gender")) {
-      tools::ApplyQuant(engine, quant, /*arena_prefix=*/"", use_mmap);
       const std::string g = flags.GetString("cold_gender", "F");
       const int gender = g == "F" ? 0 : (g == "M" ? 1 : 2);
-      std::vector<float> v;
       if (auto st = InferColdUserVector(
               *model, users, gender,
               static_cast<int>(flags.GetInt64("cold_age", -1)),
-              static_cast<int>(flags.GetInt64("cold_purchase", -1)), &v);
+              static_cast<int>(flags.GetInt64("cold_purchase", -1)),
+              &cold_query);
           !st.ok()) {
         std::cerr << st.ToString() << "\n";
         return 1;
       }
-      std::cout << "cold-user top-" << k << ":";
-      for (const auto& r : engine.QueryVector(v.data(), k)) {
-        std::cout << " item_" << r.id;
-      }
-      std::cout << "\n";
-      return metrics.Finish();
     }
-    tools::ApplyQuant(engine, quant, /*arena_prefix=*/"", use_mmap);
+  }
+
+  // Metrics start once the engine is ready, so they count the requested
+  // queries and not the validation canaries.
+  tools::ToolMetrics metrics = tools::ToolMetrics::FromFlags(flags);
+  // A Ctrl-C'd candidate export still leaves its latency artifact behind.
+  metrics.InstallSignalFlush();
+
+  if (flags.Has("cold_gender")) {
+    std::cout << "cold-user top-" << k << ":";
+    for (const auto& r : engine.QueryVector(cold_query.data(), k)) {
+      std::cout << " item_" << r.id;
+    }
+    std::cout << "\n";
+    return metrics.Finish();
   }
 
   if (flags.Has("candidates")) {

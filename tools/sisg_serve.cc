@@ -42,6 +42,30 @@
 
 using namespace sisg;
 
+namespace {
+
+/// The --arena artifacts through the serving loader, or the --synth_items
+/// corpus through its quant-and-validate step.
+StatusOr<MatchingEngine> LoadStartupVersion(const FlagParser& flags,
+                                            const std::string& quant,
+                                            bool use_mmap) {
+  if (flags.Has("arena")) {
+    return serve::LoadServingVersion(flags.GetString("arena", ""), quant,
+                                     use_mmap);
+  }
+  SISG_ASSIGN_OR_RETURN(
+      MatchingEngine engine,
+      serve::BuildSynthEngine(
+          static_cast<uint32_t>(flags.GetInt64("synth_items", 0)),
+          static_cast<uint32_t>(flags.GetInt64("synth_dim", 128)),
+          static_cast<uint64_t>(flags.GetInt64("synth_seed", 42))));
+  SISG_RETURN_IF_ERROR(
+      serve::PrepareServingEngine(&engine, quant, "", use_mmap));
+  return engine;
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   FlagParser flags;
   const std::vector<std::string> known = {
@@ -86,10 +110,6 @@ int main(int argc, char** argv) {
   }
 
   const std::string quant = flags.GetString("quant", "fp32");
-  if (quant != "fp32" && quant != "int8" && quant != "pq") {
-    std::cerr << "unknown --quant '" << quant << "' (want fp32|int8|pq)\n";
-    return 2;
-  }
   const bool use_mmap = flags.GetBool("mmap", false);
 
   // Block the shutdown signals in every thread the server will spawn; the
@@ -103,25 +123,15 @@ int main(int argc, char** argv) {
 
   tools::ToolMetrics metrics = tools::ToolMetrics::FromFlags(flags);
 
-  MatchingEngine engine;
-  if (flags.Has("arena")) {
-    const std::string prefix = flags.GetString("arena", "");
-    if (auto st = engine.LoadArena(prefix + ".arena", use_mmap); !st.ok()) {
-      std::cerr << "arena load failed: " << st.ToString() << "\n";
-      return 1;
-    }
-    tools::ApplyQuant(engine, quant, prefix, use_mmap);
-  } else {
-    const auto items = static_cast<uint32_t>(flags.GetInt64("synth_items", 0));
-    const auto dim = static_cast<uint32_t>(flags.GetInt64("synth_dim", 128));
-    auto synth = serve::BuildSynthEngine(
-        items, dim, static_cast<uint64_t>(flags.GetInt64("synth_seed", 42)));
-    if (!synth.ok()) {
-      std::cerr << "synth build failed: " << synth.status().ToString() << "\n";
-      return 1;
-    }
-    engine = std::move(*synth);
-    tools::ApplyQuant(engine, quant, /*arena_prefix=*/"", use_mmap);
+  // The startup version goes through the same loader, quant step and
+  // validation gate as every hot reload: a process that cannot serve the
+  // --quant it was asked for, or fails its own canaries, exits 1 and never
+  // advertises readiness via --port_file.
+  StatusOr<MatchingEngine> engine = LoadStartupVersion(flags, quant, use_mmap);
+  if (!engine.ok()) {
+    std::cerr << "startup version rejected: " << engine.status().ToString()
+              << "\n";
+    return 1;
   }
 
   serve::ServerOptions opts;
@@ -145,24 +155,16 @@ int main(int argc, char** argv) {
   opts.idle_timeout_ms =
       static_cast<uint32_t>(flags.GetInt64("idle_timeout_ms", 0));
 
-  // The initial snapshot goes through the SAME validation gate hot reloads
-  // do; a process that cannot answer its own canaries must not advertise
-  // readiness via --port_file.
   serve::ReloaderOptions ropts;
   ropts.watch_dir = flags.GetString("watch_dir", "");
   ropts.poll_interval_ms =
       static_cast<uint32_t>(flags.GetInt64("reload_interval_ms", 1000));
   ropts.use_mmap = use_mmap;
-  ropts.want_int8 = quant == "int8";
-  if (auto st = serve::ValidateServingEngine(engine); !st.ok()) {
-    std::cerr << "initial snapshot failed validation: " << st.ToString()
-              << "\n";
-    return 1;
-  }
+  ropts.quant = quant;
 
   serve::ModelRegistry registry;
-  registry.PublishOwned(std::make_unique<MatchingEngine>(std::move(engine)),
-                        "startup");
+  registry.PublishOwned(
+      std::make_unique<MatchingEngine>(std::move(engine).value()), "startup");
   serve::ServeServer server(&registry, opts);
   if (auto st = server.Start(); !st.ok()) {
     std::cerr << "server start failed: " << st.ToString() << "\n";

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "common/flags.h"
-#include "core/matching_engine.h"
 #include "core/sisg_config.h"
 #include "datagen/dataset.h"
 #include "obs/export.h"
@@ -113,29 +112,6 @@ inline StatusOr<SisgVariant> VariantFromName(const std::string& name) {
   if (name == "sisg-f-u") return SisgVariant::kSisgFU;
   if (name == "sisg-f-u-d") return SisgVariant::kSisgFUD;
   return Status::InvalidArgument("unknown variant: " + name);
-}
-
-/// Switches the candidate scan to the --quant precision (fp32|int8|pq). An
-/// int8 scan reads `arena_prefix`.qarena when serving from an arena. Enable
-/// failures follow the engine's degradation contract: warn, keep serving
-/// fp32.
-inline void ApplyQuant(MatchingEngine& engine, const std::string& quant,
-                       const std::string& arena_prefix, bool use_mmap) {
-  if (quant == "int8") {
-    const Status st =
-        arena_prefix.empty()
-            ? engine.EnableInt8()
-            : engine.EnableInt8FromFile(arena_prefix + ".qarena", use_mmap);
-    if (!st.ok()) {
-      std::cerr << "int8 enable failed (serving fp32): " << st.ToString()
-                << "\n";
-    }
-  } else if (quant == "pq") {
-    if (auto st = engine.EnableIvfPq(IvfOptions{}, PqOptions{}); !st.ok()) {
-      std::cerr << "pq enable failed (serving fp32): " << st.ToString()
-                << "\n";
-    }
-  }
 }
 
 }  // namespace sisg::tools
