@@ -170,109 +170,11 @@ Status ArtifactWriter::Commit() {
   return file_.Commit();
 }
 
+void ArtifactReader::Unmap::operator()(void* map) const { ::munmap(map, len); }
+
 StatusOr<ArtifactReader> ArtifactReader::Open(const std::string& path,
                                               const std::string& kind) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return Status::IOError(ErrnoMessage("cannot open for read", path));
-  }
-  ArtifactHeader header{};
-  if (std::fread(&header, sizeof(header), 1, f) != 1 ||
-      std::memcmp(header.magic, kArtifactMagic, 8) != 0) {
-    std::fclose(f);
-    return Status::DataLoss("artifact: bad magic in " + path);
-  }
-  char want_kind[8];
-  FillKind(kind, want_kind);
-  if (std::memcmp(header.kind, want_kind, 8) != 0) {
-    std::fclose(f);
-    return Status::InvalidArgument(
-        "artifact: kind mismatch in " + path + " (want '" + kind + "', got '" +
-        std::string(header.kind, 8) + "')");
-  }
-  // The reserved field is written as zero and is not CRC-covered (the CRC
-  // spans only the payload), so a byte flip here would otherwise load
-  // silently.
-  if (header.reserved != 0) {
-    std::fclose(f);
-    return Status::DataLoss("artifact: corrupt header (reserved != 0) in " +
-                            path);
-  }
-  // Declared payload size must match the bytes actually on disk; a shorter
-  // file is a truncated write, a longer one trailing garbage.
-  if (std::fseek(f, 0, SEEK_END) != 0) {
-    std::fclose(f);
-    return Status::IOError("artifact: cannot seek: " + path);
-  }
-  const long file_size = std::ftell(f);
-  if (file_size < 0 ||
-      static_cast<uint64_t>(file_size) !=
-          kArtifactHeaderBytes + header.payload_bytes) {
-    std::fclose(f);
-    return Status::DataLoss(
-        "artifact: truncated file " + path + " (header declares " +
-        std::to_string(header.payload_bytes) + " payload bytes, file has " +
-        std::to_string(file_size < 0 ? 0 : file_size - (long)kArtifactHeaderBytes) +
-        ")");
-  }
-  // Stream the payload once to verify the checksum before any byte is
-  // handed to a parser.
-  if (std::fseek(f, kArtifactHeaderBytes, SEEK_SET) != 0) {
-    std::fclose(f);
-    return Status::IOError("artifact: cannot seek: " + path);
-  }
-  char buf[1 << 16];
-  uint32_t crc = 0;
-  uint64_t left = header.payload_bytes;
-  while (left > 0) {
-    const size_t n = static_cast<size_t>(std::min<uint64_t>(left, sizeof(buf)));
-    if (std::fread(buf, 1, n, f) != n) {
-      std::fclose(f);
-      return Status::DataLoss("artifact: short read while checksumming " + path);
-    }
-    crc = Crc32(buf, n, crc);
-    left -= n;
-  }
-  if (crc != header.crc) {
-    std::fclose(f);
-    return Status::DataLoss("artifact: checksum mismatch in " + path);
-  }
-  if (std::fseek(f, kArtifactHeaderBytes, SEEK_SET) != 0) {
-    std::fclose(f);
-    return Status::IOError("artifact: cannot seek: " + path);
-  }
-  return ArtifactReader(path, f, header.version, header.payload_bytes);
-}
-
-ArtifactReader::ArtifactReader(ArtifactReader&& other) noexcept
-    : path_(std::move(other.path_)),
-      file_(other.file_),
-      version_(other.version_),
-      payload_bytes_(other.payload_bytes_),
-      consumed_(other.consumed_) {
-  other.file_ = nullptr;
-}
-
-ArtifactReader& ArtifactReader::operator=(ArtifactReader&& other) noexcept {
-  if (this != &other) {
-    if (file_ != nullptr) std::fclose(file_);
-    path_ = std::move(other.path_);
-    file_ = other.file_;
-    version_ = other.version_;
-    payload_bytes_ = other.payload_bytes_;
-    consumed_ = other.consumed_;
-    other.file_ = nullptr;
-  }
-  return *this;
-}
-
-ArtifactReader::~ArtifactReader() {
-  if (file_ != nullptr) std::fclose(file_);
-}
-
-StatusOr<MappedArtifact> MappedArtifact::Open(const std::string& path,
-                                              const std::string& kind) {
-  const int fd = ::open(path.c_str(), O_RDONLY);
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) {
     return Status::IOError(ErrnoMessage("cannot open for read", path));
   }
@@ -280,6 +182,10 @@ StatusOr<MappedArtifact> MappedArtifact::Open(const std::string& path,
   if (::fstat(fd, &st) != 0) {
     ::close(fd);
     return Status::IOError(ErrnoMessage("cannot stat", path));
+  }
+  if (!S_ISREG(st.st_mode)) {
+    ::close(fd);
+    return Status::IOError("artifact: not a regular file: " + path);
   }
   const uint64_t file_size = static_cast<uint64_t>(st.st_size);
   if (file_size < kArtifactHeaderBytes) {
@@ -293,7 +199,9 @@ StatusOr<MappedArtifact> MappedArtifact::Open(const std::string& path,
   if (map == MAP_FAILED) {
     return Status::IOError(ErrnoMessage("cannot mmap", path));
   }
-  MappedArtifact mapped(map, file_size, 0, 0);  // owns the unmap from here on
+  ArtifactReader reader;  // owns the unmap from here on
+  reader.path_ = path;
+  reader.map_ = std::unique_ptr<void, Unmap>(map, Unmap{file_size});
 
   ArtifactHeader header{};
   std::memcpy(&header, map, sizeof(header));
@@ -307,60 +215,35 @@ StatusOr<MappedArtifact> MappedArtifact::Open(const std::string& path,
         "artifact: kind mismatch in " + path + " (want '" + kind + "', got '" +
         std::string(header.kind, 8) + "')");
   }
+  // The reserved field is written as zero and is not CRC-covered (the CRC
+  // spans only the payload), so a byte flip here would otherwise load
+  // silently.
   if (header.reserved != 0) {
     return Status::DataLoss("artifact: corrupt header (reserved != 0) in " +
                             path);
   }
-  if (file_size != kArtifactHeaderBytes + header.payload_bytes) {
+  // Declared payload size must match the bytes actually on disk; a shorter
+  // file is a truncated write, a longer one trailing garbage.
+  const uint64_t on_disk = file_size - kArtifactHeaderBytes;
+  if (header.payload_bytes != on_disk) {
     return Status::DataLoss(
         "artifact: truncated file " + path + " (header declares " +
         std::to_string(header.payload_bytes) + " payload bytes, file has " +
-        std::to_string(file_size - kArtifactHeaderBytes) + ")");
+        std::to_string(on_disk) + ")");
   }
-  const uint32_t crc =
-      Crc32(static_cast<const uint8_t*>(map) + kArtifactHeaderBytes,
-            header.payload_bytes);
-  if (crc != header.crc) {
+  if (Crc32(reader.payload(), on_disk) != header.crc) {
     return Status::DataLoss("artifact: checksum mismatch in " + path);
   }
-  mapped.version_ = header.version;
-  mapped.payload_bytes_ = header.payload_bytes;
-  return mapped;
-}
-
-MappedArtifact::MappedArtifact(MappedArtifact&& other) noexcept
-    : map_(other.map_),
-      map_len_(other.map_len_),
-      version_(other.version_),
-      payload_bytes_(other.payload_bytes_) {
-  other.map_ = nullptr;
-  other.map_len_ = 0;
-}
-
-MappedArtifact& MappedArtifact::operator=(MappedArtifact&& other) noexcept {
-  if (this != &other) {
-    if (map_ != nullptr) ::munmap(map_, map_len_);
-    map_ = other.map_;
-    map_len_ = other.map_len_;
-    version_ = other.version_;
-    payload_bytes_ = other.payload_bytes_;
-    other.map_ = nullptr;
-    other.map_len_ = 0;
-  }
-  return *this;
-}
-
-MappedArtifact::~MappedArtifact() {
-  if (map_ != nullptr) ::munmap(map_, map_len_);
+  reader.version_ = header.version;
+  reader.payload_bytes_ = on_disk;
+  return reader;
 }
 
 Status ArtifactReader::Read(void* data, size_t len) {
   if (len > remaining()) {
     return Status::DataLoss("artifact: read past payload in " + path_);
   }
-  if (len > 0 && std::fread(data, 1, len, file_) != len) {
-    return Status::DataLoss("artifact: short read in " + path_);
-  }
+  if (len > 0) std::memcpy(data, payload() + consumed_, len);
   consumed_ += len;
   return Status::OK();
 }

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <type_traits>
@@ -59,7 +60,7 @@ class AtomicFile {
 Status WriteFileAtomic(const std::string& path, std::string_view bytes);
 
 /// On-disk artifact header shared by every binary artifact in the repo
-/// (embedding models, vocabularies, checkpoints, ANN indexes):
+/// (embedding models, vocabularies, checkpoints, corpus caches, arenas):
 ///
 ///   offset  size  field
 ///   0       8     magic "SISGART1"
@@ -71,10 +72,11 @@ Status WriteFileAtomic(const std::string& path, std::string_view bytes);
 ///   36      -     payload
 ///
 /// Writers stream the payload while accumulating size + CRC, then patch the
-/// header and publish via AtomicFile. Readers validate magic, kind, declared
-/// size against the actual file size, and the checksum over the whole
-/// payload *before* handing out any bytes, so a truncated or byte-flipped
-/// artifact is rejected with Status::DataLoss instead of being parsed.
+/// header and publish via AtomicFile. ArtifactReader validates magic, kind,
+/// reserved, declared size against the actual file size, and the checksum
+/// over the whole payload *before* handing out any bytes, so a truncated or
+/// byte-flipped artifact is rejected with Status::DataLoss instead of being
+/// parsed.
 constexpr size_t kArtifactHeaderBytes = 36;
 
 class ArtifactWriter {
@@ -106,27 +108,39 @@ class ArtifactWriter {
   uint32_t crc_ = 0;
 };
 
+/// The one SISGART1 reader. Open maps the whole file read-only (MAP_PRIVATE)
+/// and runs the one header check before any byte is handed out: magic,
+/// kind, reserved == 0, declared payload size == bytes on disk, and the
+/// CRC-32 over the mapped payload. Returns DataLoss for truncation or
+/// corruption, InvalidArgument for a kind mismatch, IOError when the path
+/// cannot be opened or mapped (or is not a regular file).
+///
+/// Parsers walk the payload with Read/ReadScalar, a bounds-checked cursor
+/// that copies out of the mapping. Zero-copy users take payload() instead:
+/// the serving and int8 arenas keep the reader and point their row blocks
+/// into it, which makes a model larger than RAM a page-cache problem rather
+/// than an allocation. The payload starts at file offset
+/// kArtifactHeaderBytes of a page-aligned mapping, so a block stored at a
+/// 64-byte-aligned file offset is 64-byte aligned in memory. The mapping
+/// lives exactly as long as the reader.
 class ArtifactReader {
  public:
-  /// Opens and fully validates the artifact (header fields + payload CRC in
-  /// one streaming pass), then rewinds to the start of the payload. Returns
-  /// DataLoss for truncation/corruption, InvalidArgument for a kind
-  /// mismatch, IOError when the file cannot be opened.
   static StatusOr<ArtifactReader> Open(const std::string& path,
                                        const std::string& kind);
 
-  ArtifactReader(ArtifactReader&& other) noexcept;
-  ArtifactReader& operator=(ArtifactReader&& other) noexcept;
-  ArtifactReader(const ArtifactReader&) = delete;
-  ArtifactReader& operator=(const ArtifactReader&) = delete;
-  ~ArtifactReader();
+  /// An empty reader (no mapping); only assignment and destruction apply.
+  ArtifactReader() = default;
 
   uint32_t version() const { return version_; }
   uint64_t payload_bytes() const { return payload_bytes_; }
   /// Payload bytes not yet consumed by Read.
   uint64_t remaining() const { return payload_bytes_ - consumed_; }
+  /// First payload byte (file offset kArtifactHeaderBytes).
+  const uint8_t* payload() const {
+    return static_cast<const uint8_t*>(map_.get()) + kArtifactHeaderBytes;
+  }
 
-  /// Reads exactly `len` payload bytes; DataLoss if fewer remain.
+  /// Copies exactly `len` payload bytes; DataLoss if fewer remain.
   Status Read(void* data, size_t len);
 
   template <typename T>
@@ -136,63 +150,16 @@ class ArtifactReader {
   }
 
  private:
-  ArtifactReader(std::string path, std::FILE* file, uint32_t version,
-                 uint64_t payload_bytes)
-      : path_(std::move(path)),
-        file_(file),
-        version_(version),
-        payload_bytes_(payload_bytes) {}
+  struct Unmap {
+    size_t len;
+    void operator()(void* map) const;
+  };
 
   std::string path_;
-  std::FILE* file_ = nullptr;
+  std::unique_ptr<void, Unmap> map_;
   uint32_t version_ = 0;
   uint64_t payload_bytes_ = 0;
   uint64_t consumed_ = 0;
-};
-
-/// A read-only memory-mapped artifact: the whole file is mapped MAP_PRIVATE
-/// and the SISGART1 header plus the full payload CRC are validated BEFORE
-/// the mapping is handed out, so the never-partially-loaded contract of
-/// ArtifactReader holds here too (the one validation pass also warms the
-/// page cache). The payload pointer stays valid for the lifetime of this
-/// object; consumers (the quantized arenas, the serving arena) point their
-/// row blocks straight into the map, which is what makes a model larger
-/// than RAM a page-cache problem instead of an allocation.
-///
-/// Error contract mirrors ArtifactReader::Open: IOError when the file
-/// cannot be opened/mapped, DataLoss for truncation or corruption,
-/// InvalidArgument for a kind mismatch.
-class MappedArtifact {
- public:
-  static StatusOr<MappedArtifact> Open(const std::string& path,
-                                       const std::string& kind);
-
-  MappedArtifact() = default;
-  MappedArtifact(MappedArtifact&& other) noexcept;
-  MappedArtifact& operator=(MappedArtifact&& other) noexcept;
-  MappedArtifact(const MappedArtifact&) = delete;
-  MappedArtifact& operator=(const MappedArtifact&) = delete;
-  ~MappedArtifact();
-
-  uint32_t version() const { return version_; }
-  uint64_t payload_bytes() const { return payload_bytes_; }
-  /// First payload byte (file offset kArtifactHeaderBytes).
-  const uint8_t* payload() const {
-    return static_cast<const uint8_t*>(map_) + kArtifactHeaderBytes;
-  }
-
- private:
-  MappedArtifact(void* map, size_t map_len, uint32_t version,
-                 uint64_t payload_bytes)
-      : map_(map),
-        map_len_(map_len),
-        version_(version),
-        payload_bytes_(payload_bytes) {}
-
-  void* map_ = nullptr;
-  size_t map_len_ = 0;
-  uint32_t version_ = 0;
-  uint64_t payload_bytes_ = 0;
 };
 
 }  // namespace sisg

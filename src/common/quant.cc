@@ -91,7 +91,7 @@ Status Int8Arena::BuildFromRows(const float* rows, uint32_t n, uint32_t dim,
   codes_ = own_codes_.data();
   scales_ = own_params_.data();
   mins_ = own_params_.data() + n;
-  map_ = MappedArtifact();
+  map_ = ArtifactReader();
   return Status::OK();
 }
 
@@ -122,80 +122,55 @@ Status Int8Arena::Save(const std::string& path) const {
 }
 
 StatusOr<Int8Arena> Int8Arena::Load(const std::string& path, bool use_mmap) {
-  Int8Arena arena;
+  SISG_ASSIGN_OR_RETURN(ArtifactReader r,
+                        ArtifactReader::Open(path, kQuantArenaKind));
+  if (r.version() != kQuantArenaVersion) {
+    return Status::InvalidArgument("int8 arena: unsupported version " +
+                                   std::to_string(r.version()) + " in " +
+                                   path);
+  }
   uint32_t num_rows = 0, dim = 0, stride = 0, data_off = 0;
+  for (uint32_t* field : {&num_rows, &dim, &stride, &data_off}) {
+    SISG_RETURN_IF_ERROR(r.ReadScalar(field));
+  }
+  if (num_rows == 0 || dim == 0) {
+    return Status::DataLoss("int8 arena: empty shape in " + path);
+  }
+  if (stride != AlignedByteStride(dim)) {
+    return Status::DataLoss("int8 arena: row stride " + std::to_string(stride) +
+                            " does not match dim " + std::to_string(dim) +
+                            " in " + path);
+  }
+  const size_t code_bytes = static_cast<size_t>(num_rows) * stride;
+  if (data_off != CodeBlockOffset(num_rows) ||
+      r.payload_bytes() != data_off + static_cast<uint64_t>(code_bytes)) {
+    return Status::DataLoss(
+        "int8 arena: artifact layout inconsistent with declared shape in " +
+        path);
+  }
 
-  auto validate = [&](uint64_t payload_bytes) -> Status {
-    if (num_rows == 0 || dim == 0) {
-      return Status::DataLoss("int8 arena: empty shape in " + path);
-    }
-    if (stride != AlignedByteStride(dim)) {
-      return Status::DataLoss("int8 arena: row stride " +
-                              std::to_string(stride) +
-                              " does not match dim " + std::to_string(dim) +
-                              " in " + path);
-    }
-    if (data_off != CodeBlockOffset(num_rows) ||
-        payload_bytes !=
-            data_off + static_cast<uint64_t>(num_rows) * stride) {
-      return Status::DataLoss(
-          "int8 arena: artifact layout inconsistent with declared shape in " +
-          path);
-    }
-    return Status::OK();
-  };
-
+  // The shape check pinned every block inside the payload. Heap mode copies
+  // the blocks out and lets the mapping go with `r`; mmap mode keeps them in
+  // the mapping the arena holds.
+  const float* params =
+      reinterpret_cast<const float*>(r.payload() + kQuantPrologueBytes);
+  const uint8_t* codes = r.payload() + data_off;
+  Int8Arena arena;
   if (use_mmap) {
-    SISG_ASSIGN_OR_RETURN(MappedArtifact map,
-                          MappedArtifact::Open(path, kQuantArenaKind));
-    if (map.version() != kQuantArenaVersion) {
-      return Status::InvalidArgument("int8 arena: unsupported version " +
-                                     std::to_string(map.version()) + " in " +
-                                     path);
-    }
-    if (map.payload_bytes() < kQuantPrologueBytes) {
-      return Status::DataLoss("int8 arena: payload too small in " + path);
-    }
-    const uint8_t* p = map.payload();
-    std::memcpy(&num_rows, p, 4);
-    std::memcpy(&dim, p + 4, 4);
-    std::memcpy(&stride, p + 8, 4);
-    std::memcpy(&data_off, p + 12, 4);
-    SISG_RETURN_IF_ERROR(validate(map.payload_bytes()));
-    arena.map_ = std::move(map);
-    const uint8_t* base = arena.map_.payload();
-    arena.scales_ = reinterpret_cast<const float*>(base + kQuantPrologueBytes);
-    arena.mins_ = arena.scales_ + num_rows;
-    arena.codes_ = base + data_off;
+    arena.map_ = std::move(r);
   } else {
-    SISG_ASSIGN_OR_RETURN(ArtifactReader r,
-                          ArtifactReader::Open(path, kQuantArenaKind));
-    if (r.version() != kQuantArenaVersion) {
-      return Status::InvalidArgument("int8 arena: unsupported version " +
-                                     std::to_string(r.version()) + " in " +
-                                     path);
-    }
-    SISG_RETURN_IF_ERROR(r.ReadScalar(&num_rows));
-    SISG_RETURN_IF_ERROR(r.ReadScalar(&dim));
-    SISG_RETURN_IF_ERROR(r.ReadScalar(&stride));
-    SISG_RETURN_IF_ERROR(r.ReadScalar(&data_off));
-    SISG_RETURN_IF_ERROR(validate(r.payload_bytes()));
-    arena.own_params_.assign(static_cast<size_t>(num_rows) * 2, 0.0f);
-    SISG_RETURN_IF_ERROR(r.Read(arena.own_params_.data(),
-                                arena.own_params_.size() * sizeof(float)));
-    std::vector<char> pad(data_off - kQuantPrologueBytes -
-                          static_cast<size_t>(num_rows) * 2 * sizeof(float));
-    SISG_RETURN_IF_ERROR(r.Read(pad.data(), pad.size()));
-    arena.own_codes_.assign(static_cast<size_t>(num_rows) * stride, 0);
-    SISG_RETURN_IF_ERROR(
-        r.Read(arena.own_codes_.data(), arena.own_codes_.size()));
-    arena.scales_ = arena.own_params_.data();
-    arena.mins_ = arena.own_params_.data() + num_rows;
-    arena.codes_ = arena.own_codes_.data();
+    arena.own_params_.assign(params,
+                             params + 2 * static_cast<size_t>(num_rows));
+    arena.own_codes_.assign(codes, codes + code_bytes);
+    params = arena.own_params_.data();
+    codes = arena.own_codes_.data();
   }
   arena.num_rows_ = num_rows;
   arena.dim_ = dim;
   arena.stride_ = stride;
+  arena.scales_ = params;
+  arena.mins_ = params + num_rows;
+  arena.codes_ = codes;
   return arena;
 }
 

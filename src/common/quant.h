@@ -31,9 +31,9 @@ Int8Query QuantizeQueryInt8(const float* q, size_t dim, int8_t* codes);
 
 /// A block of int8-quantized rows in the 64-byte padded-stride layout the
 /// scan kernels expect, plus the per-row affine parameters. Either owns its
-/// storage (BuildFromRows / heap Load) or points into a validated read-only
-/// mmap (Load with use_mmap), in which case the big code block never touches
-/// the heap.
+/// storage (BuildFromRows / heap Load) or points into the validated mapping
+/// of the ArtifactReader it holds (Load with use_mmap), in which case the
+/// big code block never touches the heap.
 class Int8Arena {
  public:
   Int8Arena() = default;
@@ -60,11 +60,12 @@ class Int8Arena {
   /// aligned rows, the same guarantee heap storage gives.
   Status Save(const std::string& path) const;
 
-  /// Loads an arena saved by Save(). With `use_mmap` the codes and
-  /// parameters stay in the mapping (validated in full first — CRC included
-  /// — so corruption is DataLoss up front, never a mid-query surprise);
-  /// otherwise everything is copied to the heap. Both paths produce
-  /// bit-identical scan results.
+  /// Loads an arena saved by Save(). One parse: ArtifactReader validates
+  /// the whole artifact (CRC included, so corruption is DataLoss up front,
+  /// never a mid-query surprise) and the prologue and shape are checked
+  /// once. `use_mmap` decides only where the codes and parameters live:
+  /// kept in the mapping, or copied to the heap (the mapping is released
+  /// before Load returns). Both produce bit-identical scan results.
   static StatusOr<Int8Arena> Load(const std::string& path, bool use_mmap);
 
  private:
@@ -81,8 +82,8 @@ class Int8Arena {
   AlignedByteVector own_codes_;
   std::vector<float> own_params_;  // scales then mins
 
-  // Mmap backing.
-  MappedArtifact map_;
+  // Mmap backing: the reader whose mapping codes_/scales_/mins_ point into.
+  ArtifactReader map_;
 };
 
 }  // namespace sisg

@@ -102,103 +102,59 @@ Status ServingArena::Save(const std::string& path, const View& v) {
 
 StatusOr<ServingArena> ServingArena::Load(const std::string& path,
                                           bool use_mmap) {
-  ServingArena arena;
+  SISG_ASSIGN_OR_RETURN(ArtifactReader r,
+                        ArtifactReader::Open(path, kArenaKind));
+  if (r.version() != kArenaVersion) {
+    return Status::InvalidArgument("serving arena: unsupported version " +
+                                   std::to_string(r.version()) + " in " +
+                                   path);
+  }
   uint32_t num_items = 0, dim = 0, num_cand = 0, mode = 0, stride = 0,
            data_off = 0;
-
-  auto validate = [&](uint64_t payload_bytes) -> Status {
-    if (num_items == 0 || dim == 0 || num_cand > num_items || mode > 1) {
-      return Status::DataLoss("serving arena: corrupt shape in " + path);
-    }
-    if (stride != AlignedRowStride(dim)) {
-      return Status::DataLoss("serving arena: row stride " +
-                              std::to_string(stride) +
-                              " does not match dim " + std::to_string(dim) +
-                              " in " + path);
-    }
-    const uint64_t floats = (static_cast<uint64_t>(num_items) + num_cand) *
-                            stride * sizeof(float);
-    if (data_off != FloatBlockOffset(num_items, num_cand) ||
-        payload_bytes != data_off + floats) {
-      return Status::DataLoss(
-          "serving arena: artifact layout inconsistent with declared shape "
-          "in " +
-          path);
-    }
-    return Status::OK();
-  };
-
-  if (use_mmap) {
-    SISG_ASSIGN_OR_RETURN(MappedArtifact map,
-                          MappedArtifact::Open(path, kArenaKind));
-    if (map.version() != kArenaVersion) {
-      return Status::InvalidArgument("serving arena: unsupported version " +
-                                     std::to_string(map.version()) + " in " +
-                                     path);
-    }
-    if (map.payload_bytes() < kArenaPrologueBytes) {
-      return Status::DataLoss("serving arena: payload too small in " + path);
-    }
-    const uint8_t* p = map.payload();
-    std::memcpy(&num_items, p, 4);
-    std::memcpy(&dim, p + 4, 4);
-    std::memcpy(&num_cand, p + 8, 4);
-    std::memcpy(&mode, p + 12, 4);
-    std::memcpy(&stride, p + 16, 4);
-    std::memcpy(&data_off, p + 20, 4);
-    SISG_RETURN_IF_ERROR(validate(map.payload_bytes()));
-    arena.map_ = std::move(map);
-    const uint8_t* base = arena.map_.payload();
-    arena.own_ids_.assign(num_cand, 0);
-    std::memcpy(arena.own_ids_.data(), base + kArenaPrologueBytes,
-                static_cast<size_t>(num_cand) * sizeof(uint32_t));
-    arena.own_has_.assign(num_items, 0);
-    std::memcpy(arena.own_has_.data(),
-                base + kArenaPrologueBytes +
-                    static_cast<size_t>(num_cand) * sizeof(uint32_t),
-                num_items);
-    arena.view_.query_rows = reinterpret_cast<const float*>(base + data_off);
-    arena.view_.cand_rows = arena.view_.query_rows +
-                            static_cast<size_t>(num_items) * stride;
-  } else {
-    SISG_ASSIGN_OR_RETURN(ArtifactReader r,
-                          ArtifactReader::Open(path, kArenaKind));
-    if (r.version() != kArenaVersion) {
-      return Status::InvalidArgument("serving arena: unsupported version " +
-                                     std::to_string(r.version()) + " in " +
-                                     path);
-    }
-    SISG_RETURN_IF_ERROR(r.ReadScalar(&num_items));
-    SISG_RETURN_IF_ERROR(r.ReadScalar(&dim));
-    SISG_RETURN_IF_ERROR(r.ReadScalar(&num_cand));
-    SISG_RETURN_IF_ERROR(r.ReadScalar(&mode));
-    SISG_RETURN_IF_ERROR(r.ReadScalar(&stride));
-    SISG_RETURN_IF_ERROR(r.ReadScalar(&data_off));
-    SISG_RETURN_IF_ERROR(validate(r.payload_bytes()));
-    arena.own_ids_.assign(num_cand, 0);
-    SISG_RETURN_IF_ERROR(r.Read(arena.own_ids_.data(),
-                                arena.own_ids_.size() * sizeof(uint32_t)));
-    arena.own_has_.assign(num_items, 0);
-    SISG_RETURN_IF_ERROR(r.Read(arena.own_has_.data(), num_items));
-    std::vector<char> pad(data_off - MetaBytes(num_items, num_cand));
-    SISG_RETURN_IF_ERROR(r.Read(pad.data(), pad.size()));
-    arena.own_query_.assign(static_cast<size_t>(num_items) * stride, 0.0f);
-    arena.own_cand_.assign(static_cast<size_t>(num_cand) * stride, 0.0f);
-    SISG_RETURN_IF_ERROR(r.Read(arena.own_query_.data(),
-                                arena.own_query_.size() * sizeof(float)));
-    SISG_RETURN_IF_ERROR(r.Read(arena.own_cand_.data(),
-                                arena.own_cand_.size() * sizeof(float)));
-    arena.view_.query_rows = arena.own_query_.data();
-    arena.view_.cand_rows = arena.own_cand_.data();
+  for (uint32_t* field : {&num_items, &dim, &num_cand, &mode, &stride,
+                          &data_off}) {
+    SISG_RETURN_IF_ERROR(r.ReadScalar(field));
   }
-  arena.view_.num_items = num_items;
-  arena.view_.dim = dim;
-  arena.view_.num_cand = num_cand;
-  arena.view_.mode = mode;
-  arena.view_.query_stride = stride;
-  arena.view_.cand_stride = stride;
-  arena.view_.cand_ids = arena.own_ids_.data();
-  arena.view_.has_item = arena.own_has_.data();
+  if (num_items == 0 || dim == 0 || num_cand > num_items || mode > 1) {
+    return Status::DataLoss("serving arena: corrupt shape in " + path);
+  }
+  if (stride != AlignedRowStride(dim)) {
+    return Status::DataLoss("serving arena: row stride " +
+                            std::to_string(stride) + " does not match dim " +
+                            std::to_string(dim) + " in " + path);
+  }
+  const size_t query_floats = static_cast<size_t>(num_items) * stride;
+  const size_t cand_floats = static_cast<size_t>(num_cand) * stride;
+  if (data_off != FloatBlockOffset(num_items, num_cand) ||
+      r.payload_bytes() !=
+          data_off + (query_floats + cand_floats) * sizeof(float)) {
+    return Status::DataLoss(
+        "serving arena: artifact layout inconsistent with declared shape in " +
+        path);
+  }
+
+  // The id map and liveness bitmap are always copied (4-5 bytes per item).
+  // The shape check pinned both float blocks inside the payload: heap mode
+  // copies them out and lets the mapping go with `r`; mmap mode keeps them
+  // in the mapping the arena holds.
+  ServingArena arena;
+  arena.own_ids_.resize(num_cand);
+  SISG_RETURN_IF_ERROR(r.Read(
+      arena.own_ids_.data(), static_cast<size_t>(num_cand) * sizeof(uint32_t)));
+  arena.own_has_.resize(num_items);
+  SISG_RETURN_IF_ERROR(r.Read(arena.own_has_.data(), num_items));
+  const float* query = reinterpret_cast<const float*>(r.payload() + data_off);
+  const float* cand = query + query_floats;
+  if (use_mmap) {
+    arena.map_ = std::move(r);
+  } else {
+    arena.own_query_.assign(query, cand);
+    arena.own_cand_.assign(cand, cand + cand_floats);
+    query = arena.own_query_.data();
+    cand = arena.own_cand_.data();
+  }
+  arena.view_ = View{num_items, dim, num_cand, mode, stride, stride, query,
+                     cand, arena.own_ids_.data(), arena.own_has_.data()};
   return arena;
 }
 

@@ -55,10 +55,12 @@ class ServingArena {
 
   static Status Save(const std::string& path, const View& v);
 
-  /// Loads an arena saved by Save. Heap mode copies everything out of the
-  /// artifact; mmap mode keeps the float blocks in the (fully validated)
-  /// mapping and copies only the small id/liveness metadata. The returned
-  /// view's strides are both AlignedRowStride(dim).
+  /// Loads an arena saved by Save. One parse for both modes: ArtifactReader
+  /// validates the artifact, the prologue and shape are checked once, and
+  /// the id/liveness metadata is copied. `use_mmap` decides only where the
+  /// two float blocks live: kept in the (fully validated) mapping, or copied
+  /// to the heap (the mapping is released before Load returns). The
+  /// returned view's strides are both AlignedRowStride(dim).
   static StatusOr<ServingArena> Load(const std::string& path, bool use_mmap);
 
   const View& view() const { return view_; }
@@ -72,7 +74,8 @@ class ServingArena {
   // to the float blocks, and queried on every lookup).
   std::vector<uint32_t> own_ids_;
   std::vector<uint8_t> own_has_;
-  MappedArtifact map_;
+  // Mmap backing: the reader whose mapping the float blocks point into.
+  ArtifactReader map_;
 };
 
 }  // namespace sisg

@@ -5,7 +5,6 @@
 #include <cstring>
 #include <numeric>
 
-#include "common/logging.h"
 #include "common/math_util.h"
 #include "common/thread_pool.h"
 #include "obs/metrics.h"
@@ -45,15 +44,6 @@ void NormalizeRow(float* row, uint32_t dim) {
 }
 
 }  // namespace
-
-void MatchingEngine::PublishDegraded() const {
-  // Unconditional (not gated on MetricsEnabled): a degradation transition is
-  // rare and operationally important, and tests that enable metrics after an
-  // engine was built still see the current state.
-  obs::MetricsRegistry::Global()
-      .gauge("serve.degraded")
-      ->Set(degraded_ ? 1.0 : 0.0);
-}
 
 struct MatchingEngine::Active {
   const float* query;
@@ -120,7 +110,6 @@ void MatchingEngine::InstallArena(std::unique_ptr<ServingArena> arena) {
   num_items_ = v.num_items;
   dim_ = v.dim;
   mode_ = static_cast<SimilarityMode>(v.mode);
-  degraded_ = false;
   ivf_.reset();
   quant_mode_ = QuantMode::kFp32;
   int8_arena_.reset();
@@ -132,8 +121,6 @@ void MatchingEngine::InstallInt8(std::unique_ptr<Int8Arena> codes) {
   int8_row_ids_.resize(int8_arena_->num_rows());
   std::iota(int8_row_ids_.begin(), int8_row_ids_.end(), 0u);
   quant_mode_ = QuantMode::kInt8;
-  degraded_ = false;
-  PublishDegraded();
 }
 
 std::vector<float> MatchingEngine::DenseCandidateMatrix() const {
@@ -167,15 +154,8 @@ Status MatchingEngine::EnableInt8() {
   }
   const ServingArena::View& v = arena_->view();
   auto arena = std::make_unique<Int8Arena>();
-  const Status built =
-      arena->BuildFromRows(v.cand_rows, v.num_cand, dim_, v.cand_stride);
-  if (!built.ok()) {
-    degraded_ = true;
-    PublishDegraded();
-    LOG_WARN << "matching engine: int8 quantization failed ("
-             << built.message() << "); serving stays on the fp32 scan";
-    return built;
-  }
+  SISG_RETURN_IF_ERROR(
+      arena->BuildFromRows(v.cand_rows, v.num_cand, dim_, v.cand_stride));
   InstallInt8(std::move(arena));
   return Status::OK();
 }
@@ -185,27 +165,16 @@ Status MatchingEngine::EnableInt8FromFile(const std::string& path,
   if (num_items_ == 0) {
     return Status::FailedPrecondition("matching engine: not built");
   }
-  auto degrade = [&](const Status& why) {
-    degraded_ = true;
-    quant_mode_ = QuantMode::kFp32;
-    int8_arena_.reset();
-    PublishDegraded();
-    LOG_WARN << "matching engine: int8 arena load from " << path
-             << " failed (" << why.message()
-             << "); serving stays on the fp32 scan";
-    return why;
-  };
-  StatusOr<Int8Arena> loaded = Int8Arena::Load(path, use_mmap);
-  if (!loaded.ok()) return degrade(loaded.status());
+  SISG_ASSIGN_OR_RETURN(Int8Arena loaded, Int8Arena::Load(path, use_mmap));
   const uint32_t num_cand = arena_->view().num_cand;
-  if (loaded->dim() != dim_ || loaded->num_rows() != num_cand) {
-    return degrade(Status::FailedPrecondition(
-        "int8 arena holds " + std::to_string(loaded->num_rows()) +
-        " rows of dim " + std::to_string(loaded->dim()) +
+  if (loaded.dim() != dim_ || loaded.num_rows() != num_cand) {
+    return Status::FailedPrecondition(
+        "int8 arena holds " + std::to_string(loaded.num_rows()) +
+        " rows of dim " + std::to_string(loaded.dim()) +
         " but this engine serves " + std::to_string(num_cand) +
-        " candidates of dim " + std::to_string(dim_)));
+        " candidates of dim " + std::to_string(dim_));
   }
-  InstallInt8(std::make_unique<Int8Arena>(std::move(loaded).value()));
+  InstallInt8(std::make_unique<Int8Arena>(std::move(loaded)));
   return Status::OK();
 }
 
@@ -223,20 +192,10 @@ Status MatchingEngine::EnableIvfPq(const IvfOptions& ivf_options,
     return Status::FailedPrecondition("matching engine: not built");
   }
   auto index = std::make_unique<IvfIndex>();
-  Status st =
-      index->Build(DenseCandidateMatrix().data(), num_items_, dim_, ivf_options);
-  if (st.ok()) st = index->EnablePq(pq_options);
-  if (!st.ok()) {
-    degraded_ = true;
-    ivf_.reset();
-    PublishDegraded();
-    LOG_WARN << "matching engine: IVF-PQ enable failed (" << st.message()
-             << "); serving degrades to brute-force scan";
-    return st;
-  }
+  SISG_RETURN_IF_ERROR(index->Build(DenseCandidateMatrix().data(), num_items_,
+                                    dim_, ivf_options));
+  SISG_RETURN_IF_ERROR(index->EnablePq(pq_options));
   ivf_ = std::move(index);
-  degraded_ = false;
-  PublishDegraded();
   return Status::OK();
 }
 

@@ -93,22 +93,20 @@ class MatchingEngine {
       const uint32_t* items, const uint32_t* ks, size_t n,
       ThreadPool* pool = nullptr) const;
 
-  /// --- IVF-PQ acceleration with graceful degradation: builds an IVF index
-  /// over DenseCandidateMatrix() and product-quantizes its posting lists, so
-  /// queries scan m-byte ADC codes and exactly re-score a shortlist. On
-  /// failure the engine LOGs the degradation, keeps serving through the
-  /// brute-force block scan (queries never error and answer bit-identically
-  /// to before the attempt), marks degraded() and returns the underlying
-  /// failure so callers can surface it.
+  /// --- Serving accelerations. One contract for every enable: on success
+  /// the new scan is installed; on failure the error is returned and the
+  /// engine is left exactly as it was (same quant_mode(), same index, same
+  /// answers bit for bit). Callers decide what a failure means; the serving
+  /// loader (serve::PrepareServingEngine) rejects the version.
+  ///
+  /// IVF-PQ: builds an IVF index over DenseCandidateMatrix() and
+  /// product-quantizes its posting lists, so queries scan m-byte ADC codes
+  /// and exactly re-score a shortlist.
   Status EnableIvfPq(const IvfOptions& ivf_options, const PqOptions& pq_options);
 
-  /// True when an enable failed and the engine fell back to brute force.
-  bool degraded() const { return degraded_; }
-
-  /// --- Quantized brute-force scan (int8). Same degradation contract as
-  /// EnableIvfPq: a corrupt or mismatched quantized artifact marks the
-  /// engine degraded (serve.degraded gauge) and queries keep flowing
-  /// through the fp32 path, bit-identical to before the attempt.
+  /// Quantized brute-force scan (int8): quantizes the candidate block in
+  /// place, or loads a QNTARENA artifact whose shape must match the block
+  /// (FailedPrecondition otherwise).
   Status EnableInt8();
   Status EnableInt8FromFile(const std::string& path, bool use_mmap = false);
   /// Persists the int8 code arena as a QNTARENA artifact (quantizing first
@@ -161,10 +159,6 @@ class MatchingEngine {
   /// Switches the scan to `codes` (one row per candidate-block row).
   void InstallInt8(std::unique_ptr<Int8Arena> codes);
 
-  /// Publishes degraded_ to the serve.degraded gauge (cold path; runs on
-  /// every enable/degrade transition).
-  void PublishDegraded() const;
-
   uint32_t num_items_ = 0;
   uint32_t dim_ = 0;
   SimilarityMode mode_ = SimilarityMode::kCosineInput;
@@ -181,8 +175,7 @@ class MatchingEngine {
   std::vector<uint32_t> int8_row_ids_;
 
   // Optional IVF-PQ acceleration; the brute-force scan serves whenever it
-  // is absent (never enabled, or the enable failed).
-  bool degraded_ = false;
+  // is absent.
   std::unique_ptr<IvfIndex> ivf_;
 };
 

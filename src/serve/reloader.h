@@ -41,10 +41,10 @@ Status ValidateServingEngine(const MatchingEngine& engine);
 /// The quant-and-validate step every serving version goes through: switches
 /// `engine` to the `quant` scan — fp32; int8, reading `qarena_path` or, when
 /// it is empty, quantizing in place; pq, IVF-PQ built in place — then runs
-/// ValidateServingEngine. Strict, unlike the engine's own enable contract
-/// (warn, keep scanning fp32): an unknown name or a failed enable is an
-/// error, because a version that cannot serve the precision it was asked
-/// for must not serve at all.
+/// ValidateServingEngine. An unknown name or a failed enable is an error
+/// (the enables leave a failed engine as it was, and this loader drops it),
+/// because a version that cannot serve the precision it was asked for must
+/// not serve at all.
 Status PrepareServingEngine(MatchingEngine* engine, const std::string& quant,
                             const std::string& qarena_path, bool use_mmap);
 

@@ -413,7 +413,6 @@ TEST(MatchingEngineIvfPqTest, ServesTrainedEngineLikeBruteForce) {
   auto engine = model->BuildMatchingEngine();
   ASSERT_TRUE(brute.ok() && engine.ok());
   ASSERT_TRUE(engine->EnableIvfPq(IvfOptions{}, PqOptions{}).ok());
-  EXPECT_FALSE(engine->degraded());
 
   const uint32_t k = 10;
   std::vector<uint32_t> items;
@@ -453,45 +452,52 @@ TEST(MatchingEngineIvfPqTest, ServesTrainedEngineLikeBruteForce) {
   EXPECT_GE(recall, 0.98) << "IVF-PQ recall@10 against fp32 brute force";
 }
 
-TEST(MatchingEngineIvfPqTest, FailedEnableDegradesToBruteForce) {
+// A failed enable returns its error and leaves the engine as it was: a
+// never-accelerated engine keeps its brute-force answers, and an engine
+// serving IVF-PQ keeps the index it had, answering bit for bit as before.
+TEST(MatchingEngineIvfPqTest, FailedEnableLeavesEngineUnchanged) {
   Rng rng(21);
   const uint32_t n = 400, dim = 8;
   std::vector<float> in(static_cast<size_t>(n) * dim);
   for (auto& x : in) x = rng.UniformFloat() + 0.1f;  // no zero rows
-  MatchingEngine never_tried, engine;
-  ASSERT_TRUE(never_tried.Build(in, {}, n, dim, SimilarityMode::kCosineInput)
-                  .ok());
+  MatchingEngine brute, indexed;
+  ASSERT_TRUE(brute.Build(in, {}, n, dim, SimilarityMode::kCosineInput).ok());
   ASSERT_TRUE(
-      engine.Build(in, {}, n, dim, SimilarityMode::kCosineInput).ok());
+      indexed.Build(in, {}, n, dim, SimilarityMode::kCosineInput).ok());
+  ASSERT_TRUE(indexed.EnableIvfPq(IvfOptions{}, PqOptions{}).ok());
 
+  const auto answers = [&](const MatchingEngine& engine) {
+    std::vector<std::vector<ScoredId>> out;
+    for (uint32_t item = 0; item < n; item += 7) {
+      out.push_back(engine.Query(item, 10));
+    }
+    return out;
+  };
   IvfOptions bad_ivf;
   bad_ivf.nprobe = 0;  // rejected by IvfIndex::Build
   PqOptions bad_pq;
   bad_pq.ksub = 0;  // rejected by PqCodebook::Train
-  // A failed enable also drops an index a previous enable installed.
-  ASSERT_TRUE(engine.EnableIvfPq(IvfOptions{}, PqOptions{}).ok());
-  for (const bool fail_ivf : {true, false}) {
-    const Status st = fail_ivf ? engine.EnableIvfPq(bad_ivf, PqOptions{})
-                               : engine.EnableIvfPq(IvfOptions{}, bad_pq);
-    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
-    EXPECT_TRUE(engine.degraded()) << "fail_ivf=" << fail_ivf;
-    // The query path never goes down with the index: every answer is the
-    // never-accelerated engine's, bit for bit.
-    for (uint32_t item = 0; item < n; item += 7) {
-      const auto got = engine.Query(item, 10);
-      const auto want = never_tried.Query(item, 10);
-      ASSERT_EQ(got.size(), want.size()) << "item " << item;
-      for (size_t r = 0; r < got.size(); ++r) {
-        ASSERT_EQ(got[r].id, want[r].id) << "item " << item;
-        ASSERT_EQ(std::bit_cast<uint32_t>(got[r].score),
-                  std::bit_cast<uint32_t>(want[r].score))
-            << "item " << item;
+  for (MatchingEngine* engine : {&brute, &indexed}) {
+    const auto before = answers(*engine);
+    for (const bool fail_ivf : {true, false}) {
+      const Status st = fail_ivf ? engine->EnableIvfPq(bad_ivf, PqOptions{})
+                                 : engine->EnableIvfPq(IvfOptions{}, bad_pq);
+      EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+      EXPECT_EQ(engine->quant_mode(), QuantMode::kFp32);
+      const auto after = answers(*engine);
+      ASSERT_EQ(after.size(), before.size());
+      for (size_t q = 0; q < after.size(); ++q) {
+        ASSERT_EQ(after[q].size(), before[q].size()) << "query " << q;
+        for (size_t r = 0; r < after[q].size(); ++r) {
+          ASSERT_EQ(after[q][r].id, before[q][r].id)
+              << "query " << q << " fail_ivf=" << fail_ivf;
+          ASSERT_EQ(std::bit_cast<uint32_t>(after[q][r].score),
+                    std::bit_cast<uint32_t>(before[q][r].score))
+              << "query " << q << " fail_ivf=" << fail_ivf;
+        }
       }
     }
   }
-  // A good enable after the failures clears the degraded state.
-  ASSERT_TRUE(engine.EnableIvfPq(IvfOptions{}, PqOptions{}).ok());
-  EXPECT_FALSE(engine.degraded());
 }
 
 }  // namespace

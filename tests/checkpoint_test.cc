@@ -186,6 +186,48 @@ TEST(ArtifactTest, ByteFlipIsDataLoss) {
   std::remove(path.c_str());
 }
 
+// Edge inputs of the one reader: each is a typed error or a clean result,
+// never a crash or a SIGBUS from touching the mapping.
+TEST(ArtifactTest, ZeroAndTinyFilesAreDataLoss) {
+  const std::string path = FreshPath("artifact_tiny.bin");
+  for (const size_t size : {size_t{0}, size_t{20}}) {
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    const std::string bytes(size, 'S');
+    ASSERT_EQ(std::fwrite(bytes.data(), 1, size, f), size);
+    std::fclose(f);
+    EXPECT_EQ(ArtifactReader::Open(path, "TESTKIND").status().code(),
+              StatusCode::kDataLoss)
+        << size << " bytes";
+  }
+  std::remove(path.c_str());
+}
+
+TEST(ArtifactTest, ZeroPayloadRoundTrips) {
+  const std::string path = FreshPath("artifact_empty.bin");
+  {
+    auto w = ArtifactWriter::Open(path, "TESTKIND", 2);
+    ASSERT_TRUE(w.ok());
+    ASSERT_TRUE(w->Commit().ok());
+  }
+  EXPECT_EQ(FileSize(path), static_cast<long>(kArtifactHeaderBytes));
+  auto r = ArtifactReader::Open(path, "TESTKIND");
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_EQ(r->version(), 2u);
+  EXPECT_EQ(r->payload_bytes(), 0u);
+  EXPECT_EQ(r->remaining(), 0u);
+  char byte = 0;
+  EXPECT_EQ(r->Read(&byte, 1).code(), StatusCode::kDataLoss);
+  std::remove(path.c_str());
+}
+
+TEST(ArtifactTest, DirectoryIsRejected) {
+  const std::string dir = FreshDir("artifact_dir");
+  ASSERT_TRUE(std::filesystem::create_directories(dir));
+  EXPECT_FALSE(ArtifactReader::Open(dir, "TESTKIND").ok());
+  std::filesystem::remove_all(dir);
+}
+
 // --------------------------- model/vocab corruption ---------------------------
 
 TEST(ArtifactCorruptionTest, EmbeddingModelByteFlipIsDataLoss) {

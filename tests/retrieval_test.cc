@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <cstdio>
 #include <bit>
 #include <cmath>
 #include <set>
@@ -680,7 +683,6 @@ TEST(ArenaServing, Int8ArtifactServesIdenticallyHeapAndMmap) {
   ASSERT_TRUE(mapped.EnableInt8FromFile(qarena_path, /*use_mmap=*/true).ok());
   EXPECT_EQ(heap.quant_mode(), QuantMode::kInt8);
   EXPECT_EQ(mapped.quant_mode(), QuantMode::kInt8);
-  EXPECT_FALSE(mapped.degraded());
 
   for (uint32_t item = 0; item < n; item += 13) {
     const auto want = original.Query(item, k);
@@ -693,6 +695,51 @@ TEST(ArenaServing, Int8ArtifactServesIdenticallyHeapAndMmap) {
       EXPECT_EQ(got_map[i], want[i]) << "item " << item << " rank " << i;
     }
   }
+}
+
+// A heap load copies every block out of the artifact and releases the
+// mapping before it returns, so truncating the files in place and unlinking
+// them changes no answer. A heap block still pointing into the mapping
+// would SIGBUS here.
+TEST(ArenaServing, HeapLoadsOutliveTheirFiles) {
+  Rng rng(209);
+  const uint32_t n = 300, dim = 40, k = 10;
+  auto in = RandomMatrix(rng, n, dim, {});
+  MatchingEngine original;
+  ASSERT_TRUE(
+      original.Build(in, {}, n, dim, SimilarityMode::kCosineInput).ok());
+  // Per-process names: the suite runs once per dispatch level, in parallel.
+  const std::string prefix = ::testing::TempDir() + "/heap_outlives." +
+                             std::to_string(::getpid());
+  const std::string arena_path = prefix + ".arena";
+  const std::string qarena_path = prefix + ".qarena";
+  ASSERT_TRUE(original.SaveArena(arena_path).ok());
+  ASSERT_TRUE(original.EnableInt8().ok());
+  ASSERT_TRUE(original.SaveInt8(qarena_path).ok());
+
+  MatchingEngine fp32, int8;
+  ASSERT_TRUE(fp32.LoadArena(arena_path, /*use_mmap=*/false).ok());
+  ASSERT_TRUE(int8.LoadArena(arena_path, /*use_mmap=*/false).ok());
+  ASSERT_TRUE(int8.EnableInt8FromFile(qarena_path, /*use_mmap=*/false).ok());
+  std::vector<std::vector<ScoredId>> before;
+  for (const MatchingEngine* e : {&fp32, &int8}) {
+    for (uint32_t item = 0; item < n; item += 11) {
+      before.push_back(e->Query(item, k));
+    }
+  }
+
+  for (const std::string& path : {arena_path, qarena_path}) {
+    ASSERT_EQ(::truncate(path.c_str(), 0), 0) << path;
+    ASSERT_EQ(std::remove(path.c_str()), 0) << path;
+  }
+  size_t q = 0;
+  for (const MatchingEngine* e : {&fp32, &int8}) {
+    for (uint32_t item = 0; item < n; item += 11) {
+      ExpectBitIdentical(e->Query(item, k), before[q++],
+                         "item " + std::to_string(item));
+    }
+  }
+  EXPECT_EQ(int8.quant_mode(), QuantMode::kInt8);
 }
 
 }  // namespace

@@ -252,11 +252,13 @@ TEST_F(ReloaderFixture, MissingInt8ArtifactRollsBackWhenInt8Required) {
   // An int8 server makes the quant arena part of the deploy: a version
   // shipped without it must NOT silently swap the int8 model for an fp32
   // one.
+  obs::EnableMetrics(true);
   ASSERT_TRUE(serve::PublishSynthArena(dir_, "q1", 60, 8, 41, true).ok());
   ropts_.quant = "int8";
   serve::ModelReloader reloader(&registry_, ropts_);
   ASSERT_TRUE(reloader.PollOnce().ok());
   EXPECT_EQ(registry_.version(), 1u);
+  const auto before = obs::MetricsRegistry::Global().Snapshot();
 
   ASSERT_TRUE(
       serve::PublishSynthArena(dir_, "q2", 60, 8, 42, /*with_int8=*/false)
@@ -264,6 +266,16 @@ TEST_F(ReloaderFixture, MissingInt8ArtifactRollsBackWhenInt8Required) {
   EXPECT_FALSE(reloader.PollOnce().ok());
   EXPECT_EQ(reloader.failed_reloads(), 1u);
   EXPECT_EQ(registry_.version(), 1u);
+  EXPECT_EQ(registry_.Acquire()->engine().quant_mode(), QuantMode::kInt8);
+  // The rejection is the failure counter and nothing else: the live
+  // version stays exported and no degraded signal is left behind by the
+  // candidate engine that was thrown away.
+  const auto after = obs::MetricsRegistry::Global().Snapshot();
+  EXPECT_EQ(CounterVal(after, "serve.reload_failed") -
+                CounterVal(before, "serve.reload_failed"),
+            1u);
+  EXPECT_EQ(GaugeVal(after, "serve.model_version"), 1.0);
+  EXPECT_EQ(after.gauges.count("serve.degraded"), 0u);
 }
 
 TEST_F(ReloaderFixture, CorruptInt8ArtifactRollsBackAndIsNotRetried) {
@@ -337,7 +349,7 @@ TEST_F(ReloaderFixture, LoaderRejectsUnknownQuantAndMissingInt8Codes) {
   EXPECT_EQ(unknown.status().code(), StatusCode::kInvalidArgument)
       << unknown.status().ToString();
 
-  // No fp32 fallback: a missing .qarena is an error, not a degraded engine.
+  // No fp32 fallback: a missing .qarena is an error, not an fp32 engine.
   const auto no_codes = serve::LoadServingVersion(dir_ + "/fp", "int8", false);
   EXPECT_FALSE(no_codes.ok());
 

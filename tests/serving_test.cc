@@ -1,10 +1,14 @@
 // Tests of the production-serving features: the precomputed candidate
-// table, word2vec text export, and daily-retrain warm start.
+// table, word2vec text export, daily-retrain warm start, and the engine's
+// failed-enable contract.
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdio>
 #include <fstream>
+#include <string>
+#include <vector>
 
 #include "common/quant.h"
 #include "core/candidate_table.h"
@@ -14,7 +18,6 @@
 #include "corpus/corpus.h"
 #include "datagen/dataset.h"
 #include "eval/hitrate.h"
-#include "obs/metrics.h"
 #include "sgns/trainer.h"
 #include "sgns/warm_start.h"
 
@@ -278,83 +281,86 @@ TEST_F(WarmStartFixture, TrainerWarmStartValidatesShape) {
             StatusCode::kFailedPrecondition);
 }
 
-// --------------------------- graceful degradation ---------------------------
+// --------------------------- failed enables ---------------------------
 
-/// ServingFixture plus metrics enabled for the duration of each test, so
-/// the serve.* instrumentation can be asserted on directly.
-class DegradationFixture : public ServingFixture {
+/// One contract for every enable: a failure returns its typed error and
+/// leaves the engine exactly as it was, with the same quant_mode() and the
+/// same answers bit for bit. Every case runs against an fp32 engine and an
+/// int8 one.
+class FailedEnableFixture : public ServingFixture {
  protected:
-  void SetUp() override {
-    ServingFixture::SetUp();
-    was_enabled_ = obs::MetricsEnabled();
-    obs::EnableMetrics(true);
-    obs::MetricsRegistry::Global().Reset();
+  std::vector<MatchingEngine> Victims() {
+    std::vector<MatchingEngine> victims;
+    for (const bool int8 : {false, true}) {
+      auto engine = model_->BuildMatchingEngine();
+      EXPECT_TRUE(engine.ok());
+      if (int8) {
+        EXPECT_TRUE(engine->EnableInt8().ok());
+      }
+      victims.push_back(std::move(engine).value());
+    }
+    return victims;
   }
-  void TearDown() override {
-    obs::EnableMetrics(was_enabled_);
-    obs::MetricsRegistry::Global().Reset();
+
+  static std::vector<std::vector<ScoredId>> Answers(const MatchingEngine& e) {
+    std::vector<std::vector<ScoredId>> out;
+    for (uint32_t item = 0; item < e.num_items(); item += 29) {
+      out.push_back(e.Query(item, 10));
+    }
+    return out;
   }
-  static double DegradedGauge() {
-    return obs::MetricsRegistry::Global().gauge("serve.degraded")->Value();
+
+  /// Runs `attempt` on `victim` and checks the contract against the answers
+  /// the same engine gave just before.
+  template <typename Attempt>
+  static void ExpectFailsUnchanged(MatchingEngine* victim, StatusCode want,
+                                   Attempt attempt, const std::string& what) {
+    const QuantMode mode = victim->quant_mode();
+    const auto before = Answers(*victim);
+    const Status st = attempt(victim);
+    EXPECT_EQ(st.code(), want) << what << ": " << st.ToString();
+    EXPECT_EQ(victim->quant_mode(), mode) << what;
+    const auto after = Answers(*victim);
+    ASSERT_EQ(after.size(), before.size()) << what;
+    size_t compared = 0;
+    for (size_t q = 0; q < after.size(); ++q) {
+      ASSERT_EQ(after[q].size(), before[q].size()) << what << " query " << q;
+      for (size_t r = 0; r < after[q].size(); ++r) {
+        ASSERT_EQ(after[q][r].id, before[q][r].id) << what << " query " << q;
+        ASSERT_EQ(std::bit_cast<uint32_t>(after[q][r].score),
+                  std::bit_cast<uint32_t>(before[q][r].score))
+            << what << " query " << q;
+      }
+      compared += after[q].size();
+    }
+    EXPECT_GT(compared, 0u) << what;
   }
-  bool was_enabled_ = false;
+
+  static std::string Name(const MatchingEngine& victim, bool use_mmap) {
+    return std::string(victim.quant_mode() == QuantMode::kInt8 ? "int8"
+                                                               : "fp32") +
+           (use_mmap ? " mmap" : " heap");
+  }
 };
 
-// A failed IVF-PQ enable must flip the degraded gauge, keep serving through
-// the brute-force scan (results identical to a never-accelerated engine),
-// and keep the latency histogram recording; a good enable clears the state.
-TEST_F(DegradationFixture, FailedIvfPqEnableDegradesToBruteForce) {
-  auto victim = model_->BuildMatchingEngine();
-  ASSERT_TRUE(victim.ok());
+TEST_F(FailedEnableFixture, FailedIvfPqEnableLeavesEngineUnchanged) {
   PqOptions bad;
   bad.ksub = 0;  // rejected by PqCodebook::Train, after the IVF build
-  const Status st = victim->EnableIvfPq(IvfOptions{}, bad);
-  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
-  EXPECT_TRUE(victim->degraded());
-  EXPECT_EQ(DegradedGauge(), 1.0);
-
-  auto brute = model_->BuildMatchingEngine();
-  ASSERT_TRUE(brute.ok());
-  const uint64_t latency_before = obs::MetricsRegistry::Global()
-                                      .histogram("serve.query_seconds")
-                                      ->Count();
-  size_t compared = 0;
-  for (uint32_t item = 0; item < victim->num_items(); item += 29) {
-    const auto got = victim->Query(item, 10);
-    const auto want = brute->Query(item, 10);
-    ASSERT_EQ(got.size(), want.size()) << "item " << item;
-    for (size_t i = 0; i < got.size(); ++i) {
-      ASSERT_EQ(got[i].id, want[i].id) << "item " << item << " rank " << i;
-      ASSERT_EQ(got[i].score, want[i].score) << "item " << item;
-    }
-    compared += got.size();
+  for (MatchingEngine& victim : Victims()) {
+    ExpectFailsUnchanged(
+        &victim, StatusCode::kInvalidArgument,
+        [&](MatchingEngine* e) { return e->EnableIvfPq(IvfOptions{}, bad); },
+        Name(victim, false));
   }
-  ASSERT_GT(compared, 0u);
-  EXPECT_GT(obs::MetricsRegistry::Global()
-                .histogram("serve.query_seconds")
-                ->Count(),
-            latency_before)
-      << "latency histogram stopped recording after degradation";
-
-  // Recovery: a good enable clears the degraded state and the gauge.
-  ASSERT_TRUE(victim->EnableIvfPq(IvfOptions{}, PqOptions{}).ok());
-  EXPECT_FALSE(victim->degraded());
-  EXPECT_EQ(DegradedGauge(), 0.0);
 }
 
-// The quantized scan honors the same contract as the IVF-PQ enable: a corrupt
-// int8 arena artifact fails its CRC as DataLoss, flips the degraded gauge,
-// and the engine keeps answering on the fp32 scan bit-identically to a
-// never-quantized engine; a pristine replacement clears the state.
-TEST_F(DegradationFixture, CorruptInt8ArtifactDegradesToFp32) {
-  auto good = model_->BuildMatchingEngine();
-  ASSERT_TRUE(good.ok());
-  ASSERT_TRUE(good->EnableInt8().ok());
-  EXPECT_EQ(good->quant_mode(), QuantMode::kInt8);
-  const std::string path = ::testing::TempDir() + "/degradation.qarena";
-  ASSERT_TRUE(good->SaveInt8(path).ok());
-
-  // Flip one payload byte; the artifact CRC must catch it.
+// A corrupt int8 arena fails its CRC as DataLoss. An int8 engine keeps the
+// codes it serves (it is not dropped to fp32); a pristine artifact then
+// switches both engines to the loaded codes.
+TEST_F(FailedEnableFixture, CorruptInt8ArtifactLeavesEngineUnchanged) {
+  ASSERT_TRUE(engine_->EnableInt8().ok());
+  const std::string path = ::testing::TempDir() + "/failed_enable.qarena";
+  ASSERT_TRUE(engine_->SaveInt8(path).ok());
   {
     std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
     ASSERT_TRUE(f.good());
@@ -365,56 +371,29 @@ TEST_F(DegradationFixture, CorruptInt8ArtifactDegradesToFp32) {
     f.seekp(200);
     f.write(&b, 1);
   }
-
-  auto victim = model_->BuildMatchingEngine();
-  ASSERT_TRUE(victim.ok());
-  for (const bool use_mmap : {false, true}) {
-    const Status st = victim->EnableInt8FromFile(path, use_mmap);
-    EXPECT_EQ(st.code(), StatusCode::kDataLoss)
-        << "mmap=" << use_mmap << ": " << st.ToString();
-    EXPECT_TRUE(victim->degraded()) << "mmap=" << use_mmap;
-    EXPECT_EQ(victim->quant_mode(), QuantMode::kFp32) << "mmap=" << use_mmap;
-    EXPECT_EQ(DegradedGauge(), 1.0) << "mmap=" << use_mmap;
-  }
-
-  // Degraded serving is the fp32 scan, bit-identical to an engine that
-  // never attempted quantization.
-  auto brute = model_->BuildMatchingEngine();
-  ASSERT_TRUE(brute.ok());
-  size_t compared = 0;
-  for (uint32_t item = 0; item < victim->num_items(); item += 29) {
-    const auto got = victim->Query(item, 10);
-    const auto want = brute->Query(item, 10);
-    ASSERT_EQ(got.size(), want.size()) << "item " << item;
-    for (size_t i = 0; i < got.size(); ++i) {
-      ASSERT_EQ(got[i].id, want[i].id) << "item " << item << " rank " << i;
-      ASSERT_EQ(got[i].score, want[i].score) << "item " << item;
+  std::vector<MatchingEngine> victims = Victims();
+  for (MatchingEngine& victim : victims) {
+    for (const bool use_mmap : {false, true}) {
+      ExpectFailsUnchanged(
+          &victim, StatusCode::kDataLoss,
+          [&](MatchingEngine* e) {
+            return e->EnableInt8FromFile(path, use_mmap);
+          },
+          Name(victim, use_mmap));
     }
-    compared += got.size();
   }
-  ASSERT_GT(compared, 0u);
-
-  // Recovery: a pristine artifact re-enables the int8 scan, clears the
-  // gauge, and the quantized-scan instrumentation starts moving.
-  ASSERT_TRUE(good->SaveInt8(path).ok());
-  ASSERT_TRUE(victim->EnableInt8FromFile(path, /*use_mmap=*/true).ok());
-  EXPECT_FALSE(victim->degraded());
-  EXPECT_EQ(victim->quant_mode(), QuantMode::kInt8);
-  EXPECT_EQ(DegradedGauge(), 0.0);
-  const uint64_t rerank_before =
-      obs::MetricsRegistry::Global().counter("serve.rerank_rows")->Value();
-  EXPECT_FALSE(victim->Query(1, 10).empty());
-  EXPECT_GT(obs::MetricsRegistry::Global().counter("serve.rerank_rows")->Value(),
-            rerank_before);
-  EXPECT_GT(
-      obs::MetricsRegistry::Global().counter("serve.bytes_scanned")->Value(),
-      0u);
+  ASSERT_TRUE(engine_->SaveInt8(path).ok());
+  for (MatchingEngine& victim : victims) {
+    ASSERT_TRUE(victim.EnableInt8FromFile(path, /*use_mmap=*/true).ok());
+    EXPECT_EQ(victim.quant_mode(), QuantMode::kInt8);
+    EXPECT_FALSE(victim.Query(1, 10).empty());
+  }
   std::remove(path.c_str());
 }
 
-// A shape-mismatched int8 arena (valid artifact, wrong engine) degrades as
-// FailedPrecondition and fp32 serving continues.
-TEST_F(DegradationFixture, MismatchedInt8ArtifactDegrades) {
+// A valid artifact quantized for another engine's shape is
+// FailedPrecondition.
+TEST_F(FailedEnableFixture, MismatchedInt8ArtifactLeavesEngineUnchanged) {
   std::vector<float> data(32 * 4);
   for (size_t i = 0; i < data.size(); ++i) {
     data[i] = 0.1f * static_cast<float>(i % 13) - 0.5f;
@@ -423,16 +402,16 @@ TEST_F(DegradationFixture, MismatchedInt8ArtifactDegrades) {
   ASSERT_TRUE(small.BuildFromRows(data.data(), 32, 4, 4).ok());
   const std::string path = ::testing::TempDir() + "/mismatch.qarena";
   ASSERT_TRUE(small.Save(path).ok());
-
-  auto victim = model_->BuildMatchingEngine();
-  ASSERT_TRUE(victim.ok());
-  EXPECT_EQ(victim->EnableInt8FromFile(path).code(),
-            StatusCode::kFailedPrecondition);
-  EXPECT_TRUE(victim->degraded());
-  EXPECT_EQ(victim->quant_mode(), QuantMode::kFp32);
-  EXPECT_EQ(DegradedGauge(), 1.0);
-  EXPECT_FALSE(victim->Query(0, 5).empty() &&
-               victim->Query(1, 5).empty() && victim->Query(2, 5).empty());
+  for (MatchingEngine& victim : Victims()) {
+    for (const bool use_mmap : {false, true}) {
+      ExpectFailsUnchanged(
+          &victim, StatusCode::kFailedPrecondition,
+          [&](MatchingEngine* e) {
+            return e->EnableInt8FromFile(path, use_mmap);
+          },
+          Name(victim, use_mmap));
+    }
+  }
   std::remove(path.c_str());
 }
 
