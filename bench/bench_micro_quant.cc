@@ -5,11 +5,12 @@
 // those benchmarks export a bytes_per_query counter — the memory-traffic
 // axis the quantization tiers exist to shrink (see run_benches.sh, which
 // emits BENCH_quant.json, and EXPERIMENTS.md "Quantization microbench").
-// The batched rows (BM_ScanI8Tile/Loop: one batch of queries per iteration)
-// and the int8 candidate-table rows (one whole table per iteration) each
-// carry their baseline in the same binary. The int8 scan rows also come in
-// an Avx2 form that runs the AVX2 table whatever the host dispatches, the
-// live baseline of the AVX-512 VNNI kernels on hosts that have them.
+// The batched rows (BM_ScanI8Packed: one batch of queries per iteration)
+// report ns_per_query, and the int8 candidate-table rows (one whole table per
+// iteration) carry their baseline in the same binary. The int8 scan rows also
+// come in an Avx2 form that runs the AVX2 table whatever the host
+// dispatches, the live baseline of the AVX-512 VNNI kernel on hosts that
+// have it.
 
 #include <benchmark/benchmark.h>
 
@@ -76,8 +77,8 @@ const SimdOps* Avx2Ops() {
 }
 
 /// The int8 scan kernel: per-query symmetric quantization plus one
-/// top_k_scan_i8 over the 1-byte code block — 4x fewer bytes streamed than
-/// the fp32 scan at the same dim.
+/// single-query top_k_scan_i8 over the 1-byte code block — 4x fewer bytes
+/// streamed than the fp32 scan at the same dim.
 void RunScanInt8(benchmark::State& state, const SimdOps* table) {
   if (table == nullptr) {
     state.SkipWithError("dispatch level not available on this host");
@@ -95,13 +96,14 @@ void RunScanInt8(benchmark::State& state, const SimdOps* table) {
         data.data() + rng.UniformU64(kNumItems) * static_cast<size_t>(dim);
     const Int8Query iq = QuantizeQueryInt8(q, dim, qcodes.data());
     TopKSelector sel(kTopK);
-    ops.top_k_scan_i8(iq, arena.codes(), arena.stride(), arena.scales(),
-                      arena.mins(), kNumItems, dim, nullptr, UINT32_MAX, &sel);
+    TopKSelector* sels[] = {&sel};
+    ops.top_k_scan_i8(&iq, 1, arena.codes(), dim, arena.scales(),
+                      arena.mins(), kNumItems, 0, sels);
     benchmark::DoNotOptimize(sel.Take());
   }
   state.SetItemsProcessed(state.iterations() * kNumItems);
   state.counters["bytes_per_query"] =
-      static_cast<double>(static_cast<uint64_t>(kNumItems) * arena.stride());
+      static_cast<double>(arena.code_bytes());
   state.SetLabel(SimdLevelName(ops.level));
 }
 
@@ -116,11 +118,11 @@ void BM_ScanInt8Avx2(benchmark::State& state) {
 BENCHMARK(BM_ScanInt8Avx2)->Arg(64)->Arg(128);
 
 /// The batched int8 scan: B prepared queries against the whole code block
-/// (shortlist 81, the engine's depth at k = 20), either through one
-/// top_k_scan_i8_tile call or through a top_k_scan_i8 loop, the path the
-/// tile replaced. Time is per batch; the ns_per_query counter divides it by
-/// B so rows compare across batch sizes.
-void RunScanI8Batch(benchmark::State& state, bool tile, const SimdOps* table) {
+/// (shortlist 81, the engine's depth at k = 20) in one top_k_scan_i8 call
+/// over the packed group layout, the engine's chunk step at full length.
+/// Time is per batch; the ns_per_query counter divides it by B so rows
+/// compare across batch sizes.
+void RunScanI8Batch(benchmark::State& state, const SimdOps* table) {
   if (table == nullptr) {
     state.SkipWithError("dispatch level not available on this host");
     return;
@@ -135,6 +137,7 @@ void RunScanI8Batch(benchmark::State& state, bool tile, const SimdOps* table) {
   Rng rng(42);
   std::vector<int8_t> qcodes(batch * kDim);
   std::vector<Int8Query> iq(batch);
+  std::vector<TopKSelector*> ptrs(batch);
   for (auto _ : state) {
     std::vector<TopKSelector> sels;
     sels.reserve(batch);
@@ -143,18 +146,10 @@ void RunScanI8Batch(benchmark::State& state, bool tile, const SimdOps* table) {
           data.data() + rng.UniformU64(kNumItems) * static_cast<size_t>(kDim);
       iq[j] = QuantizeQueryInt8(q, kDim, qcodes.data() + j * kDim);
       sels.emplace_back(kShortlist);
+      ptrs[j] = &sels[j];
     }
-    if (tile) {
-      ops.top_k_scan_i8_tile(iq.data(), batch, arena.codes(), arena.stride(),
-                             arena.scales(), arena.mins(), kNumItems, kDim,
-                             nullptr, UINT32_MAX, sels.data());
-    } else {
-      for (size_t j = 0; j < batch; ++j) {
-        ops.top_k_scan_i8(iq[j], arena.codes(), arena.stride(), arena.scales(),
-                          arena.mins(), kNumItems, kDim, nullptr, UINT32_MAX,
-                          &sels[j]);
-      }
-    }
+    ops.top_k_scan_i8(iq.data(), batch, arena.codes(), kDim, arena.scales(),
+                      arena.mins(), kNumItems, 0, ptrs.data());
     for (TopKSelector& sel : sels) benchmark::DoNotOptimize(sel.Take());
   }
   state.SetItemsProcessed(state.iterations() * batch * kNumItems);
@@ -164,30 +159,22 @@ void RunScanI8Batch(benchmark::State& state, bool tile, const SimdOps* table) {
   state.SetLabel(SimdLevelName(ops.level));
 }
 
-void BM_ScanI8Loop(benchmark::State& state) {
-  RunScanI8Batch(state, false, &GetSimdOps());
+void BM_ScanI8Packed(benchmark::State& state) {
+  RunScanI8Batch(state, &GetSimdOps());
 }
-BENCHMARK(BM_ScanI8Loop)->Arg(1)->Arg(2)->Arg(4)->Arg(16)->Arg(64);
+BENCHMARK(BM_ScanI8Packed)
+    ->Arg(1)->Arg(2)->Arg(3)->Arg(4)->Arg(8)->Arg(16)->Arg(64);
 
-void BM_ScanI8LoopAvx2(benchmark::State& state) {
-  RunScanI8Batch(state, false, Avx2Ops());
+void BM_ScanI8PackedAvx2(benchmark::State& state) {
+  RunScanI8Batch(state, Avx2Ops());
 }
-BENCHMARK(BM_ScanI8LoopAvx2)->Arg(1)->Arg(2)->Arg(4)->Arg(16)->Arg(64);
-
-void BM_ScanI8Tile(benchmark::State& state) {
-  RunScanI8Batch(state, true, &GetSimdOps());
-}
-BENCHMARK(BM_ScanI8Tile)->Arg(1)->Arg(2)->Arg(4)->Arg(16)->Arg(64);
-
-void BM_ScanI8TileAvx2(benchmark::State& state) {
-  RunScanI8Batch(state, true, Avx2Ops());
-}
-BENCHMARK(BM_ScanI8TileAvx2)->Arg(1)->Arg(2)->Arg(4)->Arg(16)->Arg(64);
+BENCHMARK(BM_ScanI8PackedAvx2)
+    ->Arg(1)->Arg(2)->Arg(3)->Arg(4)->Arg(8)->Arg(16)->Arg(64);
 
 /// The production candidate table at train_publish's shape: 12k items,
 /// d = 64, directional scores, int8 shortlist + fp32 rerank, k = 20.
 /// BM_CandidateTableInt8 builds it the shipped way (CandidateTable::Build:
-/// blocks of items through the tiled coalesced scan); the PerItem row is the
+/// blocks of items through the coalesced chunk scan); the PerItem row is the
 /// live baseline in the same binary, one pool task per item calling Query()
 /// the way the table was built before. Both produce identical tables.
 constexpr uint32_t kTableItems = 12000;

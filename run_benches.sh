@@ -12,9 +12,9 @@
 # "Ingestion microbench"), and BENCH_quant.json for the quantized serving
 # path (fp32 vs int8 scan, fp32 IVF vs IVF-PQ ADC, each with a
 # bytes_per_query counter; see EXPERIMENTS.md "Quantization microbench"),
-# and BENCH_serve.json for the end-to-end serving process (coalesced vs
-# max_batch=1 loopback throughput plus an overload run; see EXPERIMENTS.md
-# "Serving bench"), and BENCH_hash.json for the hot-path hash layer
+# and BENCH_serve.json for the end-to-end serving process (shared scan
+# ring vs max_batch=1 loopback throughput plus overload runs with and
+# without a deadline; see EXPERIMENTS.md "Serving bench"), and BENCH_hash.json for the hot-path hash layer
 # (FlatHashMap/Set vs std::unordered_* on insert/lookup/mixed churn, the
 # three visited-set variants on beam walks, and the end-to-end HNSW
 # query-batch + corpus-build deltas; see EXPERIMENTS.md "Hash microbench";

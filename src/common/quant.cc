@@ -1,5 +1,6 @@
 #include "common/quant.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 
@@ -7,14 +8,16 @@ namespace sisg {
 namespace {
 
 constexpr char kQuantArenaKind[] = "QNTARENA";
-constexpr uint32_t kQuantArenaVersion = 1;
+constexpr uint32_t kQuantArenaVersion = 2;
 
-/// Fixed-size prologue of the QNTARENA payload:
-///   u32 num_rows, u32 dim, u32 row stride (bytes), u32 data_off
+/// Fixed-size prologue of the QNTARENA v2 payload:
+///   u32 num_rows, u32 dim, u32 group bytes, u32 data_off
 /// followed by scales (num_rows f32), mins (num_rows f32), zero padding up
-/// to data_off, then the code block (num_rows * stride bytes). data_off is
-/// chosen so the code block's FILE offset (header + data_off) is 64-byte
-/// aligned, making mmap'd rows cache-line aligned like heap rows.
+/// to data_off, then the code block (ceil(num_rows / 16) groups of
+/// I8GroupBytes(dim) bytes, the kernel's layout, zero past the last row and
+/// past dim). data_off is chosen so the code block's FILE offset (header +
+/// data_off) is 64-byte aligned, making mmap'd groups cache-line aligned
+/// like heap ones. v1 stored the codes row-major at a 64-byte stride.
 constexpr size_t kQuantPrologueBytes = 16;
 
 uint64_t CodeBlockOffset(uint32_t num_rows) {
@@ -80,13 +83,19 @@ Status Int8Arena::BuildFromRows(const float* rows, uint32_t n, uint32_t dim,
   }
   num_rows_ = n;
   dim_ = dim;
-  stride_ = AlignedByteStride(dim);
-  own_codes_.assign(static_cast<size_t>(n) * stride_, 0);
+  own_codes_.assign(code_bytes(), 0);
   own_params_.assign(static_cast<size_t>(n) * 2, 0.0f);
+  std::vector<uint8_t> row_codes(dim);
   for (uint32_t r = 0; r < n; ++r) {
     QuantizeRowInt8(rows + static_cast<size_t>(r) * row_stride, dim,
-                    own_codes_.data() + static_cast<size_t>(r) * stride_,
-                    &own_params_[r], &own_params_[static_cast<size_t>(n) + r]);
+                    row_codes.data(), &own_params_[r],
+                    &own_params_[static_cast<size_t>(n) + r]);
+    // Code dword p of the row goes to vector p of its group.
+    uint8_t* dst = own_codes_.data() + I8CodeOffset(r, 0, dim);
+    for (size_t d = 0; d < dim; d += 4) {
+      std::memcpy(dst + d / 4 * 64, row_codes.data() + d,
+                  std::min<size_t>(4, dim - d));
+    }
   }
   codes_ = own_codes_.data();
   scales_ = own_params_.data();
@@ -102,11 +111,11 @@ Status Int8Arena::Save(const std::string& path) const {
   SISG_ASSIGN_OR_RETURN(
       ArtifactWriter w,
       ArtifactWriter::Open(path, kQuantArenaKind, kQuantArenaVersion));
-  const uint32_t stride32 = static_cast<uint32_t>(stride_);
+  const uint32_t group32 = static_cast<uint32_t>(group_bytes());
   const uint32_t data_off = static_cast<uint32_t>(CodeBlockOffset(num_rows_));
   SISG_RETURN_IF_ERROR(w.WriteScalar(num_rows_));
   SISG_RETURN_IF_ERROR(w.WriteScalar(dim_));
-  SISG_RETURN_IF_ERROR(w.WriteScalar(stride32));
+  SISG_RETURN_IF_ERROR(w.WriteScalar(group32));
   SISG_RETURN_IF_ERROR(w.WriteScalar(data_off));
   SISG_RETURN_IF_ERROR(
       w.Write(scales_, static_cast<size_t>(num_rows_) * sizeof(float)));
@@ -116,8 +125,7 @@ Status Int8Arena::Save(const std::string& path) const {
       kQuantPrologueBytes + static_cast<uint64_t>(num_rows_) * 2 * sizeof(float);
   const char zeros[64] = {0};
   SISG_RETURN_IF_ERROR(w.Write(zeros, data_off - meta_end));
-  SISG_RETURN_IF_ERROR(
-      w.Write(codes_, static_cast<size_t>(num_rows_) * stride_));
+  SISG_RETURN_IF_ERROR(w.Write(codes_, code_bytes()));
   return w.Commit();
 }
 
@@ -129,19 +137,20 @@ StatusOr<Int8Arena> Int8Arena::Load(const std::string& path, bool use_mmap) {
                                    std::to_string(r.version()) + " in " +
                                    path);
   }
-  uint32_t num_rows = 0, dim = 0, stride = 0, data_off = 0;
-  for (uint32_t* field : {&num_rows, &dim, &stride, &data_off}) {
+  uint32_t num_rows = 0, dim = 0, group = 0, data_off = 0;
+  for (uint32_t* field : {&num_rows, &dim, &group, &data_off}) {
     SISG_RETURN_IF_ERROR(r.ReadScalar(field));
   }
   if (num_rows == 0 || dim == 0) {
     return Status::DataLoss("int8 arena: empty shape in " + path);
   }
-  if (stride != AlignedByteStride(dim)) {
-    return Status::DataLoss("int8 arena: row stride " + std::to_string(stride) +
+  if (group != I8GroupBytes(dim)) {
+    return Status::DataLoss("int8 arena: group size " + std::to_string(group) +
                             " does not match dim " + std::to_string(dim) +
                             " in " + path);
   }
-  const size_t code_bytes = static_cast<size_t>(num_rows) * stride;
+  const size_t code_bytes =
+      static_cast<size_t>((num_rows + kI8GroupRows - 1) / kI8GroupRows) * group;
   if (data_off != CodeBlockOffset(num_rows) ||
       r.payload_bytes() != data_off + static_cast<uint64_t>(code_bytes)) {
     return Status::DataLoss(
@@ -167,7 +176,6 @@ StatusOr<Int8Arena> Int8Arena::Load(const std::string& path, bool use_mmap) {
   }
   arena.num_rows_ = num_rows;
   arena.dim_ = dim;
-  arena.stride_ = stride;
   arena.scales_ = params;
   arena.mins_ = params + num_rows;
   arena.codes_ = codes;

@@ -29,11 +29,14 @@ void QuantizeRowInt8(const float* row, size_t dim, uint8_t* codes,
 /// the kernels consume. A zero query yields scale 0 and all-zero codes.
 Int8Query QuantizeQueryInt8(const float* q, size_t dim, int8_t* codes);
 
-/// A block of int8-quantized rows in the 64-byte padded-stride layout the
-/// scan kernels expect, plus the per-row affine parameters. Either owns its
-/// storage (BuildFromRows / heap Load) or points into the validated mapping
-/// of the ArtifactReader it holds (Load with use_mmap), in which case the
-/// big code block never touches the heap.
+/// A block of int8-quantized rows in the group layout the scan kernel reads
+/// (16-row groups of code dwords, see kI8GroupRows in common/simd.h), plus
+/// the per-row affine parameters. The layout is written once, by
+/// BuildFromRows, and stored as is (QNTARENA v2), so loading it is a copy or
+/// a mapping, never a repack. Either owns its storage (BuildFromRows / heap
+/// Load) or points into the validated mapping of the ArtifactReader it holds
+/// (Load with use_mmap), in which case the big code block never touches the
+/// heap.
 class Int8Arena {
  public:
   Int8Arena() = default;
@@ -44,20 +47,24 @@ class Int8Arena {
 
   uint32_t num_rows() const { return num_rows_; }
   uint32_t dim() const { return dim_; }
-  /// Bytes between consecutive code-row starts (>= dim, multiple of 64).
-  size_t stride() const { return stride_; }
+  /// Bytes of one 16-row group (I8GroupBytes(dim)).
+  size_t group_bytes() const { return I8GroupBytes(dim_); }
+  /// Bytes of the code block: whole groups, zero-padded past the last row.
+  size_t code_bytes() const {
+    return static_cast<size_t>((num_rows_ + kI8GroupRows - 1) / kI8GroupRows) *
+           group_bytes();
+  }
 
+  /// The code block; row r's group starts at codes() + (r / 16) *
+  /// group_bytes().
   const uint8_t* codes() const { return codes_; }
   const float* scales() const { return scales_; }
   const float* mins() const { return mins_; }
-  const uint8_t* row(uint32_t i) const {
-    return codes_ + static_cast<size_t>(i) * stride_;
-  }
 
-  /// Serializes as a checksummed QNTARENA artifact. The code block is padded
-  /// inside the payload so its file offset is 64-byte aligned — an mmap of
-  /// the file (page-aligned by definition) therefore yields cache-line
-  /// aligned rows, the same guarantee heap storage gives.
+  /// Serializes as a checksummed QNTARENA v2 artifact. The code block is
+  /// padded inside the payload so its file offset is 64-byte aligned — an
+  /// mmap of the file (page-aligned by definition) therefore yields
+  /// cache-line aligned groups, the same guarantee heap storage gives.
   Status Save(const std::string& path) const;
 
   /// Loads an arena saved by Save(). One parse: ArtifactReader validates
@@ -65,13 +72,14 @@ class Int8Arena {
   /// never a mid-query surprise) and the prologue and shape are checked
   /// once. `use_mmap` decides only where the codes and parameters live:
   /// kept in the mapping, or copied to the heap (the mapping is released
-  /// before Load returns). Both produce bit-identical scan results.
+  /// before Load returns). Both produce bit-identical scan results. A v1
+  /// file (row-major codes) is InvalidArgument: rebuild it with this
+  /// version.
   static StatusOr<Int8Arena> Load(const std::string& path, bool use_mmap);
 
  private:
   uint32_t num_rows_ = 0;
   uint32_t dim_ = 0;
-  size_t stride_ = 0;
 
   // Views into whichever backing is live.
   const uint8_t* codes_ = nullptr;

@@ -72,7 +72,6 @@ const SimdOps kScalarOps = {simd_scalar::Dot,
                             simd_scalar::SgnsUpdateFused,
                             simd_scalar::TopKScan,
                             simd_scalar::TopKScanI8,
-                            simd_scalar::TopKScanI8Tile,
                             simd_scalar::AdcScan,
                             simd_scalar::Crc32,
                             SimdLevel::kScalar};

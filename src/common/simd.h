@@ -23,15 +23,13 @@ namespace sisg {
 /// (EmbeddingModel's and the indexes' 64-byte rows) is a performance
 /// property, not a correctness requirement.
 ///
-/// A third level, kAvx512Vnni, serves the int8 scans only. Its table is a
-/// copy of the AVX2 table with top_k_scan_i8 and top_k_scan_i8_tile
-/// replaced by vpdpbusd kernels (u8 row codes x s8 query codes, summed into
-/// i32), so every fp32 kernel and the CRC run the very same AVX2 code and
-/// cannot change a bit. The int8 answers stay bit-identical across all
-/// three levels: the integer dots are exact at every level, every level
-/// dequantizes with Int8DequantScore's multiply/add order, and the VNNI
-/// kernels copy the query codes into a zero-padded buffer so the row
-/// padding their whole-chunk loads read always multiplies by zero.
+/// A third level, kAvx512Vnni, serves the int8 scan only. Its table is a
+/// copy of the AVX2 table with top_k_scan_i8 replaced by a vpdpbusd kernel
+/// (u8 row codes x s8 query codes, summed into i32), so every fp32 kernel and
+/// the CRC run the very same AVX2 code and cannot change a bit. The int8
+/// answers stay bit-identical across all three levels: the integer dots are
+/// exact at every level, and every level dequantizes with
+/// Int8DequantScore's multiply/add order.
 
 enum class SimdLevel : int {
   kScalar = 0,
@@ -64,9 +62,21 @@ struct Int8Query {
 float Int8DequantScore(const Int8Query& q, float row_scale, float row_min,
                        int32_t idot);
 
-/// Queries per register tile of top_k_scan_i8_tile. QueryBatchCoalesced
-/// sends whole tiles through it and scans the remainder per query.
-inline constexpr size_t kI8TileQueries = 4;
+/// The int8 code layout (Int8Arena, QNTARENA v2): rows come in groups of
+/// kI8GroupRows, and a group is I8GroupDwords(dim) 64-byte vectors, where
+/// vector p holds code dword p (codes 4p..4p+3) of each of the 16 rows, row r
+/// at bytes 4r..4r+3. Codes past `dim` and rows past the last row are zero.
+/// One vector load therefore brings the same four codes of 16 rows, and a
+/// query dword broadcast against it scores all 16 at once with no
+/// horizontal reduction.
+inline constexpr uint32_t kI8GroupRows = 16;
+inline size_t I8GroupDwords(size_t dim) { return (dim + 3) / 4; }
+inline size_t I8GroupBytes(size_t dim) { return I8GroupDwords(dim) * 64; }
+/// Byte offset of code `d` of row `row` in a block of that layout.
+inline size_t I8CodeOffset(uint32_t row, size_t d, size_t dim) {
+  return static_cast<size_t>(row / kI8GroupRows) * I8GroupBytes(dim) +
+         d / 4 * 64 + (row % kI8GroupRows) * 4 + d % 4;
+}
 
 /// Dispatch table of the hot kernels. `sgns_update_fused` is the fused SGNS
 /// gradient step: it computes the positive and all negative dot products,
@@ -90,35 +100,23 @@ struct SimdOps {
   void (*top_k_scan)(const float* query, const float* rows, size_t stride,
                      uint32_t n, size_t dim, const uint32_t* ids,
                      uint32_t exclude, TopKSelector* sel);
-  /// Fused int8 scan + top-K selection over `n` u8 rows spaced `stride`
-  /// BYTES apart (stride >= dim). All `stride` bytes of every row must be
-  /// readable; the padding past `dim` may hold anything and never changes a
-  /// score. Exact integer dots per row (no saturation: 127 * 255 * dim stays
-  /// far below the int32 bound for dim <= 2^16), dequantized through
-  /// Int8DequantScore with the per-row affine params (row_scales[i],
-  /// row_mins[i]), folded into `sel` exactly like top_k_scan.
-  /// Bit-identical across dispatch levels (integer accumulation is exact;
-  /// the float dequant is one shared expression).
-  void (*top_k_scan_i8)(const Int8Query& query, const uint8_t* rows,
-                        size_t stride, const float* row_scales,
-                        const float* row_mins, uint32_t n, size_t dim,
-                        const uint32_t* ids, uint32_t exclude,
-                        TopKSelector* sel);
-  /// Multi-query form of top_k_scan_i8: scores `num_queries` prepared
-  /// queries against the same run of rows, folding query j into sels[j].
-  /// Defined as, and bit-identical to, one top_k_scan_i8 per query. The
-  /// AVX2 version repacks each chunk of rows into per-thread
-  /// [8-row group][dim pair][row] i16 scratch and scores register tiles of
-  /// kI8TileQueries queries x 16 rows with madd_epi16; the AVX-512 VNNI
-  /// version repacks raw u8 as [16-row group][dword][row] and scores
-  /// kI8TileQueries queries x 32 rows with vpdpbusd. Either way a row is
-  /// repacked once per call instead of once per query and no horizontal
-  /// sums are needed.
-  void (*top_k_scan_i8_tile)(const Int8Query* queries, size_t num_queries,
-                             const uint8_t* rows, size_t stride,
-                             const float* row_scales, const float* row_mins,
-                             uint32_t n, size_t dim, const uint32_t* ids,
-                             uint32_t exclude, TopKSelector* sels);
+  /// Fused int8 scan + top-K selection of `num_queries` queries over `n`
+  /// rows in the group layout above: `groups` points at the first row's
+  /// group (so the range starts on a group boundary), and the bytes of every
+  /// group the range touches must be readable. Row i of the range has id
+  /// `first_id + i` and per-row affine params (row_scales[i], row_mins[i]);
+  /// query j folds into *sels[j] in ascending row order, pruning against its
+  /// threshold like top_k_scan. Exact integer dots (no saturation:
+  /// 127 * 255 * dim stays far below the int32 bound for dim <= 2^16),
+  /// dequantized through Int8DequantScore, so every level is bit-identical
+  /// to the scalar kernel and to one call per query. Only codes below `dim`
+  /// and rows below `n` are scored; whatever the padding holds never changes
+  /// a result.
+  void (*top_k_scan_i8)(const Int8Query* queries, size_t num_queries,
+                        const uint8_t* groups, size_t dim,
+                        const float* row_scales, const float* row_mins,
+                        uint32_t n, uint32_t first_id,
+                        TopKSelector* const* sels);
   /// Asymmetric-distance (ADC) scan over PQ codes: row i holds `m` subspace
   /// codes at rows + i * m, scored as sum_s table[s * 256 + code[s]] against
   /// a per-query lookup table (m x 256 floats), folded into `sel` like
@@ -168,17 +166,10 @@ void SgnsUpdateFused(const float* in, float* grad_in, float* out_pos,
 void TopKScan(const float* query, const float* rows, size_t stride, uint32_t n,
               size_t dim, const uint32_t* ids, uint32_t exclude,
               TopKSelector* sel);
-/// Exact integer dot product of an int8 query against one u8-coded row.
-int32_t DotI8(const int8_t* q, const uint8_t* row, size_t dim);
-void TopKScanI8(const Int8Query& query, const uint8_t* rows, size_t stride,
-                const float* row_scales, const float* row_mins, uint32_t n,
-                size_t dim, const uint32_t* ids, uint32_t exclude,
-                TopKSelector* sel);
-void TopKScanI8Tile(const Int8Query* queries, size_t num_queries,
-                    const uint8_t* rows, size_t stride,
-                    const float* row_scales, const float* row_mins,
-                    uint32_t n, size_t dim, const uint32_t* ids,
-                    uint32_t exclude, TopKSelector* sels);
+void TopKScanI8(const Int8Query* queries, size_t num_queries,
+                const uint8_t* groups, size_t dim, const float* row_scales,
+                const float* row_mins, uint32_t n, uint32_t first_id,
+                TopKSelector* const* sels);
 void AdcScan(const float* table, const uint8_t* codes, size_t m, uint32_t n,
              const uint32_t* ids, uint32_t exclude, TopKSelector* sel);
 uint32_t Crc32(const void* data, size_t len, uint32_t crc);
@@ -191,8 +182,8 @@ const SimdOps* Ops();
 }  // namespace simd_avx2
 
 namespace simd_avx512 {
-/// Returns the AVX-512 VNNI dispatch table (the AVX2 table with the two
-/// int8 scans replaced), or nullptr when this binary was built without it.
+/// Returns the AVX-512 VNNI dispatch table (the AVX2 table with the int8
+/// scan replaced), or nullptr when this binary was built without it.
 const SimdOps* Ops();
 }  // namespace simd_avx512
 
@@ -253,10 +244,6 @@ inline size_t AlignedRowStride(size_t dim) {
   constexpr size_t kFloatsPerLine = 64 / sizeof(float);
   return (dim + kFloatsPerLine - 1) / kFloatsPerLine * kFloatsPerLine;
 }
-
-/// Rounds `dim` up to a whole number of 64-byte cache lines worth of bytes
-/// (the row stride of the int8 code arena).
-inline size_t AlignedByteStride(size_t dim) { return (dim + 63) / 64 * 64; }
 
 }  // namespace sisg
 

@@ -192,202 +192,6 @@ void TopKScanAvx2(const float* query, const float* rows, size_t stride,
   }
 }
 
-inline int32_t Hsum256i(__m256i v) {
-  __m128i lo = _mm256_castsi256_si128(v);
-  const __m128i hi = _mm256_extracti128_si256(v, 1);
-  lo = _mm_add_epi32(lo, hi);
-  lo = _mm_add_epi32(lo, _mm_shuffle_epi32(lo, _MM_SHUFFLE(1, 0, 3, 2)));
-  lo = _mm_add_epi32(lo, _mm_shuffle_epi32(lo, _MM_SHUFFLE(2, 3, 0, 1)));
-  return _mm_cvtsi128_si32(lo);
-}
-
-/// 16 codes per step: widen u8 rows and i8 queries to i16 and multiply-add
-/// pairs with madd_epi16. The obvious maddubs_epi16 path is NOT used: it
-/// saturates its intermediate i16 sums (255 * 127 * 2 > 32767), which would
-/// both lose precision and break the bit-exact-across-dispatch contract.
-/// The widened path is exact for any code values, at half the throughput of
-/// maddubs and still ~4x the fp32 lanes.
-int32_t DotI8Avx2(const int8_t* q, const uint8_t* row, size_t dim) {
-  __m256i acc = _mm256_setzero_si256();
-  size_t i = 0;
-  for (; i + 16 <= dim; i += 16) {
-    const __m256i r16 = _mm256_cvtepu8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(row + i)));
-    const __m256i q16 = _mm256_cvtepi8_epi16(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(q + i)));
-    acc = _mm256_add_epi32(acc, _mm256_madd_epi16(r16, q16));
-  }
-  int32_t dot = Hsum256i(acc);
-  for (; i < dim; ++i) {
-    dot += static_cast<int32_t>(q[i]) * static_cast<int32_t>(row[i]);
-  }
-  return dot;
-}
-
-/// idots[i] = exact integer q . rows[i] over `n` u8 rows spaced `stride`
-/// bytes apart (only the first `dim` codes of a row are read).
-void DotBatchI8Avx2(const int8_t* q, const uint8_t* rows, size_t stride,
-                    uint32_t n, size_t dim, int32_t* idots) {
-  uint32_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const uint8_t* r0 = rows + static_cast<size_t>(i) * stride;
-    const uint8_t* r1 = r0 + stride;
-    const uint8_t* r2 = r1 + stride;
-    const uint8_t* r3 = r2 + stride;
-    if (i + 8 <= n) {
-      // A whole int8 row is <= 4 cache lines at dim 256; the row starts are
-      // enough to keep the stream ahead of the loads.
-      _mm_prefetch(reinterpret_cast<const char*>(r3 + stride), _MM_HINT_T0);
-      _mm_prefetch(reinterpret_cast<const char*>(r3 + 2 * stride), _MM_HINT_T0);
-      _mm_prefetch(reinterpret_cast<const char*>(r3 + 3 * stride), _MM_HINT_T0);
-      _mm_prefetch(reinterpret_cast<const char*>(r3 + 4 * stride), _MM_HINT_T0);
-    }
-    __m256i acc0 = _mm256_setzero_si256();
-    __m256i acc1 = _mm256_setzero_si256();
-    __m256i acc2 = _mm256_setzero_si256();
-    __m256i acc3 = _mm256_setzero_si256();
-    size_t d = 0;
-    for (; d + 16 <= dim; d += 16) {
-      const __m256i q16 = _mm256_cvtepi8_epi16(
-          _mm_loadu_si128(reinterpret_cast<const __m128i*>(q + d)));
-      acc0 = _mm256_add_epi32(
-          acc0, _mm256_madd_epi16(
-                    _mm256_cvtepu8_epi16(_mm_loadu_si128(
-                        reinterpret_cast<const __m128i*>(r0 + d))),
-                    q16));
-      acc1 = _mm256_add_epi32(
-          acc1, _mm256_madd_epi16(
-                    _mm256_cvtepu8_epi16(_mm_loadu_si128(
-                        reinterpret_cast<const __m128i*>(r1 + d))),
-                    q16));
-      acc2 = _mm256_add_epi32(
-          acc2, _mm256_madd_epi16(
-                    _mm256_cvtepu8_epi16(_mm_loadu_si128(
-                        reinterpret_cast<const __m128i*>(r2 + d))),
-                    q16));
-      acc3 = _mm256_add_epi32(
-          acc3, _mm256_madd_epi16(
-                    _mm256_cvtepu8_epi16(_mm_loadu_si128(
-                        reinterpret_cast<const __m128i*>(r3 + d))),
-                    q16));
-    }
-    int32_t t0 = Hsum256i(acc0);
-    int32_t t1 = Hsum256i(acc1);
-    int32_t t2 = Hsum256i(acc2);
-    int32_t t3 = Hsum256i(acc3);
-    for (; d < dim; ++d) {
-      const int32_t qd = q[d];
-      t0 += qd * r0[d];
-      t1 += qd * r1[d];
-      t2 += qd * r2[d];
-      t3 += qd * r3[d];
-    }
-    idots[i] = t0;
-    idots[i + 1] = t1;
-    idots[i + 2] = t2;
-    idots[i + 3] = t3;
-  }
-  for (; i < n; ++i) {
-    idots[i] = DotI8Avx2(q, rows + static_cast<size_t>(i) * stride, dim);
-  }
-}
-
-void TopKScanI8Avx2(const Int8Query& query, const uint8_t* rows, size_t stride,
-                    const float* row_scales, const float* row_mins, uint32_t n,
-                    size_t dim, const uint32_t* ids, uint32_t exclude,
-                    TopKSelector* sel) {
-  // Chunked like the fp32 scan: one batched integer pass fills a stack
-  // buffer, then a scalar pass dequantizes (same expression as the scalar
-  // kernel, on exactly the same integer dots) and folds into the selector —
-  // bit-identical to simd_scalar::TopKScanI8.
-  constexpr uint32_t kChunk = 256;
-  int32_t idots[kChunk];
-  for (uint32_t base = 0; base < n; base += kChunk) {
-    const uint32_t len = n - base < kChunk ? n - base : kChunk;
-    DotBatchI8Avx2(query.codes, rows + static_cast<size_t>(base) * stride,
-                   stride, len, dim, idots);
-    float thr = sel->Threshold();
-    for (uint32_t j = 0; j < len; ++j) {
-      const uint32_t i = base + j;
-      const uint32_t id = ids != nullptr ? ids[i] : i;
-      if (id == exclude) continue;
-      const float s =
-          Int8DequantScore(query, row_scales[i], row_mins[i], idots[j]);
-      if (s <= thr) continue;
-      sel->Push(s, id);
-      thr = sel->Threshold();
-    }
-  }
-}
-
-/// Per-thread scratch of the tile kernel: one repacked chunk of rows and the
-/// i16 code pairs of every query of the call.
-struct I8TileScratch {
-  std::vector<int32_t, AlignedAllocator<int32_t, 64>> rows;
-  std::vector<int32_t> qpairs;
-};
-
-/// Bound on the repacked chunk: 512 rows at dim 64, fewer at larger dims
-/// (never fewer than two 8-row groups).
-constexpr size_t kI8TileScratchBytes = 64 * 1024;
-
-/// In-register transpose of an 8x8 matrix of 32-bit lanes: afterwards v[p]
-/// lane r holds what v[r] lane p held.
-inline void Transpose8x8Epi32(__m256i v[8]) {
-  const __m256i t0 = _mm256_unpacklo_epi32(v[0], v[1]);
-  const __m256i t1 = _mm256_unpackhi_epi32(v[0], v[1]);
-  const __m256i t2 = _mm256_unpacklo_epi32(v[2], v[3]);
-  const __m256i t3 = _mm256_unpackhi_epi32(v[2], v[3]);
-  const __m256i t4 = _mm256_unpacklo_epi32(v[4], v[5]);
-  const __m256i t5 = _mm256_unpackhi_epi32(v[4], v[5]);
-  const __m256i t6 = _mm256_unpacklo_epi32(v[6], v[7]);
-  const __m256i t7 = _mm256_unpackhi_epi32(v[6], v[7]);
-  const __m256i u0 = _mm256_unpacklo_epi64(t0, t2);
-  const __m256i u1 = _mm256_unpackhi_epi64(t0, t2);
-  const __m256i u2 = _mm256_unpacklo_epi64(t1, t3);
-  const __m256i u3 = _mm256_unpackhi_epi64(t1, t3);
-  const __m256i u4 = _mm256_unpacklo_epi64(t4, t6);
-  const __m256i u5 = _mm256_unpackhi_epi64(t4, t6);
-  const __m256i u6 = _mm256_unpacklo_epi64(t5, t7);
-  const __m256i u7 = _mm256_unpackhi_epi64(t5, t7);
-  v[0] = _mm256_permute2x128_si256(u0, u4, 0x20);
-  v[1] = _mm256_permute2x128_si256(u1, u5, 0x20);
-  v[2] = _mm256_permute2x128_si256(u2, u6, 0x20);
-  v[3] = _mm256_permute2x128_si256(u3, u7, 0x20);
-  v[4] = _mm256_permute2x128_si256(u0, u4, 0x31);
-  v[5] = _mm256_permute2x128_si256(u1, u5, 0x31);
-  v[6] = _mm256_permute2x128_si256(u2, u6, 0x31);
-  v[7] = _mm256_permute2x128_si256(u3, u7, 0x31);
-}
-
-/// Widens `count` (<= 8) u8 rows into one 8-row group of the tile layout:
-/// out[p] lane r = (row r code 2p, row r code 2p+1) as an i16 pair, for
-/// pairs up to a whole 16-code block. Codes past `dim` and rows past
-/// `count` are zero, so the padding of the source rows is never read.
-void PackGroupI8(const uint8_t* rows, size_t stride, uint32_t count,
-                 size_t dim, __m256i* out) {
-  for (size_t d = 0; d < dim; d += 16, out += 8) {
-    const size_t len = dim - d < 16 ? dim - d : 16;
-    __m256i v[8];
-    for (uint32_t r = 0; r < 8; ++r) {
-      __m128i x = _mm_setzero_si128();
-      if (r < count) {
-        const uint8_t* src = rows + r * stride + d;
-        if (len == 16) {
-          x = _mm_loadu_si128(reinterpret_cast<const __m128i*>(src));
-        } else {
-          alignas(16) uint8_t tail[16] = {};
-          std::memcpy(tail, src, len);
-          x = _mm_load_si128(reinterpret_cast<const __m128i*>(tail));
-        }
-      }
-      v[r] = _mm256_cvtepu8_epi16(x);
-    }
-    Transpose8x8Epi32(v);
-    for (int p = 0; p < 8; ++p) _mm256_store_si256(out + p, v[p]);
-  }
-}
-
 /// Loads 8 per-row floats starting at row i, zero past row n.
 inline __m256 LoadRowParams(const float* p, uint32_t i, uint32_t n) {
   if (i + 8 <= n) return _mm256_loadu_ps(p + i);
@@ -396,146 +200,143 @@ inline __m256 LoadRowParams(const float* p, uint32_t i, uint32_t n) {
   return _mm256_load_ps(tmp);
 }
 
-/// Integer dots of a tile of 4 queries (code pairs q0..q3) against two
-/// 8-row groups: acc[2j + h] lane r = query j . row r of group h. One named
-/// accumulator per (query, group) keeps all eight in registers.
-inline void DotTileI8(const __m256i* ga, const __m256i* gb, size_t pairs,
-                      const int32_t* q0, const int32_t* q1, const int32_t* q2,
-                      const int32_t* q3, __m256i acc[8]) {
-  __m256i a0 = _mm256_setzero_si256(), b0 = a0, a1 = a0, b1 = a0;
-  __m256i a2 = a0, b2 = a0, a3 = a0, b3 = a0;
-  for (size_t p = 0; p < pairs; ++p) {
-    const __m256i ra = _mm256_load_si256(ga + p);
-    const __m256i rb = _mm256_load_si256(gb + p);
-    __m256i q = _mm256_set1_epi32(q0[p]);
-    a0 = _mm256_add_epi32(a0, _mm256_madd_epi16(ra, q));
-    b0 = _mm256_add_epi32(b0, _mm256_madd_epi16(rb, q));
-    q = _mm256_set1_epi32(q1[p]);
-    a1 = _mm256_add_epi32(a1, _mm256_madd_epi16(ra, q));
-    b1 = _mm256_add_epi32(b1, _mm256_madd_epi16(rb, q));
-    q = _mm256_set1_epi32(q2[p]);
-    a2 = _mm256_add_epi32(a2, _mm256_madd_epi16(ra, q));
-    b2 = _mm256_add_epi32(b2, _mm256_madd_epi16(rb, q));
-    q = _mm256_set1_epi32(q3[p]);
-    a3 = _mm256_add_epi32(a3, _mm256_madd_epi16(ra, q));
-    b3 = _mm256_add_epi32(b3, _mm256_madd_epi16(rb, q));
-  }
-  acc[0] = a0, acc[1] = b0, acc[2] = a1, acc[3] = b1;
-  acc[4] = a2, acc[5] = b2, acc[6] = a3, acc[7] = b3;
+/// Folds the lanes of `s` (rows row0 + lane) set in `mask` into `sel` in
+/// ascending row order, re-checking each against the threshold the previous
+/// push left. `mask` comes from a NLE_UQ compare against *thr, i.e. exactly
+/// the lanes the scalar filter lets through, and the threshold only rises.
+inline void PushLanes(__m256 s, unsigned mask, uint32_t id0, TopKSelector* sel,
+                      float* thr) {
+  alignas(32) float sv[8];
+  _mm256_store_ps(sv, s);
+  do {
+    const int lane = std::countr_zero(mask);
+    mask &= mask - 1;
+    if (sv[lane] <= *thr) continue;
+    sel->Push(sv[lane], id0 + static_cast<uint32_t>(lane));
+    *thr = sel->Threshold();
+  } while (mask != 0);
 }
 
-/// Scores `m` (<= kI8TileQueries) queries against one repacked chunk that
-/// holds rows [base, end) as `groups` 8-row groups (an even count), 16 rows
-/// per tile, then folds every lane that beats its query's threshold into
-/// the query's selector in ascending row order. `qpairs` holds the code
-/// pairs of the m queries back to back; `zero_pairs` stands in for the
-/// missing queries of a partial tile.
-void ScanTileI8(const __m256i* packed, uint32_t groups, size_t group_vecs,
-                size_t pairs, const int32_t* qpairs, const int32_t* zero_pairs,
-                const Int8Query* queries, size_t m, const float* row_scales,
-                const float* row_mins, uint32_t base, uint32_t end,
-                const uint32_t* ids, uint32_t exclude, TopKSelector* sels) {
-  const int32_t* qp[kI8TileQueries];
-  __m256 qscale[kI8TileQueries], qsum[kI8TileQueries];
-  float thr[kI8TileQueries];
-  for (size_t j = 0; j < kI8TileQueries; ++j) {
-    qp[j] = j < m ? qpairs + j * pairs : zero_pairs;
-    if (j >= m) continue;
+/// Scores kQ queries against every group of rows [0, n). Each 64-byte
+/// vector of a group splits into two 8-row halves; a half's bytes widen to
+/// i16 as its even codes (`and` 0x00FF) and its odd codes (shift right 8),
+/// and two madd_epi16 against the query's (code 4p, 4p+2) and
+/// (code 4p+1, 4p+3) i16 pairs leave code dword p of each row's dot in that
+/// row's own i32 lane. u8 x s8 products and their pair sums fit i16 x i16
+/// -> i32 exactly, which maddubs_epi16 (saturating i16 sums) would not.
+/// `qe`/`qo` hold the pairs of the kQ queries, `dwords` each.
+template <int kQ>
+void ScanQueriesI8(const uint8_t* groups, size_t dwords, const int32_t* qe,
+                   const int32_t* qo, const Int8Query* queries,
+                   const float* row_scales, const float* row_mins, uint32_t n,
+                   uint32_t first_id, TopKSelector* const* sels) {
+  __m256 qscale[kQ], qsum[kQ];
+  float thr[kQ];
+#pragma GCC unroll 4
+  for (int j = 0; j < kQ; ++j) {
     qscale[j] = _mm256_set1_ps(queries[j].scale);
     qsum[j] = _mm256_set1_ps(static_cast<float>(queries[j].sum));
-    thr[j] = sels[j].Threshold();
+    thr[j] = sels[j]->Threshold();
   }
-  for (uint32_t g = 0; g < groups; g += 2) {
-    const __m256i* ga = packed + g * group_vecs;
-    __m256i acc[2 * kI8TileQueries];
-    DotTileI8(ga, ga + group_vecs, pairs, qp[0], qp[1], qp[2], qp[3], acc);
+  const __m256i low_bytes = _mm256_set1_epi16(0x00FF);
+  const size_t group_bytes = dwords * 64;
+  for (uint32_t row0 = 0; row0 < n; row0 += 16, groups += group_bytes) {
+    // Every loop over the accumulators is fully unrolled so they live in
+    // registers.
+    __m256i acc[kQ][2];
+#pragma GCC unroll 4
+    for (int j = 0; j < kQ; ++j) {
+      acc[j][0] = acc[j][1] = _mm256_setzero_si256();
+    }
+    for (size_t p = 0; p < dwords; ++p) {
+      const __m256i x0 = _mm256_loadu_si256(
+          reinterpret_cast<const __m256i*>(groups + p * 64));
+      const __m256i x1 = _mm256_loadu_si256(
+          reinterpret_cast<const __m256i*>(groups + p * 64 + 32));
+      const __m256i e0 = _mm256_and_si256(x0, low_bytes);
+      const __m256i o0 = _mm256_srli_epi16(x0, 8);
+      const __m256i e1 = _mm256_and_si256(x1, low_bytes);
+      const __m256i o1 = _mm256_srli_epi16(x1, 8);
+#pragma GCC unroll 4
+      for (int j = 0; j < kQ; ++j) {
+        const __m256i qev = _mm256_set1_epi32(qe[j * dwords + p]);
+        const __m256i qov = _mm256_set1_epi32(qo[j * dwords + p]);
+        acc[j][0] = _mm256_add_epi32(
+            acc[j][0], _mm256_add_epi32(_mm256_madd_epi16(e0, qev),
+                                        _mm256_madd_epi16(o0, qov)));
+        acc[j][1] = _mm256_add_epi32(
+            acc[j][1], _mm256_add_epi32(_mm256_madd_epi16(e1, qev),
+                                        _mm256_madd_epi16(o1, qov)));
+      }
+    }
+#pragma GCC unroll 2
     for (uint32_t h = 0; h < 2; ++h) {
-      const uint32_t row0 = base + (g + h) * 8;
-      if (row0 >= end) break;
-      const unsigned valid =
-          row0 + 8 <= end ? 0xFFu : (1u << (end - row0)) - 1;
-      const __m256 rs = LoadRowParams(row_scales, row0, end);
-      const __m256 rm = LoadRowParams(row_mins, row0, end);
-      for (size_t j = 0; j < m; ++j) {
+      const uint32_t r0 = row0 + 8 * h;
+      if (r0 >= n) break;
+      const unsigned valid = r0 + 8 <= n ? 0xFFu : (1u << (n - r0)) - 1;
+      const __m256 rs = LoadRowParams(row_scales, r0, n);
+      const __m256 rm = LoadRowParams(row_mins, r0, n);
+#pragma GCC unroll 4
+      for (int j = 0; j < kQ; ++j) {
         // Int8DequantScore lane-wise, as separate multiplies and adds: this
         // translation unit is built with -ffp-contract=off, so the compiler
         // cannot fuse them into an FMA that rounds differently.
         const __m256 s = _mm256_mul_ps(
             qscale[j],
-            _mm256_add_ps(_mm256_mul_ps(rs, _mm256_cvtepi32_ps(acc[2 * j + h])),
+            _mm256_add_ps(_mm256_mul_ps(rs, _mm256_cvtepi32_ps(acc[j][h])),
                           _mm256_mul_ps(rm, qsum[j])));
         // NLE_UQ is !(s <= thr): the lanes the scalar filter lets through.
-        unsigned mask = static_cast<unsigned>(_mm256_movemask_ps(
-                            _mm256_cmp_ps(s, _mm256_set1_ps(thr[j]),
-                                          _CMP_NLE_UQ))) &
-                        valid;
-        if (mask == 0) continue;
-        alignas(32) float sv[8];
-        _mm256_store_ps(sv, s);
-        do {
-          const int lane = std::countr_zero(mask);
-          mask &= mask - 1;
-          const uint32_t i = row0 + static_cast<uint32_t>(lane);
-          const uint32_t id = ids != nullptr ? ids[i] : i;
-          if (id == exclude || sv[lane] <= thr[j]) continue;
-          sels[j].Push(sv[lane], id);
-          thr[j] = sels[j].Threshold();
-        } while (mask != 0);
+        const unsigned mask =
+            static_cast<unsigned>(_mm256_movemask_ps(_mm256_cmp_ps(
+                s, _mm256_set1_ps(thr[j]), _CMP_NLE_UQ))) &
+            valid;
+        if (mask != 0) PushLanes(s, mask, first_id + r0, sels[j], &thr[j]);
       }
     }
   }
 }
 
-void TopKScanI8TileAvx2(const Int8Query* queries, size_t num_queries,
-                        const uint8_t* rows, size_t stride,
-                        const float* row_scales, const float* row_mins,
-                        uint32_t n, size_t dim, const uint32_t* ids,
-                        uint32_t exclude, TopKSelector* sels) {
-  if (n == 0 || num_queries == 0 || dim == 0) {
-    simd_scalar::TopKScanI8Tile(queries, num_queries, rows, stride,
-                                row_scales, row_mins, n, dim, ids, exclude,
-                                sels);
-    return;
-  }
-  const size_t group_vecs = (dim + 15) / 16 * 8;  // __m256i per 8-row group
-  const size_t pairs = (dim + 1) / 2;
-  const uint32_t chunk_groups = static_cast<uint32_t>(
-      std::max<size_t>(2, kI8TileScratchBytes / (group_vecs * 32)) & ~size_t{1});
-  thread_local I8TileScratch scratch;
-  scratch.rows.resize(static_cast<size_t>(chunk_groups) * group_vecs * 8);
-  // The queries' code pairs, then one all-zero row for partial tiles.
-  scratch.qpairs.assign((num_queries + 1) * pairs, 0);
+/// Queries per pass of ScanQueriesI8: four keep the eight accumulators,
+/// the four widened halves and the broadcast pairs within 16 registers.
+constexpr size_t kAvx2QueryBlock = 4;
+
+void TopKScanI8Avx2(const Int8Query* queries, size_t num_queries,
+                    const uint8_t* groups, size_t dim, const float* row_scales,
+                    const float* row_mins, uint32_t n, uint32_t first_id,
+                    TopKSelector* const* sels) {
+  if (n == 0 || num_queries == 0) return;
+  const size_t dwords = I8GroupDwords(dim);
+  // The i16 code pairs of every query, zero past dim: qe[p] packs codes 4p
+  // and 4p+2, qo[p] codes 4p+1 and 4p+3.
+  thread_local std::vector<int32_t> qe, qo;
+  qe.assign(num_queries * dwords, 0);
+  qo.assign(num_queries * dwords, 0);
+  const auto pair = [](int8_t lo, int8_t hi) {
+    return static_cast<int32_t>(
+        static_cast<uint32_t>(static_cast<uint16_t>(int16_t{lo})) |
+        static_cast<uint32_t>(static_cast<uint16_t>(int16_t{hi})) << 16);
+  };
   for (size_t j = 0; j < num_queries; ++j) {
     const int8_t* c = queries[j].codes;
-    for (size_t p = 0; p < pairs; ++p) {
-      const int16_t lo = c[2 * p];
-      const int16_t hi = 2 * p + 1 < dim ? c[2 * p + 1] : 0;
-      scratch.qpairs[j * pairs + p] = static_cast<int32_t>(
-          static_cast<uint32_t>(static_cast<uint16_t>(lo)) |
-          static_cast<uint32_t>(static_cast<uint16_t>(hi)) << 16);
+    const auto code = [&](size_t d) { return d < dim ? c[d] : int8_t{0}; };
+    for (size_t p = 0; p < dwords; ++p) {
+      qe[j * dwords + p] = pair(code(4 * p), code(4 * p + 2));
+      qo[j * dwords + p] = pair(code(4 * p + 1), code(4 * p + 3));
     }
   }
-  const int32_t* zero_pairs = scratch.qpairs.data() + num_queries * pairs;
-  auto* packed = reinterpret_cast<__m256i*>(scratch.rows.data());
-  const uint32_t chunk_rows = chunk_groups * 8;
-  for (uint32_t c0 = 0; c0 < n; c0 += chunk_rows) {
-    const uint32_t cn = std::min(chunk_rows, n - c0);
-    uint32_t groups = (cn + 7) / 8;
-    for (uint32_t g = 0; g < groups; ++g) {
-      PackGroupI8(rows + static_cast<size_t>(c0 + g * 8) * stride, stride,
-                  std::min(8u, cn - g * 8), dim, packed + g * group_vecs);
-    }
-    if (groups % 2 != 0) {
-      // The tile scores groups in pairs; the odd one out pairs with zeros.
-      std::fill_n(packed + groups * group_vecs, group_vecs,
-                  _mm256_setzero_si256());
-      ++groups;
-    }
-    for (size_t q0 = 0; q0 < num_queries; q0 += kI8TileQueries) {
-      ScanTileI8(packed, groups, group_vecs, pairs,
-                 scratch.qpairs.data() + q0 * pairs, zero_pairs, queries + q0,
-                 std::min(kI8TileQueries, num_queries - q0), row_scales,
-                 row_mins, c0, c0 + cn, ids, exclude, sels + q0);
+  for (size_t q0 = 0; q0 < num_queries; q0 += kAvx2QueryBlock) {
+    const size_t m = std::min(kAvx2QueryBlock, num_queries - q0);
+    const int32_t* e = qe.data() + q0 * dwords;
+    const int32_t* o = qo.data() + q0 * dwords;
+    const auto run = [&](auto scan) {
+      scan(groups, dwords, e, o, queries + q0, row_scales, row_mins, n,
+           first_id, sels + q0);
+    };
+    switch (m) {
+      case 1: run(ScanQueriesI8<1>); break;
+      case 2: run(ScanQueriesI8<2>); break;
+      case 3: run(ScanQueriesI8<3>); break;
+      default: run(ScanQueriesI8<4>); break;
     }
   }
 }
@@ -630,7 +431,6 @@ constexpr SimdOps kAvx2Ops = {DotAvx2,
                               SgnsUpdateFusedAvx2,
                               TopKScanAvx2,
                               TopKScanI8Avx2,
-                              TopKScanI8TileAvx2,
                               AdcScanAvx2,
                               Crc32Avx2,
                               SimdLevel::kAvx2};

@@ -77,40 +77,27 @@ void TopKScan(const float* query, const float* rows, size_t stride, uint32_t n,
   }
 }
 
-int32_t DotI8(const int8_t* q, const uint8_t* row, size_t dim) {
-  int32_t acc = 0;
-  for (size_t i = 0; i < dim; ++i) {
-    acc += static_cast<int32_t>(q[i]) * static_cast<int32_t>(row[i]);
-  }
-  return acc;
-}
-
-void TopKScanI8(const Int8Query& query, const uint8_t* rows, size_t stride,
-                const float* row_scales, const float* row_mins, uint32_t n,
-                size_t dim, const uint32_t* ids, uint32_t exclude,
-                TopKSelector* sel) {
+void TopKScanI8(const Int8Query* queries, size_t num_queries,
+                const uint8_t* groups, size_t dim, const float* row_scales,
+                const float* row_mins, uint32_t n, uint32_t first_id,
+                TopKSelector* const* sels) {
   // The integer dot is exact and the dequantization is the one shared
   // expression, so this loop defines the scores every dispatch level must
   // reproduce bit-for-bit.
-  for (uint32_t i = 0; i < n; ++i) {
-    const uint32_t id = ids != nullptr ? ids[i] : i;
-    if (id == exclude) continue;
-    const int32_t idot =
-        DotI8(query.codes, rows + static_cast<size_t>(i) * stride, dim);
-    const float s = Int8DequantScore(query, row_scales[i], row_mins[i], idot);
-    if (s > sel->Threshold()) sel->Push(s, id);
-  }
-}
-
-void TopKScanI8Tile(const Int8Query* queries, size_t num_queries,
-                    const uint8_t* rows, size_t stride,
-                    const float* row_scales, const float* row_mins,
-                    uint32_t n, size_t dim, const uint32_t* ids,
-                    uint32_t exclude, TopKSelector* sels) {
-  // The definition every level's tile must reproduce: one scan per query.
   for (size_t j = 0; j < num_queries; ++j) {
-    TopKScanI8(queries[j], rows, stride, row_scales, row_mins, n, dim, ids,
-               exclude, &sels[j]);
+    const Int8Query& q = queries[j];
+    TopKSelector* sel = sels[j];
+    for (uint32_t i = 0; i < n; ++i) {
+      // Row i's codes sit 4 at a time, 64 bytes apart, in its group.
+      const uint8_t* row = groups + I8CodeOffset(i, 0, dim);
+      int32_t idot = 0;
+      for (size_t d = 0; d < dim; ++d) {
+        idot += static_cast<int32_t>(q.codes[d]) *
+                static_cast<int32_t>(row[d / 4 * 64 + d % 4]);
+      }
+      const float s = Int8DequantScore(q, row_scales[i], row_mins[i], idot);
+      if (s > sel->Threshold()) sel->Push(s, first_id + i);
+    }
   }
 }
 

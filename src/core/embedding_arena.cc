@@ -141,6 +141,16 @@ StatusOr<ServingArena> ServingArena::Load(const std::string& path,
   arena.own_ids_.resize(num_cand);
   SISG_RETURN_IF_ERROR(r.Read(
       arena.own_ids_.data(), static_cast<size_t>(num_cand) * sizeof(uint32_t)));
+  // Candidate ids ascend strictly and name items: every scan pushes rows in
+  // ascending id order, which is what lets a chunked pass begun at any chunk
+  // answer bit-identically (DESIGN.md §8).
+  for (uint32_t r = 0; r < num_cand; ++r) {
+    if (arena.own_ids_[r] >= num_items ||
+        (r > 0 && arena.own_ids_[r] <= arena.own_ids_[r - 1])) {
+      return Status::DataLoss("serving arena: candidate ids out of order in " +
+                              path);
+    }
+  }
   arena.own_has_.resize(num_items);
   SISG_RETURN_IF_ERROR(r.Read(arena.own_has_.data(), num_items));
   const float* query = reinterpret_cast<const float*>(r.payload() + data_off);

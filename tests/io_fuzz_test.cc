@@ -263,37 +263,55 @@ TEST_F(IoFuzzTest, ValidCrcShapeMismatchesRejected) {
                                                 << st.ToString();
   };
 
-  // QNTARENA whose row stride disagrees with its dim.
+  // QNTARENA whose group size disagrees with its dim.
   {
     const std::string p = dir + "/mismatch.qarena";
-    auto w = ArtifactWriter::Open(p, "QNTARENA", 1);
+    auto w = ArtifactWriter::Open(p, "QNTARENA", 2);
     ASSERT_TRUE(w.ok());
-    const uint32_t num_rows = 4, dim = 16, bad_stride = 16, data_off = 92;
+    const uint32_t num_rows = 4, dim = 16, bad_group = 64, data_off = 92;
     ASSERT_TRUE(w->WriteScalar(num_rows).ok());
     ASSERT_TRUE(w->WriteScalar(dim).ok());
-    ASSERT_TRUE(w->WriteScalar(bad_stride).ok());
+    ASSERT_TRUE(w->WriteScalar(bad_group).ok());
     ASSERT_TRUE(w->WriteScalar(data_off).ok());
     ASSERT_TRUE(w->Commit().ok());
-    expect_dataloss(Int8Arena::Load(p, false).status(), "qarena bad stride heap");
-    expect_dataloss(Int8Arena::Load(p, true).status(), "qarena bad stride mmap");
+    expect_dataloss(Int8Arena::Load(p, false).status(), "qarena bad group heap");
+    expect_dataloss(Int8Arena::Load(p, true).status(), "qarena bad group mmap");
     std::remove(p.c_str());
   }
 
   // QNTARENA with a consistent prologue but a missing code block.
   {
     const std::string p = dir + "/short.qarena";
-    auto w = ArtifactWriter::Open(p, "QNTARENA", 1);
+    auto w = ArtifactWriter::Open(p, "QNTARENA", 2);
     ASSERT_TRUE(w.ok());
     // meta = 16 + 4 rows * 8B params = 48; file offset 36 + 48 = 84 rounds
     // up to 128, so the correct data_off is 92 — but no codes follow.
-    const uint32_t num_rows = 4, dim = 16, stride = 64, data_off = 92;
+    const uint32_t num_rows = 4, dim = 16, group = 256, data_off = 92;
     ASSERT_TRUE(w->WriteScalar(num_rows).ok());
     ASSERT_TRUE(w->WriteScalar(dim).ok());
-    ASSERT_TRUE(w->WriteScalar(stride).ok());
+    ASSERT_TRUE(w->WriteScalar(group).ok());
     ASSERT_TRUE(w->WriteScalar(data_off).ok());
     ASSERT_TRUE(w->Commit().ok());
     expect_dataloss(Int8Arena::Load(p, false).status(), "qarena no codes heap");
     expect_dataloss(Int8Arena::Load(p, true).status(), "qarena no codes mmap");
+    std::remove(p.c_str());
+  }
+
+  // A QNTARENA v1 file (row-major codes) is refused with a typed error, not
+  // misread as the group layout.
+  {
+    const std::string p = dir + "/v1.qarena";
+    auto w = ArtifactWriter::Open(p, "QNTARENA", 1);
+    ASSERT_TRUE(w.ok());
+    const uint32_t num_rows = 4, dim = 16, stride = 64, data_off = 92;
+    for (uint32_t field : {num_rows, dim, stride, data_off}) {
+      ASSERT_TRUE(w->WriteScalar(field).ok());
+    }
+    ASSERT_TRUE(w->Commit().ok());
+    for (bool use_mmap : {false, true}) {
+      const Status st = Int8Arena::Load(p, use_mmap).status();
+      EXPECT_EQ(st.code(), StatusCode::kInvalidArgument) << st.ToString();
+    }
     std::remove(p.c_str());
   }
 

@@ -6,6 +6,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -225,9 +226,13 @@ TEST(PropArtifact, Int8ArenaHeapAndMmapLoadsAgree) {
               verdict = "shape mismatch";
               break;
             }
+            if (std::memcmp(got->codes(), arena.codes(), arena.code_bytes()) !=
+                0) {
+              verdict = "code block differs";
+              break;
+            }
             for (uint32_t row = 0; row < n && verdict.empty(); ++row) {
-              if (std::memcmp(got->row(row), arena.row(row), dim) != 0 ||
-                  std::memcmp(&got->scales()[row], &arena.scales()[row],
+              if (std::memcmp(&got->scales()[row], &arena.scales()[row],
                               sizeof(float)) != 0 ||
                   std::memcmp(&got->mins()[row], &arena.mins()[row],
                               sizeof(float)) != 0) {
@@ -262,6 +267,9 @@ TEST(PropArtifact, ServingArenaRoundTripsGeneratedViews) {
         for (uint32_t i = 0; i < num_items; ++i) ids[i] = i;
         rng.Shuffle(ids);
         ids.resize(num_cand);
+        // A random subset of items, in the ascending order the loader
+        // requires of candidate ids.
+        std::sort(ids.begin(), ids.end());
         std::vector<uint8_t> has(num_items, 0);
         for (uint32_t id : ids) has[id] = 1;
 

@@ -154,8 +154,10 @@ TEST(PropQuant, ScoreErrorWithinAnalyticBound) {
         const Int8Query q =
             QuantizeQueryInt8(c.query.data(), c.dim, qcodes.data());
 
-        const int32_t idot = simd_scalar::DotI8(qcodes.data(), rcodes.data(),
-                                                c.dim);
+        int32_t idot = 0;
+        for (size_t i = 0; i < c.dim; ++i) {
+          idot += int32_t{qcodes[i]} * int32_t{rcodes[i]};
+        }
         const float got = Int8DequantScore(q, rscale, rmin, idot);
 
         double exact = 0.0, sum_abs_q = 0.0, sum_abs_rec_row = 0.0;
@@ -223,9 +225,9 @@ TEST(PropQuant, Int8TopKPreservesRecallWithinQuantizationSlack) {
             QuantizeQueryInt8(c.query.data(), c.dim, qcodes.data());
 
         TopKSelector sel(c.k);
-        simd_scalar::TopKScanI8(q, arena.codes(), arena.stride(),
-                                arena.scales(), arena.mins(), c.n, c.dim,
-                                nullptr, UINT32_MAX, &sel);
+        TopKSelector* sels[] = {&sel};
+        simd_scalar::TopKScanI8(&q, 1, arena.codes(), c.dim, arena.scales(),
+                                arena.mins(), c.n, 0, sels);
         const auto int8_top = sel.Take();
         const size_t want = std::min<size_t>(c.k, c.n);
         if (int8_top.size() != want) {

@@ -4,9 +4,9 @@
 // summation order, so parity is a scaled tolerance; the int8 kernels
 // accumulate exactly and must match bit-for-bit, and so must the CRC-32
 // kernels (against a bit-at-a-time oracle), since artifacts store its value.
-// The int8 kernels (the single-query scan and the multi-query tile) must
-// equal the per-query scalar scan bit for bit at every dispatch level the
-// host can run: scalar, avx2 and avx512vnni.
+// The int8 kernel (any number of queries in one call, over the packed group
+// layout) must equal the per-query scalar scan bit for bit at every
+// dispatch level the host can run: scalar, avx2 and avx512vnni.
 // For the other properties, when the build machine has AVX2 the dispatched
 // side is the AVX2 table regardless of SISG_SIMD; the AVX-512 VNNI table
 // shares every one of those kernels with it.
@@ -36,22 +36,19 @@ const SimdOps& DispatchedOps() {
   return avx2 != nullptr ? *avx2 : GetSimdOps();
 }
 
-/// The int8 kernels of every dispatch level this binary carries and the
+/// The int8 kernel of every dispatch level this binary carries and the
 /// host can run, scalar first.
 struct Int8Level {
   const char* name;
   decltype(SimdOps::top_k_scan_i8) scan;
-  decltype(SimdOps::top_k_scan_i8_tile) tile;
 };
 
 std::vector<Int8Level> Int8Levels() {
-  std::vector<Int8Level> levels = {
-      {"scalar", simd_scalar::TopKScanI8, simd_scalar::TopKScanI8Tile}};
+  std::vector<Int8Level> levels = {{"scalar", simd_scalar::TopKScanI8}};
   const int cpu = static_cast<int>(CpuSimdLevel());
   for (const SimdOps* ops : {simd_avx2::Ops(), simd_avx512::Ops()}) {
     if (ops != nullptr && cpu >= static_cast<int>(ops->level)) {
-      levels.push_back({SimdLevelName(ops->level), ops->top_k_scan_i8,
-                        ops->top_k_scan_i8_tile});
+      levels.push_back({SimdLevelName(ops->level), ops->top_k_scan_i8});
     }
   }
   return levels;
@@ -295,30 +292,25 @@ TEST(PropSimd, TopKScanSoundAgainstGroundTruth) {
   EXPECT_TRUE(r.ok) << r.message;
 }
 
-/// The rows both int8 properties scan: dense fp32 rows where ties decide
-/// (copies of earlier rows, constant rows with scale 0), optional shuffled
-/// ids, an optional excluded id, an optional split into two calls, and the
-/// seed of the non-zero noise planted in the row padding.
+/// The rows the int8 property scans: dense fp32 rows where ties decide
+/// (copies of earlier rows, constant rows with scale 0), the id of the first
+/// row, an optional split into two calls at a group boundary, and the seed
+/// of the non-zero noise planted in the padding of the group layout.
 struct Int8Block {
   size_t dim = 1;
   uint32_t n = 1;
   uint32_t split = 0;  // rows [0, split) and [split, n) are two calls
-  bool use_ids = false;
-  uint32_t exclude = UINT32_MAX;
+  uint32_t first_id = 0;
   std::vector<float> rows;  // n * dim, dense
-  std::vector<uint32_t> ids;
-  uint64_t pad_seed = 0;  // 0 = padding left zero
+  uint64_t pad_seed = 0;    // 0 = padding left zero
 };
 
-/// Draws the split, given dim and n.
-void GenSplit(Rng& rng, Int8Block* b) {
-  b->split = rng.Bernoulli(0.3)
-                 ? static_cast<uint32_t>(rng.UniformInt(0, b->n))
-                 : b->n;
-}
-
-/// Draws the rows, ids, exclude and pad seed, given dim and n.
-void GenRowsAndIds(Rng& rng, Int8Block* b) {
+/// Draws the rows, split, first id and pad seed, given dim and n.
+void GenRowsAndSplit(Rng& rng, Int8Block* b) {
+  b->split = rng.Bernoulli(0.3) ? static_cast<uint32_t>(rng.UniformInt(
+                                      0, static_cast<int64_t>(b->n / 16))) *
+                                      16
+                                : b->n;
   b->rows.resize(static_cast<size_t>(b->n) * b->dim);
   for (uint32_t r = 0; r < b->n; ++r) {
     float* row = b->rows.data() + static_cast<size_t>(r) * b->dim;
@@ -335,15 +327,7 @@ void GenRowsAndIds(Rng& rng, Int8Block* b) {
       }
     }
   }
-  b->use_ids = rng.Bernoulli(0.5);
-  if (b->use_ids) {
-    for (uint32_t r = 0; r < b->n; ++r) b->ids.push_back(1000 + r);
-    rng.Shuffle(b->ids);
-  }
-  if (rng.Bernoulli(0.5)) {
-    const uint32_t row = static_cast<uint32_t>(rng.UniformU64(b->n));
-    b->exclude = b->use_ids ? b->ids[row] : row;
-  }
+  b->first_id = rng.Bernoulli(0.5) ? 0 : static_cast<uint32_t>(rng.UniformU64(1u << 20));
   b->pad_seed = rng.Bernoulli(0.8) ? rng.UniformU64(UINT64_MAX) + 1 : 0;
 }
 
@@ -355,57 +339,39 @@ std::vector<float> GenQuery(Rng& rng, size_t dim) {
   return q;
 }
 
-std::string ShowBlockFields(const Int8Block& b) {
-  std::ostringstream os;
-  os << "dim=" << b.dim << ", n=" << b.n << ", split=" << b.split
-     << ", use_ids=" << b.use_ids << ", exclude=" << b.exclude
-     << ", pad_seed=" << b.pad_seed;
-  return os.str();
-}
-
-/// The block quantized at `stride` bytes per row, in exactly n * stride
-/// bytes (a kernel reading past the last row's stride is a heap overflow
-/// under ASan). The scalar reference scans `clean`, whose padding is zero;
-/// every level scans `planted`, the same codes with non-zero padding,
-/// which must not change any result.
+/// The block quantized into the group layout (Int8Arena, the production
+/// packer), in exactly its whole groups' bytes (a kernel reading past the
+/// last group is a heap overflow under ASan). The scalar reference scans
+/// `clean`, whose padding is zero; every level scans `planted`, the same
+/// codes with non-zero bytes past dim and in the rows past n, which must
+/// not change any result.
 struct Int8Codes {
   std::vector<uint8_t> clean, planted;
   std::vector<float> scales, mins;
 };
 
-Int8Codes QuantizeBlock(const Int8Block& b, size_t stride) {
+Int8Codes QuantizeBlock(const Int8Block& b) {
+  Int8Arena arena;
+  EXPECT_TRUE(arena.BuildFromRows(b.rows.data(), b.n, static_cast<uint32_t>(b.dim),
+                                  b.dim)
+                  .ok());
   Int8Codes q;
-  q.clean.assign(static_cast<size_t>(b.n) * stride, 0);
-  q.scales.resize(b.n);
-  q.mins.resize(b.n);
-  for (uint32_t r = 0; r < b.n; ++r) {
-    QuantizeRowInt8(b.rows.data() + static_cast<size_t>(r) * b.dim, b.dim,
-                    q.clean.data() + r * stride, &q.scales[r], &q.mins[r]);
-  }
+  q.clean.assign(arena.codes(), arena.codes() + arena.code_bytes());
+  q.scales.assign(arena.scales(), arena.scales() + b.n);
+  q.mins.assign(arena.mins(), arena.mins() + b.n);
   q.planted = q.clean;
   if (b.pad_seed != 0) {
     Rng pad(b.pad_seed);
-    for (uint32_t r = 0; r < b.n; ++r) {
-      for (size_t i = b.dim; i < stride; ++i) {
-        q.planted[r * stride + i] =
+    const uint32_t padded_rows = (b.n + 15) / 16 * 16;
+    const size_t padded_dim = I8GroupDwords(b.dim) * 4;
+    for (uint32_t r = 0; r < padded_rows; ++r) {
+      for (size_t d = r < b.n ? b.dim : 0; d < padded_dim; ++d) {
+        q.planted[I8CodeOffset(r, d, b.dim)] =
             static_cast<uint8_t>(1 + pad.UniformU64(255));
       }
     }
   }
   return q;
-}
-
-/// Calls scan(begin, end, range_ids) for rows [0, split) and [split, n),
-/// skipping an empty range: the second call starts from selectors that
-/// already hold rows, as the engine's chunk loop does.
-template <typename F>
-void ForEachRange(const Int8Block& b, F&& scan) {
-  const uint32_t* ids = b.use_ids ? b.ids.data() : nullptr;
-  for (const auto& [begin, end] :
-       {std::pair<uint32_t, uint32_t>{0, b.split}, {b.split, b.n}}) {
-    if (begin == end) continue;
-    scan(begin, end, ids == nullptr ? nullptr : ids + begin);
-  }
 }
 
 /// "" when `got` equals `ref` in ids and score bits, else the first
@@ -430,121 +396,19 @@ std::string CompareBits(const std::string& what,
   return "";
 }
 
-struct TileCase {
+struct ScanI8Case {
   Int8Block block;
   std::vector<uint32_t> ks;  // one per query
   std::vector<std::vector<float>> queries;
+  std::vector<ScoredId> prefill;  // pushed into every selector first
 };
 
-/// Tile cases: dims 1-300 (odd and non-multiples of 16 included), row counts
-/// that are rarely a multiple of 8 or 16 and sometimes span several repacked
-/// chunks, 1-9 queries (full and partial tiles) with k from 1 to past n,
-/// plus the degenerate inputs where ties decide: duplicate rows, constant
-/// rows (scale 0) and a zero query.
-Gen<TileCase> TileGen() {
-  return Gen<TileCase>([](Rng& rng) {
-    TileCase c;
-    Int8Block& b = c.block;
-    b.dim = Frequency<size_t>(
-        {{2, ElementOf<size_t>({1, 2, 3, 15, 16, 17, 31, 33, 63, 64, 65, 127,
-                                128, 129, 255, 256, 299, 300})},
-         {3, InRange<size_t>(1, 300)}})(rng);
-    b.n = Frequency<uint32_t>({{3, InRange<uint32_t>(1, 40)},
-                               {1, InRange<uint32_t>(100, 700)}})(rng);
-    GenSplit(rng, &b);
-    const auto num_queries =
-        static_cast<size_t>(rng.UniformInt(1, 2 * kI8TileQueries + 1));
-    for (size_t j = 0; j < num_queries; ++j) {
-      c.ks.push_back(static_cast<uint32_t>(rng.UniformInt(1, b.n + 5)));
-      c.queries.push_back(GenQuery(rng, b.dim));
-    }
-    GenRowsAndIds(rng, &b);
-    return c;
-  });
-}
-
-std::string ShowTile(const TileCase& c) {
-  std::ostringstream os;
-  os << "{" << ShowBlockFields(c.block) << ", queries=" << c.queries.size()
-     << ", ks=" << ShowValue(c.ks) << "}";
-  return os.str();
-}
-
-TEST(PropSimd, TopKScanInt8TileBitIdenticalToPerQueryScan) {
-  const std::vector<Int8Level> levels = Int8Levels();
-  const Result r = ForAllSeeded<TileCase>(
-      "top_k_scan_i8_tile_bit_identical", 200, TileGen(),
-      [&](const TileCase& c) -> std::string {
-        const Int8Block& b = c.block;
-        const size_t stride = AlignedByteStride(b.dim);
-        const Int8Codes q = QuantizeBlock(b, stride);
-        const size_t m = c.queries.size();
-        std::vector<int8_t> qcodes(m * b.dim);
-        std::vector<Int8Query> iq(m);
-        for (size_t j = 0; j < m; ++j) {
-          iq[j] = QuantizeQueryInt8(c.queries[j].data(), b.dim,
-                                    qcodes.data() + j * b.dim);
-        }
-        // scan(codes, begin, end, range_ids, sels) over both ranges, then
-        // every query's results.
-        const auto run = [&](auto&& scan, const std::vector<uint8_t>& codes) {
-          std::vector<TopKSelector> sels;
-          for (uint32_t k : c.ks) sels.emplace_back(k);
-          ForEachRange(b, [&](uint32_t begin, uint32_t end,
-                              const uint32_t* range_ids) {
-            scan(codes.data() + begin * stride, begin, end, range_ids,
-                 sels.data());
-          });
-          std::vector<std::vector<ScoredId>> out;
-          for (TopKSelector& s : sels) out.push_back(s.Take());
-          return out;
-        };
-        const auto ref = run(
-            [&](const uint8_t* rows, uint32_t begin, uint32_t end,
-                const uint32_t* range_ids, TopKSelector* sels) {
-              for (size_t j = 0; j < m; ++j) {
-                simd_scalar::TopKScanI8(iq[j], rows, stride,
-                                        q.scales.data() + begin,
-                                        q.mins.data() + begin, end - begin,
-                                        b.dim, range_ids, b.exclude, &sels[j]);
-              }
-            },
-            q.clean);
-        for (const Int8Level& level : levels) {
-          const auto got = run(
-              [&](const uint8_t* rows, uint32_t begin, uint32_t end,
-                  const uint32_t* range_ids, TopKSelector* sels) {
-                level.tile(iq.data(), m, rows, stride, q.scales.data() + begin,
-                           q.mins.data() + begin, end - begin, b.dim,
-                           range_ids, b.exclude, sels);
-              },
-              q.planted);
-          for (size_t j = 0; j < m; ++j) {
-            const std::string diff = CompareBits(
-                std::string(level.name) + " tile query " + std::to_string(j),
-                got[j], ref[j]);
-            if (!diff.empty()) return diff;
-          }
-        }
-        return "";
-      },
-      nullptr, ShowTile);
-  EXPECT_TRUE(r.ok) << r.message;
-}
-
-struct ScanI8Case {
-  Int8Block block;
-  size_t stride = 64;  // bytes between row starts, >= dim
-  uint32_t k = 1;
-  std::vector<float> query;
-  std::vector<ScoredId> prefill;  // pushed into the selector before the scan
-};
-
-/// Single-query int8 scan cases: dims 1-300, row counts 1-700 weighted to
-/// the sizes around the 16-row group (n % 16 != 0 most of the time), the
-/// arena stride or a stride too short for whole 64-byte chunks, and
-/// selectors that already hold entries, on top of the block's ties, ids,
-/// splits and planted padding.
+/// Cases: dims 1-300 (odd and non-multiples of 4 and 16 included), row
+/// counts weighted to the sizes around the 16-row group (n % 16 != 0 most
+/// of the time) and sometimes spanning hundreds of groups, 1-17 queries
+/// (whole and partial query blocks at every level) with k from 0 to past
+/// n, selectors that already hold entries, plus the degenerate inputs where
+/// ties decide: duplicate rows, constant rows (scale 0) and a zero query.
 Gen<ScanI8Case> ScanI8Gen() {
   return Gen<ScanI8Case>([](Rng& rng) {
     ScanI8Case c;
@@ -553,17 +417,17 @@ Gen<ScanI8Case> ScanI8Gen() {
         {{2, ElementOf<size_t>({1, 2, 3, 4, 5, 15, 16, 17, 31, 32, 33, 50, 63,
                                 64, 65, 127, 128, 129, 255, 256, 299, 300})},
          {3, InRange<size_t>(1, 300)}})(rng);
-    const uint64_t stride_kind = rng.UniformU64(4);
-    c.stride = stride_kind == 0   ? b.dim
-               : stride_kind == 1 ? b.dim + rng.UniformU64(70)
-                                  : AlignedByteStride(b.dim);
     b.n = Frequency<uint32_t>(
         {{2, ElementOf<uint32_t>({1, 15, 16, 17, 31, 32, 33, 47, 48, 49})},
          {3, InRange<uint32_t>(1, 60)},
          {2, InRange<uint32_t>(100, 700)}})(rng);
-    c.k = static_cast<uint32_t>(rng.UniformInt(0, b.n + 5));
-    GenSplit(rng, &b);
-    c.query = GenQuery(rng, b.dim);
+    const auto num_queries = static_cast<size_t>(
+        Frequency<int64_t>({{3, InRange<int64_t>(1, 4)},
+                            {2, InRange<int64_t>(5, 17)}})(rng));
+    for (size_t j = 0; j < num_queries; ++j) {
+      c.ks.push_back(static_cast<uint32_t>(rng.UniformInt(0, b.n + 5)));
+      c.queries.push_back(GenQuery(rng, b.dim));
+    }
     if (rng.Bernoulli(0.3)) {
       // Ids far from the scanned ones; scores around the scanned scale so
       // some rows fall below the selector's threshold from the start.
@@ -571,48 +435,74 @@ Gen<ScanI8Case> ScanI8Gen() {
       for (uint32_t i = 0; i < count; ++i) {
         c.prefill.push_back(
             {static_cast<float>(rng.Gaussian() * static_cast<double>(b.dim)),
-             900000 + i});
+             (1u << 30) + i});
       }
     }
-    GenRowsAndIds(rng, &b);
+    GenRowsAndSplit(rng, &b);
     return c;
   });
 }
 
 std::string ShowScanI8(const ScanI8Case& c) {
   std::ostringstream os;
-  os << "{" << ShowBlockFields(c.block) << ", stride=" << c.stride
-     << ", k=" << c.k << ", prefill=" << c.prefill.size() << "}";
+  const Int8Block& b = c.block;
+  os << "{dim=" << b.dim << ", n=" << b.n << ", split=" << b.split
+     << ", first_id=" << b.first_id << ", pad_seed=" << b.pad_seed
+     << ", queries=" << c.queries.size() << ", ks=" << ShowValue(c.ks)
+     << ", prefill=" << c.prefill.size() << "}";
   return os.str();
 }
 
-TEST(PropSimd, TopKScanInt8BitIdenticalAcrossDispatch) {
+TEST(PropSimd, TopKScanInt8BitIdenticalToPerQueryScalarScan) {
   const std::vector<Int8Level> levels = Int8Levels();
   const Result r = ForAllSeeded<ScanI8Case>(
-      "top_k_scan_i8_bit_identical", 250, ScanI8Gen(),
+      "top_k_scan_i8_bit_identical", 300, ScanI8Gen(),
       [&](const ScanI8Case& c) -> std::string {
         const Int8Block& b = c.block;
-        const Int8Codes q = QuantizeBlock(b, c.stride);
-        std::vector<int8_t> qcodes(b.dim);
-        const Int8Query iq =
-            QuantizeQueryInt8(c.query.data(), b.dim, qcodes.data());
+        const Int8Codes q = QuantizeBlock(b);
+        const size_t m = c.queries.size();
+        std::vector<int8_t> qcodes(m * b.dim);
+        std::vector<Int8Query> iq(m);
+        for (size_t j = 0; j < m; ++j) {
+          iq[j] = QuantizeQueryInt8(c.queries[j].data(), b.dim,
+                                    qcodes.data() + j * b.dim);
+        }
+        // Scans rows [0, split) and [split, n) (skipping an empty range) with
+        // `per_call` queries per kernel call: the second range starts from
+        // selectors that already hold rows, as the engine's chunk loop does.
         const auto run = [&](decltype(SimdOps::top_k_scan_i8) scan,
-                             const std::vector<uint8_t>& codes) {
-          TopKSelector sel(c.k);
-          for (const ScoredId& e : c.prefill) sel.Push(e.score, e.id);
-          ForEachRange(b, [&](uint32_t begin, uint32_t end,
-                              const uint32_t* range_ids) {
-            scan(iq, codes.data() + begin * c.stride, c.stride,
-                 q.scales.data() + begin, q.mins.data() + begin, end - begin,
-                 b.dim, range_ids, b.exclude, &sel);
-          });
-          return sel.Take();
+                             const std::vector<uint8_t>& codes,
+                             size_t per_call) {
+          std::vector<TopKSelector> sels;
+          for (uint32_t k : c.ks) {
+            sels.emplace_back(k);
+            for (const ScoredId& e : c.prefill) sels.back().Push(e.score, e.id);
+          }
+          std::vector<TopKSelector*> ptrs;
+          for (TopKSelector& sel : sels) ptrs.push_back(&sel);
+          for (const auto& [begin, end] :
+               {std::pair<uint32_t, uint32_t>{0, b.split}, {b.split, b.n}}) {
+            if (begin == end) continue;
+            for (size_t j = 0; j < m; j += per_call) {
+              scan(iq.data() + j, std::min(per_call, m - j),
+                   codes.data() + begin / 16 * I8GroupBytes(b.dim), b.dim,
+                   q.scales.data() + begin, q.mins.data() + begin,
+                   end - begin, b.first_id + begin, ptrs.data() + j);
+            }
+          }
+          std::vector<std::vector<ScoredId>> out;
+          for (TopKSelector& sel : sels) out.push_back(sel.Take());
+          return out;
         };
-        const auto ref = run(simd_scalar::TopKScanI8, q.clean);
+        const auto ref = run(simd_scalar::TopKScanI8, q.clean, 1);
         for (const Int8Level& level : levels) {
-          const std::string diff =
-              CompareBits(level.name, run(level.scan, q.planted), ref);
-          if (!diff.empty()) return diff;
+          const auto got = run(level.scan, q.planted, m);
+          for (size_t j = 0; j < m; ++j) {
+            const std::string diff = CompareBits(
+                std::string(level.name) + " query " + std::to_string(j),
+                got[j], ref[j]);
+            if (!diff.empty()) return diff;
+          }
         }
         return "";
       },

@@ -509,6 +509,120 @@ TEST(HotSwapUnderLoadTest, TenSwapsEightConnectionsZeroErrorsBitIdentical) {
             static_cast<double>(kVersions));
 }
 
+// --- Scan-ring riders during hot swaps. ---
+
+TEST(HotSwapUnderLoadTest, RingRidersJoinWhileLatestFlipsAnswerFromOneVersion) {
+  // An int8 block of many chunks, closed-loop callers that keep joining
+  // the running ring mid-lap, and six swaps under them: every answer must
+  // be bit-identical to the offline engine of the version it reports, and
+  // no connection may see its versions go backwards.
+  obs::EnableMetrics(true);
+  const std::string dir = MakeTempDir("ring_swap");
+  constexpr uint32_t kItems = 6000;
+  constexpr uint32_t kDim = 48;
+  constexpr uint32_t kK = 10;
+  constexpr uint64_t kSeedBase = 7000;
+  constexpr uint64_t kVersions = 7;  // initial + 6 hot swaps
+  constexpr uint32_t kConns = 4;
+
+  std::vector<MatchingEngine> offline;
+  offline.reserve(kVersions + 1);
+  offline.emplace_back();  // index 0 unused
+  for (uint64_t v = 1; v <= kVersions; ++v) {
+    offline.push_back(
+        serve::BuildSynthEngine(kItems, kDim, kSeedBase + v).value());
+    ASSERT_TRUE(offline.back().EnableInt8().ok());
+  }
+  ASSERT_GT(offline[1].num_chunks(), 4u);
+
+  serve::ModelRegistry registry;
+  serve::ReloaderOptions ropts;
+  ropts.watch_dir = dir;
+  ropts.poll_interval_ms = 5;
+  ropts.quant = "int8";
+  serve::ModelReloader reloader(&registry, ropts);
+  ASSERT_TRUE(
+      serve::PublishSynthArena(dir, "1", kItems, kDim, kSeedBase + 1, true)
+          .ok());
+  ASSERT_TRUE(reloader.PollOnce().ok());
+  ASSERT_EQ(registry.version(), 1u);
+
+  serve::ServerOptions opts;
+  opts.io_threads = 1;
+  serve::ServeServer server(&registry, opts);
+  ASSERT_TRUE(server.Start().ok());
+  ASSERT_TRUE(reloader.Start().ok());
+  const auto before = obs::MetricsRegistry::Global().Snapshot();
+
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> completed{0};
+  std::atomic<uint64_t> failures{0};
+  std::atomic<uint64_t> version_regressions{0};
+  std::atomic<uint64_t> mismatches{0};
+  std::vector<std::thread> clients;
+  for (uint32_t c = 0; c < kConns; ++c) {
+    clients.emplace_back([&, c] {
+      auto client = serve::ServeClient::Connect("127.0.0.1", server.port());
+      if (!client.ok()) {
+        failures++;
+        return;
+      }
+      Rng rng(300 + c);
+      uint64_t last_version = 0;
+      while (!stop.load(std::memory_order_relaxed)) {
+        const auto item = static_cast<uint32_t>(rng.UniformU64(kItems));
+        serve::QueryResponse resp;
+        if (!client->Query(item, kK, &resp).ok() ||
+            resp.status != serve::WireStatus::kOk) {
+          failures++;
+          return;
+        }
+        completed++;
+        const uint64_t v = resp.model_version;
+        if (v < last_version || v == 0 || v > kVersions) {
+          version_regressions++;
+          continue;
+        }
+        last_version = v;
+        if (!BitIdentical(resp.results, offline[v].Query(item, kK))) {
+          mismatches++;
+        }
+      }
+      client->Close();
+    });
+  }
+
+  for (uint64_t v = 2; v <= kVersions; ++v) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(40));
+    ASSERT_TRUE(serve::PublishSynthArena(dir, std::to_string(v), kItems, kDim,
+                                         kSeedBase + v, true)
+                    .ok());
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(20);
+    while (registry.version() < v &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    }
+    ASSERT_EQ(registry.version(), v) << "swap " << v << " never landed";
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(40));
+  stop.store(true);
+  for (auto& t : clients) t.join();
+  reloader.Stop();
+  server.Shutdown();
+
+  EXPECT_EQ(failures.load(), 0u);
+  EXPECT_EQ(version_regressions.load(), 0u);
+  EXPECT_EQ(mismatches.load(), 0u);
+  EXPECT_GT(completed.load(), 0u);
+  // Requests joined running laps: fewer laps were started from an idle
+  // ring than requests were answered.
+  const auto after = obs::MetricsRegistry::Global().Snapshot();
+  EXPECT_LT(CounterVal(after, "serve.batches") -
+                CounterVal(before, "serve.batches"),
+            completed.load());
+}
+
 // --- Typed DEADLINE shed. ---
 
 TEST(ServeDeadlineTest, ExpiredQueuedRequestsAreShedTyped) {

@@ -1,4 +1,5 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cmath>
@@ -7,6 +8,7 @@
 #include <cstring>
 #include <filesystem>
 #include <set>
+#include <string>
 
 #include "common/math_util.h"
 #include "common/rng.h"
@@ -20,6 +22,23 @@
 
 namespace sisg {
 namespace {
+
+/// This process's scratch directory under the gtest temp dir, created on
+/// first use and removed at exit: every file the suite writes lives in it,
+/// so copies of the suite running side by side never share a path.
+const std::string& SuiteDir() {
+  struct Dir {
+    std::string path = ::testing::TempDir() + "/sgns_test." +
+                       std::to_string(::getpid());
+    Dir() { std::filesystem::create_directories(path); }
+    ~Dir() {
+      std::error_code ec;
+      std::filesystem::remove_all(path, ec);
+    }
+  };
+  static const Dir dir;
+  return dir.path;
+}
 
 // --------------------------- embedding model ---------------------------
 
@@ -52,7 +71,7 @@ TEST(EmbeddingModelTest, SaveLoadRoundTrip) {
   EmbeddingModel m;
   ASSERT_TRUE(m.Init(7, 12, 9).ok());
   m.Output(3)[5] = 0.25f;
-  const std::string path = ::testing::TempDir() + "/model.emb";
+  const std::string path = SuiteDir() + "/model.emb";
   ASSERT_TRUE(m.Save(path).ok());
   auto loaded = EmbeddingModel::Load(path);
   ASSERT_TRUE(loaded.ok());
@@ -68,7 +87,7 @@ TEST(EmbeddingModelTest, SaveLoadRoundTrip) {
 }
 
 TEST(EmbeddingModelTest, LoadRejectsGarbage) {
-  const std::string path = ::testing::TempDir() + "/garbage.emb";
+  const std::string path = SuiteDir() + "/garbage.emb";
   std::FILE* f = std::fopen(path.c_str(), "wb");
   std::fputs("garbage", f);
   std::fclose(f);
@@ -81,7 +100,7 @@ TEST(EmbeddingModelTest, LoadRejectsGarbage) {
 TEST(EmbeddingModelTest, LoadRejectsTruncated) {
   EmbeddingModel m;
   ASSERT_TRUE(m.Init(20, 32, 1).ok());
-  const std::string path = ::testing::TempDir() + "/trunc.emb";
+  const std::string path = SuiteDir() + "/trunc.emb";
   ASSERT_TRUE(m.Save(path).ok());
   // Truncate to half.
   std::FILE* f = std::fopen(path.c_str(), "r+");
@@ -428,7 +447,7 @@ TEST_F(TrainerFixture, FourThreadCheckpointHoldsEveryReplicaDelta) {
   const uint32_t hot = trainer.ReplicaRows(corpus_.vocab());
   ASSERT_GT(hot, 0u);
 
-  const std::string dir = ::testing::TempDir() + "/sgns_replica_ckpt";
+  const std::string dir = SuiteDir() + "/sgns_replica_ckpt";
   std::filesystem::remove_all(dir);
   Checkpointer::Options copts;
   copts.dir = dir;

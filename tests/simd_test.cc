@@ -60,7 +60,7 @@ TEST(SimdDispatchTest, LevelNamesAndTables) {
   if (vnni == nullptr) return;
   ASSERT_NE(avx2, nullptr);
   EXPECT_EQ(vnni->level, SimdLevel::kAvx512Vnni);
-  // Only the two int8 scans differ, so fp32 results cannot move.
+  // Only the int8 scan differs, so fp32 results cannot move.
   EXPECT_EQ(vnni->dot, avx2->dot);
   EXPECT_EQ(vnni->axpy, avx2->axpy);
   EXPECT_EQ(vnni->sgns_update_fused, avx2->sgns_update_fused);
@@ -68,7 +68,6 @@ TEST(SimdDispatchTest, LevelNamesAndTables) {
   EXPECT_EQ(vnni->adc_scan, avx2->adc_scan);
   EXPECT_EQ(vnni->crc32, avx2->crc32);
   EXPECT_NE(vnni->top_k_scan_i8, avx2->top_k_scan_i8);
-  EXPECT_NE(vnni->top_k_scan_i8_tile, avx2->top_k_scan_i8_tile);
 }
 
 TEST(SimdDispatchTest, ActiveOpsAreRunnable) {
