@@ -41,7 +41,7 @@ class ServingSnapshot {
 using SnapshotPtr = std::shared_ptr<const ServingSnapshot>;
 
 /// RCU-style holder of the live model. Readers (I/O threads answering
-/// HEALTH, dispatcher threads scanning a batch) call Acquire() — a
+/// HEALTH, ring threads scanning a lap) call Acquire() — a
 /// shared_ptr copy under an uncontended mutex, one CAS, never blocks on
 /// model-build work (writers construct and validate the snapshot entirely
 /// outside the lock and only swap a pointer inside it). An old snapshot

@@ -200,15 +200,13 @@ TEST(QueryBatcherTest, CoalescesQueuedRequestsIntoOneBatch) {
   EXPECT_EQ(GaugeVal(after, "serve.queue_depth"), 0.0);
 }
 
-TEST(QueryBatcherTest, ConcurrentDispatchersWithPooledScansAnswerOnce) {
-  // Two dispatchers, each sharding its micro-batch over its own 2-worker
-  // scan pool. Waves of 1-32 requests give batches on both sides of the
-  // serial guard (under two queries per worker) and pooled shards.
+TEST(QueryBatcherTest, ConcurrentRingsAnswerOnce) {
+  // Four rings admit from one queue. Waves of 1-32 requests leave some
+  // rings idle and give others many riders.
   serve::BatchOptions opts;
   opts.max_batch = 32;
   opts.max_wait_us = 1000;
-  opts.dispatch_threads = 2;
-  opts.scan_threads = 2;
+  opts.ring_threads = 4;
   serve::ModelRegistry registry;
   MatchingEngine built = serve::BuildSynthEngine(400, 32, 99).value();
   ASSERT_TRUE(built.EnableInt8().ok());
