@@ -30,8 +30,9 @@ void Main() {
 
   TokenSpace ts = TokenSpace::Create(&dataset->catalog(), &dataset->users());
   Corpus corpus;
-  SISG_CHECK_OK(corpus.Build(dataset->train_sessions(), ts, dataset->catalog(),
-                             CorpusOptions{}));
+  VectorSessionSource sessions(&dataset->train_sessions());
+  SISG_CHECK_OK(corpus.BuildFromSource(&sessions, ts, dataset->catalog(),
+                                       CorpusOptions{}));
   ItemGraph graph;
   SISG_CHECK_OK(
       graph.Build(dataset->train_sessions(), dataset->catalog().num_items()));

@@ -37,8 +37,9 @@ RunResult RunOnce(const SyntheticDataset& dataset, uint32_t workers,
                   uint32_t epochs) {
   TokenSpace ts = TokenSpace::Create(&dataset.catalog(), &dataset.users());
   Corpus corpus;
-  SISG_CHECK_OK(corpus.Build(dataset.train_sessions(), ts, dataset.catalog(),
-                             CorpusOptions{}));
+  VectorSessionSource sessions(&dataset.train_sessions());
+  SISG_CHECK_OK(corpus.BuildFromSource(&sessions, ts, dataset.catalog(),
+                                       CorpusOptions{}));
 
   ItemGraph graph;
   SISG_CHECK_OK(

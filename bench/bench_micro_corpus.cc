@@ -43,8 +43,9 @@ const Corpus& BenchCorpus() {
     static const TokenSpace ts =
         TokenSpace::Create(&ds.catalog(), &ds.users());
     Corpus c;
-    SISG_CHECK(c.Build(ds.train_sessions(), ts, ds.catalog(),
-                       BenchCorpusOptions(1))
+    VectorSessionSource sessions(&ds.train_sessions());
+    SISG_CHECK(c.BuildFromSource(&sessions, ts, ds.catalog(),
+                                 BenchCorpusOptions(1))
                    .ok());
     return c;
   }();
@@ -53,7 +54,7 @@ const Corpus& BenchCorpus() {
 
 /// The pre-arena ingest algorithm, kept as the speedup reference: enrich
 /// every session into its own heap vector, count per enriched token, encode
-/// each sequence into another nested vector. This is what Corpus::Build did
+/// each sequence into another nested vector. This is what the corpus build did
 /// before the packed-arena rewrite.
 void BM_CorpusBuildBaseline(benchmark::State& state) {
   const auto& ds = Dataset();
@@ -94,9 +95,11 @@ void BM_CorpusBuildBaseline(benchmark::State& state) {
 }
 BENCHMARK(BM_CorpusBuildBaseline)->Unit(benchmark::kMillisecond)->UseRealTime();
 
-/// Serial vs parallel count + encode into the packed arena. The output is
-/// byte-identical at every thread count, so this is a pure speedup curve;
-/// compare against BM_CorpusBuildBaseline for the ingest rewrite payoff.
+/// Serial vs parallel count + encode into the packed arena, from sessions
+/// in memory (a VectorSessionSource copies each block before it is
+/// counted). The output is byte-identical at every thread count, so this is
+/// a pure speedup curve; compare against BM_CorpusBuildBaseline for the
+/// ingest rewrite payoff.
 void BM_CorpusBuild(benchmark::State& state) {
   const auto& ds = Dataset();
   const TokenSpace ts = TokenSpace::Create(&ds.catalog(), &ds.users());
@@ -104,7 +107,8 @@ void BM_CorpusBuild(benchmark::State& state) {
       BenchCorpusOptions(static_cast<uint32_t>(state.range(0)));
   for (auto _ : state) {
     Corpus c;
-    SISG_CHECK(c.Build(ds.train_sessions(), ts, ds.catalog(), opts).ok());
+    VectorSessionSource sessions(&ds.train_sessions());
+    SISG_CHECK(c.BuildFromSource(&sessions, ts, ds.catalog(), opts).ok());
     benchmark::DoNotOptimize(c.num_tokens());
   }
   state.SetItemsProcessed(state.iterations() * ds.train_sessions().size());
@@ -132,7 +136,8 @@ SessionsFile WriteSessionsFile(int copies) {
 }
 
 /// Chunked text parse of a sessions file (read + parse inline on the
-/// calling thread, as the distributed path and ReadSessionsText use it).
+/// calling thread, as SessionSource::ReadAll drains a stream for the
+/// distributed path and ReadSessionsText).
 void BM_SessionStreamRead(benchmark::State& state) {
   const auto& ds = Dataset();
   static const SessionsFile file = WriteSessionsFile(1);

@@ -197,8 +197,9 @@ const Corpus& SkewedCorpus() {
   static const TokenSpace ts = TokenSpace::Create(&ds.catalog(), &ds.users());
   static const Corpus corpus = [] {
     Corpus c;
+    VectorSessionSource sessions(&ds.train_sessions());
     SISG_CHECK(
-        c.Build(ds.train_sessions(), ts, ds.catalog(), CorpusOptions{}).ok());
+        c.BuildFromSource(&sessions, ts, ds.catalog(), CorpusOptions{}).ok());
     return c;
   }();
   return corpus;

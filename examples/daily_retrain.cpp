@@ -66,7 +66,9 @@ int main() {
                                 dataset->train_sessions().begin() +
                                     static_cast<long>(day * per_day));
     Corpus corpus;
-    if (auto st = corpus.Build(window, ts, dataset->catalog(), CorpusOptions{});
+    VectorSessionSource sessions(&window);
+    if (auto st = corpus.BuildFromSource(&sessions, ts, dataset->catalog(),
+                                         CorpusOptions{});
         !st.ok()) {
       std::cerr << st.ToString() << "\n";
       return 1;

@@ -52,8 +52,9 @@ int main() {
   // Enriched corpus (item SI + user types).
   TokenSpace ts = TokenSpace::Create(&dataset->catalog(), &dataset->users());
   Corpus corpus;
-  if (auto st = corpus.Build(dataset->train_sessions(), ts, dataset->catalog(),
-                             CorpusOptions{});
+  VectorSessionSource sessions(&dataset->train_sessions());
+  if (auto st = corpus.BuildFromSource(&sessions, ts, dataset->catalog(),
+                                       CorpusOptions{});
       !st.ok()) {
     std::cerr << st.ToString() << "\n";
     return 1;

@@ -42,8 +42,7 @@ SgnsOptions SisgPipeline::EffectiveSgnsOptions() const {
   return sgns;
 }
 
-Status SisgPipeline::PrepareCorpus(const std::vector<Session>* sessions,
-                                   SessionSource* source,
+Status SisgPipeline::PrepareCorpus(SessionSource* source,
                                    const TokenSpace& token_space,
                                    const ItemCatalog& catalog, Corpus* corpus,
                                    PipelineReport* report) const {
@@ -54,32 +53,30 @@ Status SisgPipeline::PrepareCorpus(const std::vector<Session>* sessions,
     if (cached.ok()) {
       *corpus = std::move(cached).value();
       report->corpus_cache_hit = true;
-      report->corpus_build_seconds = timer.ElapsedSeconds();
-      report->corpus_sequences = corpus->num_sequences();
-      report->corpus_tokens = corpus->num_tokens();
       LOG_INFO << "corpus cache hit: " << config_.corpus_cache << " ("
                << corpus->num_sequences() << " sequences)";
-      return Status::OK();
+    } else {
+      LOG_INFO << "corpus cache unusable (" << cached.status().ToString()
+               << "); rebuilding";
     }
-    LOG_INFO << "corpus cache unusable (" << cached.status().ToString()
-             << "); rebuilding";
   }
-  if (sessions != nullptr) {
-    SISG_RETURN_IF_ERROR(corpus->Build(*sessions, token_space, catalog, copts));
-  } else {
+  if (!report->corpus_cache_hit) {
     SISG_RETURN_IF_ERROR(
         corpus->BuildFromSource(source, token_space, catalog, copts));
-    if (source->ingest_stats() != nullptr) {
-      report->ingest = *source->ingest_stats();
-      if (report->ingest.lines_skipped > 0) {
-        LOG_WARN << "ingest skipped " << report->ingest.lines_skipped
-                 << " malformed line(s); first: " << report->ingest.first_error;
-      }
+  }
+  // A drained stream has been read even on a cache hit; an unread one
+  // reports zeros.
+  if (source->ingest_stats() != nullptr) {
+    report->ingest = *source->ingest_stats();
+    if (report->ingest.lines_skipped > 0) {
+      LOG_WARN << "ingest skipped " << report->ingest.lines_skipped
+               << " malformed line(s); first: " << report->ingest.first_error;
     }
   }
   report->corpus_build_seconds = timer.ElapsedSeconds();
   report->corpus_sequences = corpus->num_sequences();
   report->corpus_tokens = corpus->num_tokens();
+  if (report->corpus_cache_hit) return Status::OK();
   if (obs::MetricsEnabled()) {
     // Cold fold of the per-run ingest stats into the registry (parse-error
     // lines become a counter an operator can alert on).
@@ -101,10 +98,15 @@ Status SisgPipeline::PrepareCorpus(const std::vector<Session>* sessions,
   return Status::OK();
 }
 
-StatusOr<SisgModel> SisgPipeline::TrainOnCorpus(
-    const std::vector<Session>* sessions, const ItemCatalog& catalog,
-    TokenSpace token_space, const Corpus& corpus, PipelineReport* report,
-    PipelineReport* local_report) const {
+StatusOr<SisgModel> SisgPipeline::TrainFromSource(
+    SessionSource* source, const std::vector<Session>* sessions,
+    const ItemCatalog& catalog, const UserUniverse& users,
+    PipelineReport* report) const {
+  TokenSpace token_space = TokenSpace::Create(&catalog, &users);
+  PipelineReport local;
+  Corpus corpus;
+  SISG_RETURN_IF_ERROR(
+      PrepareCorpus(source, token_space, catalog, &corpus, &local));
   const SgnsOptions sgns = EffectiveSgnsOptions();
 
   EmbeddingModel emb;
@@ -167,15 +169,15 @@ StatusOr<SisgModel> SisgPipeline::TrainOnCorpus(
     DistTrainResult result;
     SISG_RETURN_IF_ERROR(trainer.Train(corpus, token_space, item_worker, &emb,
                                        &result, ckpt_ptr));
-    local_report->train = result.train;
-    local_report->comm = result.comm;
+    local.train = result.train;
+    local.comm = result.comm;
   } else {
     SgnsTrainer trainer(sgns);
     SISG_RETURN_IF_ERROR(
-        trainer.Train(corpus, &emb, &local_report->train, ckpt_ptr));
+        trainer.Train(corpus, &emb, &local.train, ckpt_ptr));
   }
-  local_report->vocab_size = corpus.vocab().size();
-  if (report != nullptr) *report = *local_report;
+  local.vocab_size = corpus.vocab().size();
+  if (report != nullptr) *report = local;
 
   return SisgModel(config_, std::move(token_space), corpus.vocab(),
                    std::move(emb));
@@ -185,13 +187,8 @@ StatusOr<SisgModel> SisgPipeline::Train(const std::vector<Session>& sessions,
                                         const ItemCatalog& catalog,
                                         const UserUniverse& users,
                                         PipelineReport* report) const {
-  TokenSpace token_space = TokenSpace::Create(&catalog, &users);
-  PipelineReport local_report;
-  Corpus corpus;
-  SISG_RETURN_IF_ERROR(PrepareCorpus(&sessions, nullptr, token_space, catalog,
-                                     &corpus, &local_report));
-  return TrainOnCorpus(&sessions, catalog, std::move(token_space), corpus,
-                       report, &local_report);
+  VectorSessionSource source(&sessions);
+  return TrainFromSource(&source, &sessions, catalog, users, report);
 }
 
 StatusOr<SisgModel> SisgPipeline::TrainStream(SessionSource* source,
@@ -201,30 +198,17 @@ StatusOr<SisgModel> SisgPipeline::TrainStream(SessionSource* source,
   if (source == nullptr) {
     return Status::InvalidArgument("pipeline: null session source");
   }
-  if (config_.distributed) {
-    // Graph partitioning walks raw sessions, so the stream must land in
-    // memory anyway; drain it and take the materialized path.
-    std::vector<Session> sessions;
-    std::vector<Session> chunk;
-    for (;;) {
-      SISG_RETURN_IF_ERROR(source->NextChunk(&chunk));
-      if (chunk.empty()) break;
-      sessions.insert(sessions.end(), std::make_move_iterator(chunk.begin()),
-                      std::make_move_iterator(chunk.end()));
-    }
-    auto model = Train(sessions, catalog, users, report);
-    if (model.ok() && report != nullptr && source->ingest_stats() != nullptr) {
-      report->ingest = *source->ingest_stats();
-    }
-    return model;
+  if (!config_.distributed) {
+    return TrainFromSource(source, nullptr, catalog, users, report);
   }
-  TokenSpace token_space = TokenSpace::Create(&catalog, &users);
-  PipelineReport local_report;
-  Corpus corpus;
-  SISG_RETURN_IF_ERROR(PrepareCorpus(nullptr, source, token_space, catalog,
-                                     &corpus, &local_report));
-  return TrainOnCorpus(nullptr, catalog, std::move(token_space), corpus, report,
-                       &local_report);
+  // Graph partitioning walks raw sessions, so the stream must land in
+  // memory anyway: drain it, then build from the drained sessions with the
+  // stream's ingest counters.
+  SISG_ASSIGN_OR_RETURN(const std::vector<Session> sessions,
+                        source->ReadAll());
+  VectorSessionSource drained(&sessions, kDefaultChunkSessions,
+                              source->ingest_stats());
+  return TrainFromSource(&drained, &sessions, catalog, users, report);
 }
 
 StatusOr<SisgModel> SisgPipeline::Train(const SyntheticDataset& dataset,

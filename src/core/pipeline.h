@@ -33,7 +33,9 @@ struct PipelineReport {
 /// The end-to-end SISG training pipeline (Section III-C): enrich sessions
 /// per Eq. 4 as selected by the variant, build the frequency dictionary,
 /// then train either on the local hogwild SGNS engine or on the simulated
-/// distributed engine (HBGP item partitioning + ATNS).
+/// distributed engine (HBGP item partitioning + ATNS). Every entry point
+/// prepares its corpus one way, from a SessionSource: a session vector goes
+/// in through a VectorSessionSource.
 class SisgPipeline {
  public:
   explicit SisgPipeline(const SisgConfig& config) : config_(config) {}
@@ -46,17 +48,20 @@ class SisgPipeline {
   /// the window would otherwise halve).
   SgnsOptions EffectiveSgnsOptions() const;
 
-  /// Trains on arbitrary sessions. `catalog` and `users` must outlive the
-  /// returned model (its TokenSpace references them).
+  /// Trains on arbitrary sessions (served to the corpus builder by a
+  /// VectorSessionSource). `catalog` and `users` must outlive the returned
+  /// model (its TokenSpace references them).
   StatusOr<SisgModel> Train(const std::vector<Session>& sessions,
                             const ItemCatalog& catalog, const UserUniverse& users,
                             PipelineReport* report = nullptr) const;
 
-  /// Streaming variant: sessions are pulled chunk-wise from `source` (e.g.
+  /// Streaming variant: sessions are pulled block-wise from `source` (e.g.
   /// a SessionStream over a sessions file) straight into the parallel
   /// corpus builder, so the raw session list is never materialized. The
   /// distributed engine needs the sessions for graph partitioning, so with
-  /// config.distributed the stream is materialized internally instead.
+  /// config.distributed the stream is drained into memory and the corpus is
+  /// built from the drained sessions; the report carries the stream's
+  /// ingest counters either way.
   StatusOr<SisgModel> TrainStream(SessionSource* source,
                                   const ItemCatalog& catalog,
                                   const UserUniverse& users,
@@ -68,21 +73,21 @@ class SisgPipeline {
                             PipelineReport* report = nullptr) const;
 
  private:
-  /// Builds the corpus (from `sessions` or, when null, from `source`), or
-  /// loads it from config.corpus_cache when a valid compatible cache
-  /// exists; fills the corpus-related report fields.
-  Status PrepareCorpus(const std::vector<Session>* sessions,
-                       SessionSource* source, const TokenSpace& token_space,
+  /// Builds the corpus from `source`, or loads it from config.corpus_cache
+  /// when a valid compatible cache exists; fills the corpus-related report
+  /// fields, including the source's ingest counters.
+  Status PrepareCorpus(SessionSource* source, const TokenSpace& token_space,
                        const ItemCatalog& catalog, Corpus* corpus,
                        PipelineReport* report) const;
 
-  /// The train-and-package tail shared by Train and TrainStream.
-  /// `sessions` is only required for the distributed engine.
-  StatusOr<SisgModel> TrainOnCorpus(const std::vector<Session>* sessions,
-                                    const ItemCatalog& catalog,
-                                    TokenSpace token_space, const Corpus& corpus,
-                                    PipelineReport* report,
-                                    PipelineReport* local_report) const;
+  /// The one tail of Train and TrainStream: prepares the corpus from
+  /// `source`, trains and packages the model. `sessions` (the same sessions
+  /// in memory) is only required by the distributed engine.
+  StatusOr<SisgModel> TrainFromSource(SessionSource* source,
+                                      const std::vector<Session>* sessions,
+                                      const ItemCatalog& catalog,
+                                      const UserUniverse& users,
+                                      PipelineReport* report) const;
 
   SisgConfig config_;
 };

@@ -17,43 +17,24 @@ namespace {
 constexpr char kCacheKind[] = "CORPCACH";
 constexpr uint32_t kCacheVersion = 1;
 
-/// Chunk size for the zero-copy vector path. Fixed — never derived from the
-/// thread count — because chunking must not influence the output. (It in
-/// fact cannot: counting is commutative and encoded chunks are concatenated
-/// in input order, so any chunking of the same session order yields the
-/// same bytes. A fixed size just keeps the work units uniform.)
-constexpr size_t kChunkSessions = 1024;
-
-/// One ingest work unit: a contiguous run of sessions, either a slice of the
-/// caller's vector or a block read from a SessionSource and parsed on a
-/// worker. Enriched tokens are never materialized: `lens` holds each
+/// One ingest work unit: a block read from the SessionSource and parsed on
+/// a worker. Enriched tokens are never materialized: `lens` holds each
 /// session's encoded length and sequences are written straight into the
 /// arena.
 struct ChunkState {
-  SessionBlock block;                 // streaming path only
-  const Session* sessions = nullptr;  // vector path only
-  size_t num_sessions = 0;
+  SessionBlock block;
   std::vector<uint32_t> lens;
   uint64_t token_total = 0;  // encoded tokens in this chunk
   uint64_t seq_total = 0;    // surviving sequences in this chunk
   Status status;
-  std::atomic<bool> ingested{false};  // streaming: parsed and counted
+  std::atomic<bool> ingested{false};  // parsed and counted
 
   /// fn(i, user_type, items) for each session in order, until fn returns
   /// false.
   template <typename Fn>
   void ForEachSession(Fn&& fn) const {
-    if (sessions != nullptr) {
-      for (size_t i = 0; i < num_sessions; ++i) {
-        if (!fn(i, sessions[i].user_type,
-                std::span<const uint32_t>(sessions[i].items))) {
-          return;
-        }
-      }
-      return;
-    }
     const SessionBatch& batch = block.sessions;
-    for (size_t i = 0; i < num_sessions; ++i) {
+    for (size_t i = 0; i < batch.size(); ++i) {
       if (!fn(i, batch.user_types[i], batch.items_of(i))) return;
     }
   }
@@ -70,12 +51,6 @@ struct ClickCounts {
 
 }  // namespace
 
-Status Corpus::Build(const std::vector<Session>& sessions,
-                     const TokenSpace& token_space, const ItemCatalog& catalog,
-                     const CorpusOptions& options) {
-  return BuildImpl(&sessions, nullptr, token_space, catalog, options);
-}
-
 Status Corpus::BuildFromSource(SessionSource* source,
                                const TokenSpace& token_space,
                                const ItemCatalog& catalog,
@@ -83,13 +58,6 @@ Status Corpus::BuildFromSource(SessionSource* source,
   if (source == nullptr) {
     return Status::InvalidArgument("corpus: null session source");
   }
-  return BuildImpl(nullptr, source, token_space, catalog, options);
-}
-
-Status Corpus::BuildImpl(const std::vector<Session>* sessions,
-                         SessionSource* source, const TokenSpace& token_space,
-                         const ItemCatalog& catalog,
-                         const CorpusOptions& options) {
   options_ = options;
   vocab_ = Vocabulary();
   packed_.Clear();
@@ -141,67 +109,51 @@ Status Corpus::BuildImpl(const std::vector<Session>* sessions,
     });
   };
 
+  // This thread only reads raw blocks; the workers parse and count them.
+  // Each block's bad lines are folded into the source's error budget in
+  // input order, a window of blocks behind the reader, so at most that many
+  // raw blocks are in flight and reading stops soon after a line that fails
+  // the stream.
   std::deque<ChunkState> chunks;  // deque: stable addresses across growth
+  auto ingest = [&count_chunk, source](ChunkState* cs) {
+    source->ParseBlock(&cs->block);
+    count_chunk(cs);
+    cs->ingested.store(true, std::memory_order_release);
+    cs->ingested.notify_one();
+  };
+  const size_t window = pool ? 2 * num_threads : 0;
+  size_t folded = 0;
+  auto fold_next = [&]() {
+    ChunkState& cs = chunks[folded++];
+    cs.ingested.wait(false, std::memory_order_acquire);
+    size_t num_ok = 0;
+    return source->FoldBlock(cs.block, &num_ok);
+  };
   Status ingest_status;
-  if (sessions != nullptr) {
-    if (sessions->empty()) return Status::InvalidArgument("corpus: no sessions");
-    for (size_t start = 0; start < sessions->size(); start += kChunkSessions) {
-      ChunkState& cs = chunks.emplace_back();
-      cs.sessions = sessions->data() + start;
-      cs.num_sessions = std::min(kChunkSessions, sessions->size() - start);
-      if (pool) {
-        pool->Submit([&count_chunk, cs_ptr = &cs] { count_chunk(cs_ptr); });
-      } else {
-        count_chunk(&cs);
-      }
+  for (;;) {
+    ChunkState& cs = chunks.emplace_back();
+    ingest_status = source->ReadBlock(&cs.block);
+    if (!ingest_status.ok() || cs.block.empty()) {
+      chunks.pop_back();
+      break;
     }
-  } else {
-    // Streaming: this thread only reads raw blocks; the workers parse and
-    // count them. Each block's bad lines are folded into the source's error
-    // budget in input order, a window of blocks behind the reader, so at
-    // most that many raw blocks are in flight and reading stops soon after
-    // a line that fails the stream.
-    auto ingest = [&count_chunk, source](ChunkState* cs) {
-      source->ParseBlock(&cs->block);
-      cs->num_sessions = cs->block.sessions.size();
-      count_chunk(cs);
-      cs->ingested.store(true, std::memory_order_release);
-      cs->ingested.notify_one();
-    };
-    const size_t window = pool ? 2 * num_threads : 0;
-    size_t folded = 0;
-    auto fold_next = [&]() {
-      ChunkState& cs = chunks[folded++];
-      cs.ingested.wait(false, std::memory_order_acquire);
-      size_t num_ok = 0;
-      return source->FoldBlock(cs.block, &num_ok);
-    };
-    for (;;) {
-      ChunkState& cs = chunks.emplace_back();
-      ingest_status = source->ReadBlock(&cs.block);
-      if (!ingest_status.ok() || cs.block.empty()) {
-        chunks.pop_back();
-        break;
-      }
-      if (pool) {
-        pool->Submit([&ingest, cs_ptr = &cs] { ingest(cs_ptr); });
-      } else {
-        ingest(&cs);
-      }
-      if (chunks.size() - folded > window) {
-        ingest_status = fold_next();
-        if (!ingest_status.ok()) break;
-      }
+    if (pool) {
+      pool->Submit([&ingest, cs_ptr = &cs] { ingest(cs_ptr); });
+    } else {
+      ingest(&cs);
     }
-    if (pool) pool->Wait();  // the tasks call `ingest`, local to this block
-    while (ingest_status.ok() && folded < chunks.size()) {
+    if (chunks.size() - folded > window) {
       ingest_status = fold_next();
+      if (!ingest_status.ok()) break;
     }
   }
   if (pool) pool->Wait();  // workers hold pointers into chunks/counters
+  while (ingest_status.ok() && folded < chunks.size()) {
+    ingest_status = fold_next();
+  }
   SISG_RETURN_IF_ERROR(ingest_status);
   size_t total_sessions = 0;
-  for (const ChunkState& cs : chunks) total_sessions += cs.num_sessions;
+  for (const ChunkState& cs : chunks) total_sessions += cs.block.sessions.size();
   if (total_sessions == 0) return Status::InvalidArgument("corpus: no sessions");
   for (const ChunkState& cs : chunks) {
     // First failed chunk in input order wins, so the reported error does
@@ -297,7 +249,7 @@ Status Corpus::BuildImpl(const std::vector<Session>* sessions,
 
   // 3a: exact per-session encoded lengths (0 = dropped), chunk totals.
   auto size_chunk = [&](ChunkState* cs) {
-    cs->lens.resize(cs->num_sessions);
+    cs->lens.resize(cs->block.sessions.size());
     cs->token_total = 0;
     cs->seq_total = 0;
     cs->ForEachSession([&](size_t i, uint32_t user_type,

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "common/status.h"
 #include "corpus/enricher.h"
@@ -19,10 +18,8 @@ struct CorpusOptions {
   EnrichOptions enrich;
   uint32_t min_count = 1;
 
-  /// Ingest parallelism: sessions are split into chunks (fixed-size runs of
-  /// a vector, or the raw blocks of a source, parsed on the workers) and
-  /// counted on this many workers, then encoded into the packed arena in
-  /// parallel. Enrichment is a pure function of the item, so a per-item
+  /// Ingest parallelism: the source's blocks are parsed and counted on this
+  /// many workers, then encoded into the packed arena in parallel. Enrichment is a pure function of the item, so a per-item
   /// token block is built once, workers count item *clicks* into flat
   /// per-worker arrays (one add per click, not one per enriched token), and
   /// sequences are written straight into the arena through that block table
@@ -36,17 +33,14 @@ struct CorpusOptions {
 /// The training corpus: enriched sessions re-encoded in vocab-id space
 /// (tokens below min_count dropped, sequences shorter than 2 dropped),
 /// stored as one flat PackedCorpus arena. This is what trainers consume.
+/// Every corpus is built from a SessionSource: a SessionStream for a
+/// sessions file, a VectorSessionSource for sessions already in memory.
 class Corpus {
  public:
   Corpus() = default;
 
-  /// Enriches `sessions` and builds the vocabulary + packed arena
-  /// (zero-copy sharding over the vector).
-  Status Build(const std::vector<Session>& sessions, const TokenSpace& token_space,
-               const ItemCatalog& catalog, const CorpusOptions& options);
-
-  /// Streaming variant: the calling thread reads raw blocks from `source`
-  /// (e.g. a SessionStream over a sessions file) and the ingest workers
+  /// Enriches the sessions of `source` and builds the vocabulary + packed
+  /// arena. The calling thread reads raw blocks and the ingest workers
   /// parse and count them; bad lines are folded into the source's error
   /// budget in input order, so errors and IngestStats do not depend on the
   /// thread count. The enriched token sequences are never materialized:
@@ -75,10 +69,6 @@ class Corpus {
                                const TokenSpace& token_space);
 
  private:
-  Status BuildImpl(const std::vector<Session>* sessions, SessionSource* source,
-                   const TokenSpace& token_space, const ItemCatalog& catalog,
-                   const CorpusOptions& options);
-
   CorpusOptions options_;
   Vocabulary vocab_;
   PackedCorpus packed_;

@@ -107,15 +107,7 @@ Status WriteSessionsText(const std::vector<Session>& sessions,
 StatusOr<std::vector<Session>> ReadSessionsText(const UserUniverse& users,
                                                 const std::string& path) {
   SISG_ASSIGN_OR_RETURN(SessionStream stream, SessionStream::Open(users, path));
-  std::vector<Session> sessions;
-  std::vector<Session> chunk;
-  for (;;) {
-    SISG_RETURN_IF_ERROR(stream.NextChunk(&chunk));
-    if (chunk.empty()) break;
-    sessions.insert(sessions.end(), std::make_move_iterator(chunk.begin()),
-                    std::make_move_iterator(chunk.end()));
-  }
-  return sessions;
+  return stream.ReadAll();
 }
 
 }  // namespace sisg

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cstdlib>
+#include <iterator>
 
 #include "common/logging.h"
 
@@ -44,6 +45,17 @@ Status SessionSource::NextChunk(std::vector<Session>* out) {
     }
   }
   return Status::OK();
+}
+
+StatusOr<std::vector<Session>> SessionSource::ReadAll() {
+  std::vector<Session> sessions;
+  std::vector<Session> chunk;
+  for (;;) {
+    SISG_RETURN_IF_ERROR(NextChunk(&chunk));
+    if (chunk.empty()) return sessions;
+    sessions.insert(sessions.end(), std::make_move_iterator(chunk.begin()),
+                    std::make_move_iterator(chunk.end()));
+  }
 }
 
 StatusOr<SessionStream> SessionStream::Open(const UserUniverse& users,

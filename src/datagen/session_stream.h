@@ -15,9 +15,12 @@
 
 namespace sisg {
 
+/// Sessions per NextChunk call and per VectorSessionSource block by default.
+inline constexpr size_t kDefaultChunkSessions = 1024;
+
 struct SessionStreamOptions {
   /// Sessions handed out per NextChunk call.
-  size_t chunk_sessions = 1024;
+  size_t chunk_sessions = kDefaultChunkSessions;
   /// Malformed lines tolerated before the stream fails: each bad line is
   /// skipped and counted (first few logged) instead of aborting the whole
   /// load. 0 = strict, the first bad line is an error.
@@ -104,6 +107,8 @@ class SessionSource {
   /// end-of-stream; a bad line past the error budget fails the call that
   /// would hand out the sessions after it.
   Status NextChunk(std::vector<Session>* out);
+  /// Drains the rest of the source through NextChunk into one vector.
+  StatusOr<std::vector<Session>> ReadAll();
 
  protected:
   explicit SessionSource(size_t chunk_sessions)
@@ -170,13 +175,17 @@ class SessionStream final : public SessionSource {
   bool eof_ = false;
 };
 
-/// In-memory adapter: serves an existing session vector block-wise (copies
-/// each block; the zero-copy path for vectors is Corpus::Build itself).
+/// In-memory adapter, and the way sessions already in memory enter the
+/// corpus builder: serves an existing session vector block-wise, copying
+/// each block into a SessionBatch that the builder holds until it is
+/// encoded. `stats`, when given, are reported as this source's ingest
+/// counters (the pipeline passes those of the stream it drained).
 class VectorSessionSource final : public SessionSource {
  public:
   VectorSessionSource(const std::vector<Session>* sessions,
-                      size_t chunk_sessions = 1024)
-      : SessionSource(chunk_sessions), sessions_(sessions) {}
+                      size_t chunk_sessions = kDefaultChunkSessions,
+                      const IngestStats* stats = nullptr)
+      : SessionSource(chunk_sessions), sessions_(sessions), stats_(stats) {}
 
   Status ReadBlock(SessionBlock* block) override {
     *block = SessionBlock();
@@ -188,9 +197,11 @@ class VectorSessionSource final : public SessionSource {
     return Status::OK();
   }
   void ParseBlock(SessionBlock*) const override {}
+  const IngestStats* ingest_stats() const override { return stats_; }
 
  private:
   const std::vector<Session>* sessions_;
+  const IngestStats* stats_;
   size_t pos_ = 0;
 };
 

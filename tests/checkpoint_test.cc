@@ -272,9 +272,10 @@ class CheckpointTrainFixture : public ::testing::Test {
     ASSERT_TRUE(ds.ok());
     dataset_ = std::make_unique<SyntheticDataset>(std::move(ds).value());
     token_space_ = TokenSpace::Create(&dataset_->catalog(), &dataset_->users());
+    VectorSessionSource sessions(&dataset_->train_sessions());
     ASSERT_TRUE(corpus_
-                    .Build(dataset_->train_sessions(), token_space_,
-                           dataset_->catalog(), CorpusOptions{})
+                    .BuildFromSource(&sessions, token_space_,
+                                     dataset_->catalog(), CorpusOptions{})
                     .ok());
   }
 

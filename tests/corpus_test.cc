@@ -9,6 +9,7 @@
 #include "corpus/token_space.h"
 #include "corpus/vocabulary.h"
 #include "datagen/dataset.h"
+#include "suite_dir.h"
 
 namespace sisg {
 namespace {
@@ -29,6 +30,13 @@ class CorpusFixture : public ::testing::Test {
     dataset_ = std::make_unique<SyntheticDataset>(std::move(ds).value());
     token_space_ =
         TokenSpace::Create(&dataset_->catalog(), &dataset_->users());
+  }
+
+  /// Builds `corpus` from the training sessions.
+  Status Build(const CorpusOptions& opts, Corpus* corpus) const {
+    VectorSessionSource sessions(&dataset_->train_sessions());
+    return corpus->BuildFromSource(&sessions, token_space_,
+                                   dataset_->catalog(), opts);
   }
 
   std::unique_ptr<SyntheticDataset> dataset_;
@@ -200,11 +208,9 @@ TEST_F(CorpusFixture, NoiseDistributionFollowsPower) {
 TEST_F(CorpusFixture, VocabularySaveLoadRoundTrip) {
   CorpusOptions opts;
   Corpus corpus;
-  ASSERT_TRUE(corpus.Build(dataset_->train_sessions(), token_space_,
-                           dataset_->catalog(), opts)
-                  .ok());
+  ASSERT_TRUE(Build(opts, &corpus).ok());
   const Vocabulary& v = corpus.vocab();
-  const std::string path = ::testing::TempDir() + "/vocab.bin";
+  const std::string path = SuiteDir() + "/vocab.bin";
   ASSERT_TRUE(v.Save(path).ok());
   auto loaded = Vocabulary::Load(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -223,7 +229,7 @@ TEST_F(CorpusFixture, VocabularySaveLoadRoundTrip) {
 }
 
 TEST_F(CorpusFixture, VocabularyLoadRejectsCorruption) {
-  const std::string path = ::testing::TempDir() + "/vocab_bad.bin";
+  const std::string path = SuiteDir() + "/vocab_bad.bin";
   std::FILE* f = std::fopen(path.c_str(), "wb");
   std::fputs("not a vocab file at all", f);
   std::fclose(f);
@@ -252,9 +258,7 @@ TEST(SubsampleTest, KeepProbabilityMonotoneInFrequency) {
 TEST_F(CorpusFixture, SubsamplerUsesPerClassThresholds) {
   CorpusOptions opts;
   Corpus corpus;
-  ASSERT_TRUE(corpus.Build(dataset_->train_sessions(), token_space_,
-                           dataset_->catalog(), opts)
-                  .ok());
+  ASSERT_TRUE(Build(opts, &corpus).ok());
   SubsampleConfig config;
   config.item_threshold = 1.0;  // never drop items
   config.si_threshold = 1e-9;   // nuke SI
@@ -284,9 +288,7 @@ TEST_F(CorpusFixture, CorpusBuildFiltersAndEncodes) {
   CorpusOptions opts;
   opts.min_count = 2;
   Corpus corpus;
-  ASSERT_TRUE(corpus.Build(dataset_->train_sessions(), token_space_,
-                           dataset_->catalog(), opts)
-                  .ok());
+  ASSERT_TRUE(Build(opts, &corpus).ok());
   EXPECT_GT(corpus.vocab().size(), 0u);
   EXPECT_GT(corpus.num_tokens(), 0u);
   uint64_t tokens = 0;
@@ -301,8 +303,11 @@ TEST_F(CorpusFixture, CorpusBuildFiltersAndEncodes) {
 
 TEST_F(CorpusFixture, CorpusRejectsEmptyInput) {
   Corpus corpus;
+  const std::vector<Session> none;
+  VectorSessionSource sessions(&none);
   EXPECT_FALSE(corpus
-                   .Build({}, token_space_, dataset_->catalog(), CorpusOptions{})
+                   .BuildFromSource(&sessions, token_space_,
+                                    dataset_->catalog(), CorpusOptions{})
                    .ok());
 }
 
@@ -311,14 +316,8 @@ TEST_F(CorpusFixture, CorpusVariantsChangeVocabComposition) {
   CorpusOptions po;
   po.enrich.include_item_si = false;
   po.enrich.include_user_type = false;
-  ASSERT_TRUE(plain
-                  .Build(dataset_->train_sessions(), token_space_,
-                         dataset_->catalog(), po)
-                  .ok());
-  ASSERT_TRUE(enriched
-                  .Build(dataset_->train_sessions(), token_space_,
-                         dataset_->catalog(), CorpusOptions{})
-                  .ok());
+  ASSERT_TRUE(Build(po, &plain).ok());
+  ASSERT_TRUE(Build(CorpusOptions{}, &enriched).ok());
   EXPECT_EQ(plain.vocab().CountOfClass(TokenClass::kItemSi), 0u);
   EXPECT_EQ(plain.vocab().CountOfClass(TokenClass::kUserType), 0u);
   EXPECT_GT(enriched.vocab().CountOfClass(TokenClass::kItemSi), 0u);

@@ -37,9 +37,10 @@ class DistFixture : public ::testing::Test {
     ASSERT_TRUE(ds.ok());
     dataset_ = std::make_unique<SyntheticDataset>(std::move(ds).value());
     token_space_ = TokenSpace::Create(&dataset_->catalog(), &dataset_->users());
+    VectorSessionSource sessions(&dataset_->train_sessions());
     ASSERT_TRUE(corpus_
-                    .Build(dataset_->train_sessions(), token_space_,
-                           dataset_->catalog(), CorpusOptions{})
+                    .BuildFromSource(&sessions, token_space_,
+                                     dataset_->catalog(), CorpusOptions{})
                     .ok());
     ItemGraph graph;
     ASSERT_TRUE(graph
@@ -267,8 +268,9 @@ TEST_P(DistInvariants, CountersConsistentAcrossConfigs) {
   ASSERT_TRUE(ds.ok());
   TokenSpace ts = TokenSpace::Create(&ds->catalog(), &ds->users());
   Corpus corpus;
+  VectorSessionSource sessions(&ds->train_sessions());
   ASSERT_TRUE(
-      corpus.Build(ds->train_sessions(), ts, ds->catalog(), CorpusOptions{})
+      corpus.BuildFromSource(&sessions, ts, ds->catalog(), CorpusOptions{})
           .ok());
   Rng rng(workers);
   std::vector<uint32_t> item_worker(ds->catalog().num_items());

@@ -20,16 +20,11 @@
 #include "corpus/vocabulary.h"
 #include "datagen/dataset.h"
 #include "datagen/session_stream.h"
+#include "obs/metrics.h"
+#include "suite_dir.h"
 
 namespace sisg {
 namespace {
-
-std::string FreshPath(const std::string& name) {
-  const std::string path =
-      ::testing::TempDir() + "/" + name + "." + std::to_string(getpid());
-  std::remove(path.c_str());
-  return path;
-}
 
 void FlipByteAt(const std::string& path, long offset) {
   std::FILE* f = std::fopen(path.c_str(), "r+b");
@@ -75,10 +70,20 @@ class IngestFixture : public ::testing::Test {
         TokenSpace::Create(&dataset_->catalog(), &dataset_->users());
   }
 
+  /// Builds `corpus` from sessions held in memory, served `chunk_sessions`
+  /// at a time.
+  Status BuildFrom(const std::vector<Session>& sessions,
+                   const CorpusOptions& opts, Corpus* corpus,
+                   size_t chunk_sessions = kDefaultChunkSessions) const {
+    VectorSessionSource source(&sessions, chunk_sessions);
+    return corpus->BuildFromSource(&source, token_space_, dataset_->catalog(),
+                                   opts);
+  }
+
   /// Writes raw session lines (already formatted) to a fresh file.
   std::string WriteLines(const std::string& name,
                          const std::vector<std::string>& lines) {
-    const std::string path = FreshPath(name);
+    const std::string path = SuitePath(name);
     std::ofstream out(path);
     for (const auto& l : lines) out << l << "\n";
     return path;
@@ -91,7 +96,7 @@ class IngestFixture : public ::testing::Test {
 // --------------------------- session stream ---------------------------
 
 TEST_F(IngestFixture, StreamChunksPreserveOrderAndCount) {
-  const std::string path = FreshPath("stream_rt.txt");
+  const std::string path = SuitePath("stream_rt.txt");
   ASSERT_TRUE(WriteSessionsText(dataset_->train_sessions(), dataset_->users(),
                                 path)
                   .ok());
@@ -276,7 +281,7 @@ TEST_F(IngestFixture, StreamLineLongerThanABlock) {
 
   CorpusOptions opts;
   Corpus want;
-  ASSERT_TRUE(want.Build(good, token_space_, dataset_->catalog(), opts).ok());
+  ASSERT_TRUE(BuildFrom(good, opts, &want).ok());
   for (const uint64_t max_errors : {0u, 1u}) {
     SessionStreamOptions sopts;
     sopts.max_errors = max_errors;
@@ -315,7 +320,7 @@ TEST_F(IngestFixture, StreamReadFailureIsIOError) {
   // A directory opens like a file but fails the first read: a typed
   // IOError naming the lines read so far, on both the chunked and the
   // block-parallel path.
-  const std::string dir = FreshPath("stream_dir");
+  const std::string dir = SuitePath("stream_dir");
   ASSERT_EQ(::mkdir(dir.c_str(), 0700), 0);
   const std::string want = "read failed after line 0: " + dir;
   auto stream = SessionStream::Open(dataset_->users(), dir);
@@ -417,18 +422,15 @@ TEST_F(IngestFixture, CorpusDropsSingleTokenSequences) {
   opts.enrich.include_item_si = false;
   opts.enrich.include_user_type = false;
   Corpus corpus;
-  ASSERT_TRUE(corpus
-                  .Build(sessions, token_space_, dataset_->catalog(), opts)
-                  .ok());
+  ASSERT_TRUE(BuildFrom(sessions, opts, &corpus).ok());
   EXPECT_EQ(corpus.num_sequences(), 1u);
   EXPECT_EQ(corpus.num_tokens(), 2u);
 
   // All-dropped is an error, as before.
   sessions.pop_back();
   Corpus empty;
-  EXPECT_EQ(
-      empty.Build(sessions, token_space_, dataset_->catalog(), opts).code(),
-      StatusCode::kInvalidArgument);
+  EXPECT_EQ(BuildFrom(sessions, opts, &empty).code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST_F(IngestFixture, CorpusRejectsOutOfRangeSessions) {
@@ -436,17 +438,11 @@ TEST_F(IngestFixture, CorpusRejectsOutOfRangeSessions) {
   sessions[0].user_type = token_space_.num_user_types() + 1;
   sessions[0].items = {1, 2};
   Corpus corpus;
-  EXPECT_EQ(corpus
-                .Build(sessions, token_space_, dataset_->catalog(),
-                       CorpusOptions{})
-                .code(),
+  EXPECT_EQ(BuildFrom(sessions, CorpusOptions{}, &corpus).code(),
             StatusCode::kOutOfRange);
   sessions[0].user_type = 0;
   sessions[0].items = {1, token_space_.num_items() + 50};
-  EXPECT_EQ(corpus
-                .Build(sessions, token_space_, dataset_->catalog(),
-                       CorpusOptions{})
-                .code(),
+  EXPECT_EQ(BuildFrom(sessions, CorpusOptions{}, &corpus).code(),
             StatusCode::kOutOfRange);
 }
 
@@ -492,7 +488,7 @@ TEST(PackedCorpusTest, SectionRoundTrip) {
     std::vector<uint32_t> seq(1 + i % 7, i);
     pc.AppendSequence(seq);
   }
-  const std::string path = FreshPath("packed_rt.bin");
+  const std::string path = SuitePath("packed_rt.bin");
   ASSERT_TRUE(SavePacked(pc, path).ok());
   auto loaded = LoadPacked(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
@@ -507,7 +503,7 @@ TEST(PackedCorpusTest, CorruptionIsDataLossNeverPartialData) {
   for (uint32_t i = 0; i < 64; ++i) {
     pc.AppendSequence(std::vector<uint32_t>{i, i + 1, i + 2});
   }
-  const std::string path = FreshPath("packed_corrupt.bin");
+  const std::string path = SuitePath("packed_corrupt.bin");
   ASSERT_TRUE(SavePacked(pc, path).ok());
   const long size = FileSize(path);
   ASSERT_GT(size, static_cast<long>(kArtifactHeaderBytes));
@@ -535,20 +531,14 @@ TEST_F(IngestFixture, CorpusBytesAreThreadCountInvariant) {
   CorpusOptions base;
   base.min_count = 2;
   Corpus serial;
-  ASSERT_TRUE(serial
-                  .Build(dataset_->train_sessions(), token_space_,
-                         dataset_->catalog(), base)
-                  .ok());
+  ASSERT_TRUE(BuildFrom(dataset_->train_sessions(), base, &serial).ok());
   ASSERT_GT(serial.num_sequences(), 0u);
 
   for (uint32_t threads : {2u, 4u, 7u}) {
     CorpusOptions opts = base;
     opts.num_threads = threads;
     Corpus parallel;
-    ASSERT_TRUE(parallel
-                    .Build(dataset_->train_sessions(), token_space_,
-                           dataset_->catalog(), opts)
-                    .ok());
+    ASSERT_TRUE(BuildFrom(dataset_->train_sessions(), opts, &parallel).ok());
     // Byte-identical arena...
     ASSERT_TRUE(parallel.packed() == serial.packed()) << threads << " threads";
     // ...and identical vocabulary (ids, counts, classes).
@@ -560,31 +550,38 @@ TEST_F(IngestFixture, CorpusBytesAreThreadCountInvariant) {
   }
 }
 
-TEST_F(IngestFixture, StreamedBuildMatchesMaterializedBuild) {
+// Blocks concatenate in input order and counting is commutative, so neither
+// the block size of the source nor the worker count may reach the bytes:
+// odd chunk sizes that do not divide the session count, at 1 and 4 threads,
+// save the same .corpus/.vocab as the default chunk at 1 thread.
+TEST_F(IngestFixture, ChunkSizeAndThreadCountLeaveCorpusBytesUnchanged) {
   CorpusOptions opts;
   opts.min_count = 2;
-  opts.num_threads = 4;
-  Corpus from_vector;
-  ASSERT_TRUE(from_vector
-                  .Build(dataset_->train_sessions(), token_space_,
-                         dataset_->catalog(), opts)
-                  .ok());
+  Corpus baseline;
+  ASSERT_TRUE(BuildFrom(dataset_->train_sessions(), opts, &baseline).ok());
+  const std::string want = SuitePath("chunk_want");
+  ASSERT_TRUE(baseline.Save(want).ok());
 
-  // An odd chunk size that does not divide the session count: chunk
-  // boundaries must not leak into the output.
-  VectorSessionSource source(&dataset_->train_sessions(), 97);
-  Corpus from_stream;
-  ASSERT_TRUE(from_stream
-                  .BuildFromSource(&source, token_space_, dataset_->catalog(),
-                                   opts)
-                  .ok());
-  EXPECT_TRUE(from_stream.packed() == from_vector.packed());
-  EXPECT_EQ(from_stream.vocab().size(), from_vector.vocab().size());
+  for (const size_t chunk : {size_t{97}, size_t{7}}) {
+    for (const uint32_t threads : {1u, 4u}) {
+      opts.num_threads = threads;
+      Corpus corpus;
+      ASSERT_TRUE(
+          BuildFrom(dataset_->train_sessions(), opts, &corpus, chunk).ok());
+      const std::string got = SuitePath("chunk_got");
+      ASSERT_TRUE(corpus.Save(got).ok());
+      for (const char* ext : {".corpus", ".vocab"}) {
+        EXPECT_TRUE(ReadFileBytes(got + ext) == ReadFileBytes(want + ext))
+            << ext << " differs at chunk " << chunk << ", " << threads
+            << " threads";
+      }
+    }
+  }
 }
 
 // The file path end to end: a sessions file of several raw blocks, parsed on
 // the ingest workers, must save the same .corpus/.vocab bytes at every
-// thread count as Build on the same sessions held in memory.
+// thread count as a build from the same sessions held in memory.
 TEST_F(IngestFixture, StreamedFileBuildSavesSameBytesAsMaterializedBuild) {
   // Tile the fixture's sessions (rotating user types) past three blocks.
   std::vector<Session> sessions;
@@ -601,17 +598,15 @@ TEST_F(IngestFixture, StreamedFileBuildSavesSameBytesAsMaterializedBuild) {
       sessions.push_back(std::move(t));
     }
   }
-  const std::string path = FreshPath("stream_blocks.txt");
+  const std::string path = SuitePath("stream_blocks.txt");
   ASSERT_TRUE(WriteSessionsText(sessions, dataset_->users(), path).ok());
   ASSERT_GT(FileSize(path), static_cast<long>(3 * SessionStream::kBlockBytes));
 
   CorpusOptions opts;
   opts.min_count = 2;
   Corpus materialized;
-  ASSERT_TRUE(materialized
-                  .Build(sessions, token_space_, dataset_->catalog(), opts)
-                  .ok());
-  const std::string want = FreshPath("stream_blocks_want");
+  ASSERT_TRUE(BuildFrom(sessions, opts, &materialized).ok());
+  const std::string want = SuitePath("stream_blocks_want");
   ASSERT_TRUE(materialized.Save(want).ok());
 
   for (const uint32_t threads : {1u, 2u, 4u}) {
@@ -626,7 +621,7 @@ TEST_F(IngestFixture, StreamedFileBuildSavesSameBytesAsMaterializedBuild) {
         << threads << " threads";
     EXPECT_EQ(stream->stats().sessions, sessions.size());
     EXPECT_EQ(stream->stats().lines_read, sessions.size());
-    const std::string got = FreshPath("stream_blocks_got");
+    const std::string got = SuitePath("stream_blocks_got");
     ASSERT_TRUE(streamed.Save(got).ok());
     for (const char* ext : {".corpus", ".vocab"}) {
       EXPECT_TRUE(ReadFileBytes(got + ext) == ReadFileBytes(want + ext))
@@ -645,11 +640,8 @@ TEST_F(IngestFixture, CorpusCacheRoundTripAndGuards) {
   CorpusOptions opts;
   opts.min_count = 2;
   Corpus corpus;
-  ASSERT_TRUE(corpus
-                  .Build(dataset_->train_sessions(), token_space_,
-                         dataset_->catalog(), opts)
-                  .ok());
-  const std::string prefix = FreshPath("corpus_cache");
+  ASSERT_TRUE(BuildFrom(dataset_->train_sessions(), opts, &corpus).ok());
+  const std::string prefix = SuitePath("corpus_cache");
   ASSERT_TRUE(corpus.Save(prefix).ok());
 
   auto loaded = Corpus::Load(prefix, opts, token_space_);
@@ -700,7 +692,7 @@ TEST(PipelineOptionsTest, WindowDoublesOnlyWithItemSi) {
 }
 
 TEST_F(IngestFixture, StreamedPipelineMatchesMaterializedPipeline) {
-  const std::string path = FreshPath("pipeline_stream.txt");
+  const std::string path = SuitePath("pipeline_stream.txt");
   ASSERT_TRUE(WriteSessionsText(dataset_->train_sessions(), dataset_->users(),
                                 path)
                   .ok());
@@ -734,6 +726,50 @@ TEST_F(IngestFixture, StreamedPipelineMatchesMaterializedPipeline) {
   EXPECT_EQ(stream_report.ingest.sessions,
             dataset_->train_sessions().size());
   std::remove(path.c_str());
+}
+
+// The distributed engine drains the stream before it builds (HBGP partitions
+// the raw sessions' item graph); the build from the drained sessions must
+// still fold the stream's counters into the report and the registry, so
+// tolerated bad lines are never silent.
+TEST_F(IngestFixture, DistributedStreamExportsIngestMetrics) {
+  const std::string path = SuitePath("dist_stream.txt");
+  ASSERT_TRUE(WriteSessionsText(dataset_->train_sessions(), dataset_->users(),
+                                path)
+                  .ok());
+  {
+    std::ofstream out(path, std::ios::app);
+    out << "no-tab-here\n"
+        << dataset_->users().TypeToken(0) << "\t1 x\n";
+  }
+  SisgConfig config;
+  config.sgns.dim = 8;
+  config.sgns.epochs = 1;
+  config.sgns.negatives = 3;
+  config.distributed = true;
+  config.dist.num_workers = 2;
+  SessionStreamOptions sopts;
+  sopts.max_errors = 5;
+  auto stream = SessionStream::Open(dataset_->users(), path, sopts);
+  ASSERT_TRUE(stream.ok());
+
+  auto& reg = obs::MetricsRegistry::Global();
+  const bool was_enabled = obs::MetricsEnabled();
+  obs::EnableMetrics(true);
+  const uint64_t errors_before = reg.counter("ingest.parse_errors")->Value();
+  const uint64_t sessions_before = reg.counter("ingest.sessions")->Value();
+  PipelineReport report;
+  auto model = SisgPipeline(config).TrainStream(
+      &*stream, dataset_->catalog(), dataset_->users(), &report);
+  obs::EnableMetrics(was_enabled);
+  ASSERT_TRUE(model.ok()) << model.status().ToString();
+
+  EXPECT_EQ(report.ingest.lines_skipped, 2u);
+  EXPECT_EQ(report.ingest.sessions, dataset_->train_sessions().size());
+  EXPECT_EQ(reg.counter("ingest.parse_errors")->Value() - errors_before,
+            report.ingest.lines_skipped);
+  EXPECT_EQ(reg.counter("ingest.sessions")->Value() - sessions_before,
+            report.ingest.sessions);
 }
 
 }  // namespace

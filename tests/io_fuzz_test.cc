@@ -23,6 +23,7 @@
 #include "corpus/vocabulary.h"
 #include "datagen/dataset.h"
 #include "sgns/embedding_model.h"
+#include "suite_dir.h"
 
 namespace sisg {
 namespace {
@@ -58,7 +59,7 @@ struct ArtifactCase {
 class IoFuzzTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    const std::string dir = ::testing::TempDir();
+    const std::string dir = SuiteDir();
 
     // A small but real corpus so the vocab / packed / cache artifacts have
     // representative payloads (multiple sections, non-trivial sizes).
@@ -76,9 +77,10 @@ class IoFuzzTest : public ::testing::Test {
     token_space_ = new TokenSpace(
         TokenSpace::Create(&dataset_->catalog(), &dataset_->users()));
     corpus_ = new Corpus();
+    VectorSessionSource sessions(&dataset_->train_sessions());
     ASSERT_TRUE(corpus_
-                    ->Build(dataset_->train_sessions(), *token_space_,
-                            dataset_->catalog(), CorpusOptions{})
+                    ->BuildFromSource(&sessions, *token_space_,
+                                      dataset_->catalog(), CorpusOptions{})
                     .ok());
 
     cases_ = new std::vector<ArtifactCase>();
@@ -255,7 +257,7 @@ TEST_F(IoFuzzTest, SeededByteFlipsAlwaysRejected) {
 // ArtifactWriter), so the shape metadata inside the payload gets its own
 // validation layer — these must all fail as DataLoss, never load partially.
 TEST_F(IoFuzzTest, ValidCrcShapeMismatchesRejected) {
-  const std::string dir = ::testing::TempDir();
+  const std::string dir = SuiteDir();
 
   const auto expect_dataloss = [](const Status& st, const std::string& what) {
     ASSERT_FALSE(st.ok()) << what << " loaded successfully";

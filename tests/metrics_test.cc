@@ -28,6 +28,7 @@
 #include "obs/trace.h"
 #include "sgns/embedding_model.h"
 #include "sgns/trainer.h"
+#include "suite_dir.h"
 
 namespace sisg {
 namespace {
@@ -260,7 +261,7 @@ TEST_F(MetricsTest, JsonExportRoundTrips) {
 TEST_F(MetricsTest, JsonFileWriteThenParse) {
   auto& reg = obs::MetricsRegistry::Global();
   reg.counter("file.events")->Add(7);
-  const std::string path = ::testing::TempDir() + "/metrics_rt.json";
+  const std::string path = SuiteDir() + "/metrics_rt.json";
   ASSERT_TRUE(obs::WriteJsonFile(reg.Snapshot(), path).ok());
   std::FILE* f = std::fopen(path.c_str(), "rb");
   ASSERT_NE(f, nullptr);
@@ -294,7 +295,7 @@ double ArtifactCounter(const std::string& path, const std::string& name) {
 TEST_F(MetricsTest, SamplerTickRewritesArtifactAndStopWritesFinalTick) {
   obs::EnableMetrics(true);
   auto& reg = obs::MetricsRegistry::Global();
-  const std::string path = ::testing::TempDir() + "/sampler_tick.json";
+  const std::string path = SuiteDir() + "/sampler_tick.json";
   std::remove(path.c_str());
   obs::MetricsSampler::Options opts;
   opts.interval_seconds = 3600;  // the background loop never ticks here
@@ -521,8 +522,9 @@ TEST_F(MetricsTest, TrainingBitIdenticalWithMetricsOnAndOff) {
   ASSERT_TRUE(ds.ok());
   const TokenSpace ts = TokenSpace::Create(&ds->catalog(), &ds->users());
   Corpus corpus;
+  VectorSessionSource sessions(&ds->train_sessions());
   ASSERT_TRUE(
-      corpus.Build(ds->train_sessions(), ts, ds->catalog(), CorpusOptions{})
+      corpus.BuildFromSource(&sessions, ts, ds->catalog(), CorpusOptions{})
           .ok());
 
   // Single-threaded: with >1 worker the HogWild update order is already
@@ -574,8 +576,9 @@ TEST_F(MetricsTest, TrainingReportsReplicaSyncs) {
   ASSERT_TRUE(ds.ok());
   const TokenSpace ts = TokenSpace::Create(&ds->catalog(), &ds->users());
   Corpus corpus;
+  VectorSessionSource sessions(&ds->train_sessions());
   ASSERT_TRUE(
-      corpus.Build(ds->train_sessions(), ts, ds->catalog(), CorpusOptions{})
+      corpus.BuildFromSource(&sessions, ts, ds->catalog(), CorpusOptions{})
           .ok());
   SgnsOptions opts;
   opts.dim = 16;

@@ -369,7 +369,10 @@ const ArtifactTarget kTargets[] = {
          }
        }
        Corpus corpus;
-       if (!corpus.Build(sessions, world.token_space, world.catalog, {}).ok() ||
+       VectorSessionSource source(&sessions);
+       if (!corpus.BuildFromSource(&source, world.token_space, world.catalog,
+                                   {})
+                .ok() ||
            !corpus.Save(path).ok()) {
          return false;
        }

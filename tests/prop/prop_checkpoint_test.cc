@@ -288,8 +288,9 @@ std::string CheckResumeIsBitIdentical(
   copts.enrich.include_item_si = c.item_si;
   copts.enrich.include_user_type = c.user_type;
   Corpus corpus;
-  const Status built = corpus.Build(c.sessions, c.world->token_space,
-                                    c.world->catalog, copts);
+  VectorSessionSource source(&c.sessions);
+  const Status built = corpus.BuildFromSource(&source, c.world->token_space,
+                                              c.world->catalog, copts);
   if (!built.ok()) return "corpus build: " + built.ToString();
   const uint64_t total_slots =
       static_cast<uint64_t>(c.sgns.epochs) * corpus.num_sequences();

@@ -26,15 +26,19 @@
 #include "datagen/session_stream.h"
 #include "gtest/gtest.h"
 #include "prop.h"
+#include "../suite_dir.h"
 
 namespace sisg::prop {
 namespace {
 
-std::string FreshPath(const std::string& name) {
-  const std::string path =
-      ::testing::TempDir() + "/" + name + "." + std::to_string(getpid());
-  std::remove(path.c_str());
-  return path;
+/// Builds `corpus` from sessions held in memory, served `chunk_sessions`
+/// at a time.
+Status BuildInMemory(const std::vector<Session>& sessions,
+                     const TokenSpace& token_space, const ItemCatalog& catalog,
+                     const CorpusOptions& options, Corpus* corpus,
+                     size_t chunk_sessions = kDefaultChunkSessions) {
+  VectorSessionSource source(&sessions, chunk_sessions);
+  return corpus->BuildFromSource(&source, token_space, catalog, options);
 }
 
 std::string ReadFileBytes(const std::string& path) {
@@ -172,10 +176,10 @@ std::string CompareCorpora(const Corpus& ref, const Corpus& got,
   return CompareCorpora(ref.packed(), ref.vocab(), got, what);
 }
 
-/// The naive reference for Corpus::Build: every session enriched through
-/// SequenceEnricher::Enrich, every token counted into a flat array, the
-/// dictionary built from those counts, each sequence encoded in vocab ids
-/// and kept only with at least 2 surviving tokens.
+/// The naive reference for Corpus::BuildFromSource: every session enriched
+/// through SequenceEnricher::Enrich, every token counted into a flat array,
+/// the dictionary built from those counts, each sequence encoded in vocab
+/// ids and kept only with at least 2 surviving tokens.
 struct NaiveCorpus {
   StatusCode code = StatusCode::kOk;
   Vocabulary vocab;
@@ -203,26 +207,39 @@ NaiveCorpus NaiveBuild(const IngestCase& c) {
     }
     if (encoded.size() >= 2) ref.packed.AppendSequence(encoded);
   }
-  // Corpus::Build refuses to produce an empty corpus.
+  // Corpus::BuildFromSource refuses to produce an empty corpus.
   if (ref.packed.empty()) ref.code = StatusCode::kInvalidArgument;
   return ref;
 }
 
-TEST(PropIngest, BuildMatchesNaiveReferenceAtAnyThreadCountAndStreamed) {
+TEST(PropIngest, BuildMatchesNaiveReferenceAtAnyThreadCountAndChunkSize) {
   const Result r = ForAllSeeded<IngestCase>(
       "build_vs_reference", 100, IngestGen(/*allow_empty_sessions=*/true),
       [](const IngestCase& c) -> std::string {
         if (!c.world) return "generated catalog/universe failed to build";
         const NaiveCorpus want = NaiveBuild(c);
+        const TokenSpace& ts = c.world->token_space;
+        const ItemCatalog& catalog = c.world->catalog;
 
-        Corpus serial;
-        for (const uint32_t threads : {1u, 3u}) {
-          const std::string what = "threads=" + std::to_string(threads);
+        // The default chunk at 1 thread is the baseline; a chunk size that
+        // straddles session counts, and 4 workers, each alone and together,
+        // must match the reference and save the baseline's bytes.
+        struct Variant {
+          size_t chunk;
+          uint32_t threads;
+        };
+        const std::string p_ref = SuitePath("prop_ingest_ref");
+        const std::string p_got = SuitePath("prop_ingest_got");
+        for (const Variant v : {Variant{kDefaultChunkSessions, 1},
+                                Variant{kDefaultChunkSessions, 4},
+                                Variant{7, 1}, Variant{7, 4}}) {
+          const std::string what = "chunk=" + std::to_string(v.chunk) +
+                                   " threads=" + std::to_string(v.threads);
           CorpusOptions opts = c.options;
-          opts.num_threads = threads;
+          opts.num_threads = v.threads;
           Corpus got;
-          const Status st = got.Build(c.sessions, c.world->token_space,
-                                      c.world->catalog, opts);
+          const Status st =
+              BuildInMemory(c.sessions, ts, catalog, opts, &got, v.chunk);
           if (st.code() != want.code) {
             return what + ": status " + st.ToString() + " != reference code " +
                    std::to_string(static_cast<int>(want.code));
@@ -231,51 +248,23 @@ TEST(PropIngest, BuildMatchesNaiveReferenceAtAnyThreadCountAndStreamed) {
           const std::string diff =
               CompareCorpora(want.packed, want.vocab, got, what);
           if (!diff.empty()) return diff;
-          if (threads == 1) serial = std::move(got);
-        }
-        if (want.code != StatusCode::kOk) return "";
-
-        // Streamed build with a chunk size that straddles session counts.
-        VectorSessionSource source(&c.sessions, 7);
-        CorpusOptions sopts = c.options;
-        sopts.num_threads = 4;
-        Corpus streamed;
-        const Status st = streamed.BuildFromSource(
-            &source, c.world->token_space, c.world->catalog, sopts);
-        if (!st.ok()) return "streamed build failed: " + st.ToString();
-        const std::string sdiff =
-            CompareCorpora(want.packed, want.vocab, streamed, "streamed");
-        if (!sdiff.empty()) return sdiff;
-
-        // Full byte-identity of the published artifacts, not just equality
-        // of the in-memory views.
-        const std::string p_ref = FreshPath("prop_ingest_ref");
-        const std::string p_par = FreshPath("prop_ingest_par");
-        Corpus parallel;
-        CorpusOptions popts = c.options;
-        popts.num_threads = 4;
-        if (!parallel
-                 .Build(c.sessions, c.world->token_space, c.world->catalog,
-                        popts)
-                 .ok()) {
-          return "parallel rebuild failed";
-        }
-        if (!serial.Save(p_ref).ok() || !parallel.Save(p_par).ok()) {
-          return "corpus save failed";
-        }
-        std::string verdict;
-        for (const char* ext : {".vocab", ".corpus"}) {
-          if (ReadFileBytes(p_ref + ext) != ReadFileBytes(p_par + ext)) {
-            verdict = std::string("artifact ") + ext +
-                      " bytes differ between thread counts";
-            break;
+          // Full byte-identity of the published artifacts, not just
+          // equality of the in-memory views.
+          const bool baseline = v.chunk == kDefaultChunkSessions &&
+                                v.threads == 1;
+          if (!got.Save(baseline ? p_ref : p_got).ok()) {
+            return what + ": corpus save failed";
+          }
+          if (baseline) continue;
+          for (const char* ext : {".vocab", ".corpus"}) {
+            if (ReadFileBytes(p_ref + ext) != ReadFileBytes(p_got + ext)) {
+              return what + ": artifact " + ext +
+                     " bytes differ from chunk=" +
+                     std::to_string(kDefaultChunkSessions) + " threads=1";
+            }
           }
         }
-        for (const char* ext : {".vocab", ".corpus"}) {
-          std::remove((p_ref + ext).c_str());
-          std::remove((p_par + ext).c_str());
-        }
-        return verdict;
+        return "";
       },
       ShrinkIngest(), ShowIngest);
   EXPECT_TRUE(r.ok) << r.message;
@@ -286,7 +275,7 @@ TEST(PropIngest, FileStreamMatchesInMemorySessionsAcrossChunkSizes) {
       "stream_vs_vector", 100, IngestGen(/*allow_empty_sessions=*/false),
       [](const IngestCase& c) -> std::string {
         if (!c.world) return "generated catalog/universe failed to build";
-        const std::string path = FreshPath("prop_ingest_stream.txt");
+        const std::string path = SuitePath("prop_ingest_stream.txt");
         if (!WriteSessionsText(c.sessions, c.world->users, path).ok()) {
           return "WriteSessionsText failed";
         }
@@ -565,7 +554,7 @@ TEST(PropIngest, BlockParserMatchesLineParserOracle) {
   const Result r = ForAllSeeded<DiffCase>(
       "parser_vs_oracle", 200, gen,
       [&world](const DiffCase& c) -> std::string {
-        const std::string path = FreshPath("prop_ingest_diff.txt");
+        const std::string path = SuitePath("prop_ingest_diff.txt");
         {
           std::ofstream out(path, std::ios::binary);
           for (size_t i = 0; i < c.lines.size(); ++i) {
@@ -606,12 +595,14 @@ TEST(PropIngest, BlockParserMatchesLineParserOracle) {
           std::string d = SameStats(stream->stats(), oracle.stats(), "NextChunk");
           if (!d.empty()) return d;
 
-          // 2. The parallel build: the oracle's error, else what Build makes
-          // of the oracle's sessions; and the oracle's stats either way.
+          // 2. The parallel build: the oracle's error, else what a build
+          // from the oracle's sessions in memory makes; and the oracle's
+          // stats either way.
           Corpus ref;
           const Status ref_status =
               oracle_status.ok()
-                  ? ref.Build(sessions, world->token_space, world->catalog, {})
+                  ? BuildInMemory(sessions, world->token_space,
+                                  world->catalog, {}, &ref)
                   : oracle_status;
           for (const uint32_t threads : {1u, 4u}) {
             const std::string what =
@@ -840,7 +831,7 @@ TEST(PropIngest, MaxErrorsToleranceMatchesLineModel) {
                         : model_sessions;
         const uint64_t model_lines = model_fails ? fail_line : file.lines.size();
 
-        const std::string path = FreshPath("prop_ingest_err.txt");
+        const std::string path = SuitePath("prop_ingest_err.txt");
         {
           std::ofstream out(path);
           for (const auto& l : file.lines) out << l << "\n";
@@ -913,12 +904,13 @@ TEST(PropIngest, MaxErrorsToleranceMatchesLineModel) {
           std::string d = check_stats(stream->stats(), "NextChunk");
           if (!d.empty()) return d;
 
-          // 2. Block-parallel through BuildFromSource, against Build on the
-          // good lines' sessions.
+          // 2. Block-parallel through BuildFromSource, against a build from
+          // the good lines' sessions in memory.
           Corpus ref;
           const bool expect_corpus = !model_fails && model_sessions > 0;
           if (expect_corpus &&
-              !ref.Build(file.sessions, world->token_space, world->catalog, {})
+              !BuildInMemory(file.sessions, world->token_space,
+                             world->catalog, {}, &ref)
                    .ok()) {
             return "reference build failed";
           }

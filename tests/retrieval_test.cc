@@ -26,6 +26,7 @@
 #include "core/ivf_index.h"
 #include "core/matching_engine.h"
 #include "core/pq.h"
+#include "suite_dir.h"
 
 namespace sisg {
 namespace {
@@ -602,8 +603,8 @@ TEST(ArenaServing, HeapAndMmapLoadsMatchOriginalBitExact) {
   auto out = RandomMatrix(rng, n, dim, zeros);
   std::vector<float> qvec(dim);
   for (auto& x : qvec) x = rng.UniformFloat() * 2.0f - 1.0f;
-  const std::string path = ::testing::TempDir() + "/retrieval.arena";
-  const std::string qpath = ::testing::TempDir() + "/retrieval.qarena";
+  const std::string path = SuiteDir() + "/retrieval.arena";
+  const std::string qpath = SuiteDir() + "/retrieval.qarena";
   for (SimilarityMode mode :
        {SimilarityMode::kCosineInput, SimilarityMode::kDirectionalInOut}) {
     for (bool int8 : {false, true}) {
@@ -663,8 +664,8 @@ TEST(ArenaServing, Int8ArtifactServesIdenticallyHeapAndMmap) {
   MatchingEngine original;
   ASSERT_TRUE(
       original.Build(in, {}, n, dim, SimilarityMode::kCosineInput).ok());
-  const std::string arena_path = ::testing::TempDir() + "/retrieval2.arena";
-  const std::string qarena_path = ::testing::TempDir() + "/retrieval2.qarena";
+  const std::string arena_path = SuiteDir() + "/retrieval2.arena";
+  const std::string qarena_path = SuiteDir() + "/retrieval2.qarena";
   ASSERT_TRUE(original.SaveArena(arena_path).ok());
   ASSERT_TRUE(original.EnableInt8().ok());
   ASSERT_TRUE(original.SaveInt8(qarena_path).ok());
@@ -701,9 +702,7 @@ TEST(ArenaServing, HeapLoadsOutliveTheirFiles) {
   MatchingEngine original;
   ASSERT_TRUE(
       original.Build(in, {}, n, dim, SimilarityMode::kCosineInput).ok());
-  // Per-process names: the suite runs once per dispatch level, in parallel.
-  const std::string prefix = ::testing::TempDir() + "/heap_outlives." +
-                             std::to_string(::getpid());
+  const std::string prefix = SuiteDir() + "/heap_outlives";
   const std::string arena_path = prefix + ".arena";
   const std::string qarena_path = prefix + ".qarena";
   ASSERT_TRUE(original.SaveArena(arena_path).ok());

@@ -27,6 +27,7 @@
 #include "serve/model_registry.h"
 #include "serve/server.h"
 #include "serve/wire.h"
+#include "suite_dir.h"
 
 namespace sisg {
 namespace {
@@ -345,7 +346,7 @@ TEST(QueryBatcherTest, MaxBatchZeroIsClampedAndStillDispatches) {
 class LoopbackFixture : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    prefix_ = new std::string(::testing::TempDir() + "serve_e2e");
+    prefix_ = new std::string(SuiteDir() + "/serve_e2e");
     MatchingEngine engine =
         serve::BuildSynthEngine(300, 24, /*seed=*/7).value();
     ASSERT_TRUE(engine.SaveArena(*prefix_ + ".arena").ok());
@@ -636,9 +637,9 @@ TEST(MetricsExportTest, WriteMetricsFileDispatchesOnExtension) {
   obs::MetricsRegistry::Global().counter("serve.test_counter")->Increment();
   const auto snap = obs::MetricsRegistry::Global().Snapshot();
 
-  const std::string jpath = ::testing::TempDir() + "metrics_disp.json";
+  const std::string jpath = SuiteDir() + "/metrics_disp.json";
   ASSERT_TRUE(obs::WriteMetricsFile(snap, jpath).ok());
-  const std::string ppath = ::testing::TempDir() + "metrics_disp.prom";
+  const std::string ppath = SuiteDir() + "/metrics_disp.prom";
   ASSERT_TRUE(obs::WriteMetricsFile(snap, ppath).ok());
 
   auto slurp = [](const std::string& path) {
@@ -661,7 +662,7 @@ TEST(MetricsExportTest, WriteMetricsFileDispatchesOnExtension) {
 TEST(MetricsExportTest, SignalFlushWritesTheArtifact) {
   obs::EnableMetrics(true);
   obs::MetricsRegistry::Global().counter("serve.sigflush_probe")->Increment();
-  const std::string path = ::testing::TempDir() + "sigflush.json";
+  const std::string path = SuiteDir() + "/sigflush.json";
   obs::FlushMetricsOnSignal(path);
   // Exercise the watcher's flush body directly — same code the real signal
   // triggers, minus killing the test process.

@@ -175,12 +175,15 @@ class WarmStartFixture : public ::testing::Test {
     std::vector<Session> yesterday(dataset_->train_sessions().begin(),
                                    dataset_->train_sessions().begin() + 1000);
     CorpusOptions copts;
+    VectorSessionSource old_sessions(&yesterday);
     ASSERT_TRUE(old_corpus_
-                    .Build(yesterday, token_space_, dataset_->catalog(), copts)
+                    .BuildFromSource(&old_sessions, token_space_,
+                                     dataset_->catalog(), copts)
                     .ok());
+    VectorSessionSource new_sessions(&dataset_->train_sessions());
     ASSERT_TRUE(new_corpus_
-                    .Build(dataset_->train_sessions(), token_space_,
-                           dataset_->catalog(), copts)
+                    .BuildFromSource(&new_sessions, token_space_,
+                                     dataset_->catalog(), copts)
                     .ok());
   }
 

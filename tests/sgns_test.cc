@@ -1,5 +1,4 @@
 #include <gtest/gtest.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <cmath>
@@ -19,26 +18,10 @@
 #include "sgns/embedding_model.h"
 #include "sgns/trainer.h"
 #include "sgns/window.h"
+#include "suite_dir.h"
 
 namespace sisg {
 namespace {
-
-/// This process's scratch directory under the gtest temp dir, created on
-/// first use and removed at exit: every file the suite writes lives in it,
-/// so copies of the suite running side by side never share a path.
-const std::string& SuiteDir() {
-  struct Dir {
-    std::string path = ::testing::TempDir() + "/sgns_test." +
-                       std::to_string(::getpid());
-    Dir() { std::filesystem::create_directories(path); }
-    ~Dir() {
-      std::error_code ec;
-      std::filesystem::remove_all(path, ec);
-    }
-  };
-  static const Dir dir;
-  return dir.path;
-}
 
 // --------------------------- embedding model ---------------------------
 
@@ -307,9 +290,10 @@ class TrainerFixture : public ::testing::Test {
     CorpusOptions copts;
     copts.enrich.include_item_si = false;
     copts.enrich.include_user_type = false;
+    VectorSessionSource sessions(&dataset_->train_sessions());
     ASSERT_TRUE(corpus_
-                    .Build(dataset_->train_sessions(), token_space_,
-                           dataset_->catalog(), copts)
+                    .BuildFromSource(&sessions, token_space_,
+                                     dataset_->catalog(), copts)
                     .ok());
   }
 
